@@ -69,6 +69,17 @@ def argmax_frames(p, a) -> tuple:
     return fp.v @ fa.u.T, fa.v @ fp.u.T
 
 
+def _givens_rows(x, i, j, c, s):
+    """Rotate rows i, j of every matrix in the batch x in place, by angles (c, s).
+
+    Columns i, j turn by the same call on ``x.transpose(0, 2, 1)`` with ``-s``.
+    """
+    ri = x[:, i, :].copy()
+    rj = x[:, j, :]
+    x[:, i, :] = c[:, None] * ri - s[:, None] * rj
+    x[:, j, :] = s[:, None] * ri + c[:, None] * rj
+
+
 def max_trace_bruteforce(
     p, a, starts: int = 2000, rng=None, tol: float = 1e-7, max_sweeps: int = 500
 ) -> float:
@@ -88,36 +99,19 @@ def max_trace_bruteforce(
     v = haar_rotations(n, starts, rng)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    def rotate_rows(mat, i, j, c, s):
-        ri = mat[:, i, :].copy()
-        rj = mat[:, j, :]
-        mat[:, i, :] = c[:, None] * ri - s[:, None] * rj
-        mat[:, j, :] = s[:, None] * ri + c[:, None] * rj
-
-    def rotate_cols(mat, i, j, c, s):
-        ci = mat[:, :, i].copy()
-        cj = mat[:, :, j]
-        mat[:, :, i] = c[:, None] * ci + s[:, None] * cj
-        mat[:, :, j] = -s[:, None] * ci + c[:, None] * cj
-
     vals = None
     for _ in range(max_sweeps):
-        k = u @ (a @ v @ p)
-        for i, j in pairs:
-            alpha = k[:, i, i] + k[:, j, j]
-            beta = k[:, i, j] - k[:, j, i]
-            theta = np.arctan2(beta, alpha)
-            c, s = np.cos(theta), np.sin(theta)
-            rotate_rows(k, i, j, c, s)
-            rotate_rows(u, i, j, c, s)
-        k = (p @ u @ a) @ v
-        for i, j in pairs:
-            alpha = k[:, i, i] + k[:, j, j]
-            beta = k[:, i, j] - k[:, j, i]
-            theta = np.arctan2(beta, alpha)
-            c, s = np.cos(theta), np.sin(theta)
-            rotate_cols(k, i, j, c, s)
-            rotate_cols(v, i, j, c, s)
+        # a left turn moves rows of U and of K = U A V P; a right turn moves
+        # columns of V and of K = P U A V
+        for right in (False, True):
+            k = (p @ u @ a) @ v if right else u @ (a @ v @ p)
+            turned = (k.transpose(0, 2, 1), v.transpose(0, 2, 1)) if right else (k, u)
+            for i, j in pairs:
+                theta = np.arctan2(k[:, i, j] - k[:, j, i], k[:, i, i] + k[:, j, j])
+                c = np.cos(theta)
+                s = -np.sin(theta) if right else np.sin(theta)
+                for x in turned:
+                    _givens_rows(x, i, j, c, s)
         new_vals = np.einsum("sii->s", k)
         if vals is not None and np.max(new_vals - vals) < tol:
             vals = new_vals
@@ -664,25 +658,9 @@ def _closest_image_distance(
 
     prev = objective(u, v)
     for _ in range(max_sweeps):
-        for i, j in pairs:
-            const = np.empty((starts, ell))
-            bcos = np.empty((starts, ell))
-            bsin = np.empty((starts, ell))
-            for m, terms in enumerate(coord_terms):
-                k = np.zeros((starts, n, n))
-                for coef, pm, am in terms:
-                    k += coef * (u @ ((am @ v) @ pm))
-                tr = np.einsum("sii->s", k)
-                bcos[:, m] = k[:, i, i] + k[:, j, j]
-                bsin[:, m] = k[:, i, j] - k[:, j, i]
-                const[:, m] = tr - bcos[:, m]
-            theta = _affine_theta_argmin(const, bcos, bsin, y)
-            c, s = np.cos(theta), np.sin(theta)
-            ri = u[:, i, :].copy()
-            rj = u[:, j, :]
-            u[:, i, :] = c[:, None] * ri - s[:, None] * rj
-            u[:, j, :] = s[:, None] * ri + c[:, None] * rj
-        if two_sided:
+        # left turns move rows of U, right turns columns of V; K puts the
+        # turned factor first: U A V P on the left, P U A V on the right
+        for right in (False, True) if two_sided else (False,):
             for i, j in pairs:
                 const = np.empty((starts, ell))
                 bcos = np.empty((starts, ell))
@@ -690,17 +668,17 @@ def _closest_image_distance(
                 for m, terms in enumerate(coord_terms):
                     k = np.zeros((starts, n, n))
                     for coef, pm, am in terms:
-                        k += coef * (((pm @ u) @ am) @ v)
+                        k += coef * (((pm @ u) @ am) @ v if right else u @ ((am @ v) @ pm))
                     tr = np.einsum("sii->s", k)
                     bcos[:, m] = k[:, i, i] + k[:, j, j]
                     bsin[:, m] = k[:, i, j] - k[:, j, i]
                     const[:, m] = tr - bcos[:, m]
                 theta = _affine_theta_argmin(const, bcos, bsin, y)
                 c, s = np.cos(theta), np.sin(theta)
-                ci = v[:, :, i].copy()
-                cj = v[:, :, j]
-                v[:, :, i] = c[:, None] * ci + s[:, None] * cj
-                v[:, :, j] = -s[:, None] * ci + c[:, None] * cj
+                if right:
+                    _givens_rows(v.transpose(0, 2, 1), i, j, c, -s)
+                else:
+                    _givens_rows(u, i, j, c, s)
         cur = objective(u, v)
         if np.max(prev - cur) < tol:
             prev = cur

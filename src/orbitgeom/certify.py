@@ -112,7 +112,7 @@ class StarReport:
         }
 
 
-def _solve_on_family(curve_at, y, boundary_tol, gtol, max_iter):
+def _solve_on_family(curve_at, y):
     """Find (angles, s, iterations, curve) with curve_at(s).point(angles) = y.
 
     Precondition: y inside or on curve_at(0); curve_at(1) degenerate. The
@@ -120,7 +120,7 @@ def _solve_on_family(curve_at, y, boundary_tol, gtol, max_iter):
     leaves the degenerate span.
     """
     c0 = curve_at(0.0)
-    m0 = membership(c0, y, boundary_tol)
+    m0 = membership(c0, y)
     if m0.classification in ("boundary", "on-degenerate-span"):
         return m0.witness_angles, 0.0, 0, c0
     if m0.classification in ("outside", "off-degenerate-span"):
@@ -128,7 +128,7 @@ def _solve_on_family(curve_at, y, boundary_tol, gtol, max_iter):
             f"target lies outside the starting curve (radial {m0.radial:.6g})"
         )
     c1 = curve_at(1.0)
-    m1 = membership(c1, y, boundary_tol)
+    m1 = membership(c1, y)
     if m1.classification in ("boundary", "on-degenerate-span"):
         return m1.witness_angles, 1.0, 0, c1
     g1 = m1.radial - 1.0
@@ -139,13 +139,13 @@ def _solve_on_family(curve_at, y, boundary_tol, gtol, max_iter):
     lo, hi = 0.0, 1.0
     best_s, best_g = None, np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, tolerances.max_bisection_iter + 1):
         mid = 0.5 * (lo + hi)
         radial, _, _ = surface_projection(curve_at(mid), y)
         g = radial - 1.0
         if np.isfinite(g) and abs(g) < abs(best_g):
             best_s, best_g = mid, g
-        if abs(g) <= gtol:
+        if abs(g) <= tolerances.bisection_gtol:
             break
         if g < 0.0:
             lo = mid
@@ -176,9 +176,6 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != ell:
         raise DimensionError(f"target has dimension {y.size}, map has {ell}")
-    boundary_tol = tolerances.boundary_band
-    gtol = tolerances.bisection_gtol
-    max_iter = tolerances.max_bisection_iter
 
     if ell == 2:
         n = mats[0].shape[0]
@@ -226,9 +223,7 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
     else:
         raise DimensionError("need at least two map coordinates")
 
-    angles, s, iterations, curve = _solve_on_family(
-        curve_at, y, boundary_tol, gtol, max_iter
-    )
+    angles, s, iterations, curve = _solve_on_family(curve_at, y)
     x = curve.witness(angles)
     achieved = apply_map(mats, x)
     residual = float(np.linalg.norm(achieved - y))
@@ -401,25 +396,12 @@ def _one_target(make_cert, idx, alpha_grid) -> list:
     return out
 
 
-def _run_targets(make_cert, num_targets, alpha_grid, config, threads=1) -> StarReport:
-    # every target is pure given its pre-drawn frames, so results are merged
-    # by index and do not depend on the worker count
-    if threads and threads > 1 and num_targets > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(lambda i: _one_target(make_cert, i, alpha_grid),
-                         range(num_targets))
-            )
-    else:
-        chunks = [_one_target(make_cert, i, alpha_grid) for i in range(num_targets)]
-    results = [r for chunk in chunks for r in chunk]
+def _run_targets(make_cert, num_targets, alpha_grid, config) -> StarReport:
+    results = [r for i in range(num_targets) for r in _one_target(make_cert, i, alpha_grid)]
     return StarReport(results=results, config=config)
 
 
-def star_check(lmap, orbit: OrbitSpec, num_targets: int, alpha_grid, rng,
-               threads: int = 1) -> StarReport:
+def star_check(lmap, orbit: OrbitSpec, num_targets: int, alpha_grid, rng) -> StarReport:
     """Certify alpha-scaled random image points of the orbit; failures are recorded."""
     lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
     rng = ensure_rng(rng)
@@ -438,12 +420,11 @@ def star_check(lmap, orbit: OrbitSpec, num_targets: int, alpha_grid, rng,
         "alpha_grid": [float(a) for a in alpha_grid],
         "tolerances": tolerances.as_dict(),
     }
-    return _run_targets(make_cert, num_targets, list(alpha_grid), config, threads)
+    return _run_targets(make_cert, num_targets, list(alpha_grid), config)
 
 
 def star_check_joint(
-    l_joint, joint: JointOrbitSpec, num_targets: int, alpha_grid, rng,
-    threads: int = 1,
+    l_joint, joint: JointOrbitSpec, num_targets: int, alpha_grid, rng
 ) -> StarReport:
     """Star check for joint orbits.
 
@@ -455,9 +436,7 @@ def star_check_joint(
     n = joint.n
     if joint.kind in ("O1", "O2"):
         reduced = reduce_joint(l_joint, joint.a_list, joint.kind)
-        report = star_check(
-            reduced, OrbitSpec(np.eye(n)), num_targets, alpha_grid, rng, threads
-        )
+        report = star_check(reduced, OrbitSpec(np.eye(n)), num_targets, alpha_grid, rng)
         report.config["kind"] = f"joint-{joint.kind}"
         report.config["m"] = joint.m
         return report
@@ -493,4 +472,4 @@ def star_check_joint(
         "alpha_grid": [float(a) for a in alpha_grid],
         "tolerances": tolerances.as_dict(),
     }
-    return _run_targets(make_cert, num_targets, list(alpha_grid), config, threads)
+    return _run_targets(make_cert, num_targets, list(alpha_grid), config)

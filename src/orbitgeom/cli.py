@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -136,8 +135,7 @@ def _cmd_star_check(args):
     lmap = _get_map(obj, args.input)
     rng = _require_seed(args)
     alphas = _parse_alpha(args.alpha)
-    threads = args.threads or os.cpu_count() or 1
-    report = cf.star_check(lmap, OrbitSpec(a), args.samples, alphas, rng, threads)
+    report = cf.star_check(lmap, OrbitSpec(a), args.samples, alphas, rng)
     payload = report.to_json()
     payload["seed"] = args.seed
     _json_out(args, payload)
@@ -346,8 +344,7 @@ def _cmd_joint(args):
     joint = JointOrbitSpec(tuple(a_list), kind)
     rng = _require_seed(args)
     alphas = _parse_alpha(args.alpha)
-    threads = args.threads or os.cpu_count() or 1
-    report = cf.star_check_joint(rows, joint, args.samples, alphas, rng, threads)
+    report = cf.star_check_joint(rows, joint, args.samples, alphas, rng)
     payload = report.to_json()
     payload["seed"] = args.seed
     if kind in ("O1", "O2"):
@@ -372,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv", "svg"], default="json")
         sp.add_argument("--tol", type=float, default=None, help="override the residual tolerance")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker cap for batch certification (default: all cores)")
+                        help="accepted for compatibility; ignored")
         if samples is not None:
             sp.add_argument("--samples", type=int, default=samples)
         if grid is not None:

@@ -1,9 +1,17 @@
-"""Global numerical tolerances.
+"""Numerical tolerances: one policy for the whole package.
 
-All thresholds default to 1e-10 absolute on matrix-valued residuals. The
-module-level ``tolerances`` instance is consulted by every routine that does
-not receive an explicit override, so the whole stack can be tightened or
-relaxed in one place.
+The module-level ``tolerances`` instance is the only source of every
+threshold; no routine takes a per-call override. Matrix-valued residuals
+default to 1e-10 absolute. The eight fields are:
+
+- ``matrix_residual``: reconstruction and rotation-group defects (max-norm);
+- ``boundary_band``: the |radial - 1| band counting as "on the curve";
+- ``certificate_residual``: the largest accepted certificate mismatch;
+- ``tie_gap``: the relative singular-value gap treated as tied;
+- ``degenerate_rank``: sv_min <= tol * sv_max marks a degenerate shape;
+- ``off_span_tol``: a component off a degenerate span treated as unreachable;
+- ``bisection_gtol``: the |radial - 1| that stops the homotopy bisection;
+- ``max_bisection_iter``: the iteration budget of every bisection.
 """
 
 from __future__ import annotations
@@ -13,14 +21,12 @@ from dataclasses import asdict, dataclass
 
 @dataclass
 class Tolerances:
-    matrix_residual: float = 1e-10      # reconstruction / orthogonality residuals (max-norm)
-    boundary_band: float = 1e-8         # |radial - 1| band counting as "on the curve"
-    certificate_residual: float = 1e-8  # largest accepted certificate mismatch
-    recheck_residual: float = 1e-12     # independent re-evaluation agreement
-    tie_gap: float = 1e-9               # relative singular-value gap treated as tied
-    degenerate_rank: float = 1e-10      # sv_min <= tol * sv_max marks a degenerate shape
-    off_span_tol: float = 1e-8          # component off a degenerate span treated as unreachable
-    bisection_xtol: float = 1e-12
+    matrix_residual: float = 1e-10
+    boundary_band: float = 1e-8
+    certificate_residual: float = 1e-8
+    tie_gap: float = 1e-9
+    degenerate_rank: float = 1e-10
+    off_span_tol: float = 1e-8
     bisection_gtol: float = 1e-12
     max_bisection_iter: int = 200
 

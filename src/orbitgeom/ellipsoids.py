@@ -131,10 +131,9 @@ class EllipsoidCurve:
         t[:2, :2] = recursive_rotation([np.atleast_1d(angles)[0]])
         return u @ t
 
-    def is_degenerate(self, rank_tol: float | None = None) -> bool:
-        rank_tol = tolerances.degenerate_rank if rank_tol is None else rank_tol
+    def is_degenerate(self) -> bool:
         sv = np.linalg.svd(self.shape, compute_uv=False)
-        return bool(sv[-1] <= rank_tol * max(sv[0], 1e-300))
+        return bool(sv[-1] <= tolerances.degenerate_rank * max(sv[0], 1e-300))
 
 
 def ellipsoid_euv(p_list, u, v) -> EllipsoidCurve:
@@ -209,7 +208,7 @@ class MembershipResult:
     radial: float
 
 
-def surface_projection(curve: EllipsoidCurve, y, rank_tol=None, off_tol=None):
+def surface_projection(curve: EllipsoidCurve, y):
     """Radial coordinate of y and angles of its radial surface projection.
 
     Returns (radial, off_span, angles). ``radial`` is infinite when the
@@ -217,17 +216,15 @@ def surface_projection(curve: EllipsoidCurve, y, rank_tol=None, off_tol=None):
     least-squares preimage is topped up with a null direction so the angles
     land exactly on the swept set whenever radial <= 1.
     """
-    rank_tol = tolerances.degenerate_rank if rank_tol is None else rank_tol
-    off_tol = tolerances.off_span_tol if off_tol is None else off_tol
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != curve.ell:
         raise DimensionError(f"query has dimension {y.size}, curve {curve.ell}")
     w, sv, zt = np.linalg.svd(curve.shape)
     d = w.T @ (y - curve.center)
     smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > rank_tol * max(smax, 1e-300)))
+    rank = int(np.sum(sv > tolerances.degenerate_rank * max(smax, 1e-300)))
     off = float(np.linalg.norm(d[rank:]))
-    if off > off_tol:
+    if off > tolerances.off_span_tol:
         return np.inf, off, None
     if rank == 0:
         # shape is numerically zero: the curve is the single point `center`
@@ -245,9 +242,9 @@ def surface_projection(curve: EllipsoidCurve, y, rank_tol=None, off_tol=None):
     return radial, off, angles_from_unit(z)
 
 
-def membership(curve: EllipsoidCurve, y, boundary_tol=None) -> MembershipResult:
+def membership(curve: EllipsoidCurve, y) -> MembershipResult:
     """Classify a point as inside/boundary/outside, or against a degenerate span."""
-    boundary_tol = tolerances.boundary_band if boundary_tol is None else boundary_tol
+    boundary_tol = tolerances.boundary_band
     y = np.asarray(y, dtype=float).reshape(-1)
     radial, off, angles = surface_projection(curve, y)
     degenerate = curve.is_degenerate()
@@ -264,14 +261,14 @@ def membership(curve: EllipsoidCurve, y, boundary_tol=None) -> MembershipResult:
     return MembershipResult("outside", None, float("nan"), radial)
 
 
-def bisect_root(f, lo: float, hi: float, xtol=None, max_iter=None):
+def bisect_root(f, lo: float, hi: float):
     """Plain bisection for a sign change of f on [lo, hi]; returns (root, iterations).
 
-    With ``xtol=None`` the bracket is narrowed until no representable number
-    lies strictly between its ends, which pins the root to full relative
-    precision (needed when the slope at the root is large).
+    The bracket is narrowed until no representable number lies strictly
+    between its ends, which pins the root to full relative precision (needed
+    when the slope at the root is large).
     """
-    max_iter = tolerances.max_bisection_iter if max_iter is None else max_iter
+    max_iter = tolerances.max_bisection_iter
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo, 0
@@ -285,7 +282,7 @@ def bisect_root(f, lo: float, hi: float, xtol=None, max_iter=None):
         if mid == lo or mid == hi:
             return mid, it
         fm = f(mid)
-        if fm == 0.0 or (xtol is not None and 0.5 * (hi - lo) < xtol):
+        if fm == 0.0:
             return mid, it
         if np.sign(fm) == np.sign(flo):
             lo, flo = mid, fm

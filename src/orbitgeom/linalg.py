@@ -55,17 +55,16 @@ def rotation_defect(u) -> float:
     return max(ortho, abs(float(np.linalg.det(u)) - 1.0))
 
 
-def is_rotation(u, tol: float | None = None) -> bool:
-    tol = tolerances.matrix_residual if tol is None else tol
+def is_rotation(u) -> bool:
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return rotation_defect(u) <= tol
+    return rotation_defect(u) <= tolerances.matrix_residual
 
 
-def require_rotation(u, name: str = "rotation", tol: float | None = None) -> np.ndarray:
+def require_rotation(u, name: str = "rotation") -> np.ndarray:
     arr = require_square(u, name)
-    tol = tolerances.matrix_residual if tol is None else tol
+    tol = tolerances.matrix_residual
     defect = rotation_defect(arr)
     if defect > tol:
         raise ValueError(f"{name} is not a rotation (defect {defect:.3e} > {tol:.1e})")
@@ -150,8 +149,7 @@ def _principal_log_rotation(r: np.ndarray) -> np.ndarray | None:
     eig = np.linalg.eigvals(r)
     if np.min(np.abs(eig + 1.0)) < 1e-8:
         return None
-    k = scipy.linalg.logm(r, disp=False)[0]
-    k = np.real(k)
+    k = np.real(scipy.linalg.logm(r))
     return (k - k.T) / 2.0
 
 

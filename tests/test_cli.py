@@ -349,3 +349,33 @@ class TestDeterminism:
             assert main(argv + ["--out", str(out1)]) == 0
             assert main(argv + ["--out", str(out2)]) == 0
             assert out1.read_bytes() == out2.read_bytes()
+
+    def test_threads_flag_is_accepted_and_ignored(self, tmp_path):
+        star_input = _write(
+            tmp_path,
+            "star.json",
+            {
+                "A": _mat(np.diag([3.0, 2.0, 1.0])),
+                "map": {"P": [_mat(np.diag([1.0, 0, 0])), _mat(np.diag([0, 1.0, 0]))]},
+            },
+        )
+        a1 = np.zeros((3, 3)); a1[0, 0] = 1.0
+        a2 = np.zeros((3, 3)); a2[1, 1] = 1.0
+        joint_input = _write(
+            tmp_path,
+            "joint3.json",
+            {
+                "A_list": [_mat(a1), _mat(a2)],
+                "maps": [[_mat(a1), _mat(a2)], [_mat(a2), _mat(-a1)]],
+                "kind": "O3",
+            },
+        )
+        for sub, path in (("star-check", star_input), ("joint", joint_input)):
+            outs = []
+            for threads in ("1", "3"):
+                out = tmp_path / f"{sub}_{threads}.json"
+                assert main([sub, "--input", path, "--seed", "5", "--samples", "3",
+                             "--alpha", "0,0.5,1", "--threads", threads,
+                             "--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]

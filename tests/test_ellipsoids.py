@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import orbitgeom as og
-from orbitgeom.ellipsoids import bisect_root
+from orbitgeom.ellipsoids import bisect_root, surface_projection
 
 
 def _e(i, j, n=2):
@@ -145,6 +145,14 @@ class TestMembership:
     def _circle(self):
         return og.ellipsoid_euv([_e(0, 0), _e(1, 0)], np.eye(2), np.eye(2))
 
+    def _segment(self):
+        return og.EllipsoidCurve(
+            shape=np.array([[1.0, 0.0], [0.0, 0.0]]),
+            center=np.zeros(2),
+            kind="euv",
+            frames=(np.eye(2), np.eye(2)),
+        )
+
     def test_inside(self):
         assert og.membership(self._circle(), [0.5, 0.0]).classification == "inside"
 
@@ -158,17 +166,33 @@ class TestMembership:
         assert og.membership(self._circle(), [1.5, 0.0]).classification == "outside"
 
     def test_degenerate_span(self):
-        seg = og.EllipsoidCurve(
-            shape=np.array([[1.0, 0.0], [0.0, 0.0]]),
-            center=np.zeros(2),
-            kind="euv",
-            frames=(np.eye(2), np.eye(2)),
-        )
+        seg = self._segment()
         res = og.membership(seg, [0.5, 0.0])
         assert res.classification == "on-degenerate-span"
         assert res.residual < 1e-12
         off = og.membership(seg, [0.5, 0.3])
         assert off.classification == "off-degenerate-span"
+
+    def test_boundary_band_comes_from_tolerances(self):
+        y = [1.0 + 5e-9, 0.0]
+        assert og.membership(self._circle(), y).classification == "boundary"
+        saved = og.tolerances.boundary_band
+        og.tolerances.boundary_band = 1e-9
+        try:
+            assert og.membership(self._circle(), y).classification == "outside"
+        finally:
+            og.tolerances.boundary_band = saved
+
+    def test_off_span_tol_comes_from_tolerances(self):
+        seg = self._segment()
+        y = [0.5, 5e-9]
+        assert surface_projection(seg, y)[0] == pytest.approx(0.5)
+        saved = og.tolerances.off_span_tol
+        og.tolerances.off_span_tol = 1e-9
+        try:
+            assert surface_projection(seg, y)[0] == np.inf
+        finally:
+            og.tolerances.off_span_tol = saved
 
 
 class TestDegenerateU0:
