@@ -30,6 +30,12 @@ from .linalg import (
 )
 from .orbits import LinearMapSpec, OrbitSpec, sample_image
 
+# Bands of the maximizer-set checks, relative to the scale max|A| + 1:
+# singular-value, determinant-sign and trace agreement, and the block
+# structure (off-diagonal blocks and the reconstruction of block factors).
+MAXIMIZER_VALUE_TOL = 1e-8
+MAXIMIZER_BLOCK_TOL = 1e-6
+
 
 def _require_same_square(p, a, names=("P", "A")):
     p = require_square(p, names[0])
@@ -379,9 +385,8 @@ class GammaVerifyReport:
         return self.in_orbit and self.det_sign_ok and self.trace_ok and self.blocks_ok
 
 
-def gamma_verify(b, p, a, structure: MaximizerStructure | None = None,
-                 sv_tol: float = 1e-8, trace_tol: float = 1e-8,
-                 block_tol: float = 1e-6) -> GammaVerifyReport:
+def gamma_verify(b, p, a,
+                 structure: MaximizerStructure | None = None) -> GammaVerifyReport:
     """Check membership in the maximizing set: orbit, trace value, block shape."""
     b = require_square(b, "B")
     if structure is None:
@@ -393,9 +398,9 @@ def gamma_verify(b, p, a, structure: MaximizerStructure | None = None,
     sv_b = np.linalg.svd(b, compute_uv=False)
     sv_a = np.linalg.svd(a, compute_uv=False)
     sv_error = float(np.max(np.abs(sv_b - sv_a)))
-    in_orbit = sv_error <= sv_tol * scale
+    in_orbit = sv_error <= MAXIMIZER_VALUE_TOL * scale
     det_a, det_b = np.linalg.det(a), np.linalg.det(b)
-    det_sign_ok = bool(det_a * det_b >= -((sv_tol * scale) ** b.shape[0]))
+    det_sign_ok = bool(det_a * det_b >= -((MAXIMIZER_VALUE_TOL * scale) ** b.shape[0]))
     trace_gap = float(abs(np.einsum("ij,ji->", structure.p_matrix, b) - gamma_value(structure)))
     offs = structure.offsets
     max_off = 0.0
@@ -410,9 +415,9 @@ def gamma_verify(b, p, a, structure: MaximizerStructure | None = None,
         sv_error=sv_error,
         det_sign_ok=det_sign_ok,
         trace_gap=trace_gap,
-        trace_ok=trace_gap <= trace_tol * scale,
+        trace_ok=trace_gap <= MAXIMIZER_VALUE_TOL * scale,
         max_off_block=max_off,
-        blocks_ok=max_off <= block_tol * scale,
+        blocks_ok=max_off <= MAXIMIZER_BLOCK_TOL * scale,
     )
 
 
@@ -442,7 +447,7 @@ def block_decompose(b, a, k: int) -> BlockDecomposition:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     scale = float(np.max(np.abs(a))) + 1.0
     tk_gap = abs(diagonal_sum(b, k) - diagonal_sum(a, k))
-    if tk_gap > 1e-8 * scale:
+    if tk_gap > MAXIMIZER_VALUE_TOL * scale:
         raise PreconditionError(
             f"leading diagonal sums differ by {tk_gap:.3e}; the block structure "
             f"is only forced at equality"
@@ -454,7 +459,7 @@ def block_decompose(b, a, k: int) -> BlockDecomposition:
             )
         )
     )
-    if sv_gap > 1e-8 * scale:
+    if sv_gap > MAXIMIZER_VALUE_TOL * scale:
         raise PreconditionError(f"B is not in the orbit of A (sv gap {sv_gap:.3e})")
     b11 = 0.5 * (b[:k, :k] + b[:k, :k].T)
     evals, evecs = np.linalg.eigh(b11)
@@ -465,7 +470,7 @@ def block_decompose(b, a, k: int) -> BlockDecomposition:
     x1, x2 = f22.u, f22.v.T
     recon = scipy.linalg.block_diag(w, x1) @ a @ scipy.linalg.block_diag(w.T, x2)
     residual = float(np.max(np.abs(recon - b)))
-    if residual > 1e-6 * scale:
+    if residual > MAXIMIZER_BLOCK_TOL * scale:
         raise NumericalError(
             f"block reconstruction residual {residual:.3e}; input violates the "
             f"forced block structure"

@@ -4,8 +4,8 @@ Any point of the image scaled toward the origin is re-realized by an explicit
 rotation. The engine is a homotopy: the scaled target sits inside an ellipse
 or ellipsoid swept by a rotation block at the starting frame; moving the frame
 continuously to a degenerate one forces the target through the swept surface,
-and a bisection pins down the crossing, where the surface parametrization
-yields the witness rotation.
+and a safeguarded false-position search pins down the crossing, where the
+surface parametrization yields the witness rotation.
 
 For planar maps the frame is a single rotation of size n >= 3 and the scaled
 rows are handled two at a time; for ell >= 3 coordinates the homotopy runs at
@@ -24,6 +24,9 @@ import scipy.linalg
 
 from .config import tolerances
 from .ellipsoids import (
+    _bracket_root,
+    _ellipse_eu,
+    _ellipsoid_euv,
     ellipse_eu,
     ellipsoid_euv,
     degenerate_u0,
@@ -116,50 +119,39 @@ def _solve_on_family(curve_at, y):
     """Find (angles, s, iterations, curve) with curve_at(s).point(angles) = y.
 
     Precondition: y inside or on curve_at(0); curve_at(1) degenerate. The
-    bisection runs on the radial coordinate minus one, treated as +inf when y
+    trial curves come from ``curve_at(s)``, built without input checks; the
+    curve that yields the witness angles comes from ``curve_at(s, checked=True)``,
+    which validates its frames. The crossing is found by the bracketing
+    root-finder on the radial coordinate minus one, treated as +inf when y
     leaves the degenerate span.
     """
-    c0 = curve_at(0.0)
-    m0 = membership(c0, y)
+    m0 = membership(curve_at(0.0), y)
     if m0.classification in ("boundary", "on-degenerate-span"):
-        return m0.witness_angles, 0.0, 0, c0
+        return m0.witness_angles, 0.0, 0, curve_at(0.0, checked=True)
     if m0.classification in ("outside", "off-degenerate-span"):
         raise PreconditionError(
             f"target lies outside the starting curve (radial {m0.radial:.6g})"
         )
-    c1 = curve_at(1.0)
-    m1 = membership(c1, y)
+    m1 = membership(curve_at(1.0), y)
     if m1.classification in ("boundary", "on-degenerate-span"):
-        return m1.witness_angles, 1.0, 0, c1
+        return m1.witness_angles, 1.0, 0, curve_at(1.0, checked=True)
     g1 = m1.radial - 1.0
     if np.isfinite(g1) and g1 < 0.0:
         raise NumericalError(
-            "target remains interior at the degenerate frame; no crossing to bisect"
+            "target remains interior at the degenerate frame; no crossing to find"
         )
-    lo, hi = 0.0, 1.0
-    best_s, best_g = None, np.inf
-    iterations = 0
-    for iterations in range(1, tolerances.max_bisection_iter + 1):
-        mid = 0.5 * (lo + hi)
-        radial, _, _ = surface_projection(curve_at(mid), y)
-        g = radial - 1.0
-        if np.isfinite(g) and abs(g) < abs(best_g):
-            best_s, best_g = mid, g
-        if abs(g) <= tolerances.bisection_gtol:
-            break
-        if g < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16:
-            break
-    if best_s is None:
-        raise NumericalError("bisection never reached the curve surface")
-    curve = curve_at(best_s)
+
+    def g(s):
+        return surface_projection(curve_at(s), y)[0] - 1.0
+
+    s, iterations = _bracket_root(
+        g, 0.0, 1.0, m0.radial - 1.0, g1, tolerances.bisection_gtol
+    )
+    curve = curve_at(s, checked=True)
     _, _, angles = surface_projection(curve, y)
     if angles is None:
         raise NumericalError("crossing point left the reachable span")
-    return angles, best_s, iterations, curve
+    return angles, s, iterations, curve
 
 
 def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
@@ -200,8 +192,9 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
         u_deg = degenerate_u0(mats[0], mats[1])
         path = geodesic(start, u_deg, rng=rng)
 
-        def curve_at(s):
-            return ellipse_eu(mats[0], mats[1], path(s))
+        def curve_at(s, checked=False):
+            build = ellipse_eu if checked else _ellipse_eu
+            return build(mats[0], mats[1], path(s))
 
     elif ell >= 3:
         n = 2 ** (ell - 1)
@@ -217,8 +210,9 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
         path_u = geodesic(us, ud, rng=rng)
         path_v = geodesic(vs, vd, rng=rng)
 
-        def curve_at(s):
-            return ellipsoid_euv(mats, path_u(s), path_v(s))
+        def curve_at(s, checked=False):
+            build = ellipsoid_euv if checked else _ellipsoid_euv
+            return build(mats, path_u(s), path_v(s))
 
     else:
         raise DimensionError("need at least two map coordinates")

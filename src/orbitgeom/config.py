@@ -10,8 +10,13 @@ default to 1e-10 absolute. The eight fields are:
 - ``tie_gap``: the relative singular-value gap treated as tied;
 - ``degenerate_rank``: sv_min <= tol * sv_max marks a degenerate shape;
 - ``off_span_tol``: a component off a degenerate span treated as unreachable;
-- ``bisection_gtol``: the |radial - 1| that stops the homotopy bisection;
-- ``max_bisection_iter``: the iteration budget of every bisection.
+- ``bisection_gtol``: the |radial - 1| that stops the homotopy's root search;
+- ``max_bisection_iter``: the iteration budget of the one bracketing
+  root-finder (``ellipsoids._bracket_root``), used by every root search.
+
+The two bisection names predate the false-position root-finder; they are
+kept because they are keys of the ``tolerances`` object in every JSON
+report.
 """
 
 from __future__ import annotations

@@ -160,8 +160,13 @@ def ellipsoid_euv(p_list, u, v) -> EllipsoidCurve:
         raise DimensionError(
             f"frames must be {n}x{n}: U is {u.shape}, V is {v.shape}"
         )
-    t = np.vstack([spherical_coeffs(u @ p @ v) for p in mats])
-    return EllipsoidCurve(shape=t, center=np.zeros(ell), kind="euv", frames=(u, v))
+    return _ellipsoid_euv(mats, u, v)
+
+
+def _ellipsoid_euv(mats, u, v) -> EllipsoidCurve:
+    """``ellipsoid_euv`` without input checks, for frames already validated."""
+    t = np.vstack([_coeffs(u @ p @ v) for p in mats])
+    return EllipsoidCurve(shape=t, center=np.zeros(len(mats)), kind="euv", frames=(u, v))
 
 
 def ellipse_eu(p, q, u) -> EllipsoidCurve:
@@ -181,6 +186,11 @@ def ellipse_eu(p, q, u) -> EllipsoidCurve:
         )
     if n < 2:
         raise DimensionError("the planar ellipse needs size >= 2")
+    return _ellipse_eu(p, q, u)
+
+
+def _ellipse_eu(p, q, u) -> EllipsoidCurve:
+    """``ellipse_eu`` without input checks, for a frame already validated."""
     u1, u2 = u[:, 0], u[:, 1]
     rows = []
     center = []
@@ -261,14 +271,69 @@ def membership(curve: EllipsoidCurve, y) -> MembershipResult:
     return MembershipResult("outside", None, float("nan"), radial)
 
 
-def bisect_root(f, lo: float, hi: float):
-    """Plain bisection for a sign change of f on [lo, hi]; returns (root, iterations).
+def _bracket_root(f, lo: float, hi: float, flo: float, fhi: float, ftol: float):
+    """Root of f inside a sign-change bracket; returns (x, iterations).
 
-    The bracket is narrowed until no representable number lies strictly
+    Requires flo = f(lo) < 0 <= fhi = f(hi); fhi may be +inf, as the
+    homotopy's radial gap is where the target leaves a degenerate span.
+    Illinois false position (Dowell & Jarratt, BIT 11, 1971): the next point
+    is the secant root of the bracket ends, and an end kept twice in a row
+    has its value halved so that both ends converge. A bisection step is
+    taken instead when an end value is +inf, when the secant point is not
+    strictly inside the bracket, or when the last three steps have not halved
+    the bracket. Three, not two: when one end is kept twice, the second step
+    halves its value and only the third step uses it, so a two-step rule
+    would bisect in place of every step the Illinois correction makes.
+
+    The search stops at a point with |f| <= ftol or when no float lies
+    strictly inside the bracket, and returns the point with the smallest
+    finite |f| among the bracket ends and every evaluated point. Each
+    evaluation counts as one iteration against
+    ``tolerances.max_bisection_iter``; running out raises NumericalError.
+    """
+    max_iter = tolerances.max_bisection_iter
+    best_x, best_f = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    if abs(best_f) <= ftol:
+        return best_x, 0
+    moved = None  # the end replaced by the last step: "lo" or "hi"
+    widths = [np.inf] * 3  # bracket width before each step taken
+    for it in range(1, max_iter + 1):
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
+            return best_x, it - 1
+        if np.isfinite(fhi) and hi - lo <= 0.5 * widths[-3]:
+            secant = lo - flo * (hi - lo) / (fhi - flo)
+            if lo < secant < hi:
+                x = secant
+        fx = f(x)
+        if np.isfinite(fx) and abs(fx) < abs(best_f):
+            best_x, best_f = x, fx
+        if abs(fx) <= ftol:
+            return best_x, it
+        widths.append(hi - lo)
+        if fx < 0.0:
+            lo, flo = x, fx
+            if moved == "lo":
+                fhi *= 0.5
+            moved = "lo"
+        else:
+            hi, fhi = x, fx
+            if moved == "hi":
+                flo *= 0.5
+            moved = "hi"
+    raise NumericalError(
+        f"root search did not converge in {max_iter} iterations on [{lo}, {hi}]"
+    )
+
+
+def bisect_root(f, lo: float, hi: float):
+    """Root of a sign change of f on [lo, hi]; returns (root, iterations).
+
+    Runs the package's one bracketing root-finder with no tolerance on |f|,
+    so the bracket is narrowed until no representable number lies strictly
     between its ends, which pins the root to full relative precision (needed
     when the slope at the root is large).
     """
-    max_iter = tolerances.max_bisection_iter
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo, 0
@@ -276,21 +341,8 @@ def bisect_root(f, lo: float, hi: float):
         return hi, 0
     if np.sign(flo) == np.sign(fhi):
         raise ValueError(f"no sign change: f({lo}) = {flo:.3e}, f({hi}) = {fhi:.3e}")
-    mid = 0.5 * (lo + hi)
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid, it
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, it
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    raise NumericalError(
-        f"bisection did not converge in {max_iter} iterations on [{lo}, {hi}]"
-    )
+    sign = 1.0 if flo < 0.0 else -1.0
+    return _bracket_root(lambda x: sign * f(x), lo, hi, sign * flo, sign * fhi, 0.0)
 
 
 def degenerate_u0(p, q) -> np.ndarray:
@@ -300,7 +352,7 @@ def degenerate_u0(p, q) -> np.ndarray:
     with rows p1, p2 of P the conditions are p1.u2 = p2.u1 = p1.u1 + p2.u2 = 0.
     After rotating p1 onto e1 and p2 into the (e1, e2) plane (and scaling both
     rows jointly), the vectors come either from the explicit axis branch or
-    from a bisection on f(t) = b cos t - b sin t / sqrt(b^2 sin^2 t + a^2),
+    from a root search on f(t) = b cos t - b sin t / sqrt(b^2 sin^2 t + a^2),
     which changes sign between f(0) = b and f(pi) = -b. The conditions are
     symmetric under swapping the two rows along with the two vectors, so the
     larger row is normalized first.

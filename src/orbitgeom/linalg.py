@@ -11,7 +11,7 @@ geodesic paths, and orthonormal completion to a full rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -145,11 +145,31 @@ def haar_rotation(n: int, rng) -> np.ndarray:
 
 
 def _principal_log_rotation(r: np.ndarray) -> np.ndarray | None:
-    """Skew-symmetric principal logarithm of a rotation, or None near eigenvalue -1."""
-    eig = np.linalg.eigvals(r)
-    if np.min(np.abs(eig + 1.0)) < 1e-8:
+    """Skew-symmetric principal logarithm of a rotation, or None near eigenvalue -1.
+
+    In the real Schur form ``R = Z T Z^T`` of a rotation, T is block diagonal
+    up to roundoff: its 1x1 blocks are the eigenvalues +1 and -1, and each 2x2
+    block ``[[a, b], [c, d]]`` turns its plane by the angle
+    ``atan2((c - b) / 2, (a + d) / 2)``, with eigenvalues
+    ``(a + d) / 2 +- i (c - b) / 2``. The logarithm is ``Z L Z^T`` where L holds
+    each block's angle times the quarter turn ``[[0, -1], [1, 0]]``.
+    """
+    t, z = scipy.linalg.schur(r, output="real", check_finite=False)
+    i = np.flatnonzero(np.diagonal(t, -1))
+    j = i + 1
+    re = 0.5 * (t[i, i] + t[j, j])
+    im = 0.5 * (t[j, i] - t[i, j])
+    single = np.ones(t.shape[0], dtype=bool)
+    single[i] = single[j] = False
+    near_minus_one = np.concatenate(
+        (np.abs(np.diagonal(t)[single] + 1.0), np.hypot(re + 1.0, im))
+    )
+    if np.min(near_minus_one) < 1e-8:
         return None
-    k = np.real(scipy.linalg.logm(r))
+    log_t = np.zeros_like(t)
+    log_t[j, i] = np.arctan2(im, re)
+    log_t[i, j] = -log_t[j, i]
+    k = (z @ log_t) @ z.T
     return (k - k.T) / 2.0
 
 
@@ -157,11 +177,26 @@ def _principal_log_rotation(r: np.ndarray) -> np.ndarray | None:
 class RotationPath:
     """Continuous path of rotations on [0, 1].
 
-    Each segment evaluates as ``base @ expm(t * generator)`` on its subinterval;
-    a single-segment path is the geodesic ``start @ expm(s * K)``.
+    Each segment turns ``base`` by the one-parameter subgroup of its skew
+    generator K over its subinterval; a single-segment path is the geodesic
+    from ``start`` with generator K. The real Schur form ``K = Z T Z^T`` of
+    each generator is computed once, at construction: T holds 2x2 blocks
+    ``theta_k [[0, -1], [1, 0]]``, so the point at local time t is
+    ``(base Z) blockdiag(rot(t theta_k)) Z^T``, a few cosines and sines and
+    two small products.
     """
 
     segments: tuple  # of (base, generator, s_lo, s_hi)
+    _factors: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        factors = []
+        for base, gen, _, _ in self.segments:
+            t, z = scipy.linalg.schur(gen, output="real")
+            i = np.flatnonzero(np.diagonal(t, -1))
+            theta = 0.5 * (t[i + 1, i] - t[i, i + 1])
+            factors.append((base @ z, z.T, i, theta))
+        object.__setattr__(self, "_factors", tuple(factors))
 
     @property
     def start(self) -> np.ndarray:
@@ -176,12 +211,17 @@ class RotationPath:
     def __call__(self, s: float) -> np.ndarray:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"path parameter must be in [0, 1], got {s}")
-        for base, gen, lo, hi in self.segments:
+        for (_, _, lo, hi), (base_z, z_t, i, theta) in zip(self.segments, self._factors):
             if s <= hi:
-                t = 0.0 if hi == lo else (s - lo) / (hi - lo)
-                return base @ scipy.linalg.expm(t * gen)
-        base, gen, lo, hi = self.segments[-1]  # pragma: no cover
-        return base @ scipy.linalg.expm(gen)  # pragma: no cover
+                break
+        t = 0.0 if hi == lo else (s - lo) / (hi - lo)
+        c, sn = np.cos(t * theta), np.sin(t * theta)
+        turn = np.eye(z_t.shape[0])
+        turn[i, i] = c
+        turn[i + 1, i + 1] = c
+        turn[i + 1, i] = sn
+        turn[i, i + 1] = -sn
+        return (base_z @ turn) @ z_t
 
     @property
     def end(self) -> np.ndarray:
@@ -191,10 +231,12 @@ class RotationPath:
 def geodesic(u_start, u_end, rng=None) -> RotationPath:
     """Path in the rotation group from ``u_start`` to ``u_end``.
 
-    Uses the principal logarithm of ``u_start.T @ u_end``. When that matrix
-    has an eigenvalue at -1 (log ill-defined) the path detours through a
-    Haar-sampled intermediate rotation and is returned as a two-segment
-    piecewise path; any continuous path serves the downstream homotopies.
+    The generator is the principal logarithm of ``u_start.T @ u_end``, read
+    in closed form from that rotation's real Schur form (one angle per 2x2
+    block). When the rotation has an eigenvalue at -1 (log ill-defined) the
+    path detours through a Haar-sampled intermediate rotation and is returned
+    as a two-segment piecewise path; any continuous path serves the
+    downstream homotopies.
     """
     u_start = require_rotation(u_start, "u_start")
     u_end = require_rotation(u_end, "u_end")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import orbitgeom as og
 from orbitgeom.orbits import JointOrbitSpec, OrbitSpec, apply_map
@@ -24,7 +25,7 @@ class TestHomotopyRealize:
 
     def test_planar_interior_points(self):
         rng = np.random.default_rng(2)
-        worst_resid, worst_iters = 0.0, 0
+        worst_resid, worst_iters, total_iters = 0.0, 0, 0
         for _ in range(100):
             m1, m2 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
             w = og.haar_rotation(3, rng)
@@ -35,12 +36,14 @@ class TestHomotopyRealize:
             cert = og.homotopy_realize([m1, m2], y, w)
             worst_resid = max(worst_resid, cert.residual)
             worst_iters = max(worst_iters, cert.trace[0]["iterations"])
+            total_iters += cert.trace[0]["iterations"]
             # independent re-evaluation of the witness
             x = cert.witness[0]
             redo = np.array([np.sum(m1 * x.T), np.sum(m2 * x.T)])
             assert np.max(np.abs(redo - cert.achieved)) < 1e-12
         assert worst_resid <= 1e-8
         assert worst_iters <= 80
+        assert total_iters / 100 <= 15
 
     def test_interior_points_ell3(self):
         rng = np.random.default_rng(3)
@@ -129,6 +132,24 @@ class TestCertifyScaledPoint:
         for alpha in (0.0, 0.5, 1.0):
             cert = og.certify_scaled_point(mats, a, u, v, alpha)
             assert cert.residual <= 1e-8
+
+    def test_engine_needs_no_matrix_log_or_exponential(self, monkeypatch):
+        # the geodesics are closed-form; the general-purpose routines stay unused
+        def refuse(*args, **kwargs):
+            raise AssertionError("general matrix log/exponential called")
+
+        monkeypatch.setattr(scipy.linalg, "logm", refuse)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        rng = np.random.default_rng(15)
+        p, q, a = (rng.standard_normal((4, 4)) for _ in range(3))
+        u, v = og.haar_rotation(4, rng), og.haar_rotation(4, rng)
+        cert = og.certify_scaled_point([p, q], a, u, v, 0.5)
+        assert cert.residual <= 1e-8
+        assert sum(step.get("iterations", 0) for step in cert.trace) > 0
+        mats = [rng.standard_normal((4, 4)) for _ in range(3)]
+        cert = og.certify_scaled_point(mats, a, u, v, 0.5)
+        assert cert.residual <= 1e-8
+        assert sum(step.get("iterations", 0) for step in cert.trace) > 0
 
     def test_ell3_above_minimal_dimension(self):
         rng = np.random.default_rng(11)

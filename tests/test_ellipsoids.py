@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import orbitgeom as og
-from orbitgeom.ellipsoids import bisect_root, surface_projection
+from orbitgeom.ellipsoids import _bracket_root, bisect_root, surface_projection
 
 
 def _e(i, j, n=2):
@@ -233,6 +233,38 @@ class TestDegenerateU0:
         root, iters = bisect_root(f, 0.0, np.pi)
         assert iters <= 60
         assert abs(f(root)) < 1e-11
+
+
+class TestBracketRoot:
+    def test_infinite_part_of_bracket(self):
+        # +inf beyond 0.8, as a target off a degenerate span reads near s = 1
+        root = 0.3141592653589793
+        f = lambda s: np.inf if s > 0.8 else np.expm1(4.0 * (s - root))
+        x, iters = _bracket_root(f, 0.0, 1.0, f(0.0), np.inf, 1e-12)
+        assert abs(f(x)) <= 1e-12
+        assert abs(x - root) < 1e-12
+        assert iters <= 20
+
+    def test_exhausted_budget_raises(self):
+        f = lambda s: np.tanh(50.0 * (s - 0.3))
+        saved = og.tolerances.max_bisection_iter
+        og.tolerances.max_bisection_iter = 4
+        try:
+            with pytest.raises(og.NumericalError):
+                _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+            with pytest.raises(og.NumericalError):
+                bisect_root(f, 0.0, 1.0)
+        finally:
+            og.tolerances.max_bisection_iter = saved
+        x, _ = _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+        assert abs(f(x)) <= 1e-12
+
+    def test_bisect_root_either_orientation(self):
+        f = lambda t: np.cos(t) - t
+        for g in (f, lambda t: -f(t)):
+            root, iters = bisect_root(g, 0.0, 2.0)
+            assert abs(root - 0.7390851332151607) <= 2e-16
+            assert iters <= 60
 
 
 class TestDegenerateUV:

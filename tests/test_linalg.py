@@ -1,7 +1,24 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import orbitgeom as og
+from orbitgeom.linalg import RotationPath, _principal_log_rotation
+
+
+def _plane_turn(n, angles, rng):
+    """Rotation turning consecutive coordinate planes by the given angles, in a Haar frame."""
+    t = np.eye(n)
+    for k, theta in enumerate(angles):
+        c, s = np.cos(theta), np.sin(theta)
+        t[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
+    q = og.haar_rotation(n, rng)
+    return q @ t @ q.T
+
+
+def _logm_oracle(r):
+    k = np.real(scipy.linalg.logm(r))
+    return (k - k.T) / 2.0
 
 
 class TestSignedSVD:
@@ -107,6 +124,61 @@ class TestGeodesic:
     def test_dimension_mismatch(self):
         with pytest.raises(og.DimensionError):
             og.geodesic(np.eye(2), np.eye(3))
+
+
+class TestClosedFormLog:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_logm_on_haar_rotations(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            r = og.haar_rotation(n, rng)
+            k = _principal_log_rotation(r)
+            assert np.max(np.abs(k + k.T)) == 0.0
+            assert np.max(np.abs(k - _logm_oracle(r))) < 1e-12
+
+    def test_matches_logm_near_half_turn(self):
+        r = _plane_turn(5, [np.pi - 1e-6, 0.4], np.random.default_rng(11))
+        k = _principal_log_rotation(r)
+        assert np.max(np.abs(k - _logm_oracle(r))) < 1e-12
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-10, 5e-9])
+    def test_none_within_guard_of_minus_one(self, gap):
+        # |exp(i(pi - gap)) + 1| is about gap, inside the 1e-8 guard
+        r = _plane_turn(4, [np.pi - gap, 1.0], np.random.default_rng(12))
+        assert _principal_log_rotation(r) is None
+        assert _principal_log_rotation(-np.eye(2)) is None
+        assert _principal_log_rotation(np.diag([1.0, -1.0, -1.0])) is None
+
+
+class TestPathEvaluation:
+    S_GRID = np.linspace(0.0, 1.0, 41)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_single_segment_matches_expm(self, n):
+        rng = np.random.default_rng(200 + n)
+        u0, u1 = og.haar_rotation(n, rng), og.haar_rotation(n, rng)
+        path = og.geodesic(u0, u1)
+        k = path.generator
+        for s in self.S_GRID:
+            assert np.max(np.abs(path(s) - u0 @ scipy.linalg.expm(s * k))) < 1e-12
+
+    def test_two_segment_detour_matches_expm(self):
+        u1 = _plane_turn(4, [np.pi, 0.7], np.random.default_rng(13))
+        path = og.geodesic(np.eye(4), u1)
+        assert len(path.segments) == 2
+        for s in self.S_GRID:
+            base, gen, lo, hi = path.segments[0] if s <= 0.5 else path.segments[1]
+            expected = base @ scipy.linalg.expm((s - lo) / (hi - lo) * gen)
+            assert np.max(np.abs(path(s) - expected)) < 1e-12
+
+    def test_path_from_given_generator(self):
+        rng = np.random.default_rng(14)
+        g = rng.standard_normal((5, 5))
+        k = g - g.T
+        u0 = og.haar_rotation(5, rng)
+        path = RotationPath(((u0, k, 0.0, 1.0),))
+        for s in self.S_GRID:
+            assert np.max(np.abs(path(s) - u0 @ scipy.linalg.expm(s * k))) < 1e-12
 
 
 class TestCompleteToRotation:
