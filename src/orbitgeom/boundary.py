@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.spatial
 
 from .config import tolerances
 from .linalg import (
@@ -26,6 +27,7 @@ from .linalg import (
     ensure_rng,
     haar_rotations,
     require_square,
+    require_square_stack,
     signed_svd,
 )
 from .orbits import LinearMapSpec, OrbitSpec, sample_image
@@ -37,28 +39,34 @@ MAXIMIZER_VALUE_TOL = 1e-8
 MAXIMIZER_BLOCK_TOL = 1e-6
 
 
-def _require_same_square(p, a, names=("P", "A")):
-    p = require_square(p, names[0])
-    a = require_square(a, names[1])
-    if p.shape != a.shape:
+def _require_same_square(p, a, names=("P", "A"), require=require_square):
+    p = require(p, names[0])
+    a = require(a, names[1])
+    if p.shape[-2:] != a.shape[-2:]:
         raise DimensionError(
             f"{names[0]} is {p.shape} but {names[1]} is {a.shape}"
         )
     return p, a
 
 
-def max_trace(p, a) -> float:
+def max_trace(p, a):
     """Exact maximum of tr(P U A V) over rotation pairs.
 
     Sum of aligned singular-value products, with the last product signed by
     det(AP). When either determinant vanishes the last singular value is zero
-    and the sign is immaterial (taken as +1).
+    and the sign is immaterial (taken as +1). P and A may be stacks
+    (..., n, n) that broadcast against each other; two matrices give a float,
+    stacks an array of maxima, each equal to its single-matrix value.
     """
-    p, a = _require_same_square(p, a)
+    p, a = _require_same_square(p, a, require=require_square_stack)
     sp = np.linalg.svd(p, compute_uv=False)
     sa = np.linalg.svd(a, compute_uv=False)
-    sgn = -1.0 if np.linalg.det(a) * np.linalg.det(p) < 0 else 1.0
-    return float(sp[:-1] @ sa[:-1] + sgn * sp[-1] * sa[-1])
+    sgn = np.where(np.linalg.det(a) * np.linalg.det(p) < 0, -1.0, 1.0)
+    # a (1, n-1) @ (n-1, 1) product per matrix sums in the order of a 1-D dot;
+    # one (g, n-1) @ (n-1,) product would not
+    dot = (sp[..., None, :-1] @ sa[..., :-1, None])[..., 0, 0]
+    value = dot + sgn * sp[..., -1] * sa[..., -1]
+    return float(value) if value.ndim == 0 else value
 
 
 def argmax_frames(p, a) -> tuple:
@@ -67,12 +75,12 @@ def argmax_frames(p, a) -> tuple:
     With signed SVDs P = Up Sp Vp^T and A = Ua Sa Va^T, the pair
     U = Vp Ua^T, V = Va Up^T collapses the trace to tr(Sp Sa), which equals
     the closed form because both sign conventions put the determinant sign on
-    the last diagonal entry.
+    the last diagonal entry. Stacks (..., n, n) broadcast as in max_trace.
     """
-    p, a = _require_same_square(p, a)
+    p, a = _require_same_square(p, a, require=require_square_stack)
     fp = signed_svd(p)
     fa = signed_svd(a)
-    return fp.v @ fa.u.T, fa.v @ fp.u.T
+    return fp.v @ np.swapaxes(fa.u, -1, -2), fa.v @ np.swapaxes(fp.u, -1, -2)
 
 
 def _givens_rows(x, i, j, c, s):
@@ -170,9 +178,7 @@ class SupportRegion:
     def diameter(self) -> float:
         if self.vertices.shape[0] < 2:
             return 0.0
-        vs = self.vertices
-        d2 = np.sum((vs[:, None, :] - vs[None, :, :]) ** 2, axis=2)
-        return float(np.sqrt(np.max(d2)))
+        return float(scipy.spatial.distance.pdist(self.vertices).max())
 
 
 def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
@@ -180,8 +186,11 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
 
     For each direction the rotated coefficient cos(t) P + sin(t) Q is paired
     with A through the closed-form maximum; the touching point evaluates the
-    original map at the maximizing orbit element. The region polygon comes
-    from consecutive support-line intersections, pruned to feasibility.
+    original map at the maximizing orbit element. All directions go through
+    ``max_trace`` and ``argmax_frames`` as one (grid_size, n, n) stack, with
+    the same values, matrix for matrix, as one call per direction. The region
+    polygon comes from consecutive support-line intersections (one batched
+    2x2 solve), pruned to feasibility.
     """
     p, q = _require_same_square(p, q, ("P", "Q"))
     a = require_square(a, "A")
@@ -191,23 +200,20 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
         raise ValueError(f"grid_size must be at least 8, got {grid_size}")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    values = np.empty(grid_size)
-    touches = np.empty((grid_size, 2))
-    for k, (c, s) in enumerate(dirs):
-        coeff = c * p + s * q
-        values[k] = max_trace(coeff, a)
-        u, v = argmax_frames(coeff, a)
-        w = u @ a @ v
-        touches[k] = (np.einsum("ij,ji->", p, w), np.einsum("ij,ji->", q, w))
+    coeff = dirs[:, 0, None, None] * p + dirs[:, 1, None, None] * q
+    values = max_trace(coeff, a)
+    u, v = argmax_frames(coeff, a)
+    w = u @ a @ v
+    touches = np.stack(
+        (np.einsum("ij,gji->g", p, w), np.einsum("ij,gji->g", q, w)), axis=1
+    )
     scale = float(np.max(np.abs(values))) + 1.0
-    raw = []
-    for k in range(grid_size):
-        k2 = (k + 1) % grid_size
-        mat = np.array([dirs[k], dirs[k2]])
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if abs(det) < 1e-12:
-            continue
-        raw.append(np.linalg.solve(mat, values[[k, k2]]))
+    mats = np.stack((dirs, np.roll(dirs, -1, axis=0)), axis=1)
+    rhs = np.stack((values, np.roll(values, -1)), axis=1)
+    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    keep = np.abs(det) >= 1e-12
+    raw = np.linalg.solve(mats[keep], rhs[keep, :, None])[:, :, 0]
+    # one vertex at a time: a (grid, grid) feasibility matrix costs memory
     verts = []
     for x in raw:
         if np.max(dirs @ x - values) <= 1e-8 * scale:
@@ -812,7 +818,11 @@ def counterexample_report(
 
 
 def _point_polygon_distance(points, poly) -> float:
-    """Largest distance from any query point to a convex polygon (as a set)."""
+    """Largest distance from any query point to the boundary of a convex polygon.
+
+    For points outside the polygon, as the region vertices are for a sampled
+    hull, this is the distance to the polygon as a set.
+    """
     points = np.asarray(points, dtype=float)
     poly = np.asarray(poly, dtype=float)
     if poly.shape[0] == 0:
@@ -824,12 +834,12 @@ def _point_polygon_distance(points, poly) -> float:
     ab = seg_b - seg_a
     denom = np.sum(ab * ab, axis=1)
     denom[denom == 0] = 1.0
-    worst = 0.0
-    for x in points:
-        t = np.clip(np.sum((x - seg_a) * ab, axis=1) / denom, 0.0, 1.0)
-        proj = seg_a + t[:, None] * ab
-        worst = max(worst, float(np.min(np.linalg.norm(proj - x, axis=1))))
-    return worst
+    # axes: (point, edge, coordinate)
+    rel = points[:, None, :] - seg_a
+    t = np.clip(np.sum(rel * ab, axis=2) / denom, 0.0, 1.0)
+    proj = seg_a + t[:, :, None] * ab
+    dist = np.min(np.linalg.norm(proj - points[:, None, :], axis=2), axis=1)
+    return float(np.max(dist, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -869,10 +879,16 @@ def convexity_check(
     """Compare the exact support region with the hull of a sampled image.
 
     Reports the worst support violation of the samples and both one-sided
-    gaps between the sampled hull and the region polygon. When the base
-    matrix has tied singular values, a small perturbation to distinct values
-    probes the image drift (stability of the convexity statement under
-    perturbation); the drift is bounded by trace linearity.
+    gaps between the sampled hull and the region polygon. A linear functional
+    is largest over a finite set at an extreme point, so the violation is
+    taken over the hull's vertices and the points qhull keeps as coplanar
+    with a facet (option Qc), and equals the maximum over the whole cloud.
+    A flat (collinear) image has no 2-D hull: its sampled hull is the two
+    extreme points along the cloud's direction of spread, and the violation
+    is taken over every point. When the base matrix has tied singular values,
+    a small perturbation to distinct values probes the image drift (stability
+    of the convexity statement under perturbation); the drift is bounded by
+    trace linearity.
     """
     p, q = _require_same_square(p, q, ("P", "Q"))
     a = require_square(a, "A")
@@ -882,15 +898,21 @@ def convexity_check(
     region = support_boundary(p, q, a, grid)
     lmap = LinearMapSpec((p, q))
     cloud = sample_image(lmap, OrbitSpec(a), samples, rng)
-    violation = region.violation(cloud.points)
-    spread = float(np.max(cloud.points) - np.min(cloud.points)) if len(cloud) else 0.0
-    if spread > 1e-12 and cloud.points.shape[0] >= 3:
-        from scipy.spatial import ConvexHull
-
-        hull = ConvexHull(cloud.points)
-        hull_poly = cloud.points[hull.vertices]
-    else:
-        hull_poly = cloud.points[:1] if len(cloud) else np.zeros((1, 2))
+    pts = extreme = cloud.points
+    hull_poly = pts[:1] if len(cloud) else np.zeros((1, 2))
+    spread = float(np.max(pts) - np.min(pts)) if len(cloud) else 0.0
+    if spread > 1e-12 and pts.shape[0] >= 3:
+        try:
+            hull = scipy.spatial.ConvexHull(pts)
+        except scipy.spatial.QhullError:
+            # flat image: a segment along the cloud's direction of spread
+            centered = pts - pts.mean(axis=0)
+            along = pts @ np.linalg.eigh(centered.T @ centered)[1][:, -1]
+            hull_poly = pts[[np.argmin(along), np.argmax(along)]]
+        else:
+            hull_poly = pts[hull.vertices]
+            extreme = pts[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+    violation = region.violation(extreme)
     gap_hull_to_region = max(0.0, region.violation(hull_poly))
     if region.vertices.shape[0]:
         gap_region_to_hull = _point_polygon_distance(region.vertices, hull_poly)

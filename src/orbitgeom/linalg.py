@@ -47,6 +47,18 @@ def require_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def require_square_stack(a, name: str = "matrix") -> np.ndarray:
+    """One square matrix, or a stack of them with shape (..., n, n)."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionError(
+            f"{name} must be square or a stack of square matrices, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 def rotation_defect(u) -> float:
     """Max-norm deviation of ``u`` from the special orthogonal group."""
     u = np.asarray(u, dtype=float)
@@ -83,6 +95,7 @@ class SignedSVD:
 
     The singular values satisfy ``s[0] >= ... >= s[-2] >= |s[-1]|`` and the
     sign of ``s[-1]`` equals the sign of ``det A`` whenever that is nonzero.
+    For a stack of matrices every field carries the same leading axes.
     """
 
     u: np.ndarray
@@ -90,7 +103,7 @@ class SignedSVD:
     v: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
+        return (self.u * self.s[..., None, :]) @ np.swapaxes(self.v, -1, -2)
 
 
 def signed_svd(a) -> SignedSVD:
@@ -99,27 +112,29 @@ def signed_svd(a) -> SignedSVD:
     After the standard SVD, a factor with determinant -1 has its last column
     negated and the sign is pushed onto the last singular value. Both fixes
     preserve the product, so the reconstruction is exact up to roundoff.
+    Accepts one matrix or a stack (..., n, n); a stack is factored in one
+    batched call, matrix for matrix equal to the single-matrix result.
     """
-    a = require_square(a, "A")
+    a = require_square_stack(a, "A")
     u, s, vh = np.linalg.svd(a)
-    u = u.copy()
-    s = s.astype(float).copy()
-    v = vh.T.copy()
-    if np.linalg.det(u) < 0:
-        u[:, -1] *= -1.0
-        s[-1] *= -1.0
-    if np.linalg.det(v) < 0:
-        v[:, -1] *= -1.0
-        s[-1] *= -1.0
+    v = np.swapaxes(vh, -1, -2).copy()
+    flip_u = np.where(np.linalg.det(u) < 0, -1.0, 1.0)
+    flip_v = np.where(np.linalg.det(v) < 0, -1.0, 1.0)
+    u[..., :, -1] *= flip_u[..., None]
+    v[..., :, -1] *= flip_v[..., None]
+    s[..., -1] *= flip_u * flip_v
     return SignedSVD(u=u, s=s, v=v)
 
 
 def haar_rotations(n: int, count: int, rng) -> np.ndarray:
     """Stack of ``count`` independent Haar-distributed rotations, shape (count, n, n).
 
-    A Gaussian matrix is orthogonalized by QR with the sign-corrected
-    triangular factor (Haar on the full orthogonal group); samples with
-    determinant -1 get one fixed column negated, which maps that coset onto
+    A Gaussian matrix G is orthogonalized by classical Gram-Schmidt with
+    every column projected out twice ("twice is enough": Giraud, Langou and
+    Rozloznik, 2005), vectorized over the stack. This is the QR factorization
+    G = QR with a positive diagonal in R, which is unique, so Q is Haar on the
+    full orthogonal group (Mezzadri, arXiv math-ph/0609050). Samples with
+    determinant -1 get their last column negated, which maps that coset onto
     the rotation group measure-preservingly.
     """
     if n < 1:
@@ -130,12 +145,15 @@ def haar_rotations(n: int, count: int, rng) -> np.ndarray:
     if count == 0:
         return np.empty((0, n, n))
     g = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.einsum("...ii->...i", r))
-    d[d == 0] = 1.0
-    q = q * d[:, None, :]
-    det = np.linalg.det(q)
-    q[det < 0, :, -1] *= -1.0
+    # cols[j, i, k] is entry (i, j) of sample k: each column is one (n, count) slab
+    cols = np.ascontiguousarray(g.transpose(2, 1, 0))
+    for j, col in enumerate(cols):
+        done = cols[:j]
+        for _ in range(2):
+            col -= np.einsum("jik,jk->ik", done, np.einsum("jik,ik->jk", done, col))
+        col /= np.sqrt(np.einsum("ik,ik->k", col, col))
+    q = np.ascontiguousarray(cols.transpose(2, 1, 0))
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial
 
 import orbitgeom as og
+from orbitgeom.boundary import _point_polygon_distance
 
 
 def _e(i, j, n=2):
@@ -38,6 +40,26 @@ class TestMaxTrace:
         u, v, x, y = (og.haar_rotation(3, rng) for _ in range(4))
         assert abs(og.max_trace(u @ p @ v, x @ a @ y) - og.max_trace(p, a)) < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_stack_equals_per_matrix_calls(self, n):
+        rng = np.random.default_rng(30 + n)
+        p = rng.standard_normal((9, n, n))
+        p[0] = 0.0
+        a = rng.standard_normal((n, n))
+        values = og.max_trace(p, a)
+        u, v = og.argmax_frames(p, a)
+        sa = np.linalg.svd(a, compute_uv=False)
+        for k in range(len(p)):
+            # the closed form as a 1-D dot plus the signed last product
+            sp = np.linalg.svd(p[k], compute_uv=False)
+            sgn = -1.0 if np.linalg.det(a) * np.linalg.det(p[k]) < 0 else 1.0
+            assert values[k] == float(sp[:-1] @ sa[:-1] + sgn * sp[-1] * sa[-1])
+            assert values[k] == og.max_trace(p[k], a)
+            uk, vk = og.argmax_frames(p[k], a)
+            assert np.array_equal(u[k], uk)
+            assert np.array_equal(v[k], vk)
+        assert isinstance(og.max_trace(p[1], a), float)
+
     def test_upper_bound_property(self):
         rng = np.random.default_rng(3)
         for n in (2, 3, 4, 5):
@@ -70,7 +92,60 @@ class TestArgmaxFrames:
             assert abs(np.trace(p @ u @ a @ v) - og.max_trace(p, a)) <= 1e-10
 
 
+def _support_boundary_per_direction(p, q, a, grid_size):
+    """Loop form of support_boundary: one 2-D max_trace/argmax_frames call per direction."""
+    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    values = np.empty(grid_size)
+    touches = np.empty((grid_size, 2))
+    for k, (c, s) in enumerate(dirs):
+        coeff = c * p + s * q
+        values[k] = og.max_trace(coeff, a)
+        u, v = og.argmax_frames(coeff, a)
+        w = u @ a @ v
+        touches[k] = (np.einsum("ij,ji->", p, w), np.einsum("ij,ji->", q, w))
+    scale = float(np.max(np.abs(values))) + 1.0
+    verts = []
+    for k in range(grid_size):
+        k2 = (k + 1) % grid_size
+        x = np.linalg.solve(np.array([dirs[k], dirs[k2]]), values[[k, k2]])
+        if np.max(dirs @ x - values) <= 1e-8 * scale:
+            if not verts or np.max(np.abs(x - verts[-1])) > 1e-12 * scale:
+                verts.append(x)
+    if len(verts) > 1 and np.max(np.abs(verts[0] - verts[-1])) <= 1e-12 * scale:
+        verts.pop()
+    return values, touches, np.array(verts) if verts else np.empty((0, 2))
+
+
 class TestSupportBoundary:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["generic", "tied", "zero"])
+    def test_equals_per_direction_reference(self, n, kind):
+        rng = np.random.default_rng(70 + n)
+        p, q = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        a = {
+            "generic": rng.standard_normal((n, n)),
+            "tied": np.diag(np.r_[2.0, np.ones(n - 1)]),
+            "zero": np.zeros((n, n)),
+        }[kind]
+        for grid in (8, 360):
+            region = og.support_boundary(p, q, a, grid)
+            values, touches, vertices = _support_boundary_per_direction(p, q, a, grid)
+            assert np.array_equal(region.values, values)
+            assert np.array_equal(region.touches, touches)
+            assert np.array_equal(region.vertices, vertices)
+
+    def test_diameter_is_largest_vertex_distance(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            verts = 3.0 * rng.standard_normal((720, 2))
+            region = og.SupportRegion(
+                thetas=np.zeros(0), directions=np.zeros((0, 2)), values=np.zeros(0),
+                touches=np.zeros((0, 2)), vertices=verts,
+            )
+            d2 = np.sum((verts[:, None, :] - verts[None, :, :]) ** 2, axis=2)
+            assert region.diameter() == float(np.sqrt(np.max(d2)))
+
     def test_unit_circle(self):
         region = og.support_boundary(_e(0, 0), _e(1, 0), np.eye(2), 64)
         assert np.max(np.abs(region.values - 1.0)) < 1e-12
@@ -301,6 +376,65 @@ class TestSupportConsistency:
             assert margin > 0.0
 
 
+def _point_polygon_distance_loop(points, poly):
+    seg_a = poly
+    ab = np.roll(poly, -1, axis=0) - seg_a
+    denom = np.sum(ab * ab, axis=1)
+    denom[denom == 0] = 1.0
+    worst = 0.0
+    for x in points:
+        t = np.clip(np.sum((x - seg_a) * ab, axis=1) / denom, 0.0, 1.0)
+        proj = seg_a + t[:, None] * ab
+        worst = max(worst, float(np.min(np.linalg.norm(proj - x, axis=1))))
+    return worst
+
+
+class TestPointPolygonDistance:
+    def test_broadcast_equals_loop_form(self):
+        rng = np.random.default_rng(24)
+        for count in (2, 3, 40, 5000):
+            pts = 2.0 * rng.standard_normal((count, 2))
+            poly = pts if count == 2 else pts[scipy.spatial.ConvexHull(pts).vertices]
+            queries = 3.0 * rng.standard_normal((150, 2))
+            assert _point_polygon_distance(queries, poly) == _point_polygon_distance_loop(
+                queries, poly
+            )
+
+    def test_distance_to_the_polygon_boundary(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        assert _point_polygon_distance([[2.0, 0.5], [1.5, 1.0]], square) == 1.0
+        assert _point_polygon_distance([[0.5, 0.75]], square) == 0.25
+
+
+class TestHullReducedViolation:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("group", ["SO", "O"])
+    def test_hull_points_carry_the_cloud_maximum(self, n, group):
+        # the support violation over hull vertices and Qc-coplanar points is
+        # the brute-force maximum over every sample, bit for bit
+        for seed, count in ((0, 10000), (1, 50000)):
+            rng = np.random.default_rng(80 + 10 * n + seed)
+            p, q, a = (rng.standard_normal((n, n)) for _ in range(3))
+            region = og.support_boundary(p, q, a, 720)
+            pts = og.sample_image(
+                og.LinearMapSpec((p, q)), og.OrbitSpec(a, group), count, rng
+            ).points
+            hull = scipy.spatial.ConvexHull(pts)
+            extreme = np.union1d(hull.vertices, hull.coplanar[:, 0])
+            assert region.violation(pts[extreme]) == region.violation(pts)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_report_equals_brute_force_over_the_cloud(self, n):
+        rng = np.random.default_rng(90 + n)
+        p, q, a = (rng.standard_normal((n, n)) for _ in range(3))
+        rep = og.convexity_check(p, q, a, samples=30000, rng=np.random.default_rng(5), grid=720)
+        region = og.support_boundary(p, q, a, 720)
+        pts = og.sample_image(
+            og.LinearMapSpec((p, q)), og.OrbitSpec(a), 30000, np.random.default_rng(5)
+        ).points
+        assert rep.support_violation == region.violation(pts)
+
+
 class TestConvexityCheck:
     def test_distinct_values_report(self):
         rng = np.random.default_rng(19)
@@ -330,3 +464,30 @@ class TestConvexityCheck:
         assert rep.diameter == 0.0
         assert rep.gap_region_to_hull <= 1e-12
         assert rep.support_violation <= 1e-12
+
+    @pytest.mark.parametrize("flat", ["Q=2P", "Q=0"])
+    def test_flat_image_gives_a_report(self, flat):
+        # the sampled image is a segment: qhull has no 2-D hull to build
+        rng = np.random.default_rng(25)
+        p = rng.standard_normal((3, 3))
+        q = 2.0 * p if flat == "Q=2P" else np.zeros((3, 3))
+        rep = og.convexity_check(p, q, np.diag([3.0, 2.0, 1.0]), samples=5000, rng=rng, grid=180)
+        assert rep.support_violation <= 1e-8
+        assert rep.gap_hull_to_region <= 1e-8
+        assert rep.diameter > 0
+
+    def test_near_collinear_image_goes_through_qhull(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        p = rng.standard_normal((3, 3))
+        q = 2.0 * p + 1e-9 * rng.standard_normal((3, 3))
+        hulls = []
+        real = scipy.spatial.ConvexHull
+
+        def recording(points, *args, **kwargs):
+            hulls.append(real(points, *args, **kwargs))
+            return hulls[-1]
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", recording)
+        rep = og.convexity_check(p, q, np.diag([3.0, 2.0, 1.0]), samples=5000, rng=rng, grid=180)
+        assert len(hulls) == 1
+        assert rep.support_violation <= 1e-8

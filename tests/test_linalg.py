@@ -71,6 +71,21 @@ class TestSignedSVD:
         with pytest.raises(og.DimensionError):
             og.signed_svd(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_stack_equals_per_matrix_calls(self, n):
+        rng = np.random.default_rng(40 + n)
+        stack = rng.standard_normal((2, 7, n, n))
+        stack[0, 0] = np.diag(np.arange(n, 0, -1.0))
+        stack[0, 1] = -np.eye(n)
+        stack[0, 2] = 0.0
+        f = og.signed_svd(stack)
+        for idx in np.ndindex(stack.shape[:2]):
+            one = og.signed_svd(stack[idx])
+            assert np.array_equal(f.u[idx], one.u)
+            assert np.array_equal(f.s[idx], one.s)
+            assert np.array_equal(f.v[idx], one.v)
+            assert np.array_equal(f.reconstruct()[idx], one.reconstruct())
+
 
 class TestHaar:
     def test_deterministic_under_seed(self):
@@ -91,6 +106,25 @@ class TestHaar:
         rng = np.random.default_rng(1)
         q = og.haar_rotations(3, 10000, rng)
         assert np.max(np.abs(q.mean(axis=0))) < 0.05
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_sign_corrected_qr_of_the_same_draws(self, n):
+        # the positive-diagonal QR factor is unique, so any method computing it
+        # agrees with Householder QR up to roundoff
+        g = np.random.default_rng(50 + n).standard_normal((2000, n, n))
+        q, r = np.linalg.qr(g)
+        d = np.sign(np.einsum("sii->si", r))
+        q = q * d[:, None, :]
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
+        u = og.haar_rotations(n, 2000, np.random.default_rng(50 + n))
+        assert np.max(np.abs(u - q)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_haar_moments(self, n):
+        # E[U] = 0 and E[U_ij^2] = 1/n for Haar measure on SO(n), n >= 2
+        u = og.haar_rotations(n, 10000, np.random.default_rng(60 + n))
+        assert np.max(np.abs(u.mean(axis=0))) < 0.05
+        assert np.max(np.abs((u**2).mean(axis=0) - 1.0 / n)) < 0.02
 
 
 class TestGeodesic:
