@@ -12,6 +12,7 @@ diagonals and the two stock non-convexity instances are checked numerically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 import numpy as np
@@ -84,14 +85,16 @@ def argmax_frames(p, a) -> tuple:
 
 
 def _givens_rows(x, i, j, c, s):
-    """Rotate rows i, j of every matrix in the batch x in place, by angles (c, s).
+    """Rotate rows i, j of every matrix in the stack x (..., n, n) in place.
 
-    Columns i, j turn by the same call on ``x.transpose(0, 2, 1)`` with ``-s``.
+    ``c`` and ``s`` hold one angle's cosine and sine per matrix along the
+    stack's last axis. Columns i, j turn by the same call on
+    ``np.swapaxes(x, -1, -2)`` with ``-s``.
     """
-    ri = x[:, i, :].copy()
-    rj = x[:, j, :]
-    x[:, i, :] = c[:, None] * ri - s[:, None] * rj
-    x[:, j, :] = s[:, None] * ri + c[:, None] * rj
+    ri = x[..., i, :].copy()
+    rj = x[..., j, :]
+    x[..., i, :] = c[:, None] * ri - s[:, None] * rj
+    x[..., j, :] = s[:, None] * ri + c[:, None] * rj
 
 
 def max_trace_bruteforce(
@@ -500,6 +503,10 @@ class DiagonalHullQuery:
         s = np.asarray(self.s, dtype=float).reshape(-1)
         if d.size != s.size:
             raise DimensionError(f"d has size {d.size}, s has size {s.size}")
+        if d.size == 0:
+            raise DimensionError("d and s must be nonempty")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(s))):
+            raise ValueError("d and s must be finite")
         if np.any(s < 0) or np.any(np.diff(s) > 0):
             raise ValueError("singular values must be sorted descending and nonnegative")
         if self.det_sign not in (-1, 0, 1):
@@ -510,72 +517,125 @@ class DiagonalHullQuery:
 
 @dataclass(frozen=True)
 class ThompsonResult:
+    """Answer to a diagonal-hull query, with its evidence.
+
+    ``member`` comes from Thompson's inequalities. A non-member carries the
+    violated inequality's normal as ``functional`` (a sign vector, zero off
+    the entries the inequality constrains) and its exact slack
+    ``margin = d.g - max_v v.g`` over the hull's vertices v. The vertex list
+    and a member's convex weights are computed on first access only:
+    ``vertices`` is ``thompson_vertices(s, det_sign)``, and ``weights``
+    solves a feasibility LP over it (None for a non-member).
+    """
+
+    query: DiagonalHullQuery
     member: bool
-    weights: np.ndarray | None
-    vertices: np.ndarray
     functional: np.ndarray | None
     margin: float | None
+
+    @functools.cached_property
+    def vertices(self) -> np.ndarray:
+        return thompson_vertices(self.query.s, self.query.det_sign)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray | None:
+        if not self.member:
+            return None
+        verts = self.vertices
+        m = verts.shape[0]
+        res = scipy.optimize.linprog(
+            c=np.zeros(m),
+            A_eq=np.vstack([verts.T, np.ones((1, m))]),
+            b_eq=np.concatenate([self.query.d, [1.0]]),
+            bounds=[(0.0, None)] * m,
+            method="highs",
+        )
+        if res.status != 0:
+            raise NumericalError(f"feasibility LP failed on a member query: {res.message}")
+        return res.x
 
 
 def thompson_vertices(s, det_sign: int) -> np.ndarray:
     """Vertices (+/- s_sigma(1), ..., +/- s_sigma(n)) with sign parity from the determinant.
 
     An even number of minus signs for det >= 0, odd for det <= 0, both classes
-    when the determinant vanishes.
+    when the determinant vanishes. Rows are distinct and in lexicographic
+    order; a zero coordinate is +0.0.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     n = s.size
     parities = {0} if det_sign > 0 else {1} if det_sign < 0 else {0, 1}
-    signs = [
-        np.array(bits)
-        for bits in itertools.product((1.0, -1.0), repeat=n)
-        if (bits.count(-1.0) % 2) in parities
-    ]
-    verts = [
-        sign * s[list(perm)]
-        for perm in itertools.permutations(range(n))
-        for sign in signs
-    ]
-    return np.unique(np.array(verts), axis=0)
+    signs = [bits for bits in itertools.product((1.0, -1.0), repeat=n)
+             if (bits.count(-1.0) % 2) in parities]
+    signs = np.array(signs).reshape(len(signs), n)
+    if n == 0:
+        return signs  # the empty vertex, if its even parity is allowed
+    perms = list(itertools.permutations(range(n)))
+    perms = np.array(perms, dtype=int).reshape(len(perms), n)
+    verts = signs[None, :, :] * s[perms][:, None, :]
+    verts = verts.reshape(len(perms) * len(signs), n) + 0.0
+    verts = verts[np.lexsort(verts.T[::-1])]
+    distinct = np.ones(len(verts), dtype=bool)
+    distinct[1:] = np.any(verts[1:] != verts[:-1], axis=1)
+    return verts[distinct]
+
+
+def _odd(signs) -> bool:
+    return bool(np.count_nonzero(signs < 0) % 2)
+
+
+def _vertex_max(s, det_sign: int, g) -> float:
+    """max over thompson_vertices(s, det_sign) of v.g, in closed form.
+
+    Sorted |g| pairs with s; a sign vector of g whose parity the vertices lack
+    (and no zero entry to absorb it) costs the last product twice.
+    """
+    mags = np.sort(np.abs(g))[::-1]
+    top = float(mags @ s)
+    if det_sign != 0 and np.all(g != 0) and _odd(g) != (det_sign < 0):
+        top -= 2.0 * mags[-1] * s[-1]
+    return top
 
 
 def thompson_membership(query: DiagonalHullQuery) -> ThompsonResult:
-    """Test hull membership of a diagonal vector by linear feasibility.
+    """Test hull membership of a diagonal vector by Thompson's inequalities.
 
-    Returns convex-combination weights on success, or a separating functional
-    (max-margin over the unit box) on failure. The vertex count is n! 2^(n-1),
-    so sizes beyond 7 are refused rather than silently slow.
+    The hull of the signed permutations of s (sign parity fixed by the
+    determinant) is, by R. C. Thompson (SIAM J. Appl. Math. 32, 1977), the
+    set of d whose sorted magnitudes a are weakly majorized by s and, when
+    ``det_sign`` is nonzero, satisfy one parity inequality: the largest
+    value of e.d over sign vectors e of the parity the vertices lack
+    (a.sum(), less 2 a[-1] when no such e matches d's signs, zeros counting
+    either way) is at most ``s[:-1].sum() - s[-1]``. With ``det_sign = 0``
+    both parities are vertices and only the majorization remains. Each
+    inequality holds to a band of ``matrix_residual * (1 + s.sum())``. A
+    violated one gives the separating functional and its exact margin. No
+    vertex is listed and no LP is solved here; the result's ``vertices`` and
+    ``weights`` do that on first access, so sizes beyond 7 (n! 2^(n-1)
+    vertices) are refused.
     """
-    n = query.d.size
+    d, s = query.d, query.s
+    n = d.size
     if n > 7:
         raise ValueError(f"vertex enumeration is desk-scale only (n <= 7), got n={n}")
-    verts = thompson_vertices(query.s, query.det_sign)
-    m = verts.shape[0]
-    a_eq = np.vstack([verts.T, np.ones((1, m))])
-    b_eq = np.concatenate([query.d, [1.0]])
-    res = scipy.optimize.linprog(
-        c=np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * m, method="highs"
-    )
-    if res.status == 0:
-        return ThompsonResult(
-            member=True, weights=res.x, vertices=verts, functional=None, margin=None
-        )
-    c = np.concatenate([-query.d, [1.0]])
-    a_ub = np.hstack([verts, -np.ones((m, 1))])
-    res2 = scipy.optimize.linprog(
-        c=c,
-        A_ub=a_ub,
-        b_ub=np.zeros(m),
-        bounds=[(-1.0, 1.0)] * n + [(None, None)],
-        method="highs",
-    )
-    if res2.status != 0:
-        raise NumericalError("separation LP failed on a non-member query")
-    g = res2.x[:n]
-    margin = float(query.d @ g - np.max(verts @ g))
-    return ThompsonResult(
-        member=False, weights=None, vertices=verts, functional=g, margin=margin
-    )
+    band = tolerances.matrix_residual * (1.0 + s.sum())
+    order = np.argsort(-np.abs(d), kind="stable")
+    excess = np.cumsum(np.abs(d)[order]) - np.cumsum(s)
+    k = int(np.argmax(excess))
+    g = None
+    if excess[k] > band:
+        g = np.zeros(n)
+        g[order[: k + 1]] = np.sign(d[order[: k + 1]])
+    elif query.det_sign != 0:
+        g = np.where(d < 0, -1.0, 1.0)
+        if _odd(g) == (query.det_sign < 0):
+            g[order[-1]] *= -1.0
+        if d @ g <= s[:-1].sum() - s[-1] + band:
+            g = None
+    if g is None:
+        return ThompsonResult(query=query, member=True, functional=None, margin=None)
+    margin = float(d @ g - _vertex_max(s, query.det_sign, g))
+    return ThompsonResult(query=query, member=False, functional=g, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +643,30 @@ def thompson_membership(query: DiagonalHullQuery) -> ThompsonResult:
 # ---------------------------------------------------------------------------
 
 
+# the scan grid of _affine_theta_argmin and the two-harmonic basis on it
+_THETA_GRID = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
+_THETA_BASIS = np.stack((
+    np.cos(_THETA_GRID), np.sin(_THETA_GRID),
+    np.cos(2 * _THETA_GRID), np.sin(2 * _THETA_GRID),
+))
+
+
 def _affine_theta_argmin(const, bcos, bsin, y):
     """Angle minimizing sum_m (const_m - y_m + bcos_m cos t + bsin_m sin t)^2.
 
-    Expands to a two-harmonic trigonometric polynomial, scanned on a dense
-    grid and polished with guarded Newton steps; fully batched over starts.
+    Expands (up to a constant) to the two-harmonic polynomial
+    p1 cos t + p2 sin t + p3 cos 2t + p4 sin 2t. Every start's coefficients
+    are scanned on a fixed 256-angle grid by one (starts, 4) @ (4, 256)
+    product; the grid minimum is then polished by three Newton steps, each
+    clipped to one grid spacing and taken only where the curvature is
+    positive, and the polished angle is kept only if it is lower.
     """
     alpha = const - y[None, :]
     p1 = 2.0 * np.sum(alpha * bcos, axis=1)
     p2 = 2.0 * np.sum(alpha * bsin, axis=1)
     p3 = 0.5 * np.sum(bcos * bcos - bsin * bsin, axis=1)
     p4 = np.sum(bcos * bsin, axis=1)
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-    spacing = grid[1] - grid[0]
+    spacing = _THETA_GRID[1] - _THETA_GRID[0]
 
     def f(theta):
         return (
@@ -606,13 +676,8 @@ def _affine_theta_argmin(const, bcos, bsin, y):
             + p4 * np.sin(2 * theta)
         )
 
-    fg = (
-        p1[:, None] * np.cos(grid)[None, :]
-        + p2[:, None] * np.sin(grid)[None, :]
-        + p3[:, None] * np.cos(2 * grid)[None, :]
-        + p4[:, None] * np.sin(2 * grid)[None, :]
-    )
-    theta = grid[np.argmin(fg, axis=1)]
+    fg = np.stack((p1, p2, p3, p4), axis=1) @ _THETA_BASIS
+    theta = _THETA_GRID[np.argmin(fg, axis=1)]
     base = f(theta)
     cand = theta.copy()
     for _ in range(3):
@@ -635,6 +700,34 @@ def _affine_theta_argmin(const, bcos, bsin, y):
     return np.where(better, cand, theta)
 
 
+def _descent_sweep(coord_terms, u, v, y, right: bool) -> np.ndarray:
+    """One coordinate-descent pass over every Givens pair of U, or of V.
+
+    Left turns move rows of U and right turns columns of V, both in place.
+    K[m], stacked as (ell, starts, n, n), puts the turned factor first:
+    coordinate m's U A V P on the left, P U A V on the right, so its trace is
+    the coordinate and each turn moves K's rows or columns with the factor.
+    K is built once and returned as the pass leaves it.
+    """
+    ell, (starts, n, _) = len(coord_terms), u.shape
+    k = np.zeros((ell, starts, n, n))
+    for m, terms in enumerate(coord_terms):
+        for coef, pm, am in terms:
+            k[m] += coef * (((pm @ u) @ am) @ v if right else u @ ((am @ v) @ pm))
+    turned = (np.swapaxes(k, -1, -2), v.transpose(0, 2, 1)) if right else (k, u)
+    for i in range(n):
+        for j in range(i + 1, n):
+            bcos = (k[:, :, i, i] + k[:, :, j, j]).T
+            bsin = (k[:, :, i, j] - k[:, :, j, i]).T
+            const = np.einsum("msii->sm", k) - bcos
+            theta = _affine_theta_argmin(const, bcos, bsin, y)
+            c = np.cos(theta)
+            s = -np.sin(theta) if right else np.sin(theta)
+            for x in turned:
+                _givens_rows(x, i, j, c, s)
+    return k
+
+
 def _closest_image_distance(
     coord_terms, n, y, starts, rng, two_sided, tol=1e-9, max_sweeps=200
 ):
@@ -651,7 +744,6 @@ def _closest_image_distance(
     v = haar_rotations(n, starts, rng) if two_sided else np.broadcast_to(
         np.eye(n), (starts, n, n)
     ).copy()
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ell = len(coord_terms)
 
     def coords(u, v):
@@ -669,27 +761,8 @@ def _closest_image_distance(
 
     prev = objective(u, v)
     for _ in range(max_sweeps):
-        # left turns move rows of U, right turns columns of V; K puts the
-        # turned factor first: U A V P on the left, P U A V on the right
         for right in (False, True) if two_sided else (False,):
-            for i, j in pairs:
-                const = np.empty((starts, ell))
-                bcos = np.empty((starts, ell))
-                bsin = np.empty((starts, ell))
-                for m, terms in enumerate(coord_terms):
-                    k = np.zeros((starts, n, n))
-                    for coef, pm, am in terms:
-                        k += coef * (((pm @ u) @ am) @ v if right else u @ ((am @ v) @ pm))
-                    tr = np.einsum("sii->s", k)
-                    bcos[:, m] = k[:, i, i] + k[:, j, j]
-                    bsin[:, m] = k[:, i, j] - k[:, j, i]
-                    const[:, m] = tr - bcos[:, m]
-                theta = _affine_theta_argmin(const, bcos, bsin, y)
-                c, s = np.cos(theta), np.sin(theta)
-                if right:
-                    _givens_rows(v.transpose(0, 2, 1), i, j, c, -s)
-                else:
-                    _givens_rows(u, i, j, c, s)
+            _descent_sweep(coord_terms, u, v, y, right)
         cur = objective(u, v)
         if np.max(prev - cur) < tol:
             prev = cur

@@ -4,7 +4,9 @@ The module-level ``tolerances`` instance is the only source of every
 threshold; no routine takes a per-call override. Matrix-valued residuals
 default to 1e-10 absolute. The eight fields are:
 
-- ``matrix_residual``: reconstruction and rotation-group defects (max-norm);
+- ``matrix_residual``: reconstruction and rotation-group defects (max-norm),
+  and, scaled by ``1 + sum(s)``, the band of the Thompson hull inequalities
+  that decide ``thompson_membership``;
 - ``boundary_band``: the |radial - 1| band counting as "on the curve";
 - ``certificate_residual``: the largest accepted certificate mismatch;
 - ``tie_gap``: the relative singular-value gap treated as tied;

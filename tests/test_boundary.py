@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.spatial
 
 import orbitgeom as og
+from orbitgeom import boundary as bd
 from orbitgeom.boundary import _point_polygon_distance
 
 
@@ -326,11 +330,184 @@ class TestThompson:
         verts_pos = og.thompson_vertices([2.0, 1.0], det_sign=1)
         assert verts_zero.shape[0] > verts_pos.shape[0]
 
+    @pytest.mark.parametrize("s", [
+        [3.0, 2.0, 1.0, 0.5], [2.0, 2.0, 1.0, 1.0], [3.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0],
+    ])
+    @pytest.mark.parametrize("det_sign", [-1, 0, 1])
+    def test_vertices_match_enumeration(self, s, det_sign):
+        parities = {0} if det_sign > 0 else {1} if det_sign < 0 else {0, 1}
+        expected = sorted({
+            tuple(e * s[i] + 0.0 for e, i in zip(signs, perm))
+            for perm in itertools.permutations(range(len(s)))
+            for signs in itertools.product((1.0, -1.0), repeat=len(s))
+            if signs.count(-1.0) % 2 in parities
+        })
+        verts = og.thompson_vertices(s, det_sign)
+        assert [tuple(v) for v in verts] == expected
+        assert not np.any(np.signbit(verts[verts == 0]))  # zeros come out as +0.0
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             og.thompson_membership(
                 og.DiagonalHullQuery(d=np.zeros(8), s=np.arange(8.0)[::-1], det_sign=1)
             )
+
+    def test_empty_query_rejected(self):
+        with pytest.raises(og.DimensionError):
+            og.DiagonalHullQuery(d=[], s=[], det_sign=1)
+
+    @pytest.mark.parametrize("d, s", [
+        ([np.nan, 1.0], [2.0, 1.0]),
+        ([1.0, 0.5], [np.inf, 1.0]),
+        ([1.0, 0.5], [2.0, np.nan]),
+    ])
+    def test_nonfinite_query_rejected(self, d, s):
+        with pytest.raises(ValueError, match="finite"):
+            og.DiagonalHullQuery(d=d, s=s, det_sign=1)
+
+
+def _hull_lp_member(d, verts) -> bool:
+    """Feasibility of d as a convex combination of the vertices (the reference)."""
+    m = verts.shape[0]
+    res = scipy.optimize.linprog(
+        np.zeros(m), A_eq=np.vstack([verts.T, np.ones((1, m))]),
+        b_eq=np.concatenate([d, [1.0]]), bounds=[(0.0, None)] * m, method="highs",
+    )
+    return res.status == 0
+
+
+def _thompson_queries(rng, s, verts) -> list:
+    """A member, scaled and sign-flipped queries, and vertices perturbed by 3%."""
+    n = s.size
+    picks = verts[rng.choice(len(verts), size=min(4, len(verts)), replace=False)]
+    inside = rng.dirichlet(np.ones(len(picks))) @ picks
+    vertex = verts[rng.integers(len(verts))]
+    return [
+        inside,
+        inside * (1.05 * s.sum() / np.abs(inside).sum()),
+        vertex * np.concatenate([np.ones(n - 1), [-1.0]]),
+        vertex * (1.0 + 0.03 * rng.choice((-1.0, 1.0), n)),
+        vertex * (1.0 + 0.03 * rng.choice((-1.0, 1.0), n)),
+    ]
+
+
+def _check_thompson_against_lp(d, s, det_sign, verts) -> bool:
+    res = og.thompson_membership(og.DiagonalHullQuery(d=d, s=s, det_sign=det_sign))
+    assert res.member == _hull_lp_member(np.asarray(d, dtype=float), verts)
+    if not res.member:
+        g = res.functional
+        exact = float(d @ g - np.max(verts @ g))
+        assert abs(res.margin - exact) <= 1e-12 * (1.0 + np.sum(s))
+        assert res.margin > 0
+    return res.member
+
+
+class TestThompsonInequalities:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_agrees_with_lp(self, n):
+        rng = np.random.default_rng(30 + n)
+        outcomes = set()
+        for det_sign in (-1, 0, 1):
+            # an n = 6 LP has 23040 or 46080 vertices: one spectrum each
+            for _ in range(1 if n == 6 else 3):
+                s = np.sort(rng.uniform(0.5, 3.0, n))[::-1]
+                verts = og.thompson_vertices(s, det_sign)
+                for d in _thompson_queries(rng, s, verts):
+                    outcomes.add(_check_thompson_against_lp(d, s, det_sign, verts))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "d, s, det_sign, member",
+        [
+            ([3.0, 2.0, 1.0], [3.0, 2.0, 1.0], 1, True),      # d = s
+            ([3.0, 2.0, 1.0], [3.0, 2.0, 1.0], 0, True),
+            ([3.0, 2.0, 1.0], [3.0, 2.0, 1.0], -1, False),
+            ([3.0, 2.0, -1.0], [3.0, 2.0, 1.0], -1, True),
+            ([2.0, 2.0, 1.0], [2.0, 2.0, 1.0], 1, True),      # tied s
+            ([2.0, -2.0, 1.0], [2.0, 2.0, 1.0], 1, False),
+            ([1.0, -1.0, -1.0], [1.0, 1.0, 1.0], 1, True),
+            ([1.0, 1.0, -1.0], [1.0, 1.0, 1.0], 1, False),
+            ([1.0, 1.0, 0.0], [1.0, 1.0, 1.0], 1, False),
+            ([2.0, 0.0, 1.0], [3.0, 2.0, 1.0], 1, True),      # a zero entry in d
+            ([3.0, 0.0, 2.0], [3.0, 2.0, 1.0], 1, False),
+            ([2.0, 0.0, -1.0], [2.0, 1.0, 0.0], 1, True),
+            ([3.0, 2.0, 0.0], [3.0, 2.0, 1.0], 0, True),      # (s_1..s_{n-1}, 0)
+            ([4.0, 3.0, 2.0, 0.0], [4.0, 3.0, 2.0, 1.0], 0, True),
+            ([3.0, 2.0, 0.0], [3.0, 2.0, 1.0], 1, False),
+            ([3.0, 2.0, 0.0], [3.0, 2.0, 0.0], -1, True),
+        ],
+    )
+    def test_boundary_cases(self, d, s, det_sign, member):
+        verts = og.thompson_vertices(s, det_sign)
+        assert _check_thompson_against_lp(np.array(d), np.array(s), det_sign, verts) == member
+
+    def test_lazy_vertices_and_weights(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("membership must not enumerate vertices or solve an LP")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        monkeypatch.setattr(bd, "thompson_vertices", refuse)
+        s, d = [3.0, 2.0, 1.0], np.array([2.0, 1.0, 0.5])
+        inside = og.thompson_membership(og.DiagonalHullQuery(d=d, s=s, det_sign=1))
+        outside = og.thompson_membership(og.DiagonalHullQuery(d=2 * d, s=s, det_sign=1))
+        assert inside.member and inside.functional is None
+        assert not outside.member and outside.functional is not None
+        monkeypatch.undo()
+        w = inside.weights
+        assert w.min() >= -1e-9 and abs(w.sum() - 1.0) <= 1e-7
+        assert np.max(np.abs(w @ inside.vertices - d)) <= 1e-7
+        assert outside.weights is None
+        assert np.array_equal(inside.vertices, og.thompson_vertices(s, 1))
+        assert np.array_equal(outside.vertices, og.thompson_vertices(s, 1))
+
+
+def _two_harmonic_objective(const, bcos, bsin, y, theta):
+    """sum_m (const_m - y_m + bcos_m cos t + bsin_m sin t)^2 for one start."""
+    res = (const - y)[:, None] + np.outer(bcos, np.cos(theta)) + np.outer(bsin, np.sin(theta))
+    return np.sum(res * res, axis=0)
+
+
+class TestOracleKernels:
+    @pytest.mark.parametrize("case", ["random", "first_harmonic_only", "zero"])
+    def test_theta_argmin_beats_dense_grid(self, case):
+        rng = np.random.default_rng(40)
+        starts, ell = 64, 3
+        const, bcos, bsin = rng.standard_normal((3, starts, ell))
+        y = rng.standard_normal(ell)
+        if case == "first_harmonic_only":
+            # orthogonal bcos, bsin of one norm: p3 = p4 = 0
+            q = np.linalg.qr(rng.standard_normal((starts, ell, 2)))[0]
+            radius = rng.uniform(0.1, 3.0, (starts, 1))
+            bcos, bsin = radius * q[:, :, 0], radius * q[:, :, 1]
+        elif case == "zero":
+            bcos, bsin = np.zeros((starts, ell)), np.zeros((starts, ell))
+        theta = bd._affine_theta_argmin(const, bcos, bsin, y)
+        dense = np.linspace(0.0, 2.0 * np.pi, 100_000, endpoint=False)
+        for k in range(starts):
+            args = (const[k], bcos[k], bsin[k], y)
+            best = _two_harmonic_objective(*args, np.array([theta[k]]))[0]
+            assert best <= np.min(_two_harmonic_objective(*args, dense)) + 1e-12
+
+    def test_in_place_k_matches_rebuilt(self):
+        rng = np.random.default_rng(41)
+        n, starts = 4, 16
+        coord_terms = [
+            [(1.0, rng.standard_normal((n, n)), rng.standard_normal((n, n))),
+             (-0.5, rng.standard_normal((n, n)), rng.standard_normal((n, n)))],
+            [(2.0, rng.standard_normal((n, n)), rng.standard_normal((n, n)))],
+        ]
+        y = rng.standard_normal(2)
+        u, v = og.haar_rotations(n, starts, rng), og.haar_rotations(n, starts, rng)
+
+        def rebuilt(order):
+            return np.stack([
+                sum(coef * order(pm, am) for coef, pm, am in terms) for terms in coord_terms
+            ])
+
+        k_left = bd._descent_sweep(coord_terms, u, v, y, right=False)
+        assert np.max(np.abs(k_left - rebuilt(lambda pm, am: u @ am @ v @ pm))) <= 1e-12
+        k_right = bd._descent_sweep(coord_terms, u, v, y, right=True)
+        assert np.max(np.abs(k_right - rebuilt(lambda pm, am: pm @ u @ am @ v))) <= 1e-12
 
 
 class TestCounterexamples:
