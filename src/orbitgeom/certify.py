@@ -26,6 +26,7 @@ from .config import tolerances
 from .ellipsoids import (
     _bracket_root,
     _ellipse_eu,
+    _ellipse_radial_along,
     _ellipsoid_euv,
     ellipse_eu,
     ellipsoid_euv,
@@ -70,6 +71,10 @@ class Certificate:
         return out
 
 
+def _finite_or_none(x: float) -> float | None:
+    return float(x) if np.isfinite(x) else None
+
+
 @dataclass
 class StarTargetResult:
     index: int
@@ -97,15 +102,18 @@ class StarReport:
         return [r for r in self.results if not r.ok]
 
     def to_json(self) -> dict:
+        """JSON-ready report; a non-finite residual (a failed target's, or the
+        maximum when no target passed) is written as null, which strict JSON
+        parsers accept where they reject NaN."""
         return {
             "config": self.config,
-            "max_residual": float(self.max_residual),
+            "max_residual": _finite_or_none(self.max_residual),
             "num_failures": len(self.failures),
             "results": [
                 {
                     "index": r.index,
                     "alpha": r.alpha,
-                    "residual": r.residual,
+                    "residual": _finite_or_none(r.residual),
                     "ok": r.ok,
                     "iterations": r.iterations,
                     "error": r.error,
@@ -115,40 +123,76 @@ class StarReport:
         }
 
 
-def _solve_on_family(curve_at, y):
-    """Find (angles, s, iterations, curve) with curve_at(s).point(angles) = y.
+def _tight_bracket(g, s, gs, g0, g1):
+    """Sign-change bracket (lo, hi, g(lo), g(hi), evaluations) of g next to s.
 
-    Precondition: y inside or on curve_at(0); curve_at(1) degenerate. The
-    trial curves come from ``curve_at(s)``, built without input checks; the
-    curve that yields the witness angles comes from ``curve_at(s, checked=True)``,
-    which validates its frames. The crossing is found by the bracketing
-    root-finder on the radial coordinate minus one, treated as +inf when y
-    leaves the degenerate span.
+    Steps away from s toward the side where the sign changes, from 2^-30 and
+    growing sixteenfold, and stops at the ends 0 and 1 of the homotopy, whose
+    values g0 < 0 and g1 >= 0 are known.
     """
-    m0 = membership(curve_at(0.0), y)
+    step, evaluations = 2.0 ** -30, 0
+    while True:
+        x = min(1.0, s + step) if gs < 0.0 else max(0.0, s - step)
+        if x in (0.0, 1.0):
+            gx = g0 if x == 0.0 else g1
+        else:
+            gx, evaluations = g(x), evaluations + 1
+        if (gx < 0.0) != (gs < 0.0):
+            lo, hi = sorted(((s, gs), (x, gx)))
+            return lo[0], hi[0], lo[1], hi[1], evaluations
+        s, gs, step = x, gx, 16.0 * step
+
+
+def _solve_on_family(start_curve, family, y):
+    """Find (angles, s, iterations, curve) with curve.point(angles) = y.
+
+    The homotopy's curves run from ``start_curve``, the checked curve at the
+    starting frame (s = 0), to a degenerate one at s = 1. The target is
+    classified against ``start_curve`` first; only when it lies strictly
+    inside does ``family()`` build the path and return
+    ``(curve_at, radial, trial_gtol)``: ``curve_at(s)`` builds the curve
+    without input checks and ``curve_at(s, checked=True)`` validates its
+    frames; ``radial(s)`` is the trial evaluator, the radial coordinate of y
+    at s, +inf off a degenerate span. The bracketing root-finder runs on
+    ``radial(s) - 1`` until |radial - 1| <= ``trial_gtol``. The gap is then
+    read once on the checked curve that yields the witness angles; if it
+    misses ``bisection_gtol`` there (a trial evaluator that agrees with the
+    checked curve only up to roundoff can stop short on a nearly flat
+    ellipse), the search continues on the checked curves' own radial, from a
+    tight bracket around s.
+    """
+    m0 = membership(start_curve, y)
     if m0.classification in ("boundary", "on-degenerate-span"):
-        return m0.witness_angles, 0.0, 0, curve_at(0.0, checked=True)
+        return m0.witness_angles, 0.0, 0, start_curve
     if m0.classification in ("outside", "off-degenerate-span"):
         raise PreconditionError(
             f"target lies outside the starting curve (radial {m0.radial:.6g})"
         )
+    curve_at, radial, trial_gtol = family()
     m1 = membership(curve_at(1.0), y)
     if m1.classification in ("boundary", "on-degenerate-span"):
         return m1.witness_angles, 1.0, 0, curve_at(1.0, checked=True)
-    g1 = m1.radial - 1.0
+    g0, g1 = m0.radial - 1.0, m1.radial - 1.0
     if np.isfinite(g1) and g1 < 0.0:
         raise NumericalError(
             "target remains interior at the degenerate frame; no crossing to find"
         )
-
-    def g(s):
-        return surface_projection(curve_at(s), y)[0] - 1.0
-
-    s, iterations = _bracket_root(
-        g, 0.0, 1.0, m0.radial - 1.0, g1, tolerances.bisection_gtol
-    )
+    gtol = tolerances.bisection_gtol
+    s, iterations = _bracket_root(lambda s: radial(s) - 1.0, 0.0, 1.0, g0, g1, trial_gtol)
     curve = curve_at(s, checked=True)
-    _, _, angles = surface_projection(curve, y)
+    r, _, angles = surface_projection(curve, y)
+    # where the trial evaluator is the checked one it reads the same gap,
+    # and a search on the checked curves would retrace the same steps
+    if not abs(r - 1.0) <= gtol and r != radial(s):
+
+        def exact(s):
+            return surface_projection(curve_at(s), y)[0] - 1.0
+
+        lo, hi, glo, ghi, steps = _tight_bracket(exact, s, r - 1.0, g0, g1)
+        s, more = _bracket_root(exact, lo, hi, glo, ghi, gtol)
+        iterations += steps + more
+        curve = curve_at(s, checked=True)
+        _, _, angles = surface_projection(curve, y)
     if angles is None:
         raise NumericalError("crossing point left the reachable span")
     return angles, s, iterations, curve
@@ -161,7 +205,10 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
     Planar maps (two matrices, size >= 3) move a single frame toward the
     rank-killing frame of the pair; for ell >= 3 the matrices have the minimal
     block size 2^(ell-1) and both frames of the centered ellipsoid travel to
-    the pair produced by the diagonal quarter-turn construction.
+    the pair produced by the diagonal quarter-turn construction. The
+    degenerate frames and the paths are built only for a target strictly
+    inside the starting curve. Planar trial points are evaluated in
+    coefficient form (``_ellipse_radial_along``).
     """
     mats = [require_square(m, f"M[{i}]") for i, m in enumerate(m_list)]
     ell = len(mats)
@@ -189,12 +236,21 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
             start = require_rotation(start_frame[-1], "start frame")
         else:
             start = require_rotation(start_frame, "start frame")
-        u_deg = degenerate_u0(mats[0], mats[1])
-        path = geodesic(start, u_deg, rng=rng)
+        p, q = mats
+        start_curve = ellipse_eu(p, q, start)
 
-        def curve_at(s, checked=False):
-            build = ellipse_eu if checked else _ellipse_eu
-            return build(mats[0], mats[1], path(s))
+        def family():
+            path = geodesic(start, degenerate_u0(p, q), rng=rng)
+
+            def curve_at(s, checked=False):
+                build = ellipse_eu if checked else _ellipse_eu
+                return build(p, q, path(s))
+
+            # a trial costs microseconds, so its search runs on to the
+            # radial's roundoff floor (one ulp of 1): the witness misses y by
+            # about |y - center| |radial - 1|, so a target far from the
+            # origin needs a far smaller gap than bisection_gtol
+            return curve_at, _ellipse_radial_along(p, q, path, y), np.finfo(float).eps
 
     elif ell >= 3:
         n = 2 ** (ell - 1)
@@ -206,18 +262,25 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
         us, vs = start_frame
         us = require_rotation(us, "start frame U")
         vs = require_rotation(vs, "start frame V")
-        ud, vd = degenerate_uv(mats[0])
-        path_u = geodesic(us, ud, rng=rng)
-        path_v = geodesic(vs, vd, rng=rng)
+        start_curve = ellipsoid_euv(mats, us, vs)
 
-        def curve_at(s, checked=False):
-            build = ellipsoid_euv if checked else _ellipsoid_euv
-            return build(mats, path_u(s), path_v(s))
+        def family():
+            ud, vd = degenerate_uv(mats[0])
+            path_u = geodesic(us, ud, rng=rng)
+            path_v = geodesic(vs, vd, rng=rng)
+
+            def curve_at(s, checked=False):
+                build = ellipsoid_euv if checked else _ellipsoid_euv
+                return build(mats, path_u(s), path_v(s))
+
+            # the trial is the checked curve's own projection, an SVD each
+            return (curve_at, lambda s: surface_projection(curve_at(s), y)[0],
+                    tolerances.bisection_gtol)
 
     else:
         raise DimensionError("need at least two map coordinates")
 
-    angles, s, iterations, curve = _solve_on_family(curve_at, y)
+    angles, s, iterations, curve = _solve_on_family(start_curve, family, y)
     x = curve.witness(angles)
     achieved = apply_map(mats, x)
     residual = float(np.linalg.norm(achieved - y))

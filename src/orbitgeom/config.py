@@ -12,7 +12,10 @@ default to 1e-10 absolute. The eight fields are:
 - ``tie_gap``: the relative singular-value gap treated as tied;
 - ``degenerate_rank``: sv_min <= tol * sv_max marks a degenerate shape;
 - ``off_span_tol``: a component off a degenerate span treated as unreachable;
-- ``bisection_gtol``: the |radial - 1| that stops the homotopy's root search;
+- ``bisection_gtol``: the |radial - 1| at which the homotopy's crossing
+  search stops, read on the checked curve that yields the witness (the
+  planar search runs its cheap trials on to the radial's roundoff floor, and
+  goes on on the checked curves when their gap exceeds this);
 - ``max_bisection_iter``: the iteration budget of the one bracketing
   root-finder (``ellipsoids._bracket_root``), used by every root search.
 

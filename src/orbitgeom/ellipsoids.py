@@ -8,11 +8,12 @@ angles therefore traces out a centered ellipsoid; with a planar 2x2 rotation
 block embedded in a larger frame the locus is an ellipse with an offset.
 
 Both loci admit frames that make the swept shape rank-deficient; the two
-constructive searches below produce such frames explicitly.
+constructions below produce such frames explicitly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,17 +191,47 @@ def ellipse_eu(p, q, u) -> EllipsoidCurve:
 
 
 def _ellipse_eu(p, q, u) -> EllipsoidCurve:
-    """``ellipse_eu`` without input checks, for a frame already validated."""
-    u1, u2 = u[:, 0], u[:, 1]
-    rows = []
-    center = []
-    for m in (p, q):
-        m1, m2 = m[0], m[1]
-        rows.append([m1 @ u1 + m2 @ u2, m2 @ u1 - m1 @ u2])
-        center.append(np.einsum("rc,cr->", m[2:, :], u[:, 2:]))
-    return EllipsoidCurve(
-        shape=np.array(rows), center=np.array(center), kind="eu", frames=(u,)
-    )
+    """``ellipse_eu`` without input checks, for a frame already validated.
+
+    Also takes a stack of frames (..., n, n); shape and center then carry the
+    same leading axes. Row m of the shape is ``(g_00 + g_11, g_10 - g_01)``
+    for ``g = M[:2] @ U[:, :2]`` with M = P, Q.
+    """
+    mats = np.stack((p, q))
+    g = mats[:, :2, :] @ u[..., None, :, :2]
+    shape = np.stack((g[..., 0, 0] + g[..., 1, 1], g[..., 1, 0] - g[..., 0, 1]), axis=-1)
+    center = np.einsum("mrc,...cr->...m", mats[:, 2:, :], u[..., :, 2:])
+    return EllipsoidCurve(shape=shape, center=center, kind="eu", frames=(u,))
+
+
+def _ellipse_radial_along(p, q, path, y):
+    """Radial coordinate of y against the planar ellipse of (P, Q) at path(s), as a function.
+
+    On each path segment the frame is linear in {1, cos t theta_k, sin t theta_k}
+    (``RotationPath.trig_basis``), and the ellipse is linear in the frame, so
+    the 2x2 shape and the center form a 6 x (2K+1) coefficient block, built
+    once per segment from one batched ``_ellipse_eu`` call. A trial point is
+    then the trigonometric values, one small product and the closed-form
+    radial of ``_radial_2x2``; it equals ``surface_projection`` on
+    ``_ellipse_eu(p, q, path(s))`` up to roundoff.
+    """
+    blocks = []
+    for theta, basis in path.trig_basis():
+        curves = _ellipse_eu(p, q, basis)
+        blocks.append((theta, np.concatenate(
+            (curves.shape.reshape(-1, 4), curves.center), axis=1).T))
+    y0, y1 = (float(v) for v in y)
+
+    def radial(s):
+        k, t = path.locate(s)
+        theta, coef = blocks[k]
+        phase = t * theta
+        s00, s01, s10, s11, c0, c1 = (
+            coef @ np.concatenate(((1.0,), np.cos(phase), np.sin(phase)))
+        ).tolist()
+        return _radial_2x2(s00, s01, s10, s11, y0 - c0, y1 - c1)
+
+    return radial
 
 
 @dataclass(frozen=True)
@@ -218,13 +249,13 @@ class MembershipResult:
     radial: float
 
 
-def surface_projection(curve: EllipsoidCurve, y):
-    """Radial coordinate of y and angles of its radial surface projection.
+def _project(curve: EllipsoidCurve, y):
+    """``surface_projection`` plus whether the shape is degenerate, from one SVD.
 
-    Returns (radial, off_span, angles). ``radial`` is infinite when the
-    off-span component exceeds the tolerance. For rank-deficient shapes the
-    least-squares preimage is topped up with a null direction so the angles
-    land exactly on the swept set whenever radial <= 1.
+    The shape is degenerate when its smallest singular value is at most
+    ``degenerate_rank`` times the largest, the test of
+    ``EllipsoidCurve.is_degenerate``; that is when its numerical rank is
+    below ``ell``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != curve.ell:
@@ -233,31 +264,69 @@ def surface_projection(curve: EllipsoidCurve, y):
     d = w.T @ (y - curve.center)
     smax = sv[0] if sv.size else 0.0
     rank = int(np.sum(sv > tolerances.degenerate_rank * max(smax, 1e-300)))
+    degenerate = rank < curve.ell
     off = float(np.linalg.norm(d[rank:]))
     if off > tolerances.off_span_tol:
-        return np.inf, off, None
+        return np.inf, off, None, degenerate
     if rank == 0:
         # shape is numerically zero: the curve is the single point `center`
         angles = np.zeros(curve.ell - 1)
-        return 0.0, off, angles
+        return 0.0, off, angles, degenerate
     zcoef = d[:rank] / sv[:rank]
     radial = float(np.linalg.norm(zcoef))
     z = zt[:rank].T @ zcoef
-    if rank < curve.ell and radial <= 1.0:
+    if degenerate and radial <= 1.0:
         z = z + np.sqrt(max(0.0, 1.0 - radial**2)) * zt[rank]
     elif radial > 0:
         z = z / radial
     else:
         z = zt[-1]
-    return radial, off, angles_from_unit(z)
+    return radial, off, angles_from_unit(z), degenerate
+
+
+def surface_projection(curve: EllipsoidCurve, y):
+    """Radial coordinate of y and angles of its radial surface projection.
+
+    Returns (radial, off_span, angles). ``radial`` is infinite when the
+    off-span component exceeds the tolerance. For rank-deficient shapes the
+    least-squares preimage is topped up with a null direction so the angles
+    land exactly on the swept set whenever radial <= 1.
+    """
+    return _project(curve, y)[:3]
+
+
+def _radial_2x2(s00, s01, s10, s11, d0, d1) -> float:
+    """``surface_projection``'s radial for the 2x2 shape [[s00, s01], [s10, s11]].
+
+    Takes Python floats, with (d0, d1) the query minus the center. The
+    singular values are in closed form, the larger one
+    ``(|(s00 + s11, s10 - s01)| + |(s00 - s11, s10 + s01)|) / 2`` and the
+    smaller |det| over it, and the rank test is ``surface_projection``'s.
+    At full rank the radial is |adj(S) d| / |det S|; at rank one it is the
+    component along the leading left singular vector over the larger
+    singular value, and +inf when the component across exceeds
+    ``off_span_tol``.
+    """
+    smax = 0.5 * (math.hypot(s00 + s11, s10 - s01) + math.hypot(s00 - s11, s10 + s01))
+    det = s00 * s11 - s01 * s10
+    floor = tolerances.degenerate_rank * max(smax, 1e-300)
+    if abs(det) > floor * smax:
+        return math.hypot(s11 * d0 - s01 * d1, s00 * d1 - s10 * d0) / abs(det)
+    if smax > floor:
+        phi = 0.5 * math.atan2(2.0 * (s00 * s10 + s01 * s11),
+                               s00 * s00 + s01 * s01 - s10 * s10 - s11 * s11)
+        c, sn = math.cos(phi), math.sin(phi)
+        along, off = abs(c * d0 + sn * d1) / smax, abs(c * d1 - sn * d0)
+    else:
+        along, off = 0.0, math.hypot(d0, d1)
+    return math.inf if off > tolerances.off_span_tol else along
 
 
 def membership(curve: EllipsoidCurve, y) -> MembershipResult:
     """Classify a point as inside/boundary/outside, or against a degenerate span."""
     boundary_tol = tolerances.boundary_band
     y = np.asarray(y, dtype=float).reshape(-1)
-    radial, off, angles = surface_projection(curve, y)
-    degenerate = curve.is_degenerate()
+    radial, off, angles, degenerate = _project(curve, y)
     if degenerate:
         if np.isfinite(radial) and radial <= 1.0 + boundary_tol:
             residual = float(np.linalg.norm(curve.point(angles) - y))
@@ -351,11 +420,14 @@ def degenerate_u0(p, q) -> np.ndarray:
     Builds orthonormal vectors u1, u2 killing the ellipse's first shape row:
     with rows p1, p2 of P the conditions are p1.u2 = p2.u1 = p1.u1 + p2.u2 = 0.
     After rotating p1 onto e1 and p2 into the (e1, e2) plane (and scaling both
-    rows jointly), the vectors come either from the explicit axis branch or
-    from a root search on f(t) = b cos t - b sin t / sqrt(b^2 sin^2 t + a^2),
-    which changes sign between f(0) = b and f(pi) = -b. The conditions are
-    symmetric under swapping the two rows along with the two vectors, so the
-    larger row is normalized first.
+    rows jointly, so that p2 = (a, b, 0, ...) with a^2 + b^2 <= 1 and b >= 0),
+    the vectors come either from the explicit axis branch or from the angle
+    theta in (0, pi/2) where f(t) = b cos t - b sin t / sqrt(b^2 sin^2 t + a^2)
+    vanishes. With x = sin^2 theta that root solves b^2 x^2 + B x - a^2 = 0,
+    B = 1 + a^2 - b^2 >= 2 a^2 > 0, whose one root in (0, 1) is taken in the
+    cancellation-free form x = 2 a^2 / (B + sqrt(B^2 + 4 a^2 b^2)), so x <= 1/2.
+    The conditions are symmetric under swapping the two rows along with the
+    two vectors, so the larger row is normalized first.
     """
     p = require_square(p, "P")
     q = require_square(q, "Q")
@@ -395,13 +467,10 @@ def degenerate_u0(p, q) -> np.ndarray:
         u2 = np.zeros(n)
         u2[1] = 1.0
     else:
-        def f(theta):
-            st = np.sin(theta)
-            return b * np.cos(theta) - b * st / np.sqrt(b * b * st * st + a * a)
-
-        theta, _ = bisect_root(f, 0.0, np.pi)
-        st, ct = np.sin(theta), np.cos(theta)
-        norm = np.sqrt(b * b * st * st + a * a)
+        big = 1.0 + a * a - b * b
+        x = 2.0 * a * a / (big + np.sqrt(big * big + 4.0 * a * a * b * b))
+        st, ct = np.sqrt(x), np.sqrt(1.0 - x)
+        norm = np.sqrt(b * b * x + a * a)
         u1 = np.zeros(n)
         u1[:3] = np.array([-b * st, a * st, -a * ct]) / norm
         u2 = np.zeros(n)

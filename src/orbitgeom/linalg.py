@@ -162,15 +162,16 @@ def haar_rotation(n: int, rng) -> np.ndarray:
     return haar_rotations(n, 1, rng)[0]
 
 
-def _principal_log_rotation(r: np.ndarray) -> np.ndarray | None:
-    """Skew-symmetric principal logarithm of a rotation, or None near eigenvalue -1.
+def _log_rotation_schur(r: np.ndarray):
+    """Real Schur factors (Z, i, theta) of the principal logarithm of a rotation.
 
     In the real Schur form ``R = Z T Z^T`` of a rotation, T is block diagonal
     up to roundoff: its 1x1 blocks are the eigenvalues +1 and -1, and each 2x2
-    block ``[[a, b], [c, d]]`` turns its plane by the angle
-    ``atan2((c - b) / 2, (a + d) / 2)``, with eigenvalues
-    ``(a + d) / 2 +- i (c - b) / 2``. The logarithm is ``Z L Z^T`` where L holds
-    each block's angle times the quarter turn ``[[0, -1], [1, 0]]``.
+    block ``[[a, b], [c, d]]`` at rows ``(i_k, i_k + 1)`` turns its plane by
+    the angle ``theta_k = atan2((c - b) / 2, (a + d) / 2)``, with eigenvalues
+    ``(a + d) / 2 +- i (c - b) / 2``. The logarithm is ``Z L Z^T`` where L
+    holds each angle times the quarter turn ``[[0, -1], [1, 0]]`` at its
+    block. Returns None near an eigenvalue -1, where the log is ill-defined.
     """
     t, z = scipy.linalg.schur(r, output="real", check_finite=False)
     i = np.flatnonzero(np.diagonal(t, -1))
@@ -184,11 +185,24 @@ def _principal_log_rotation(r: np.ndarray) -> np.ndarray | None:
     )
     if np.min(near_minus_one) < 1e-8:
         return None
-    log_t = np.zeros_like(t)
-    log_t[j, i] = np.arctan2(im, re)
-    log_t[i, j] = -log_t[j, i]
+    return z, i, np.arctan2(im, re)
+
+
+def _skew_from_schur(z, i, theta) -> np.ndarray:
+    log_t = np.zeros((z.shape[0], z.shape[0]))
+    log_t[i + 1, i] = theta
+    log_t[i, i + 1] = -theta
     k = (z @ log_t) @ z.T
     return (k - k.T) / 2.0
+
+
+def _principal_log_rotation(r: np.ndarray) -> np.ndarray | None:
+    """Skew-symmetric principal logarithm of a rotation, or None near eigenvalue -1.
+
+    Read in closed form from the real Schur form (``_log_rotation_schur``).
+    """
+    factors = _log_rotation_schur(r)
+    return None if factors is None else _skew_from_schur(*factors)
 
 
 @dataclass(frozen=True)
@@ -197,24 +211,32 @@ class RotationPath:
 
     Each segment turns ``base`` by the one-parameter subgroup of its skew
     generator K over its subinterval; a single-segment path is the geodesic
-    from ``start`` with generator K. The real Schur form ``K = Z T Z^T`` of
-    each generator is computed once, at construction: T holds 2x2 blocks
+    from ``start`` with generator K. Each generator's real Schur form
+    ``K = Z T Z^T`` is factored once: T holds 2x2 blocks
     ``theta_k [[0, -1], [1, 0]]``, so the point at local time t is
     ``(base Z) blockdiag(rot(t theta_k)) Z^T``, a few cosines and sines and
-    two small products.
+    two small products. ``schur`` optionally supplies each segment's
+    ``(Z, i, theta)`` (block rows i, angles theta), for a caller that already
+    has them; otherwise the generators are factored at construction.
     """
 
     segments: tuple  # of (base, generator, s_lo, s_hi)
+    schur: tuple | None = field(default=None, repr=False, compare=False)
     _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        factors = []
-        for base, gen, _, _ in self.segments:
-            t, z = scipy.linalg.schur(gen, output="real")
-            i = np.flatnonzero(np.diagonal(t, -1))
-            theta = 0.5 * (t[i + 1, i] - t[i, i + 1])
-            factors.append((base @ z, z.T, i, theta))
-        object.__setattr__(self, "_factors", tuple(factors))
+        schur = self.schur
+        if schur is None:
+            schur = []
+            for _, gen, _, _ in self.segments:
+                t, z = scipy.linalg.schur(gen, output="real")
+                i = np.flatnonzero(np.diagonal(t, -1))
+                schur.append((z, i, 0.5 * (t[i + 1, i] - t[i, i + 1])))
+        factors = tuple(
+            (base @ z, z.T, i, theta)
+            for (base, _, _, _), (z, i, theta) in zip(self.segments, schur)
+        )
+        object.__setattr__(self, "_factors", factors)
 
     @property
     def start(self) -> np.ndarray:
@@ -226,13 +248,18 @@ class RotationPath:
             raise ValueError("piecewise path has no single generator")
         return self.segments[0][1]
 
-    def __call__(self, s: float) -> np.ndarray:
+    def locate(self, s: float) -> tuple:
+        """(segment index, local time t in [0, 1]) of the path parameter s."""
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"path parameter must be in [0, 1], got {s}")
-        for (_, _, lo, hi), (base_z, z_t, i, theta) in zip(self.segments, self._factors):
+        for k, (_, _, lo, hi) in enumerate(self.segments):
             if s <= hi:
                 break
-        t = 0.0 if hi == lo else (s - lo) / (hi - lo)
+        return k, 0.0 if hi == lo else (s - lo) / (hi - lo)
+
+    def __call__(self, s: float) -> np.ndarray:
+        k, t = self.locate(s)
+        base_z, z_t, i, theta = self._factors[k]
         c, sn = np.cos(t * theta), np.sin(t * theta)
         turn = np.eye(z_t.shape[0])
         turn[i, i] = c
@@ -240,6 +267,28 @@ class RotationPath:
         turn[i + 1, i] = sn
         turn[i, i + 1] = -sn
         return (base_z @ turn) @ z_t
+
+    def trig_basis(self) -> list:
+        """Each segment's rotation as a linear combination of trigonometric terms.
+
+        Returns, per segment, ``(theta, basis)`` with basis of shape
+        (2K+1, n, n) for the segment's K block angles theta, such that at local
+        time t the path is ``basis[0] + sum_k cos(t theta_k) basis[1 + k]
+        + sin(t theta_k) basis[1 + K + k]``: the frame's fixed columns, then
+        each turning plane's cosine and sine parts.
+        """
+        out = []
+        for base_z, z_t, i, theta in self._factors:
+            j = i + 1
+            fixed = np.ones(z_t.shape[0], dtype=bool)
+            fixed[i] = fixed[j] = False
+            bi, bj = base_z[:, i].T[:, :, None], base_z[:, j].T[:, :, None]
+            zi, zj = z_t[i][:, None, :], z_t[j][:, None, :]
+            basis = np.concatenate(
+                ((base_z[:, fixed] @ z_t[fixed])[None], bi * zi + bj * zj, bj * zi - bi * zj)
+            )
+            out.append((theta, basis))
+        return out
 
     @property
     def end(self) -> np.ndarray:
@@ -251,10 +300,10 @@ def geodesic(u_start, u_end, rng=None) -> RotationPath:
 
     The generator is the principal logarithm of ``u_start.T @ u_end``, read
     in closed form from that rotation's real Schur form (one angle per 2x2
-    block). When the rotation has an eigenvalue at -1 (log ill-defined) the
-    path detours through a Haar-sampled intermediate rotation and is returned
-    as a two-segment piecewise path; any continuous path serves the
-    downstream homotopies.
+    block); the path reuses that factorization. When the rotation has an
+    eigenvalue at -1 (log ill-defined) the path detours through a
+    Haar-sampled intermediate rotation and is returned as a two-segment
+    piecewise path; any continuous path serves the downstream homotopies.
     """
     u_start = require_rotation(u_start, "u_start")
     u_end = require_rotation(u_end, "u_end")
@@ -263,17 +312,19 @@ def geodesic(u_start, u_end, rng=None) -> RotationPath:
             f"endpoint shapes differ: {u_start.shape} vs {u_end.shape}"
         )
     n = u_start.shape[0]
-    k = _principal_log_rotation(u_start.T @ u_end)
-    if k is not None:
-        return RotationPath(((u_start.copy(), k, 0.0, 1.0),))
+    f = _log_rotation_schur(u_start.T @ u_end)
+    if f is not None:
+        return RotationPath(((u_start.copy(), _skew_from_schur(*f), 0.0, 1.0),), (f,))
     rng = np.random.default_rng(0) if rng is None else ensure_rng(rng)
     for _ in range(64):
         mid = haar_rotation(n, rng)
-        k1 = _principal_log_rotation(u_start.T @ mid)
-        k2 = _principal_log_rotation(mid.T @ u_end)
-        if k1 is not None and k2 is not None:
+        f1 = _log_rotation_schur(u_start.T @ mid)
+        f2 = _log_rotation_schur(mid.T @ u_end)
+        if f1 is not None and f2 is not None:
             return RotationPath(
-                ((u_start.copy(), k1, 0.0, 0.5), (mid, k2, 0.5, 1.0))
+                ((u_start.copy(), _skew_from_schur(*f1), 0.0, 0.5),
+                 (mid, _skew_from_schur(*f2), 0.5, 1.0)),
+                (f1, f2),
             )
     raise NumericalError("could not find an intermediate rotation for the path")
 

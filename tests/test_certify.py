@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import orbitgeom as og
+from orbitgeom import certify
 from orbitgeom.orbits import JointOrbitSpec, OrbitSpec, apply_map
 
 
@@ -53,6 +54,45 @@ class TestHomotopyRealize:
             y = eps * np.array([np.trace(m) for m in mats])
             cert = og.homotopy_realize(mats, y, (np.eye(4), np.eye(4)))
             assert cert.residual <= 1e-8
+
+    def test_start_curve_target_needs_no_path(self, monkeypatch):
+        # a target on the starting curve is settled at s = 0, before any
+        # degenerate frame or geodesic is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("path built for a target on the starting curve")
+
+        for name in ("degenerate_u0", "degenerate_uv", "geodesic"):
+            monkeypatch.setattr(certify, name, refuse)
+        rng = np.random.default_rng(17)
+        p, q, a = (rng.standard_normal((4, 4)) for _ in range(3))
+        u, v = og.haar_rotation(4, rng), og.haar_rotation(4, rng)
+        for mats in ([p, q], [p, q, a]):
+            cert = og.certify_scaled_point(mats, a, u, v, 1.0)
+            assert cert.residual <= 1e-8
+            assert all(step["s"] == 0.0 for step in cert.trace[1:])
+
+    def test_polish_on_checked_curve(self, monkeypatch):
+        # Q = 2P + 1e-9 noise: a nearly flat ellipse, where the coefficient-form
+        # trial radial and the checked curve's radial disagree beyond
+        # bisection_gtol, so the search goes on on the checked curves
+        polished = []
+        tight_bracket = certify._tight_bracket
+        monkeypatch.setattr(certify, "_tight_bracket",
+                            lambda *a: polished.append(1) or tight_bracket(*a))
+        rng = np.random.default_rng(1)
+        p = rng.standard_normal((3, 3))
+        q = 2.0 * p + 1e-9 * rng.standard_normal((3, 3))
+        w = og.haar_rotation(3, rng)
+        curve = og.ellipse_eu(p, q, w)
+        for _ in range(5):
+            t = rng.uniform(0, 2 * np.pi)
+            z = rng.uniform(0.2, 0.9) * np.array([np.cos(t), np.sin(t)])
+            polished.clear()
+            cert = og.homotopy_realize([p, q], curve.shape @ z + curve.center, w)
+            assert polished
+            assert cert.residual <= 1e-8
+            x = cert.witness[0]
+            assert np.max(np.abs(apply_map([p, q], x) - cert.achieved)) < 1e-12
 
     def test_outside_target_rejected(self):
         rng = np.random.default_rng(4)

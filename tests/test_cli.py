@@ -95,6 +95,33 @@ class TestStarCheckCommand:
         assert "tolerances" in payload
 
 
+    def test_failed_targets_write_strict_json(self, tmp_path):
+        # an unreachable --tol fails every target; their residuals and the
+        # maximum over no passing target are null, never a bare NaN
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rng = np.random.default_rng(23)
+        star = _write(tmp_path, "star.json", {
+            "A": _mat(rng.standard_normal((3, 3))),
+            "map": {"P": [_mat(rng.standard_normal((3, 3))) for _ in range(2)]},
+        })
+        joint = _write(tmp_path, "joint.json", {
+            "A_list": [_mat(rng.standard_normal((3, 3))) for _ in range(2)],
+            "maps": [[_mat(rng.standard_normal((3, 3))) for _ in range(2)] for _ in range(2)],
+            "kind": "O3",
+        })
+        for sub, path in (("star-check", star), ("joint", joint)):
+            out = tmp_path / f"{sub}.json"
+            rc = main([sub, "--input", path, "--seed", "3", "--samples", "2",
+                       "--alpha", "0.5", "--tol", "1e-300", "--out", str(out)])
+            assert rc == 1
+            payload = json.loads(out.read_text(), parse_constant=refuse)
+            assert payload["num_failures"] == 2
+            assert payload["max_residual"] is None
+            assert all(r["residual"] is None for r in payload["results"])
+
+
 class TestCertifyCommand:
     def test_fixed_frames(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import orbitgeom as og
-from orbitgeom.ellipsoids import _bracket_root, bisect_root, surface_projection
+from orbitgeom.ellipsoids import (
+    _bracket_root,
+    _ellipse_eu,
+    _ellipse_radial_along,
+    _radial_2x2,
+    bisect_root,
+    surface_projection,
+)
 
 
 def _e(i, j, n=2):
@@ -130,6 +137,19 @@ class TestEllipseEU:
             worst = max(worst, np.max(np.abs(curve.point([theta]) - direct)))
         assert worst < 1e-12
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stack_equals_per_frame_calls(self, n):
+        rng = np.random.default_rng(40 + n)
+        p, q = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        frames = og.haar_rotations(n, 6, rng).reshape(2, 3, n, n)
+        stacked = _ellipse_eu(p, q, frames)
+        assert stacked.shape.shape == (2, 3, 2, 2)
+        assert stacked.center.shape == (2, 3, 2)
+        for idx in np.ndindex(2, 3):
+            single = _ellipse_eu(p, q, frames[idx])
+            assert np.max(np.abs(stacked.shape[idx] - single.shape)) < 1e-14
+            assert np.max(np.abs(stacked.center[idx] - single.center)) < 1e-14
+
     def test_witness_soundness(self):
         rng = np.random.default_rng(5)
         p, q = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
@@ -139,6 +159,52 @@ class TestEllipseEU:
             point = curve.point([theta])
             witness = curve.witness([theta])
             assert np.max(np.abs(og.apply_map([p, q], witness) - point)) < 1e-12
+
+
+class TestCoefficientForm:
+    S_GRID = np.linspace(0.0, 1.0, 41)
+
+    @staticmethod
+    def _half_turn(n, rng):
+        q = og.haar_rotation(n, rng)
+        t = np.eye(n)
+        t[:2, :2] = -np.eye(2)
+        return q @ t @ q.T
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("detour", [False, True])
+    def test_radial_matches_surface_projection(self, n, detour):
+        rng = np.random.default_rng(60 + n + 10 * detour)
+        p, q = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        u_deg = og.degenerate_u0(p, q)
+        start = u_deg @ self._half_turn(n, rng).T if detour else og.haar_rotation(n, rng)
+        path = og.geodesic(start, u_deg)
+        assert len(path.segments) == (2 if detour else 1)
+        curve = og.ellipse_eu(p, q, start)
+        t = rng.uniform(0, 2 * np.pi)
+        y = curve.shape @ (0.6 * np.array([np.cos(t), np.sin(t)])) + curve.center
+        radial = _ellipse_radial_along(p, q, path, y)
+        for s in self.S_GRID:
+            expected = surface_projection(_ellipse_eu(p, q, path(s)), y)[0]
+            if s == 1.0:
+                assert expected == np.inf and radial(s) == np.inf
+            else:
+                assert abs(radial(s) - expected) <= 1e-12 * expected
+
+    def test_rank_deficient_shapes(self):
+        # rank one: the span's direction w, off it by more or less than off_span_tol
+        w = np.array([np.cos(0.3), np.sin(0.3)])
+        across = np.array([-w[1], w[0]])
+        shape = 2.5 * np.outer(w, [np.cos(1.1), np.sin(1.1)])
+        shape[1, 1] += 1e-12  # below degenerate_rank relative to the larger value
+        curve = og.EllipsoidCurve(shape, np.zeros(2), "euv", (np.eye(2), np.eye(2)))
+        for d in (0.7 * w, 0.7 * w + 5e-9 * across, 0.7 * w + 1e-6 * across, 3.0 * w):
+            assert _radial_2x2(*shape.ravel(), *d) == pytest.approx(
+                surface_projection(curve, d)[0], rel=1e-12)
+        assert _radial_2x2(*shape.ravel(), *(0.7 * w + 1e-6 * across)) == np.inf
+        # rank zero: the curve is its center
+        assert _radial_2x2(0.0, 0.0, 0.0, 0.0, 5e-9, 0.0) == 0.0
+        assert _radial_2x2(0.0, 0.0, 0.0, 0.0, 1e-6, 0.0) == np.inf
 
 
 class TestMembership:
@@ -172,6 +238,16 @@ class TestMembership:
         assert res.residual < 1e-12
         off = og.membership(seg, [0.5, 0.3])
         assert off.classification == "off-degenerate-span"
+
+    def test_one_factorization(self, monkeypatch):
+        # degeneracy is read from the projection's singular values
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for curve, y in ((self._segment(), [0.5, 0.0]), (self._circle(), [0.5, 0.0])):
+            calls.clear()
+            og.membership(curve, y)
+            assert len(calls) == 1
 
     def test_boundary_band_comes_from_tolerances(self):
         y = [1.0 + 5e-9, 0.0]
@@ -222,6 +298,23 @@ class TestDegenerateU0:
             assert og.rotation_defect(u0) < 1e-10
             curve = og.ellipse_eu(p, q, u0)
             assert abs(np.linalg.det(curve.shape)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_closed_form_zeroes_first_row(self, n):
+        rng = np.random.default_rng(80 + n)
+        cases = [rng.standard_normal((n, n)) for _ in range(20)]
+        for noise in (1e-10, 1e-15):  # nearly parallel rows: root branch, then axis branch
+            p = rng.standard_normal((n, n))
+            p[1] = 0.7 * p[0] + noise * rng.standard_normal(n)
+            cases += [p, p[[1, 0] + list(range(2, n))]]
+        axis = np.zeros((n, n))
+        axis[0, 0], axis[1, 1] = 1.0, 2.0
+        cases.append(axis)
+        for p in cases:
+            u0 = og.degenerate_u0(p, rng.standard_normal((n, n)))
+            assert og.rotation_defect(u0) < 1e-12
+            row = _ellipse_eu(p, p, u0).shape[0]
+            assert np.max(np.abs(row)) <= 1e-13 * np.linalg.norm(p)
 
     def test_rejects_small_dimension(self):
         with pytest.raises(og.DimensionError):

@@ -205,6 +205,31 @@ class TestPathEvaluation:
             expected = base @ scipy.linalg.expm((s - lo) / (hi - lo) * gen)
             assert np.max(np.abs(path(s) - expected)) < 1e-12
 
+    def test_geodesic_factors_once(self, monkeypatch):
+        # the log's Schur form is the path's: one factorization per segment
+        calls = []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *a, **k: calls.append(1) or schur(*a, **k))
+        rng = np.random.default_rng(16)
+        og.geodesic(og.haar_rotation(5, rng), og.haar_rotation(5, rng))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_trig_basis_reconstructs_path(self, n):
+        rng = np.random.default_rng(300 + n)
+        half_turn = _plane_turn(n, [np.pi] + [0.7] * (n // 2 - 1), rng)
+        paths = [og.geodesic(og.haar_rotation(n, rng), og.haar_rotation(n, rng)),
+                 og.geodesic(np.eye(n), half_turn)]
+        assert len(paths[1].segments) == 2
+        for path in paths:
+            blocks = path.trig_basis()
+            for s in self.S_GRID:
+                k, t = path.locate(s)
+                theta, basis = blocks[k]
+                w = np.concatenate(([1.0], np.cos(t * theta), np.sin(t * theta)))
+                assert np.max(np.abs(np.tensordot(w, basis, 1) - path(s))) < 1e-12
+
     def test_path_from_given_generator(self):
         rng = np.random.default_rng(14)
         g = rng.standard_normal((5, 5))
