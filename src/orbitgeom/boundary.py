@@ -216,12 +216,18 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
     det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
     keep = np.abs(det) >= 1e-12
     raw = np.linalg.solve(mats[keep], rhs[keep, :, None])[:, :, 0]
-    # one vertex at a time: a (grid, grid) feasibility matrix costs memory
+    # 16 candidates per product: a (grid, grid) feasibility matrix costs memory,
+    # and at grid 720 a 16-row block stays below malloc's mmap threshold
+    dirs_t = np.ascontiguousarray(dirs.T)
+    feasible = np.empty(len(raw), dtype=bool)
+    for start in range(0, len(raw), 16):
+        slack = raw[start:start + 16] @ dirs_t
+        slack -= values
+        feasible[start:start + 16] = slack.max(axis=1) <= 1e-8 * scale
     verts = []
-    for x in raw:
-        if np.max(dirs @ x - values) <= 1e-8 * scale:
-            if not verts or np.max(np.abs(x - verts[-1])) > 1e-12 * scale:
-                verts.append(x)
+    for x in raw[feasible]:
+        if not verts or np.abs(x - verts[-1]).max() > 1e-12 * scale:
+            verts.append(x)
     if len(verts) > 1 and np.max(np.abs(verts[0] - verts[-1])) <= 1e-12 * scale:
         verts.pop()
     vertices = np.array(verts) if verts else np.empty((0, 2))

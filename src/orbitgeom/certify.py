@@ -348,7 +348,8 @@ def certify_scaled_point(lmap, a, u, v, alpha: float, rng=None) -> Certificate:
     planar maps, 2^(ell-1) otherwise) in lexicographic order. Each row belongs
     to C(n-1, block-1) subsets, so eps is the corresponding root of alpha and
     each subset step realizes one eps-row-scaled point via a single homotopy,
-    composing witnesses right-to-left.
+    composing witnesses right-to-left. Raises ``NumericalError`` when a step's
+    or the composed certificate's residual exceeds ``certificate_residual``.
     """
     lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
     a = require_square(a, "A")
@@ -416,6 +417,12 @@ def certify_scaled_point(lmap, a, u, v, alpha: float, rng=None) -> Certificate:
 
     achieved = apply_map(lmap, (u @ a) @ w)
     residual = float(np.linalg.norm(achieved - target))
+    # each step passed the gate, but their errors add up in the composition
+    if residual > tolerances.certificate_residual:
+        raise NumericalError(
+            f"composed certificate residual {residual:.3e} exceeds "
+            f"{tolerances.certificate_residual:.1e}"
+        )
     return Certificate(
         target=target,
         witness=(u, w),

@@ -35,7 +35,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -54,7 +54,7 @@ def require_square_stack(a, name: str = "matrix") -> np.ndarray:
         raise DimensionError(
             f"{name} must be square or a stack of square matrices, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -136,6 +136,12 @@ def haar_rotations(n: int, count: int, rng) -> np.ndarray:
     full orthogonal group (Mezzadri, arXiv math-ph/0609050). Samples with
     determinant -1 get their last column negated, which maps that coset onto
     the rotation group measure-preservingly.
+
+    For n = 2 and 3 that last column is fixed by the others: it is the unit
+    vector orthogonal to them that makes the determinant +1, i.e. q1 rotated
+    by a quarter turn (n = 2) or q1 x q2 (n = 3). It is set in closed form,
+    with no projection and no determinant. The whole Gaussian matrix is still
+    drawn, so the generator's stream after the call is the same for every n.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -147,13 +153,22 @@ def haar_rotations(n: int, count: int, rng) -> np.ndarray:
     g = rng.standard_normal((count, n, n))
     # cols[j, i, k] is entry (i, j) of sample k: each column is one (n, count) slab
     cols = np.ascontiguousarray(g.transpose(2, 1, 0))
-    for j, col in enumerate(cols):
+    closed_form = n in (2, 3)
+    for j, col in enumerate(cols[: n - 1] if closed_form else cols):
         done = cols[:j]
         for _ in range(2):
             col -= np.einsum("jik,jk->ik", done, np.einsum("jik,ik->jk", done, col))
         col /= np.sqrt(np.einsum("ik,ik->k", col, col))
+    if n == 2:
+        cols[1, 0], cols[1, 1] = -cols[0, 1], cols[0, 0]
+    elif n == 3:
+        q1, q2 = cols[0], cols[1]  # np.cross gives the same bits five times slower
+        cols[2] = (q1[1] * q2[2] - q1[2] * q2[1],
+                   q1[2] * q2[0] - q1[0] * q2[2],
+                   q1[0] * q2[1] - q1[1] * q2[0])
     q = np.ascontiguousarray(cols.transpose(2, 1, 0))
-    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    if not closed_form:
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
 

@@ -160,9 +160,13 @@ def orbit_point(a, u, v) -> np.ndarray:
 def sample_image(lmap, orbit: OrbitSpec, count: int, rng, seed=None) -> PointCloud:
     """Monte Carlo sample of the orbit image under the map.
 
-    For the full orthogonal group the two factors are drawn Haar on O_n with
-    matching determinant signs: the last column of both is flipped with
-    probability 1/2, which keeps each factor Haar on O_n.
+    The factors U and V come from two ``haar_rotations`` stacks. For the full
+    orthogonal group they are drawn Haar on O_n with matching determinant
+    signs: the last column of both is flipped with probability 1/2, which
+    keeps each factor Haar on O_n. The points are evaluated in three
+    products: U @ A as one (count n, n) GEMM, the batched product with V, and
+    the flattened X against a (n^2, ell) matrix whose column m is P_m^T
+    flattened, since tr(P X) = sum_ij X_ij (P^T)_ij.
     """
     mats = _map_mats(lmap)
     n = orbit.n
@@ -179,8 +183,9 @@ def sample_image(lmap, orbit: OrbitSpec, count: int, rng, seed=None) -> PointClo
         flip = rng.random(count) < 0.5
         u[flip, :, -1] *= -1.0
         v[flip, :, -1] *= -1.0
-    x = u @ orbit.a @ v
-    pts = np.stack([np.einsum("ij,sji->s", p, x) for p in mats], axis=1)
+    x = (u.reshape(count * n, n) @ orbit.a).reshape(count, n, n) @ v
+    pt = np.stack([p.T.ravel() for p in mats], axis=1)
+    pts = x.reshape(count, n * n) @ pt
     return PointCloud(points=pts, seed=seed)
 
 

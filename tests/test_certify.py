@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import orbitgeom as og
-from orbitgeom import certify
+from orbitgeom import certify, serialize
+from orbitgeom.cli import main
 from orbitgeom.orbits import JointOrbitSpec, OrbitSpec, apply_map
 
 
@@ -190,6 +193,45 @@ class TestCertifyScaledPoint:
         cert = og.certify_scaled_point(mats, a, u, v, 0.5)
         assert cert.residual <= 1e-8
         assert sum(step.get("iterations", 0) for step in cert.trace) > 0
+
+    def test_composed_residual_is_gated(self, tmp_path):
+        # a near-collinear case (n = 4, Q = 2P + 1e-9 noise, alpha = 0.1) whose
+        # six steps each pass the residual gate while their composition once
+        # missed it by 1.2e-8; the draws replay the benchmark's robustness
+        # probe at seed 1
+        def qr_haar(g):
+            q, r = np.linalg.qr(g)
+            q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
+            q[:, -1] *= np.sign(np.linalg.det(q))
+            return q
+
+        rng = np.random.default_rng([1, 4])
+        rng.standard_normal(4 * 9 + 40 * 9)  # the n = 3 maps and frames
+        p, q, a = rng.standard_normal((3, 4, 4))
+        q = 2.0 * p + 1e-9 * rng.standard_normal((4, 4))
+        rng.standard_normal(32 * 16)  # 20 frames of the scaled case, 12 of this one
+        u, v = qr_haar(rng.standard_normal((4, 4))), qr_haar(rng.standard_normal((4, 4)))
+        gate = og.tolerances.certificate_residual
+        try:
+            cert = og.certify_scaled_point([p, q], a, u, v, 0.1)
+        except og.NumericalError:
+            pass
+        else:
+            assert cert.residual <= gate
+
+        mat = serialize.matrix_to_json
+        path = tmp_path / "case.json"
+        path.write_text(serialize.dump_json({
+            "A": mat(a), "map": {"P": [mat(p), mat(q)]}, "U": mat(u), "V": mat(v),
+            "alpha": 0.1,
+        }))
+        out = tmp_path / "out.json"
+        rc = main(["certify", "--input", str(path), "--out", str(out)])
+        payload = json.loads(out.read_text())
+        if rc == 0:
+            assert payload["ok"] and payload["residual"] <= gate
+        else:
+            assert rc == 1 and not payload["ok"] and "error" in payload
 
     def test_ell3_above_minimal_dimension(self):
         rng = np.random.default_rng(11)

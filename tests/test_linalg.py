@@ -119,6 +119,27 @@ class TestHaar:
         u = og.haar_rotations(n, 2000, np.random.default_rng(50 + n))
         assert np.max(np.abs(u - q)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_last_column_needs_no_determinant(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        u = og.haar_rotations(n, 500, np.random.default_rng(70 + n))
+        monkeypatch.undo()
+        assert np.max(np.abs(u @ np.swapaxes(u, 1, 2) - np.eye(n))) < 1e-14
+        assert np.max(np.abs(np.linalg.det(u) - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_draws_the_whole_gaussian_matrix(self, n):
+        # the closed-form column does not change what the generator yields next
+        k = 257
+        rng = np.random.default_rng(80 + n)
+        og.haar_rotations(n, k, rng)
+        ref = np.random.default_rng(80 + n)
+        ref.standard_normal((k, n, n))
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_haar_moments(self, n):
         # E[U] = 0 and E[U_ij^2] = 1/n for Haar measure on SO(n), n >= 2

@@ -70,6 +70,28 @@ class TestSampleImage:
         bound = sum(np.linalg.norm(m) for m in mats) * np.linalg.norm(a)
         assert np.max(np.linalg.norm(cloud.points, axis=1)) <= bound + 1e-9
 
+    @pytest.mark.parametrize("group", ["SO", "O"])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_points_are_the_trace_map_of_the_sampled_frames(self, n, ell, group):
+        rng = np.random.default_rng(100 * n + 10 * ell)
+        a = 3.0 * rng.standard_normal((n, n))
+        mats = [rng.standard_normal((n, n)) for _ in range(ell)]
+        count = 300
+        pts = og.sample_image(LinearMapSpec(tuple(mats)), OrbitSpec(a, group), count,
+                              np.random.default_rng(7)).points
+        rng = np.random.default_rng(7)
+        u = og.haar_rotations(n, count, rng)
+        v = og.haar_rotations(n, count, rng)
+        if group == "O":
+            flip = rng.random(count) < 0.5
+            u[flip, :, -1] *= -1.0
+            v[flip, :, -1] *= -1.0
+        x = u @ a @ v
+        ref = np.stack([np.einsum("ij,sji->s", p, x) for p in mats], axis=1)
+        assert pts.shape == (count, ell)
+        assert np.max(np.abs(pts - ref)) <= 1e-12 * (np.max(np.abs(ref)) + 1.0)
+
     def test_full_group_flips_both_factors(self):
         # det U = det V always; both signs must occur
         rng = np.random.default_rng(4)
