@@ -79,22 +79,36 @@ def argmax_frames(p, a) -> tuple:
     the last diagonal entry. Stacks (..., n, n) broadcast as in max_trace.
     """
     p, a = _require_same_square(p, a, require=require_square_stack)
+    return _aligned_frames(p, a)[1:]
+
+
+def _aligned_frames(p, a) -> tuple:
+    """tr(Sp Sa) and the frames (U, V) of argmax_frames, from one signed SVD each."""
     fp = signed_svd(p)
     fa = signed_svd(a)
-    return fp.v @ np.swapaxes(fa.u, -1, -2), fa.v @ np.swapaxes(fp.u, -1, -2)
+    value = (fp.s[..., None, :] @ fa.s[..., :, None])[..., 0, 0]
+    return value, fp.v @ np.swapaxes(fa.u, -1, -2), fa.v @ np.swapaxes(fp.u, -1, -2)
 
 
-def _givens_rows(x, i, j, c, s):
-    """Rotate rows i, j of every matrix in the stack x (..., n, n) in place.
+def _slab(stack) -> np.ndarray:
+    """A (starts, n, n) stack in slab layout (n, n, starts), start index last."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
-    ``c`` and ``s`` hold one angle's cosine and sine per matrix along the
-    stack's last axis. Columns i, j turn by the same call on
-    ``np.swapaxes(x, -1, -2)`` with ``-s``.
+
+def _turn(x, i, j, c, s):
+    """Givens turn of slabs i, j of x in place: x_i, x_j <- c x_i - s x_j, s x_i + c x_j.
+
+    ``x`` is a slab stack, start index last, so ``x[i]`` is a contiguous
+    (..., starts) block and ``c``, ``s`` (one angle per start) broadcast
+    along it. Rows of an (n, n, ..., starts) stack turn with x itself,
+    columns with the view ``np.swapaxes(x, 0, 1)``.
     """
-    ri = x[..., i, :].copy()
-    rj = x[..., j, :]
-    x[..., i, :] = c[:, None] * ri - s[:, None] * rj
-    x[..., j, :] = s[:, None] * ri + c[:, None] * rj
+    xi, xj = x[i], x[j]
+    t = s * xi
+    xi *= c
+    xi -= s * xj
+    xj *= c
+    xj += t
 
 
 def max_trace_bruteforce(
@@ -104,8 +118,10 @@ def max_trace_bruteforce(
 
     Each Givens angle update is exact (the objective is a sinusoid in one
     angle), alternating sweeps over the left and right factor. All starts are
-    advanced simultaneously with batched array operations; the ascent stops
-    once no start improves by more than ``tol`` in a full sweep.
+    advanced together: W = U A V is kept as a slab stack (n, n, starts) and
+    turned in place, rows on left sweeps and columns on right sweeps, so the
+    factors U and V themselves are never formed again. The ascent stops once
+    no start improves by more than ``tol`` in a full sweep.
     """
     p, a = _require_same_square(p, a)
     rng = ensure_rng(rng)
@@ -114,22 +130,27 @@ def max_trace_bruteforce(
         return float(abs(p[0, 0] * a[0, 0]))
     u = haar_rotations(n, starts, rng)
     v = haar_rotations(n, starts, rng)
+    w = _slab(u @ a @ v)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     vals = None
     for _ in range(max_sweeps):
-        # a left turn moves rows of U and of K = U A V P; a right turn moves
-        # columns of V and of K = P U A V
+        # a left turn moves rows of W and of K = W P; a right turn moves
+        # columns of W and of K = P W, one product on the (n, n * starts) slab
         for right in (False, True):
-            k = (p @ u @ a) @ v if right else u @ (a @ v @ p)
-            turned = (k.transpose(0, 2, 1), v.transpose(0, 2, 1)) if right else (k, u)
+            if right:
+                k = (p @ w.reshape(n, -1)).reshape(w.shape)
+                turned = (np.swapaxes(k, 0, 1), np.swapaxes(w, 0, 1))
+            else:
+                k = np.matmul(p.T, w)
+                turned = (k, w)
             for i, j in pairs:
-                theta = np.arctan2(k[:, i, j] - k[:, j, i], k[:, i, i] + k[:, j, j])
+                theta = np.arctan2(k[i, j] - k[j, i], k[i, i] + k[j, j])
                 c = np.cos(theta)
                 s = -np.sin(theta) if right else np.sin(theta)
                 for x in turned:
-                    _givens_rows(x, i, j, c, s)
-        new_vals = np.einsum("sii->s", k)
+                    _turn(x, i, j, c, s)
+        new_vals = np.trace(k)
         if vals is not None and np.max(new_vals - vals) < tol:
             vals = new_vals
             break
@@ -189,9 +210,11 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
 
     For each direction the rotated coefficient cos(t) P + sin(t) Q is paired
     with A through the closed-form maximum; the touching point evaluates the
-    original map at the maximizing orbit element. All directions go through
-    ``max_trace`` and ``argmax_frames`` as one (grid_size, n, n) stack, with
-    the same values, matrix for matrix, as one call per direction. The region
+    original map at the maximizing orbit element. All directions are factored
+    as one (grid_size, n, n) stack by one signed SVD, which gives both the
+    support value tr(Sp Sa) (the closed form of ``max_trace``, whose signed
+    last product sits on the last entries) and the frames of
+    ``argmax_frames``, matrix for matrix as one call per direction. The region
     polygon comes from consecutive support-line intersections (one batched
     2x2 solve), pruned to feasibility.
     """
@@ -204,8 +227,7 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
     coeff = dirs[:, 0, None, None] * p + dirs[:, 1, None, None] * q
-    values = max_trace(coeff, a)
-    u, v = argmax_frames(coeff, a)
+    values, u, v = _aligned_frames(coeff, a)
     w = u @ a @ v
     touches = np.stack(
         (np.einsum("ij,gji->g", p, w), np.einsum("ij,gji->g", q, w)), axis=1
@@ -649,89 +671,115 @@ def thompson_membership(query: DiagonalHullQuery) -> ThompsonResult:
 # ---------------------------------------------------------------------------
 
 
-# the scan grid of _affine_theta_argmin and the two-harmonic basis on it
+# the scan grid of _affine_theta_argmin, the two-harmonic basis on it, and the
+# grid's angles with their cosines and sines
 _THETA_GRID = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
 _THETA_BASIS = np.stack((
     np.cos(_THETA_GRID), np.sin(_THETA_GRID),
     np.cos(2 * _THETA_GRID), np.sin(2 * _THETA_GRID),
 ))
+_THETA_TABLE = np.vstack((_THETA_GRID, _THETA_BASIS[:2]))
+# p1..p4 as maps of the Gram products g_ab = sum_m x_am x_bm of
+# x = (alpha, bcos, bsin), flattened row-major (g_01 at 1, g_11 at 4, ...)
+_POLY_FROM_GRAM = np.zeros((4, 9))
+_POLY_FROM_GRAM[0, 1] = _POLY_FROM_GRAM[1, 2] = 2.0
+_POLY_FROM_GRAM[2, [4, 8]] = 0.5, -0.5
+_POLY_FROM_GRAM[3, 5] = 1.0
+# the rows of f' and of f'' from p1..p4; f, f' and f'' are each a row dotted
+# with (cos t, sin t, cos 2t, sin 2t)
+_THETA_FROM_GRAM = np.vstack((_POLY_FROM_GRAM, np.array([
+    [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0],
+    [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -4, 0], [0, 0, 0, -4],
+]) @ _POLY_FROM_GRAM))
 
 
-def _affine_theta_argmin(const, bcos, bsin, y):
-    """Angle minimizing sum_m (const_m - y_m + bcos_m cos t + bsin_m sin t)^2.
+def _affine_theta_argmin(x):
+    """Angle minimizing sum_m (alpha_m + bcos_m cos t + bsin_m sin t)^2.
 
-    Expands (up to a constant) to the two-harmonic polynomial
-    p1 cos t + p2 sin t + p3 cos 2t + p4 sin 2t. Every start's coefficients
-    are scanned on a fixed 256-angle grid by one (starts, 4) @ (4, 256)
-    product; the grid minimum is then polished by three Newton steps, each
-    clipped to one grid spacing and taken only where the curvature is
-    positive, and the polished angle is kept only if it is lower.
+    ``x`` stacks (alpha, bcos, bsin) as a (3, ell, starts) array, one column
+    per start. The sum expands (up to a constant) to the two-harmonic
+    polynomial p1 cos t + p2 sin t + p3 cos 2t + p4 sin 2t, whose
+    coefficients, and those of its first two derivatives, are linear in the
+    Gram products of x. Every start's polynomial is scanned on a fixed
+    256-angle grid by one (starts, 4) @ (4, 256) product, which also gives
+    the value at the grid minimum. That minimum is polished by three Newton
+    steps, each clipped to one grid spacing and taken only where the
+    curvature is positive, and the polished angle is kept only if it is
+    lower. Each step, and the final comparison, takes one cosine and sine of
+    the angle; the double-angle terms come from that pair. Returns a
+    (3, starts) array: the angle, its cosine and its sine.
     """
-    alpha = const - y[None, :]
-    p1 = 2.0 * np.sum(alpha * bcos, axis=1)
-    p2 = 2.0 * np.sum(alpha * bsin, axis=1)
-    p3 = 0.5 * np.sum(bcos * bcos - bsin * bsin, axis=1)
-    p4 = np.sum(bcos * bsin, axis=1)
+    starts = x.shape[-1]
+    gram = np.einsum("ams,bms->abs", x, x).reshape(9, starts)
+    poly = (_THETA_FROM_GRAM @ gram).reshape(3, 4, starts)
+    coef, derivs = poly[0], poly[1:]
     spacing = _THETA_GRID[1] - _THETA_GRID[0]
+    fg = coef.T @ _THETA_BASIS
+    grid = np.argmin(fg, axis=1)
+    base = fg[np.arange(starts), grid]
+    at = np.empty((5, starts))  # t, cos t, sin t, cos 2t, sin 2t
+    at[0] = _THETA_GRID[grid]
+    step = np.empty(starts)
 
-    def f(theta):
-        return (
-            p1 * np.cos(theta)
-            + p2 * np.sin(theta)
-            + p3 * np.cos(2 * theta)
-            + p4 * np.sin(2 * theta)
-        )
+    def harmonics():
+        t, c, s, c2, s2 = at
+        np.cos(t, out=c)
+        np.sin(t, out=s)
+        np.subtract(c * c, s * s, out=c2)
+        np.multiply(s, c, out=s2)
+        s2 *= 2.0
+        return at[1:]
 
-    fg = np.stack((p1, p2, p3, p4), axis=1) @ _THETA_BASIS
-    theta = _THETA_GRID[np.argmin(fg, axis=1)]
-    base = f(theta)
-    cand = theta.copy()
     for _ in range(3):
-        fp = (
-            -p1 * np.sin(cand)
-            + p2 * np.cos(cand)
-            - 2 * p3 * np.sin(2 * cand)
-            + 2 * p4 * np.cos(2 * cand)
-        )
-        fpp = (
-            -p1 * np.cos(cand)
-            - p2 * np.sin(cand)
-            - 4 * p3 * np.cos(2 * cand)
-            - 4 * p4 * np.sin(2 * cand)
-        )
-        step = np.where(np.abs(fpp) > 1e-18, fp / np.where(fpp == 0, 1.0, fpp), 0.0)
-        step = np.clip(step, -spacing, spacing)
-        cand = cand - np.where(fpp > 0, step, 0.0)
-    better = f(cand) < base
-    return np.where(better, cand, theta)
+        fp, fpp = np.einsum("dks,ks->ds", derivs, harmonics())
+        step.fill(0.0)
+        np.divide(fp, fpp, out=step, where=fpp > 1e-18)
+        np.maximum(step, -spacing, out=step)
+        np.minimum(step, spacing, out=step)
+        at[0] -= step
+    better = np.einsum("ks,ks->s", coef, harmonics()) < base
+    return np.where(better, at[:3], _THETA_TABLE[:, grid])
 
 
-def _descent_sweep(coord_terms, u, v, y, right: bool) -> np.ndarray:
+def _descent_sweep(coord_terms, u, v, y, right: bool) -> tuple:
     """One coordinate-descent pass over every Givens pair of U, or of V.
 
-    Left turns move rows of U and right turns columns of V, both in place.
-    K[m], stacked as (ell, starts, n, n), puts the turned factor first:
+    U and V are slab stacks (n, n, starts), start index last. Left turns move
+    rows of U and right turns columns of V, both in place. K is a slab stack
+    (n, n, ell, starts) whose slice K[:, :, m] puts the turned factor first:
     coordinate m's U A V P on the left, P U A V on the right, so its trace is
     the coordinate and each turn moves K's rows or columns with the factor.
-    K is built once and returned as the pass leaves it.
+    K is built once; returns it as the pass leaves it, and the coordinates
+    (ell, starts) the pass started from.
     """
-    ell, (starts, n, _) = len(coord_terms), u.shape
-    k = np.zeros((ell, starts, n, n))
+    n, starts = u.shape[0], u.shape[-1]
+    k = np.zeros((n, n, len(coord_terms), starts))
     for m, terms in enumerate(coord_terms):
         for coef, pm, am in terms:
-            k[m] += coef * (((pm @ u) @ am) @ v if right else u @ ((am @ v) @ pm))
-    turned = (np.swapaxes(k, -1, -2), v.transpose(0, 2, 1)) if right else (k, u)
+            if right:
+                # ((P U) A) V
+                pua = np.matmul(am.T, (pm @ u.reshape(n, -1)).reshape(u.shape))
+                k[:, :, m] += coef * np.einsum("ils,ljs->ijs", pua, v)
+            else:
+                # U ((A V) P)
+                avp = np.matmul(pm.T, (am @ v.reshape(n, -1)).reshape(v.shape))
+                k[:, :, m] += coef * np.einsum("ils,ljs->ijs", u, avp)
+    turned = (np.swapaxes(k, 0, 1), np.swapaxes(v, 0, 1)) if right else (k, u)
+    before = np.trace(k)
+    affine = np.empty((3, len(coord_terms), starts))
+    alpha, bcos, bsin = affine
     for i in range(n):
         for j in range(i + 1, n):
-            bcos = (k[:, :, i, i] + k[:, :, j, j]).T
-            bsin = (k[:, :, i, j] - k[:, :, j, i]).T
-            const = np.einsum("msii->sm", k) - bcos
-            theta = _affine_theta_argmin(const, bcos, bsin, y)
-            c = np.cos(theta)
-            s = -np.sin(theta) if right else np.sin(theta)
+            np.add(k[i, i], k[j, j], out=bcos)
+            np.subtract(k[i, j], k[j, i], out=bsin)
+            np.subtract(np.trace(k), bcos, out=alpha)
+            alpha -= y[:, None]
+            _, c, s = _affine_theta_argmin(affine)
+            if right:
+                s = -s
             for x in turned:
-                _givens_rows(x, i, j, c, s)
-    return k
+                _turn(x, i, j, c, s)
+    return k, before
 
 
 def _closest_image_distance(
@@ -742,34 +790,27 @@ def _closest_image_distance(
     ``coord_terms[m]`` lists (coef, P, A) triples with coordinate m evaluating
     to sum coef * tr(P U A V) (V fixed to identity when one-sided). Since each
     coordinate is affine in the sine and cosine of any single Givens angle,
-    every coordinate update is a two-harmonic minimization.
+    every coordinate update is a two-harmonic minimization. The coordinates
+    are read as the traces of the K stack that each sweep turns in place.
     """
     rng = ensure_rng(rng)
     y = np.asarray(y, dtype=float)
-    u = haar_rotations(n, starts, rng)
-    v = haar_rotations(n, starts, rng) if two_sided else np.broadcast_to(
-        np.eye(n), (starts, n, n)
+    u = _slab(haar_rotations(n, starts, rng))
+    v = _slab(haar_rotations(n, starts, rng)) if two_sided else np.broadcast_to(
+        np.eye(n)[:, :, None], (n, n, starts)
     ).copy()
-    ell = len(coord_terms)
 
-    def coords(u, v):
-        out = np.empty((u.shape[0], ell))
-        for m, terms in enumerate(coord_terms):
-            acc = np.zeros(u.shape[0])
-            for coef, pm, am in terms:
-                acc += coef * np.einsum("sii->s", (pm @ u @ am) @ v)
-            out[:, m] = acc
-        return out
+    def objective(coords):
+        diff = coords - y[:, None]
+        return np.sum(diff * diff, axis=0)
 
-    def objective(u, v):
-        diff = coords(u, v) - y[None, :]
-        return np.sum(diff * diff, axis=1)
-
-    prev = objective(u, v)
+    prev = None
     for _ in range(max_sweeps):
         for right in (False, True) if two_sided else (False,):
-            _descent_sweep(coord_terms, u, v, y, right)
-        cur = objective(u, v)
+            k, before = _descent_sweep(coord_terms, u, v, y, right)
+            if prev is None:
+                prev = objective(before)
+        cur = objective(np.trace(k))
         if np.max(prev - cur) < tol:
             prev = cur
             break

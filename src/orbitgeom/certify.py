@@ -28,8 +28,6 @@ from .ellipsoids import (
     _ellipse_eu,
     _ellipse_radial_along,
     _ellipsoid_euv,
-    ellipse_eu,
-    ellipsoid_euv,
     degenerate_u0,
     degenerate_uv,
     membership,
@@ -236,15 +234,18 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
             start = require_rotation(start_frame[-1], "start frame")
         else:
             start = require_rotation(start_frame, "start frame")
+        if start.shape[0] != n:
+            raise DimensionError(f"start frame is {start.shape}, expected {(n, n)}")
+        # P and Q are validated once, above; a checked curve re-checks its frame
         p, q = mats
-        start_curve = ellipse_eu(p, q, start)
+        start_curve = _ellipse_eu(p, q, start)
 
         def family():
             path = geodesic(start, degenerate_u0(p, q), rng=rng)
 
             def curve_at(s, checked=False):
-                build = ellipse_eu if checked else _ellipse_eu
-                return build(p, q, path(s))
+                u = path(s)
+                return _ellipse_eu(p, q, require_rotation(u, "U") if checked else u)
 
             # a trial costs microseconds, so its search runs on to the
             # radial's roundoff floor (one ulp of 1): the witness misses y by
@@ -262,7 +263,11 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
         us, vs = start_frame
         us = require_rotation(us, "start frame U")
         vs = require_rotation(vs, "start frame V")
-        start_curve = ellipsoid_euv(mats, us, vs)
+        if us.shape[0] != n or vs.shape[0] != n:
+            raise DimensionError(
+                f"start frames must be {n}x{n}: U is {us.shape}, V is {vs.shape}"
+            )
+        start_curve = _ellipsoid_euv(mats, us, vs)
 
         def family():
             ud, vd = degenerate_uv(mats[0])
@@ -270,8 +275,10 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
             path_v = geodesic(vs, vd, rng=rng)
 
             def curve_at(s, checked=False):
-                build = ellipsoid_euv if checked else _ellipsoid_euv
-                return build(mats, path_u(s), path_v(s))
+                u, v = path_u(s), path_v(s)
+                if checked:
+                    u, v = require_rotation(u, "U"), require_rotation(v, "V")
+                return _ellipsoid_euv(mats, u, v)
 
             # the trial is the checked curve's own projection, an SVD each
             return (curve_at, lambda s: surface_projection(curve_at(s), y)[0],

@@ -33,6 +33,16 @@ class TestMaxTrace:
             oracle = og.max_trace_bruteforce(p, a, starts=500, rng=np.random.default_rng(k))
             assert abs(og.max_trace(p, a) - oracle) <= 1e-6
 
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("det_sign", [1.0, -1.0])
+    def test_against_bruteforce_other_sizes(self, n, det_sign):
+        rng = np.random.default_rng(10 * n + (det_sign > 0))
+        p, a = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        if np.linalg.det(a) * np.linalg.det(p) * det_sign < 0:
+            a[0] *= -1.0
+        oracle = og.max_trace_bruteforce(p, a, starts=500, rng=np.random.default_rng(n))
+        assert abs(og.max_trace(p, a) - oracle) <= 1e-6
+
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(1)
         p, a = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
@@ -97,14 +107,15 @@ class TestArgmaxFrames:
 
 
 def _support_boundary_per_direction(p, q, a, grid_size):
-    """Loop form of support_boundary: one 2-D max_trace/argmax_frames call per direction."""
+    """Loop form of support_boundary: one signed SVD and argmax_frames call per direction."""
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
     values = np.empty(grid_size)
     touches = np.empty((grid_size, 2))
     for k, (c, s) in enumerate(dirs):
         coeff = c * p + s * q
-        values[k] = og.max_trace(coeff, a)
+        # tr(Sp Sa): the closed form of max_trace, signed last product included
+        values[k] = og.signed_svd(coeff).s @ og.signed_svd(a).s
         u, v = og.argmax_frames(coeff, a)
         w = u @ a @ v
         touches[k] = (np.einsum("ij,ji->", p, w), np.einsum("ij,ji->", q, w))
@@ -138,6 +149,24 @@ class TestSupportBoundary:
             assert np.array_equal(region.values, values)
             assert np.array_equal(region.touches, touches)
             assert np.array_equal(region.vertices, vertices)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["positive", "negative", "singular"])
+    def test_values_equal_max_trace(self, n, kind):
+        # the support values come from the signed SVDs that give the frames
+        rng = np.random.default_rng(90 + n)
+        p, q = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        a = np.diag(rng.uniform(0.5, 2.0, n))
+        if kind == "negative":
+            a[-1, -1] *= -1.0
+        elif kind == "singular":
+            a[-1, -1] = 0.0
+        a = og.haar_rotation(n, rng) @ a @ og.haar_rotation(n, rng)
+        region = og.support_boundary(p, q, a, 360)
+        coeff = region.directions[:, 0, None, None] * p + region.directions[:, 1, None, None] * q
+        expected = og.max_trace(coeff, a)
+        scale = np.max(np.abs(region.values)) + 1.0
+        assert np.max(np.abs(region.values - expected)) <= 1e-12 * scale
 
     def test_diameter_is_largest_vertex_distance(self):
         rng = np.random.default_rng(23)
@@ -481,12 +510,34 @@ class TestOracleKernels:
             bcos, bsin = radius * q[:, :, 0], radius * q[:, :, 1]
         elif case == "zero":
             bcos, bsin = np.zeros((starts, ell)), np.zeros((starts, ell))
-        theta = bd._affine_theta_argmin(const, bcos, bsin, y)
+        theta, c, s = bd._affine_theta_argmin(np.stack(((const - y).T, bcos.T, bsin.T)))
+        assert np.max(np.abs(c - np.cos(theta))) <= 1e-15
+        assert np.max(np.abs(s - np.sin(theta))) <= 1e-15
         dense = np.linspace(0.0, 2.0 * np.pi, 100_000, endpoint=False)
         for k in range(starts):
             args = (const[k], bcos[k], bsin[k], y)
             best = _two_harmonic_objective(*args, np.array([theta[k]]))[0]
             assert best <= np.min(_two_harmonic_objective(*args, dense)) + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_slab_turn_is_a_givens_product(self, n):
+        rng = np.random.default_rng(42 + n)
+        starts = 7
+        x = rng.standard_normal((n, n, starts))
+        theta = rng.uniform(-np.pi, np.pi, starts)
+        c, s = np.cos(theta), np.sin(theta)
+        for i, j in itertools.combinations(range(n), 2):
+            g = np.broadcast_to(np.eye(n), (starts, n, n)).copy()
+            g[:, i, i], g[:, i, j], g[:, j, i], g[:, j, j] = c, -s, s, c
+            stack = np.moveaxis(x, -1, 0)
+            rows = x.copy()
+            bd._turn(rows, i, j, c, s)
+            assert np.max(np.abs(np.moveaxis(rows, -1, 0) - g @ stack)) <= 1e-15
+            # columns turn on the transposed view, by the same rotation
+            cols = x.copy()
+            bd._turn(np.swapaxes(cols, 0, 1), i, j, c, s)
+            gt = np.swapaxes(g, -1, -2)
+            assert np.max(np.abs(np.moveaxis(cols, -1, 0) - stack @ gt)) <= 1e-15
 
     def test_in_place_k_matches_rebuilt(self):
         rng = np.random.default_rng(41)
@@ -497,20 +548,118 @@ class TestOracleKernels:
             [(2.0, rng.standard_normal((n, n)), rng.standard_normal((n, n)))],
         ]
         y = rng.standard_normal(2)
-        u, v = og.haar_rotations(n, starts, rng), og.haar_rotations(n, starts, rng)
+        u = bd._slab(og.haar_rotations(n, starts, rng))
+        v = bd._slab(og.haar_rotations(n, starts, rng))
 
         def rebuilt(order):
+            # K[:, :, m] from the turned factors, back in slab layout
+            us, vs = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
             return np.stack([
-                sum(coef * order(pm, am) for coef, pm, am in terms) for terms in coord_terms
-            ])
+                bd._slab(sum(coef * order(us, pm, am, vs) for coef, pm, am in terms))
+                for terms in coord_terms
+            ], axis=2)
 
-        k_left = bd._descent_sweep(coord_terms, u, v, y, right=False)
-        assert np.max(np.abs(k_left - rebuilt(lambda pm, am: u @ am @ v @ pm))) <= 1e-12
-        k_right = bd._descent_sweep(coord_terms, u, v, y, right=True)
-        assert np.max(np.abs(k_right - rebuilt(lambda pm, am: pm @ u @ am @ v))) <= 1e-12
+        def left(us, pm, am, vs):
+            return us @ am @ vs @ pm
+
+        def right(us, pm, am, vs):
+            return pm @ us @ am @ vs
+
+        def coords(k):
+            return np.einsum("iims->ms", k)
+
+        # each pass also reports the coordinates it started from
+        start = coords(rebuilt(left))
+        k_left, before = bd._descent_sweep(coord_terms, u, v, y, right=False)
+        assert np.max(np.abs(before - start)) <= 1e-12
+        assert np.max(np.abs(k_left - rebuilt(left))) <= 1e-12
+        k_right, before = bd._descent_sweep(coord_terms, u, v, y, right=True)
+        assert np.max(np.abs(before - coords(k_left))) <= 1e-12
+        assert np.max(np.abs(k_right - rebuilt(right))) <= 1e-12
+
+
+def _reference_closest_image_distance(coord_terms, n, y, starts, rng, two_sided,
+                                      tol=1e-9, max_sweeps=200):
+    """Stack-layout loop form of the multistart descent: (starts, n, n) factors,
+    K rebuilt from U and V for every sweep, every trigonometric term evaluated
+    directly and the coordinates recomputed from U and V."""
+    grid = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
+    spacing = grid[1] - grid[0]
+
+    def argmin(const, bcos, bsin):
+        alpha = const - y[None, :]
+        p1 = 2.0 * np.sum(alpha * bcos, axis=1)
+        p2 = 2.0 * np.sum(alpha * bsin, axis=1)
+        p3 = 0.5 * np.sum(bcos * bcos - bsin * bsin, axis=1)
+        p4 = np.sum(bcos * bsin, axis=1)
+
+        def f(t):
+            return p1 * np.cos(t) + p2 * np.sin(t) + p3 * np.cos(2 * t) + p4 * np.sin(2 * t)
+
+        theta = grid[np.argmin(f(grid[:, None]), axis=0)]
+        cand = theta.copy()
+        for _ in range(3):
+            fp = (-p1 * np.sin(cand) + p2 * np.cos(cand)
+                  - 2 * p3 * np.sin(2 * cand) + 2 * p4 * np.cos(2 * cand))
+            fpp = (-p1 * np.cos(cand) - p2 * np.sin(cand)
+                   - 4 * p3 * np.cos(2 * cand) - 4 * p4 * np.sin(2 * cand))
+            step = np.where(np.abs(fpp) > 1e-18, fp / np.where(fpp == 0, 1.0, fpp), 0.0)
+            cand = cand - np.where(fpp > 0, np.clip(step, -spacing, spacing), 0.0)
+        return np.where(f(cand) < f(theta), cand, theta)
+
+    def turn_rows(x, i, j, c, s):
+        ri, rj = x[..., i, :].copy(), x[..., j, :].copy()
+        x[..., i, :] = c[:, None] * ri - s[:, None] * rj
+        x[..., j, :] = s[:, None] * ri + c[:, None] * rj
+
+    def coords(u, v):
+        return np.stack([
+            sum(coef * np.einsum("sii->s", pm @ u @ am @ v) for coef, pm, am in terms)
+            for terms in coord_terms
+        ], axis=1)
+
+    u = og.haar_rotations(n, starts, rng)
+    v = og.haar_rotations(n, starts, rng) if two_sided else np.tile(np.eye(n), (starts, 1, 1))
+    prev = np.sum((coords(u, v) - y) ** 2, axis=1)
+    for _ in range(max_sweeps):
+        for right in (False, True) if two_sided else (False,):
+            k = np.stack([
+                sum(coef * (pm @ u @ am @ v if right else u @ am @ v @ pm)
+                    for coef, pm, am in terms)
+                for terms in coord_terms
+            ])
+            turned = (np.swapaxes(k, -1, -2), np.swapaxes(v, -1, -2)) if right else (k, u)
+            for i, j in itertools.combinations(range(n), 2):
+                bcos = (k[:, :, i, i] + k[:, :, j, j]).T
+                bsin = (k[:, :, i, j] - k[:, :, j, i]).T
+                theta = argmin(np.einsum("msii->sm", k) - bcos, bcos, bsin)
+                sin = -np.sin(theta) if right else np.sin(theta)
+                for x in turned:
+                    turn_rows(x, i, j, np.cos(theta), sin)
+        cur = np.sum((coords(u, v) - y) ** 2, axis=1)
+        done = np.max(prev - cur) < tol
+        prev = cur
+        if done:
+            break
+    return float(np.sqrt(np.min(prev)))
 
 
 class TestCounterexamples:
+    @pytest.mark.parametrize("kind, n", [("ell3", 2), ("ell3", 3), ("ell3", 4), ("joint", 3)])
+    def test_distance_matches_stack_reference(self, kind, n, monkeypatch):
+        # the slab-layout descent moves the seeded distances only at roundoff
+        for seed in (0, 1, 2):
+            rep = og.counterexample_report(kind, n=n, ell=3 if kind == "ell3" else 2,
+                                           rng=np.random.default_rng(seed), starts=128)
+            monkeypatch.setattr(bd, "_closest_image_distance",
+                                _reference_closest_image_distance)
+            ref = og.counterexample_report(kind, n=n, ell=3 if kind == "ell3" else 2,
+                                           rng=np.random.default_rng(seed), starts=128)
+            monkeypatch.undo()
+            assert rep["passed"] and ref["passed"]
+            assert abs(rep["midpoint_distance_estimate"]
+                       - ref["midpoint_distance_estimate"]) <= 1e-10
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_planar_endpoints(self, n):
         rep = og.counterexample_report("ell3", n=n, rng=np.random.default_rng(16), starts=32)

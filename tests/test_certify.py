@@ -110,6 +110,15 @@ class TestHomotopyRealize:
         with pytest.raises(og.DimensionError):
             og.homotopy_realize([np.eye(2), np.eye(2)], [0.0, 0.0], np.eye(2))
 
+    def test_start_frame_of_another_size_rejected(self):
+        rng = np.random.default_rng(7)
+        planar = [rng.standard_normal((3, 3)) for _ in range(2)]
+        with pytest.raises(og.DimensionError):
+            og.homotopy_realize(planar, [0.0, 0.0], np.eye(4))
+        spatial = [rng.standard_normal((4, 4)) for _ in range(3)]
+        with pytest.raises(og.DimensionError):
+            og.homotopy_realize(spatial, [0.0, 0.0, 0.0], (np.eye(4), np.eye(3)))
+
 
 class TestCertifyRowScaled:
     def test_inclusion_property(self):
