@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.spatial
 
 from .config import tolerances
@@ -164,14 +163,6 @@ def max_trace_bruteforce(
 
 
 @dataclass(frozen=True)
-class SupportSample:
-    theta: float
-    direction: np.ndarray
-    value: float
-    touch: np.ndarray
-
-
-@dataclass(frozen=True)
 class SupportRegion:
     """Support values on a direction grid and the half-plane intersection polygon."""
 
@@ -180,13 +171,6 @@ class SupportRegion:
     values: np.ndarray         # (g,)
     touches: np.ndarray        # (g, 2)
     vertices: np.ndarray       # (m, 2) polygon of the half-plane intersection
-
-    @property
-    def samples(self) -> list:
-        return [
-            SupportSample(float(t), d.copy(), float(r), x.copy())
-            for t, d, r, x in zip(self.thetas, self.directions, self.values, self.touches)
-        ]
 
     def violation(self, points) -> float:
         """Largest amount by which any point leaves any half-plane."""
@@ -567,6 +551,8 @@ class ThompsonResult:
 
     @functools.cached_property
     def weights(self) -> np.ndarray | None:
+        import scipy.optimize  # the LP's solver, loaded on first use only
+
         if not self.member:
             return None
         verts = self.vertices

@@ -196,17 +196,18 @@ def _solve_on_family(start_curve, family, y):
     return angles, s, iterations, curve
 
 
-def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
+def homotopy_realize(m_list, y, start_frame) -> Certificate:
     """Witness rotation X with (tr(M_1 X), ..., tr(M_ell X)) equal to y.
 
     The target must lie inside or on the swept curve at the starting frame.
-    Planar maps (two matrices, size >= 3) move a single frame toward the
-    rank-killing frame of the pair; for ell >= 3 the matrices have the minimal
-    block size 2^(ell-1) and both frames of the centered ellipsoid travel to
-    the pair produced by the diagonal quarter-turn construction. The
-    degenerate frames and the paths are built only for a target strictly
-    inside the starting curve. Planar trial points are evaluated in
-    coefficient form (``_ellipse_radial_along``).
+    Planar maps (two matrices, size >= 3) take one rotation as
+    ``start_frame`` and move it toward the rank-killing frame of the pair; for
+    ell >= 3 the matrices have the minimal block size 2^(ell-1),
+    ``start_frame`` is the pair (U, V), and both frames of the centered
+    ellipsoid travel to the pair produced by the diagonal quarter-turn
+    construction. The degenerate frames and the paths (``geodesic``) are
+    built only for a target strictly inside the starting curve. Planar trial
+    points are evaluated in coefficient form (``_ellipse_radial_along``).
     """
     mats = [require_square(m, f"M[{i}]") for i, m in enumerate(m_list)]
     ell = len(mats)
@@ -224,16 +225,7 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
             raise DimensionError(
                 "planar homotopy needs size >= 3; no degenerate frame exists at size 2"
             )
-        if isinstance(start_frame, tuple):
-            left = require_rotation(start_frame[0], "start frame (left)")
-            if np.max(np.abs(left - np.eye(n))) > tolerances.matrix_residual:
-                raise ValueError(
-                    "the planar family moves a single right frame; pass the "
-                    "rotation alone or pair it with the identity on the left"
-                )
-            start = require_rotation(start_frame[-1], "start frame")
-        else:
-            start = require_rotation(start_frame, "start frame")
+        start = require_rotation(start_frame, "start frame")
         if start.shape[0] != n:
             raise DimensionError(f"start frame is {start.shape}, expected {(n, n)}")
         # P and Q are validated once, above; a checked curve re-checks its frame
@@ -241,7 +233,7 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
         start_curve = _ellipse_eu(p, q, start)
 
         def family():
-            path = geodesic(start, degenerate_u0(p, q), rng=rng)
+            path = geodesic(start, degenerate_u0(p, q))
 
             def curve_at(s, checked=False):
                 u = path(s)
@@ -271,8 +263,8 @@ def homotopy_realize(m_list, y, start_frame, rng=None) -> Certificate:
 
         def family():
             ud, vd = degenerate_uv(mats[0])
-            path_u = geodesic(us, ud, rng=rng)
-            path_v = geodesic(vs, vd, rng=rng)
+            path_u = geodesic(us, ud)
+            path_v = geodesic(vs, vd)
 
             def curve_at(s, checked=False):
                 u, v = path_u(s), path_v(s)
@@ -312,7 +304,36 @@ def _front_permutation(n: int, rows) -> np.ndarray:
     return np.array(list(rows) + rest)
 
 
-def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1), rng=None) -> Certificate:
+def _scaled_rows_step(mats, w, rows, eps):
+    """One homotopy realizing the point of frame w with ``rows`` scaled by eps.
+
+    Returns (witness, target, trace step). The rows are permuted to the front,
+    a conjugation that preserves traces and keeps the frame a rotation. Two
+    matrices scale the two leading rows and run the planar homotopy from w;
+    more matrices run the block homotopy on their leading block, whose
+    witness turns the leading columns of w. The witness is permuted back.
+    """
+    perm = _front_permutation(w.shape[0], rows)
+    inv = np.argsort(perm)
+    front = [m[perm][:, perm] for m in mats]
+    wp = w[perm][:, perm]
+    if len(mats) == 2:
+        scaled = [m.copy() for m in front]
+        for m in scaled:
+            m[:2, :] *= eps
+        target = np.array([np.einsum("ij,ji->", m, wp) for m in scaled])
+        cert = homotopy_realize(front, target, wp)
+        wp = cert.witness[0]
+    else:
+        block = len(rows)
+        b_list = [m[:block, :] @ wp[:, :block] for m in front]
+        target = eps * np.array([np.trace(b) for b in b_list])
+        cert = homotopy_realize(b_list, target, (np.eye(block), np.eye(block)))
+        wp = wp @ scipy.linalg.block_diag(cert.witness[0], np.eye(w.shape[0] - block))
+    return wp[inv][:, inv], target, {"rows": list(rows), **cert.trace[0]}
+
+
+def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1)) -> Certificate:
     """Realize the point whose designated two rows are scaled by eps in [0, 1].
 
     The scaled point sits inside or on the row-pair ellipse at the current
@@ -325,17 +346,7 @@ def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1), rng=None) -> Cert
     frame = require_rotation(frame, "frame")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
-    n = m1.shape[0]
-    perm = _front_permutation(n, rows)
-    inv = np.argsort(perm)
-    mats = [m[perm][:, perm] for m in (m1, m2)]
-    w = frame[perm][:, perm]
-    scaled = [m.copy() for m in mats]
-    for m in scaled:
-        m[:2, :] *= eps
-    target = np.array([np.einsum("ij,ji->", m, w) for m in scaled])
-    cert = homotopy_realize(mats, target, w, rng=rng)
-    witness = cert.witness[0][inv][:, inv]
+    witness, target, step = _scaled_rows_step((m1, m2), frame, rows, eps)
     achieved = np.array(
         [np.einsum("ij,ji->", m, witness) for m in (m1, m2)]
     )
@@ -344,19 +355,21 @@ def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1), rng=None) -> Cert
         witness=(witness,),
         achieved=achieved,
         residual=float(np.linalg.norm(achieved - target)),
-        trace=[{"rows": list(rows), **cert.trace[0]}],
+        trace=[step],
     )
 
 
-def certify_scaled_point(lmap, a, u, v, alpha: float, rng=None) -> Certificate:
+def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     """Certificate that alpha times the image point of (U, V) stays in the image.
 
     Decomposes the scaling over all row subsets of the block size (2 for
     planar maps, 2^(ell-1) otherwise) in lexicographic order. Each row belongs
     to C(n-1, block-1) subsets, so eps is the corresponding root of alpha and
-    each subset step realizes one eps-row-scaled point via a single homotopy,
-    composing witnesses right-to-left. Raises ``NumericalError`` when a step's
-    or the composed certificate's residual exceeds ``certificate_residual``.
+    each subset step realizes one eps-row-scaled point via a single homotopy
+    (``_scaled_rows_step``), composing witnesses right-to-left: the step of a
+    subset sees each row scaled by eps once per earlier subset holding it.
+    Raises ``NumericalError`` when a step's or the composed certificate's
+    residual exceeds ``certificate_residual``.
     """
     lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
     a = require_square(a, "A")
@@ -382,45 +395,20 @@ def certify_scaled_point(lmap, a, u, v, alpha: float, rng=None) -> Certificate:
         raise PreconditionError("need at least two map coordinates")
 
     mats = [(p @ u) @ a for p in lmap.mats]
-    subsets = list(itertools.combinations(range(n), block))
     exponent = comb(n - 1, block - 1)
     eps = float(alpha) ** (1.0 / exponent) if alpha > 0.0 else 0.0
     target = alpha * apply_map(lmap, (u @ a) @ v)
 
-    counts = np.zeros((len(subsets) + 1, n), dtype=int)
-    for t, rows in enumerate(subsets):
-        counts[t + 1] = counts[t]
-        counts[t + 1, list(rows)] += 1
-
-    w = v.copy()
+    # every row lies in `exponent` subsets; walking them in reverse, a row's
+    # count drops to the number of subsets before the current one holding it
+    count = np.full(n, exponent)
+    w = v
     steps = []
-    for t in reversed(range(len(subsets))):
-        rows = subsets[t]
-        rowscale = eps ** counts[t].astype(float)
-        scaled_mats = [rowscale[:, None] * m for m in mats]
-        perm = _front_permutation(n, rows)
-        inv = np.argsort(perm)
-        nmats = [m[perm][:, perm] for m in scaled_mats]
-        wt = w[perm][:, perm]
-        if ell == 2:
-            step_scaled = [m.copy() for m in nmats]
-            for m in step_scaled:
-                m[:block, :] *= eps
-            step_target = np.array(
-                [np.einsum("ij,ji->", m, wt) for m in step_scaled]
-            )
-            cert = homotopy_realize(nmats, step_target, wt, rng=rng)
-            wt = cert.witness[0]
-        else:
-            b_list = [m[:block, :] @ wt[:, :block] for m in nmats]
-            tb = np.array([np.trace(b) for b in b_list])
-            cert = homotopy_realize(
-                b_list, eps * tb, (np.eye(block), np.eye(block)), rng=rng
-            )
-            x = cert.witness[0]
-            wt = wt @ scipy.linalg.block_diag(x, np.eye(n - block))
-        w = wt[inv][:, inv]
-        steps.append({"rows": list(rows), **cert.trace[0]})
+    for rows in reversed(list(itertools.combinations(range(n), block))):
+        count[list(rows)] -= 1
+        rowscale = eps ** count.astype(float)
+        w, _, step = _scaled_rows_step([rowscale[:, None] * m for m in mats], w, rows, eps)
+        steps.append(step)
 
     achieved = apply_map(lmap, (u @ a) @ w)
     residual = float(np.linalg.norm(achieved - target))
@@ -440,34 +428,37 @@ def certify_scaled_point(lmap, a, u, v, alpha: float, rng=None) -> Certificate:
 
 
 def _one_target(make_cert, idx, alpha_grid) -> list:
+    """Target idx's results, one per alpha; ``make_cert(idx)`` runs once."""
     certs = make_cert(idx)
     out = []
     for alpha in alpha_grid:
+        residual, iterations, error = float("nan"), 0, None
         try:
             cert = certs(alpha)
-            out.append(
-                StarTargetResult(
-                    index=idx,
-                    alpha=float(alpha),
-                    residual=cert.residual,
-                    ok=cert.residual <= tolerances.certificate_residual,
-                    iterations=sum(s.get("iterations", 0) for s in cert.trace),
-                )
-            )
+            residual = cert.residual
+            iterations = sum(s.get("iterations", 0) for s in cert.trace)
         except (NumericalError, PreconditionError) as exc:
-            out.append(
-                StarTargetResult(
-                    index=idx,
-                    alpha=float(alpha),
-                    residual=float("nan"),
-                    ok=False,
-                    error=str(exc),
-                )
-            )
+            error = str(exc)
+        out.append(StarTargetResult(
+            index=idx,
+            alpha=alpha,
+            residual=residual,
+            ok=residual <= tolerances.certificate_residual,
+            iterations=iterations,
+            error=error,
+        ))
     return out
 
 
 def _run_targets(make_cert, num_targets, alpha_grid, config) -> StarReport:
+    """The batch driver: every target at every alpha, failures recorded.
+
+    ``make_cert(idx)`` returns target idx's map alpha -> Certificate. The
+    report's config is ``config`` plus the batch's size, grid and tolerances.
+    """
+    alpha_grid = [float(x) for x in alpha_grid]
+    config = {**config, "num_targets": num_targets, "alpha_grid": alpha_grid,
+              "tolerances": tolerances.as_dict()}
     results = [r for i in range(num_targets) for r in _one_target(make_cert, i, alpha_grid)]
     return StarReport(results=results, config=config)
 
@@ -483,15 +474,8 @@ def star_check(lmap, orbit: OrbitSpec, num_targets: int, alpha_grid, rng) -> Sta
         u, v = frames[idx]
         return lambda alpha: certify_scaled_point(lmap, orbit.a, u, v, alpha)
 
-    config = {
-        "kind": "single",
-        "n": n,
-        "ell": lmap.ell,
-        "num_targets": num_targets,
-        "alpha_grid": [float(a) for a in alpha_grid],
-        "tolerances": tolerances.as_dict(),
-    }
-    return _run_targets(make_cert, num_targets, list(alpha_grid), config)
+    config = {"kind": "single", "n": n, "ell": lmap.ell}
+    return _run_targets(make_cert, num_targets, alpha_grid, config)
 
 
 def star_check_joint(
@@ -534,13 +518,5 @@ def star_check_joint(
         )
         return lambda alpha: certify_scaled_point(frozen, identity, identity, v, alpha)
 
-    config = {
-        "kind": "joint-O3",
-        "n": n,
-        "m": joint.m,
-        "ell": len(rows),
-        "num_targets": num_targets,
-        "alpha_grid": [float(a) for a in alpha_grid],
-        "tolerances": tolerances.as_dict(),
-    }
-    return _run_targets(make_cert, num_targets, list(alpha_grid), config)
+    config = {"kind": "joint-O3", "n": n, "m": joint.m, "ell": len(rows)}
+    return _run_targets(make_cert, num_targets, alpha_grid, config)

@@ -18,8 +18,8 @@ from . import certify as cf
 from . import ellipsoids as el
 from . import serialize as ser
 from .config import tolerances
-from .linalg import DimensionError, PreconditionError
-from .orbits import JointOrbitSpec, OrbitSpec, sample_image
+from .linalg import DimensionError, PreconditionError, haar_rotation
+from .orbits import JointOrbitSpec, OrbitSpec, reduce_joint, sample_image
 from .svgplot import render_svg
 
 
@@ -154,17 +154,14 @@ def _cmd_certify(args):
         alpha = vals[0]
     if alpha is None:
         raise InputError("certify needs 'alpha' in the input or --alpha")
+    seed_used = args.seed
     if "U" in obj and "V" in obj:
         u = _get_matrix(obj, "U", args.input)
         v = _get_matrix(obj, "V", args.input)
-        seed_used = args.seed
     else:
         rng = _require_seed(args)
-        from .linalg import haar_rotation
-
         u = haar_rotation(a.shape[0], rng)
         v = haar_rotation(a.shape[0], rng)
-        seed_used = args.seed
     try:
         cert = cf.certify_scaled_point(lmap, a, u, v, float(alpha))
     except (cf.NumericalError, PreconditionError) as exc:
@@ -348,8 +345,6 @@ def _cmd_joint(args):
     payload = report.to_json()
     payload["seed"] = args.seed
     if kind in ("O1", "O2"):
-        from .orbits import reduce_joint
-
         payload["reduced_map"] = ser.map_to_json(reduce_joint(rows, a_list, kind))
     _json_out(args, payload)
     return 0 if not report.failures else 1

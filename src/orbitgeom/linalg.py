@@ -11,7 +11,7 @@ geodesic paths, and orthonormal completion to a full rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -203,78 +203,44 @@ def _log_rotation_schur(r: np.ndarray):
     return z, i, np.arctan2(im, re)
 
 
-def _skew_from_schur(z, i, theta) -> np.ndarray:
-    log_t = np.zeros((z.shape[0], z.shape[0]))
-    log_t[i + 1, i] = theta
-    log_t[i, i + 1] = -theta
-    k = (z @ log_t) @ z.T
-    return (k - k.T) / 2.0
-
-
-def _principal_log_rotation(r: np.ndarray) -> np.ndarray | None:
-    """Skew-symmetric principal logarithm of a rotation, or None near eigenvalue -1.
-
-    Read in closed form from the real Schur form (``_log_rotation_schur``).
-    """
-    factors = _log_rotation_schur(r)
-    return None if factors is None else _skew_from_schur(*factors)
-
-
 @dataclass(frozen=True)
 class RotationPath:
-    """Continuous path of rotations on [0, 1].
+    """Continuous path of rotations on [0, 1], in per-segment real Schur factors.
 
-    Each segment turns ``base`` by the one-parameter subgroup of its skew
-    generator K over its subinterval; a single-segment path is the geodesic
-    from ``start`` with generator K. Each generator's real Schur form
-    ``K = Z T Z^T`` is factored once: T holds 2x2 blocks
-    ``theta_k [[0, -1], [1, 0]]``, so the point at local time t is
-    ``(base Z) blockdiag(rot(t theta_k)) Z^T``, a few cosines and sines and
-    two small products. ``schur`` optionally supplies each segment's
-    ``(Z, i, theta)`` (block rows i, angles theta), for a caller that already
-    has them; otherwise the generators are factored at construction.
+    Each segment ``(base Z, Z^T, i, theta, s_lo, s_hi)`` turns its base frame
+    along the one-parameter subgroup of the skew generator ``Z T Z^T``, where T
+    holds the 2x2 blocks ``theta_k [[0, -1], [1, 0]]`` at rows
+    ``(i_k, i_k + 1)``. At local time t in [0, 1] of its subinterval the path
+    is ``(base Z) blockdiag(rot(t theta_k)) Z^T``: a few cosines and sines and
+    two small products. A single-segment path is the geodesic from its base.
     """
 
-    segments: tuple  # of (base, generator, s_lo, s_hi)
-    schur: tuple | None = field(default=None, repr=False, compare=False)
-    _factors: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        schur = self.schur
-        if schur is None:
-            schur = []
-            for _, gen, _, _ in self.segments:
-                t, z = scipy.linalg.schur(gen, output="real")
-                i = np.flatnonzero(np.diagonal(t, -1))
-                schur.append((z, i, 0.5 * (t[i + 1, i] - t[i, i + 1])))
-        factors = tuple(
-            (base @ z, z.T, i, theta)
-            for (base, _, _, _), (z, i, theta) in zip(self.segments, schur)
-        )
-        object.__setattr__(self, "_factors", factors)
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.segments[0][0]
+    segments: tuple  # of (base @ Z, Z.T, i, theta, s_lo, s_hi)
 
     @property
     def generator(self) -> np.ndarray:
+        """Skew generator K of a single-segment path: path(s) = path(0) expm(s K)."""
         if len(self.segments) != 1:
             raise ValueError("piecewise path has no single generator")
-        return self.segments[0][1]
+        _, z_t, i, theta, _, _ = self.segments[0]
+        log_t = np.zeros(z_t.shape)
+        log_t[i + 1, i] = theta
+        log_t[i, i + 1] = -theta
+        k = (z_t.T @ log_t) @ z_t
+        return (k - k.T) / 2.0
 
     def locate(self, s: float) -> tuple:
         """(segment index, local time t in [0, 1]) of the path parameter s."""
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"path parameter must be in [0, 1], got {s}")
-        for k, (_, _, lo, hi) in enumerate(self.segments):
+        for k, (*_, lo, hi) in enumerate(self.segments):
             if s <= hi:
                 break
         return k, 0.0 if hi == lo else (s - lo) / (hi - lo)
 
     def __call__(self, s: float) -> np.ndarray:
         k, t = self.locate(s)
-        base_z, z_t, i, theta = self._factors[k]
+        base_z, z_t, i, theta, _, _ = self.segments[k]
         c, sn = np.cos(t * theta), np.sin(t * theta)
         turn = np.eye(z_t.shape[0])
         turn[i, i] = c
@@ -293,7 +259,7 @@ class RotationPath:
         each turning plane's cosine and sine parts.
         """
         out = []
-        for base_z, z_t, i, theta in self._factors:
+        for base_z, z_t, i, theta, _, _ in self.segments:
             j = i + 1
             fixed = np.ones(z_t.shape[0], dtype=bool)
             fixed[i] = fixed[j] = False
@@ -305,20 +271,18 @@ class RotationPath:
             out.append((theta, basis))
         return out
 
-    @property
-    def end(self) -> np.ndarray:
-        return self(1.0)
 
-
-def geodesic(u_start, u_end, rng=None) -> RotationPath:
+def geodesic(u_start, u_end) -> RotationPath:
     """Path in the rotation group from ``u_start`` to ``u_end``.
 
     The generator is the principal logarithm of ``u_start.T @ u_end``, read
     in closed form from that rotation's real Schur form (one angle per 2x2
-    block); the path reuses that factorization. When the rotation has an
-    eigenvalue at -1 (log ill-defined) the path detours through a
-    Haar-sampled intermediate rotation and is returned as a two-segment
-    piecewise path; any continuous path serves the downstream homotopies.
+    block); the path keeps that factorization. When the rotation has an
+    eigenvalue at -1 (log ill-defined) the path detours through an
+    intermediate rotation and is returned as a two-segment piecewise path;
+    any continuous path serves the downstream homotopies. The intermediate
+    rotations are Haar draws from a fixed seed, so the same endpoints always
+    give the same path.
     """
     u_start = require_rotation(u_start, "u_start")
     u_end = require_rotation(u_end, "u_end")
@@ -326,21 +290,21 @@ def geodesic(u_start, u_end, rng=None) -> RotationPath:
         raise DimensionError(
             f"endpoint shapes differ: {u_start.shape} vs {u_end.shape}"
         )
-    n = u_start.shape[0]
+
+    def segment(base, factors, lo, hi):
+        z, i, theta = factors
+        return base @ z, z.T, i, theta, lo, hi
+
     f = _log_rotation_schur(u_start.T @ u_end)
     if f is not None:
-        return RotationPath(((u_start.copy(), _skew_from_schur(*f), 0.0, 1.0),), (f,))
-    rng = np.random.default_rng(0) if rng is None else ensure_rng(rng)
+        return RotationPath((segment(u_start, f, 0.0, 1.0),))
+    rng = np.random.default_rng(0)
     for _ in range(64):
-        mid = haar_rotation(n, rng)
+        mid = haar_rotation(u_start.shape[0], rng)
         f1 = _log_rotation_schur(u_start.T @ mid)
         f2 = _log_rotation_schur(mid.T @ u_end)
         if f1 is not None and f2 is not None:
-            return RotationPath(
-                ((u_start.copy(), _skew_from_schur(*f1), 0.0, 0.5),
-                 (mid, _skew_from_schur(*f2), 0.5, 1.0)),
-                (f1, f2),
-            )
+            return RotationPath((segment(u_start, f1, 0.0, 0.5), segment(mid, f2, 0.5, 1.0)))
     raise NumericalError("could not find an intermediate rotation for the path")
 
 

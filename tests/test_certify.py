@@ -119,6 +119,14 @@ class TestHomotopyRealize:
         with pytest.raises(og.DimensionError):
             og.homotopy_realize(spatial, [0.0, 0.0, 0.0], (np.eye(4), np.eye(3)))
 
+    def test_planar_start_frame_is_one_rotation(self):
+        # the planar family moves one frame; an (identity, W) pair is refused
+        rng = np.random.default_rng(8)
+        planar = [rng.standard_normal((3, 3)) for _ in range(2)]
+        w = og.haar_rotation(3, rng)
+        with pytest.raises(og.DimensionError):
+            og.homotopy_realize(planar, [0.0, 0.0], (np.eye(3), w))
+
 
 class TestCertifyRowScaled:
     def test_inclusion_property(self):

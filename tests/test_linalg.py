@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import orbitgeom as og
-from orbitgeom.linalg import RotationPath, _principal_log_rotation
+from orbitgeom.linalg import _log_rotation_schur
 
 
 def _plane_turn(n, angles, rng):
@@ -176,6 +176,14 @@ class TestGeodesic:
         for s in np.linspace(0, 1, 50):
             assert og.rotation_defect(path(s)) < 1e-10
 
+    def test_half_turn_detour_is_reproducible(self):
+        # the detour's intermediate rotation comes from a fixed seed
+        u1 = _plane_turn(4, [np.pi, 0.7], np.random.default_rng(18))
+        first, second = og.geodesic(np.eye(4), u1), og.geodesic(np.eye(4), u1)
+        assert len(first.segments) == 2
+        for s in np.linspace(0, 1, 21):
+            assert np.array_equal(first(s), second(s))
+
     def test_dimension_mismatch(self):
         with pytest.raises(og.DimensionError):
             og.geodesic(np.eye(2), np.eye(3))
@@ -187,22 +195,22 @@ class TestClosedFormLog:
         rng = np.random.default_rng(100 + n)
         for _ in range(20):
             r = og.haar_rotation(n, rng)
-            k = _principal_log_rotation(r)
+            k = og.geodesic(np.eye(n), r).generator
             assert np.max(np.abs(k + k.T)) == 0.0
             assert np.max(np.abs(k - _logm_oracle(r))) < 1e-12
 
     def test_matches_logm_near_half_turn(self):
         r = _plane_turn(5, [np.pi - 1e-6, 0.4], np.random.default_rng(11))
-        k = _principal_log_rotation(r)
+        k = og.geodesic(np.eye(5), r).generator
         assert np.max(np.abs(k - _logm_oracle(r))) < 1e-12
 
     @pytest.mark.parametrize("gap", [0.0, 1e-10, 5e-9])
     def test_none_within_guard_of_minus_one(self, gap):
         # |exp(i(pi - gap)) + 1| is about gap, inside the 1e-8 guard
         r = _plane_turn(4, [np.pi - gap, 1.0], np.random.default_rng(12))
-        assert _principal_log_rotation(r) is None
-        assert _principal_log_rotation(-np.eye(2)) is None
-        assert _principal_log_rotation(np.diag([1.0, -1.0, -1.0])) is None
+        assert _log_rotation_schur(r) is None
+        assert _log_rotation_schur(-np.eye(2)) is None
+        assert _log_rotation_schur(np.diag([1.0, -1.0, -1.0])) is None
 
 
 class TestPathEvaluation:
@@ -222,8 +230,10 @@ class TestPathEvaluation:
         path = og.geodesic(np.eye(4), u1)
         assert len(path.segments) == 2
         for s in self.S_GRID:
-            base, gen, lo, hi = path.segments[0] if s <= 0.5 else path.segments[1]
-            expected = base @ scipy.linalg.expm((s - lo) / (hi - lo) * gen)
+            k, t = path.locate(s)
+            lo, hi = path.segments[k][-2:]
+            base = path(lo)
+            expected = base @ scipy.linalg.expm(t * _logm_oracle(base.T @ path(hi)))
             assert np.max(np.abs(path(s) - expected)) < 1e-12
 
     def test_geodesic_factors_once(self, monkeypatch):
@@ -250,15 +260,6 @@ class TestPathEvaluation:
                 theta, basis = blocks[k]
                 w = np.concatenate(([1.0], np.cos(t * theta), np.sin(t * theta)))
                 assert np.max(np.abs(np.tensordot(w, basis, 1) - path(s))) < 1e-12
-
-    def test_path_from_given_generator(self):
-        rng = np.random.default_rng(14)
-        g = rng.standard_normal((5, 5))
-        k = g - g.T
-        u0 = og.haar_rotation(5, rng)
-        path = RotationPath(((u0, k, 0.0, 1.0),))
-        for s in self.S_GRID:
-            assert np.max(np.abs(path(s) - u0 @ scipy.linalg.expm(s * k))) < 1e-12
 
 
 class TestCompleteToRotation:
