@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
-import scipy.spatial
 
 from .config import tolerances
 from .linalg import (
@@ -186,7 +185,12 @@ class SupportRegion:
     def diameter(self) -> float:
         if self.vertices.shape[0] < 2:
             return 0.0
-        return float(scipy.spatial.distance.pdist(self.vertices).max())
+        x, y = self.vertices.T
+        # squared distances 128 rows at a time, which stay in cache
+        return float(np.sqrt(max(
+            np.max((x[lo : lo + 128, None] - x) ** 2 + (y[lo : lo + 128, None] - y) ** 2)
+            for lo in range(0, x.size, 128)
+        )))
 
 
 def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
@@ -730,7 +734,8 @@ def _affine_theta_argmin(x):
 def _descent_sweep(coord_terms, u, v, y, right: bool) -> tuple:
     """One coordinate-descent pass over every Givens pair of U, or of V.
 
-    U and V are slab stacks (n, n, starts), start index last. Left turns move
+    U and V are slab stacks (n, n, starts), start index last; V is None for
+    the identity of a one-sided descent, which only turns U. Left turns move
     rows of U and right turns columns of V, both in place. K is a slab stack
     (n, n, ell, starts) whose slice K[:, :, m] puts the turned factor first:
     coordinate m's U A V P on the left, P U A V on the right, so its trace is
@@ -747,8 +752,11 @@ def _descent_sweep(coord_terms, u, v, y, right: bool) -> tuple:
                 pua = np.matmul(am.T, (pm @ u.reshape(n, -1)).reshape(u.shape))
                 k[:, :, m] += coef * np.einsum("ils,ljs->ijs", pua, v)
             else:
-                # U ((A V) P)
-                avp = np.matmul(pm.T, (am @ v.reshape(n, -1)).reshape(v.shape))
+                # U ((A V) P), and U (A P) when V is the identity
+                if v is None:
+                    avp = np.broadcast_to((am @ pm)[:, :, None], u.shape)
+                else:
+                    avp = np.matmul(pm.T, (am @ v.reshape(n, -1)).reshape(v.shape))
                 k[:, :, m] += coef * np.einsum("ils,ljs->ijs", u, avp)
     turned = (np.swapaxes(k, 0, 1), np.swapaxes(v, 0, 1)) if right else (k, u)
     before = np.trace(k)
@@ -782,9 +790,7 @@ def _closest_image_distance(
     rng = ensure_rng(rng)
     y = np.asarray(y, dtype=float)
     u = _slab(haar_rotations(n, starts, rng))
-    v = _slab(haar_rotations(n, starts, rng)) if two_sided else np.broadcast_to(
-        np.eye(n)[:, :, None], (n, n, starts)
-    ).copy()
+    v = _slab(haar_rotations(n, starts, rng)) if two_sided else None
 
     def objective(coords):
         diff = coords - y[:, None]
@@ -1008,9 +1014,11 @@ def convexity_check(
     hull_poly = pts[:1] if len(cloud) else np.zeros((1, 2))
     spread = float(np.max(pts) - np.min(pts)) if len(cloud) else 0.0
     if spread > 1e-12 and pts.shape[0] >= 3:
+        from scipy.spatial import ConvexHull, QhullError  # loaded on first use only
+
         try:
-            hull = scipy.spatial.ConvexHull(pts)
-        except scipy.spatial.QhullError:
+            hull = ConvexHull(pts)
+        except QhullError:
             # flat image: a segment along the cloud's direction of spread
             centered = pts - pts.mean(axis=0)
             along = pts @ np.linalg.eigh(centered.T @ centered)[1][:, -1]

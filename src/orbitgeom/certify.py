@@ -10,7 +10,10 @@ surface parametrization yields the witness rotation.
 For planar maps the frame is a single rotation of size n >= 3 and the scaled
 rows are handled two at a time; for ell >= 3 coordinates the homotopy runs at
 the minimal block size 2^(ell-1) on block-combined matrices, and larger n is
-reached by composing over all row subsets of that size.
+reached by composing over all row subsets of that size. In both cases the
+search's trial points are evaluated in coefficient form: the swept shape is a
+fixed linear combination of the paths' sines and cosines, so a trial builds no
+frame.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .config import tolerances
 from .ellipsoids import (
@@ -28,6 +30,7 @@ from .ellipsoids import (
     _ellipse_eu,
     _ellipse_radial_along,
     _ellipsoid_euv,
+    _ellipsoid_radial_along,
     degenerate_u0,
     degenerate_uv,
     membership,
@@ -206,8 +209,10 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
     ``start_frame`` is the pair (U, V), and both frames of the centered
     ellipsoid travel to the pair produced by the diagonal quarter-turn
     construction. The degenerate frames and the paths (``geodesic``) are
-    built only for a target strictly inside the starting curve. Planar trial
-    points are evaluated in coefficient form (``_ellipse_radial_along``).
+    built only for a target strictly inside the starting curve. Trial points
+    are evaluated in coefficient form, planar ones by
+    ``_ellipse_radial_along`` and ell >= 3 ones by ``_ellipsoid_radial_along``;
+    the witness comes from the checked curve at the crossing.
     """
     mats = [require_square(m, f"M[{i}]") for i, m in enumerate(m_list)]
     ell = len(mats)
@@ -272,8 +277,7 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
                     u, v = require_rotation(u, "U"), require_rotation(v, "V")
                 return _ellipsoid_euv(mats, u, v)
 
-            # the trial is the checked curve's own projection, an SVD each
-            return (curve_at, lambda s: surface_projection(curve_at(s), y)[0],
+            return (curve_at, _ellipsoid_radial_along(mats, path_u, path_v, y),
                     tolerances.bisection_gtol)
 
     else:
@@ -329,7 +333,7 @@ def _scaled_rows_step(mats, w, rows, eps):
         b_list = [m[:block, :] @ wp[:, :block] for m in front]
         target = eps * np.array([np.trace(b) for b in b_list])
         cert = homotopy_realize(b_list, target, (np.eye(block), np.eye(block)))
-        wp = wp @ scipy.linalg.block_diag(cert.witness[0], np.eye(w.shape[0] - block))
+        wp[:, :block] = wp[:, :block] @ cert.witness[0]
     return wp[inv][:, inv], target, {"rows": list(rows), **cert.trace[0]}
 
 

@@ -9,6 +9,13 @@ block embedded in a larger frame the locus is an ellipse with an offset.
 
 Both loci admit frames that make the swept shape rank-deficient; the two
 constructions below produce such frames explicitly.
+
+Along a rotation path both loci are also available in coefficient form: on a
+path segment the frame is linear in a few sines and cosines of the time, so
+the planar ellipse's shape and center, and the ellipsoid's shape (bilinear in
+its two frames), are fixed linear combinations of them, and the radial
+coordinate of a query is evaluated without building a frame
+(``_ellipse_radial_along``, ``_ellipsoid_radial_along``).
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import tolerances
 from .linalg import (
@@ -81,11 +87,19 @@ def angles_from_unit(u) -> np.ndarray:
 
 
 def _coeffs(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] == 1:
-        return np.array([a[0, 0]])
-    m = a.shape[0] // 2
-    head = np.trace(a[:m, :m]) + np.trace(a[m:, m:])
-    return np.concatenate(([head], _coeffs(a[m:, :m] - a[:m, m:].T)))
+    """``spherical_coeffs`` of a stack (..., n, n) without input checks: (..., log2 n + 1).
+
+    Each level of the block recursion takes the head tr(A_1) + tr(A_4) and
+    continues on A_3 - A_2^T, halving the size until 1x1.
+    """
+    heads = []
+    while a.shape[-1] > 1:
+        m = a.shape[-1] // 2
+        heads.append(np.einsum("...ii->...", a[..., :m, :m])
+                     + np.einsum("...ii->...", a[..., m:, m:]))
+        a = a[..., m:, :m] - np.swapaxes(a[..., :m, m:], -1, -2)
+    heads.append(a[..., 0, 0])
+    return np.stack(heads, axis=-1)
 
 
 def spherical_coeffs(a) -> np.ndarray:
@@ -166,7 +180,7 @@ def ellipsoid_euv(p_list, u, v) -> EllipsoidCurve:
 
 def _ellipsoid_euv(mats, u, v) -> EllipsoidCurve:
     """``ellipsoid_euv`` without input checks, for frames already validated."""
-    t = np.vstack([_coeffs(u @ p @ v) for p in mats])
+    t = _coeffs(u @ np.stack(mats) @ v)
     return EllipsoidCurve(shape=t, center=np.zeros(len(mats)), kind="euv", frames=(u, v))
 
 
@@ -234,6 +248,46 @@ def _ellipse_radial_along(p, q, path, y):
     return radial
 
 
+def _ellipsoid_radial_along(mats, path_u, path_v, y):
+    """``_ellipse_radial_along`` for the centered ellipsoid of ``mats`` at (path_u(s), path_v(s)).
+
+    On a pair of path segments U is linear in its Ku = 2K+1 trigonometric
+    terms and V in its Kv terms (``RotationPath.trig_basis``), so U P_i V is
+    bilinear in the two bases, and so is the ell x ell shape, as ``_coeffs``
+    is linear. Its coefficients form an (ell, ell, Ku, Kv) block, built on
+    first use for each pair of segments from one product and one batched
+    ``_coeffs`` call. The paths are located separately: a detour may split
+    one of them and not the other. A trial point is then the two trigonometric
+    vectors, two small products and one SVD of the shape, whose radial takes
+    ``surface_projection``'s rank test and off-span rule and no angles; it
+    equals ``surface_projection`` on ``_ellipsoid_euv(mats, path_u(s),
+    path_v(s))`` up to roundoff.
+    """
+    stack = np.stack(mats)
+    bases_u, bases_v = path_u.trig_basis(), path_v.trig_basis()
+    y = np.asarray(y, dtype=float)
+    blocks = {}
+
+    def block(ku, kv):
+        if (ku, kv) not in blocks:
+            prods = bases_u[ku][1][:, None, None] @ stack[:, None] @ bases_v[kv][1]
+            blocks[ku, kv] = np.ascontiguousarray(_coeffs(prods).transpose(1, 3, 0, 2))
+        return blocks[ku, kv]
+
+    def trig(path, bases, s):
+        k, t = path.locate(s)
+        phase = t * bases[k][0]
+        return k, np.concatenate(((1.0,), np.cos(phase), np.sin(phase)))
+
+    def radial(s):
+        ku, tu = trig(path_u, bases_u, s)
+        kv, tv = trig(path_v, bases_v, s)
+        w, sv, _ = np.linalg.svd((block(ku, kv) @ tv) @ tu)
+        return _span_radial(sv, w.T @ y)[0]
+
+    return radial
+
+
 @dataclass(frozen=True)
 class MembershipResult:
     """Classification of a query point against an ellipsoid curve.
@@ -249,6 +303,24 @@ class MembershipResult:
     radial: float
 
 
+def _span_radial(sv, d):
+    """(radial, off, rank) of a shape with singular values sv, d the query in its left basis.
+
+    The numerical rank counts the singular values above ``degenerate_rank``
+    times the largest. ``off`` is the norm of d beyond the rank; the radial is
+    +inf when it exceeds ``off_span_tol``, 0 at rank zero, and otherwise the
+    norm of the least-squares preimage d[:rank] / sv[:rank].
+    """
+    smax = sv[0] if sv.size else 0.0
+    rank = int(np.sum(sv > tolerances.degenerate_rank * max(smax, 1e-300)))
+    off = float(np.linalg.norm(d[rank:]))
+    if off > tolerances.off_span_tol:
+        return np.inf, off, rank
+    if rank == 0:
+        return 0.0, off, rank
+    return float(np.linalg.norm(d[:rank] / sv[:rank])), off, rank
+
+
 def _project(curve: EllipsoidCurve, y):
     """``surface_projection`` plus whether the shape is degenerate, from one SVD.
 
@@ -262,18 +334,15 @@ def _project(curve: EllipsoidCurve, y):
         raise DimensionError(f"query has dimension {y.size}, curve {curve.ell}")
     w, sv, zt = np.linalg.svd(curve.shape)
     d = w.T @ (y - curve.center)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > tolerances.degenerate_rank * max(smax, 1e-300)))
+    radial, off, rank = _span_radial(sv, d)
     degenerate = rank < curve.ell
-    off = float(np.linalg.norm(d[rank:]))
-    if off > tolerances.off_span_tol:
+    if radial == np.inf:
         return np.inf, off, None, degenerate
     if rank == 0:
         # shape is numerically zero: the curve is the single point `center`
         angles = np.zeros(curve.ell - 1)
         return 0.0, off, angles, degenerate
     zcoef = d[:rank] / sv[:rank]
-    radial = float(np.linalg.norm(zcoef))
     z = zt[:rank].T @ zcoef
     if degenerate and radial <= 1.0:
         z = z + np.sqrt(max(0.0, 1.0 - radial**2)) * zt[rank]
@@ -502,6 +571,8 @@ def degenerate_uv(p1) -> tuple:
         )
     f = signed_svd(p1)
     u = f.u.T
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    v = f.v @ scipy.linalg.block_diag(*([j] * (n // 2)))
+    # V' times the quarter turns [[0, -1], [1, 0]] on each column pair
+    v = np.empty_like(f.v)
+    v[:, 0::2] = f.v[:, 1::2]
+    v[:, 1::2] = -f.v[:, 0::2]
     return u, v

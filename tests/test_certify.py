@@ -152,6 +152,28 @@ class TestCertifyRowScaled:
         assert cert.residual <= 1e-8
 
 
+class TestScaledRowsStep:
+    def test_block_step_turns_leading_columns(self):
+        # ell = 3 at n = 5: the block homotopy's witness W turns the four
+        # leading columns of the permuted frame, i.e. the frame times W (+) I
+        rng = np.random.default_rng(12)
+        mats = [rng.standard_normal((5, 5)) for _ in range(3)]
+        w = og.haar_rotation(5, rng)
+        rows, eps = (0, 2, 3, 4), 0.7
+        witness, target, _ = certify._scaled_rows_step(mats, w, rows, eps)
+        perm = np.array([0, 2, 3, 4, 1])
+        inv = np.argsort(perm)
+        wp = w[perm][:, perm]
+        b_list = [m[perm][:, perm][:4, :] @ wp[:, :4] for m in mats]
+        cert = og.homotopy_realize(b_list, target, (np.eye(4), np.eye(4)))
+        expected = (wp @ scipy.linalg.block_diag(cert.witness[0], np.eye(1)))[inv][:, inv]
+        assert np.max(np.abs(witness - expected)) <= 1e-14
+        scale = np.ones(5)
+        scale[list(rows)] = eps
+        assert np.max(np.abs(apply_map(mats, witness)
+                             - apply_map([scale[:, None] * m for m in mats], w))) <= 1e-10
+
+
 class TestCertifyScaledPoint:
     def test_alpha_one_returns_input_frames(self):
         rng = np.random.default_rng(7)

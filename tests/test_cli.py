@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import orbitgeom
 from orbitgeom import serialize as ser
 from orbitgeom.cli import main
 
@@ -351,6 +355,15 @@ class TestJointCommand:
         payload = json.loads(out.read_text())
         assert "reduced_map" in payload
         assert payload["num_failures"] == 0
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the hull's qhull module is loaded by convexity_check on first use only
+    code = "import sys, orbitgeom, orbitgeom.cli; print('scipy.spatial' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(orbitgeom.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -4,8 +4,11 @@ import pytest
 import orbitgeom as og
 from orbitgeom.ellipsoids import (
     _bracket_root,
+    _coeffs,
     _ellipse_eu,
     _ellipse_radial_along,
+    _ellipsoid_euv,
+    _ellipsoid_radial_along,
     _radial_2x2,
     bisect_root,
     surface_projection,
@@ -59,6 +62,14 @@ class TestSphericalCoeffs:
     def test_rejects_bad_size(self):
         with pytest.raises(og.DimensionError):
             og.spherical_coeffs(np.eye(3))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_batched_matches_single(self, n):
+        stack = np.random.default_rng(n).standard_normal((3, 2, n, n))
+        coeffs = _coeffs(stack)
+        assert coeffs.shape == (3, 2, n.bit_length())
+        for idx in np.ndindex(3, 2):
+            assert np.allclose(coeffs[idx], og.spherical_coeffs(stack[idx]), rtol=0, atol=1e-14)
 
 
 class TestAnglesFromUnit:
@@ -187,6 +198,30 @@ class TestCoefficientForm:
         for s in self.S_GRID:
             expected = surface_projection(_ellipse_eu(p, q, path(s)), y)[0]
             if s == 1.0:
+                assert expected == np.inf and radial(s) == np.inf
+            else:
+                assert abs(radial(s) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("ell", [3, 4])
+    @pytest.mark.parametrize("detour", [False, True])
+    def test_ellipsoid_radial_matches_surface_projection(self, ell, detour):
+        n = 2 ** (ell - 1)
+        rng = np.random.default_rng(70 + ell + 10 * detour)
+        mats = list(rng.standard_normal((ell, n, n)))
+        u_deg, v_deg = og.degenerate_uv(mats[0])
+        # a detour splits U's path at s = 0.5 and leaves V's in one piece
+        u0 = u_deg @ self._half_turn(n, rng).T if detour else og.haar_rotation(n, rng)
+        v0 = og.haar_rotation(n, rng)
+        path_u, path_v = og.geodesic(u0, u_deg), og.geodesic(v0, v_deg)
+        assert (len(path_u.segments), len(path_v.segments)) == (2 if detour else 1, 1)
+        start = _ellipsoid_euv(mats, u0, v0)
+        z = rng.standard_normal(ell)
+        y = start.shape @ (0.6 * z / np.linalg.norm(z))
+        radial = _ellipsoid_radial_along(mats, path_u, path_v, y)
+        for s in self.S_GRID:
+            expected = surface_projection(_ellipsoid_euv(mats, path_u(s), path_v(s)), y)[0]
+            if s == 1.0:
+                # the degenerate end frame: y is off the span that its shape keeps
                 assert expected == np.inf and radial(s) == np.inf
             else:
                 assert abs(radial(s) - expected) <= 1e-12 * expected
@@ -383,6 +418,16 @@ class TestDegenerateUV:
             mats = [p1] + [rng.standard_normal((4, 4)) for _ in range(2)]
             curve = og.ellipsoid_euv(mats, u, v)
             assert np.linalg.norm(curve.shape[0]) <= 1e-10
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_quarter_turns_on_signed_svd_frames(self, n):
+        # V is the signed SVD's V times a block-diagonal stack of quarter turns
+        p1 = np.random.default_rng(n).standard_normal((n, n))
+        f = og.signed_svd(p1)
+        turns = np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])
+        u, v = og.degenerate_uv(p1)
+        assert np.array_equal(u, f.u.T)
+        assert np.array_equal(v, f.v @ turns)
 
     def test_rejects_planar(self):
         with pytest.raises(og.DimensionError):
