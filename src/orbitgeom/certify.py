@@ -10,17 +10,18 @@ surface parametrization yields the witness rotation.
 For planar maps the frame is a single rotation of size n >= 3 and the scaled
 rows are handled two at a time; for ell >= 3 coordinates the homotopy runs at
 the minimal block size 2^(ell-1) on block-combined matrices, and larger n is
-reached by composing over all row subsets of that size. In both cases the
-search's trial points are evaluated in coefficient form: the swept shape is a
-fixed linear combination of the paths' sines and cosines, so a trial builds no
-frame.
+reached by composing row-subset homotopies. The composition's subsets are the
+minimal cyclic cover of the rows: consecutive windows of the block size, taken
+mod n, so that every row is scaled equally often by the fewest subsets. In both
+cases the search's trial points are evaluated in coefficient form: the swept
+shape is a fixed linear combination of the paths' sines and cosines, so a
+trial builds no frame.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
+from math import lcm
 
 import numpy as np
 
@@ -343,13 +344,21 @@ def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1)) -> Certificate:
     The scaled point sits inside or on the row-pair ellipse at the current
     frame, so one homotopy call produces the witness. Row pairs other than
     (0, 1) are reduced to the leading pair by a permutation conjugation, which
-    preserves traces and keeps the frame a rotation.
+    preserves traces and keeps the frame a rotation. ``rows`` must be two
+    distinct indices in ``range(n)``; anything else raises ``ValueError``.
     """
     m1 = require_square(m1, "M1")
     m2 = require_square(m2, "M2")
     frame = require_rotation(frame, "frame")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
+    n = frame.shape[0]
+    if m1.shape != (n, n) or m2.shape != (n, n):
+        raise DimensionError(f"M1 is {m1.shape}, M2 is {m2.shape}, frame is {frame.shape}")
+    rows = tuple(rows)
+    if (len(rows) != 2 or rows[0] == rows[1]
+            or not all(isinstance(r, (int, np.integer)) and 0 <= r < n for r in rows)):
+        raise ValueError(f"rows must be two distinct indices in range({n}), got {rows}")
     witness, target, step = _scaled_rows_step((m1, m2), frame, rows, eps)
     achieved = np.array(
         [np.einsum("ij,ji->", m, witness) for m in (m1, m2)]
@@ -363,17 +372,39 @@ def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1)) -> Certificate:
     )
 
 
+def _row_cover(n: int, block: int):
+    """Minimal cyclic cover of n rows by subsets of size ``block``.
+
+    Returns (subsets, k): consecutive windows of ``block`` rows, taken mod n
+    over lcm(n, block) positions and each sorted, so that every row lies in
+    exactly k = lcm(n, block) / n of the lcm(n, block) / block subsets. No
+    list of fewer subsets holds every row equally often: m subsets holding
+    each row k times have m block = n k, a common multiple of n and block.
+    For block = n - 1 (planar n = 3, ell = 3 at n = 5) this is the
+    lexicographic list of all subsets.
+    """
+    span = lcm(n, block)
+    subsets = [tuple(sorted((start + i) % n for i in range(block)))
+               for start in range(0, span, block)]
+    return subsets, span // n
+
+
 def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     """Certificate that alpha times the image point of (U, V) stays in the image.
 
-    Decomposes the scaling over all row subsets of the block size (2 for
-    planar maps, 2^(ell-1) otherwise) in lexicographic order. Each row belongs
-    to C(n-1, block-1) subsets, so eps is the corresponding root of alpha and
-    each subset step realizes one eps-row-scaled point via a single homotopy
-    (``_scaled_rows_step``), composing witnesses right-to-left: the step of a
-    subset sees each row scaled by eps once per earlier subset holding it.
-    Raises ``NumericalError`` when a step's or the composed certificate's
-    residual exceeds ``certificate_residual``.
+    Decomposes the scaling over row subsets S_1 ... S_m of the block size (2
+    for planar maps, 2^(ell-1) otherwise), each step realizing one
+    eps-row-scaled point via a single homotopy (``_scaled_rows_step``) and
+    composing witnesses right-to-left. Let E_j scale each row by eps once for
+    every subset before S_j that holds it: step j turns tr(E_{j+1} M w_{j+1})
+    into tr(E_j M w_j), since E_{j+1} is E_j with the rows of S_j scaled once
+    more. The steps run from j = m, with w_{m+1} = V, down to j = 1, where
+    E_1 = I. If every row appears the same number k of times, E_{m+1} is
+    eps^k I, so with eps = alpha^(1/k) the chain is exact for any such list.
+    The subsets are the minimal cyclic cover (``_row_cover``): lcm(n, block)
+    / block of them, each row in k = lcm(n, block) / n, which the trace
+    reports as ``exponent``. Raises ``NumericalError`` when a step's or the
+    composed certificate's residual exceeds ``certificate_residual``.
     """
     lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
     a = require_square(a, "A")
@@ -399,7 +430,7 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
         raise PreconditionError("need at least two map coordinates")
 
     mats = [(p @ u) @ a for p in lmap.mats]
-    exponent = comb(n - 1, block - 1)
+    subsets, exponent = _row_cover(n, block)
     eps = float(alpha) ** (1.0 / exponent) if alpha > 0.0 else 0.0
     target = alpha * apply_map(lmap, (u @ a) @ v)
 
@@ -408,7 +439,7 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     count = np.full(n, exponent)
     w = v
     steps = []
-    for rows in reversed(list(itertools.combinations(range(n), block))):
+    for rows in reversed(subsets):
         count[list(rows)] -= 1
         rowscale = eps ** count.astype(float)
         w, _, step = _scaled_rows_step([rowscale[:, None] * m for m in mats], w, rows, eps)

@@ -140,8 +140,10 @@ def haar_rotations(n: int, count: int, rng) -> np.ndarray:
     For n = 2 and 3 that last column is fixed by the others: it is the unit
     vector orthogonal to them that makes the determinant +1, i.e. q1 rotated
     by a quarter turn (n = 2) or q1 x q2 (n = 3). It is set in closed form,
-    with no projection and no determinant. The whole Gaussian matrix is still
-    drawn, so the generator's stream after the call is the same for every n.
+    with no projection and no determinant. Only the first n - 1 columns are
+    copied into slabs, and the result is written back into the draw's buffer.
+    The whole Gaussian matrix is still drawn, so the generator's stream after
+    the call is the same for every n.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -151,25 +153,30 @@ def haar_rotations(n: int, count: int, rng) -> np.ndarray:
     if count == 0:
         return np.empty((0, n, n))
     g = rng.standard_normal((count, n, n))
-    # cols[j, i, k] is entry (i, j) of sample k: each column is one (n, count) slab
-    cols = np.ascontiguousarray(g.transpose(2, 1, 0))
     closed_form = n in (2, 3)
-    for j, col in enumerate(cols[: n - 1] if closed_form else cols):
-        done = cols[:j]
-        for _ in range(2):
-            col -= np.einsum("jik,jk->ik", done, np.einsum("jik,ik->jk", done, col))
+    # cols[j, i, k] is entry (i, j) of sample k: each column is one (n, count)
+    # slab; for n = 2, 3 only the first n - 1 columns are copied
+    cols = np.ascontiguousarray(g[:, :, : n - 1 if closed_form else n].transpose(2, 1, 0))
+    for j, col in enumerate(cols):
+        if j:  # the first column has nothing to project out
+            done = cols[:j]
+            for _ in range(2):
+                col -= np.einsum("jik,jk->ik", done, np.einsum("jik,ik->jk", done, col))
         col /= np.sqrt(np.einsum("ik,ik->k", col, col))
-    if n == 2:
-        cols[1, 0], cols[1, 1] = -cols[0, 1], cols[0, 0]
-    elif n == 3:
-        q1, q2 = cols[0], cols[1]  # np.cross gives the same bits five times slower
-        cols[2] = (q1[1] * q2[2] - q1[2] * q2[1],
-                   q1[2] * q2[0] - q1[0] * q2[2],
-                   q1[0] * q2[1] - q1[1] * q2[0])
-    q = np.ascontiguousarray(cols.transpose(2, 1, 0))
     if not closed_form:
+        q = np.ascontiguousarray(cols.transpose(2, 1, 0))
         q[np.linalg.det(q) < 0, :, -1] *= -1.0
-    return q
+        return q
+    # the orthonormal columns and the closed-form last one go back into the draw
+    g[:, :, : n - 1] = cols.transpose(2, 1, 0)
+    if n == 2:
+        g[:, 0, 1], g[:, 1, 1] = -cols[0, 1], cols[0, 0]
+    else:
+        q1, q2 = cols  # np.cross gives the same bits five times slower
+        g[:, 0, 2] = q1[1] * q2[2] - q1[2] * q2[1]
+        g[:, 1, 2] = q1[2] * q2[0] - q1[0] * q2[2]
+        g[:, 2, 2] = q1[0] * q2[1] - q1[1] * q2[0]
+    return g
 
 
 def haar_rotation(n: int, rng) -> np.ndarray:

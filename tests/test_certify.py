@@ -1,4 +1,7 @@
 import json
+import re
+from itertools import combinations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -152,6 +155,28 @@ class TestCertifyRowScaled:
         assert cert.residual <= 1e-8
 
 
+    @pytest.mark.parametrize("rows", [(0, 1, 2), (1, 1), (-1, 0), (0, 7)])
+    def test_rows_must_be_two_distinct_indices(self, rows):
+        rng = np.random.default_rng(14)
+        p, q = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+        u = og.haar_rotation(4, rng)
+        # (0, 1, 2) once scaled two rows, (1, 1) and (-1, 0) failed as a
+        # "start frame is not a rotation", (0, 7) as a bare IndexError
+        message = rf"two distinct indices in range\(4\), got {re.escape(str(rows))}"
+        with pytest.raises(ValueError, match=message):
+            og.certify_row_scaled(p, q, u, 0.5, rows=rows)
+
+
+    def test_sizes_must_agree(self):
+        rng = np.random.default_rng(16)
+        p3, q3 = rng.standard_normal((2, 3, 3))
+        p4 = rng.standard_normal((4, 4))
+        with pytest.raises(og.DimensionError):
+            og.certify_row_scaled(p3, q3, og.haar_rotation(4, rng), 0.5)
+        with pytest.raises(og.DimensionError):
+            og.certify_row_scaled(p3, p4, og.haar_rotation(3, rng), 0.5)
+
+
 class TestScaledRowsStep:
     def test_block_step_turns_leading_columns(self):
         # ell = 3 at n = 5: the block homotopy's witness W turns the four
@@ -235,9 +260,10 @@ class TestCertifyScaledPoint:
 
     def test_composed_residual_is_gated(self, tmp_path):
         # a near-collinear case (n = 4, Q = 2P + 1e-9 noise, alpha = 0.1) whose
-        # six steps each pass the residual gate while their composition once
-        # missed it by 1.2e-8; the draws replay the benchmark's robustness
-        # probe at seed 1
+        # six all-pairs steps each passed the residual gate while their
+        # composition missed it by 1.2e-8 (its two cyclic-cover steps stop at
+        # a step gate); the draws replay the benchmark's robustness probe at
+        # seed 1
         def qr_haar(g):
             q, r = np.linalg.qr(g)
             q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
@@ -272,6 +298,25 @@ class TestCertifyScaledPoint:
         else:
             assert rc == 1 and not payload["ok"] and "error" in payload
 
+    def test_composed_gate_refuses_steps_that_drift(self, monkeypatch):
+        # each step's witness is turned by 1e-6 after its own gate, so only
+        # the composed residual can see the miss
+        step = certify._scaled_rows_step
+        k = np.zeros((4, 4))
+        k[1, 0], k[0, 1] = 1e-6, -1e-6
+        turn = scipy.linalg.expm(k)
+
+        def drifting(*args):
+            w, target, trace = step(*args)
+            return w @ turn, target, trace
+
+        monkeypatch.setattr(certify, "_scaled_rows_step", drifting)
+        rng = np.random.default_rng(18)
+        p, q, a = rng.standard_normal((3, 4, 4))
+        u, v = og.haar_rotation(4, rng), og.haar_rotation(4, rng)
+        with pytest.raises(og.NumericalError, match="composed certificate residual"):
+            og.certify_scaled_point([p, q], a, u, v, 0.5)
+
     def test_ell3_above_minimal_dimension(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((5, 5))
@@ -279,7 +324,7 @@ class TestCertifyScaledPoint:
         u, v = og.haar_rotation(5, rng), og.haar_rotation(5, rng)
         cert = og.certify_scaled_point(mats, a, u, v, 0.6)
         assert cert.residual <= 1e-8
-        assert len(cert.trace) - 1 == 5  # one step per 4-row subset of 5 rows
+        assert len(cert.trace) - 1 == 5  # the cyclic cover is every 4-row subset of 5 rows
 
     def test_monotone_alpha_grid(self):
         rng = np.random.default_rng(12)
@@ -314,6 +359,67 @@ class TestCertifyScaledPoint:
         transported = vv @ (uw @ a @ w) @ uu
         redo = apply_map([p, q], transported)
         assert np.max(np.abs(redo - cert.achieved)) < 1e-12
+
+
+def _recheck(mats, a, u, v, alpha, cert) -> bool:
+    """Benchmark-style re-check from the inputs: both witness factors are
+    rotations to 1e-10, and the mismatch against alpha L(U A V) is at most
+    1e-8 max(1, |target|)."""
+    def defect(x):
+        return max(np.max(np.abs(x @ x.T - np.eye(len(x)))), abs(np.linalg.det(x) - 1.0))
+
+    uw, w = cert.witness
+    target = alpha * apply_map(mats, u @ a @ v)
+    mismatch = np.linalg.norm(apply_map(mats, uw @ a @ w) - target)
+    return (max(defect(uw), defect(w)) <= 1e-10
+            and mismatch <= 1e-8 * max(1.0, np.linalg.norm(target)))
+
+
+class TestRowCover:
+    @pytest.mark.parametrize("n, block", [(n, b) for n in range(2, 13) for b in range(1, n + 1)])
+    def test_every_row_equally_often_in_fewest_subsets(self, n, block):
+        subsets, k = certify._row_cover(n, block)
+        assert len(subsets) == lcm(n, block) // block
+        assert k == lcm(n, block) // n
+        assert all(len(set(s)) == block and list(s) == sorted(s) for s in subsets)
+        assert np.array_equal(np.bincount(np.concatenate(subsets), minlength=n),
+                              np.full(n, k))
+
+    @pytest.mark.parametrize("ell, n", [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+                                        (3, 4), (3, 5), (3, 6)])
+    def test_trace_walks_the_cover(self, ell, n):
+        rng = np.random.default_rng(100 + 10 * ell + n)
+        mats = list(rng.standard_normal((ell, n, n)))
+        a = rng.standard_normal((n, n))
+        u, v = og.haar_rotation(n, rng), og.haar_rotation(n, rng)
+        cert = og.certify_scaled_point(mats, a, u, v, 0.5)
+        block = 2 ** (ell - 1)
+        head, steps = cert.trace[0], cert.trace[1:]
+        assert len(steps) == lcm(n, block) // block
+        assert head["exponent"] == lcm(n, block) // n
+        assert head["eps"] == pytest.approx(0.5 ** (1.0 / head["exponent"]), rel=1e-15)
+        counts = np.bincount(np.concatenate([s["rows"] for s in steps]), minlength=n)
+        assert np.array_equal(counts, np.full(n, head["exponent"]))
+        # steps run from the last subset of the cover to the first
+        assert [tuple(s["rows"]) for s in steps] == list(reversed(certify._row_cover(n, block)[0]))
+
+    @pytest.mark.parametrize("ell, n", [(2, 3), (3, 5)])
+    def test_one_subset_short_of_all_rows_is_lexicographic(self, ell, n):
+        block = 2 ** (ell - 1)
+        subsets, k = certify._row_cover(n, block)
+        assert subsets == list(combinations(range(n), block))
+        assert k == n - 1
+
+    @pytest.mark.parametrize("ell, n", [(2, 4), (2, 5), (2, 6), (2, 7), (3, 6)])
+    def test_certificates_pass_the_independent_recheck(self, ell, n):
+        rng = np.random.default_rng(200 + 10 * ell + n)
+        for _ in range(2):
+            mats = list(rng.standard_normal((ell, n, n)))
+            a = rng.standard_normal((n, n))
+            u, v = og.haar_rotation(n, rng), og.haar_rotation(n, rng)
+            for alpha in (0.0, 0.1, 0.5, 0.9, 1.0):
+                cert = og.certify_scaled_point(mats, a, u, v, alpha)
+                assert _recheck(mats, a, u, v, alpha, cert)
 
 
 class TestStarCheck:

@@ -87,7 +87,40 @@ class TestSignedSVD:
             assert np.array_equal(f.reconstruct()[idx], one.reconstruct())
 
 
+def _slab_haar_reference(n, count, rng):
+    """Haar sampler copying the whole draw into column slabs and back."""
+    g = rng.standard_normal((count, n, n))
+    cols = np.ascontiguousarray(g.transpose(2, 1, 0))
+    closed_form = n in (2, 3)
+    for j, col in enumerate(cols[: n - 1] if closed_form else cols):
+        done = cols[:j]
+        for _ in range(2):
+            col -= np.einsum("jik,jk->ik", done, np.einsum("jik,ik->jk", done, col))
+        col /= np.sqrt(np.einsum("ik,ik->k", col, col))
+    if n == 2:
+        cols[1, 0], cols[1, 1] = -cols[0, 1], cols[0, 0]
+    elif n == 3:
+        q1, q2 = cols[0], cols[1]
+        cols[2] = (q1[1] * q2[2] - q1[2] * q2[1],
+                   q1[2] * q2[0] - q1[0] * q2[2],
+                   q1[0] * q2[1] - q1[1] * q2[0])
+    q = np.ascontiguousarray(cols.transpose(2, 1, 0))
+    if not closed_form:
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    return q
+
+
 class TestHaar:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("count", [1, 7, 1000, 20000])
+    def test_bit_equal_to_whole_draw_slab_reference(self, n, count):
+        rng, ref = np.random.default_rng(90 + n), np.random.default_rng(90 + n)
+        u = og.haar_rotations(n, count, rng)
+        expected = _slab_haar_reference(n, count, ref)
+        assert u.flags.c_contiguous and u.shape == (count, n, n)
+        assert np.array_equal(u, expected)
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
     def test_deterministic_under_seed(self):
         u1 = og.haar_rotation(3, np.random.default_rng(42))
         u2 = og.haar_rotation(3, np.random.default_rng(42))
