@@ -23,13 +23,14 @@ from .linalg import (
     DimensionError,
     NumericalError,
     PreconditionError,
+    _haar_slabs,
     ensure_rng,
     haar_rotations,
     require_square,
     require_square_stack,
     signed_svd,
 )
-from .orbits import LinearMapSpec, OrbitSpec, sample_image
+from .orbits import LinearMapSpec, OrbitSpec, _orbit_slabs, sample_image
 
 # Bands of the maximizer-set checks, relative to the scale max|A| + 1:
 # singular-value, determinant-sign and trace agreement, and the block
@@ -88,11 +89,6 @@ def _aligned_frames(p, a) -> tuple:
     return value, fp.v @ np.swapaxes(fa.u, -1, -2), fa.v @ np.swapaxes(fp.u, -1, -2)
 
 
-def _slab(stack) -> np.ndarray:
-    """A (starts, n, n) stack in slab layout (n, n, starts), start index last."""
-    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
-
-
 def _turn(x, i, j, c, s):
     """Givens turn of slabs i, j of x in place: x_i, x_j <- c x_i - s x_j, s x_i + c x_j.
 
@@ -126,9 +122,9 @@ def max_trace_bruteforce(
     n = p.shape[0]
     if n == 1:
         return float(abs(p[0, 0] * a[0, 0]))
-    u = haar_rotations(n, starts, rng)
-    v = haar_rotations(n, starts, rng)
-    w = _slab(u @ a @ v)
+    u = _haar_slabs(n, starts, rng)
+    v = _haar_slabs(n, starts, rng)
+    w = _orbit_slabs(u, a, v)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     vals = None
@@ -204,7 +200,8 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
     last product sits on the last entries) and the frames of
     ``argmax_frames``, matrix for matrix as one call per direction. The region
     polygon comes from consecutive support-line intersections (one batched
-    2x2 solve), pruned to feasibility.
+    2x2 solve), pruned to feasibility and to one copy of each run of repeated
+    points, as where many support lines meet at a corner of the region.
     """
     p, q = _require_same_square(p, q, ("P", "Q"))
     a = require_square(a, "A")
@@ -234,13 +231,12 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
         slack = raw[start:start + 16] @ dirs_t
         slack -= values
         feasible[start:start + 16] = slack.max(axis=1) <= 1e-8 * scale
-    verts = []
-    for x in raw[feasible]:
-        if not verts or np.abs(x - verts[-1]).max() > 1e-12 * scale:
-            verts.append(x)
-    if len(verts) > 1 and np.max(np.abs(verts[0] - verts[-1])) <= 1e-12 * scale:
-        verts.pop()
-    vertices = np.array(verts) if verts else np.empty((0, 2))
+    cand = raw[feasible]
+    keep = np.ones(len(cand), dtype=bool)
+    keep[1:] = np.abs(np.diff(cand, axis=0)).max(axis=1) > 1e-12 * scale
+    vertices = cand[keep]
+    if len(vertices) > 1 and np.abs(vertices[0] - vertices[-1]).max() <= 1e-12 * scale:
+        vertices = vertices[:-1]
     return SupportRegion(
         thetas=thetas, directions=dirs, values=values, touches=touches, vertices=vertices
     )
@@ -789,8 +785,8 @@ def _closest_image_distance(
     """
     rng = ensure_rng(rng)
     y = np.asarray(y, dtype=float)
-    u = _slab(haar_rotations(n, starts, rng))
-    v = _slab(haar_rotations(n, starts, rng)) if two_sided else None
+    u = _haar_slabs(n, starts, rng)
+    v = _haar_slabs(n, starts, rng) if two_sided else None
 
     def objective(coords):
         diff = coords - y[:, None]

@@ -403,7 +403,8 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     eps^k I, so with eps = alpha^(1/k) the chain is exact for any such list.
     The subsets are the minimal cyclic cover (``_row_cover``): lcm(n, block)
     / block of them, each row in k = lcm(n, block) / n, which the trace
-    reports as ``exponent``. Raises ``NumericalError`` when a step's or the
+    reports as ``exponent``. At alpha = 1 the witness is (U, V) itself and the
+    trace holds only its head. Raises ``NumericalError`` when a step's or the
     composed certificate's residual exceeds ``certificate_residual``.
     """
     lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
@@ -435,11 +436,12 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     target = alpha * apply_map(lmap, (u @ a) @ v)
 
     # every row lies in `exponent` subsets; walking them in reverse, a row's
-    # count drops to the number of subsets before the current one holding it
+    # count drops to the number of subsets before the current one holding it.
+    # At alpha = 1 the pair (U, V) is itself an exact witness: no steps.
     count = np.full(n, exponent)
     w = v
     steps = []
-    for rows in reversed(subsets):
+    for rows in reversed(subsets) if alpha < 1.0 else ():
         count[list(rows)] -= 1
         rowscale = eps ** count.astype(float)
         w, _, step = _scaled_rows_step([rowscale[:, None] * m for m in mats], w, rows, eps)

@@ -126,24 +126,26 @@ def signed_svd(a) -> SignedSVD:
     return SignedSVD(u=u, s=s, v=v)
 
 
-def haar_rotations(n: int, count: int, rng) -> np.ndarray:
-    """Stack of ``count`` independent Haar-distributed rotations, shape (count, n, n).
+def _haar_slabs(n: int, count: int, rng) -> np.ndarray:
+    """``count`` independent Haar rotations in slab layout, shape (n, n, count).
 
-    A Gaussian matrix G is orthogonalized by classical Gram-Schmidt with
-    every column projected out twice ("twice is enough": Giraud, Langou and
-    Rozloznik, 2005), vectorized over the stack. This is the QR factorization
-    G = QR with a positive diagonal in R, which is unique, so Q is Haar on the
-    full orthogonal group (Mezzadri, arXiv math-ph/0609050). Samples with
-    determinant -1 get their last column negated, which maps that coset onto
-    the rotation group measure-preservingly.
+    Entry (i, j) of sample k is ``r[i, j, k]``, so each entry slab ``r[i, j]``
+    is a contiguous (count,) block. For n = 2 a Gaussian 2-vector normalized
+    to (c, s) is uniform on the circle, which gives ``[[c, -s], [s, c]]``. For
+    n = 3 a Gaussian 4-vector normalized to a unit quaternion is uniform on
+    S^3, and the double cover S^3 -> SO(3) carries it to Haar measure
+    (Shoemake, "Uniform random rotations", Graphics Gems III, 1992); the
+    rotation is written out from products of its components. These two draw
+    2 count or 4 count normals, one contiguous slab per component.
 
-    For n = 2 and 3 that last column is fixed by the others: it is the unit
-    vector orthogonal to them that makes the determinant +1, i.e. q1 rotated
-    by a quarter turn (n = 2) or q1 x q2 (n = 3). It is set in closed form,
-    with no projection and no determinant. Only the first n - 1 columns are
-    copied into slabs, and the result is written back into the draw's buffer.
-    The whole Gaussian matrix is still drawn, so the generator's stream after
-    the call is the same for every n.
+    For n = 1 and n >= 4 a Gaussian matrix G is orthogonalized by classical
+    Gram-Schmidt with every column projected out twice ("twice is enough":
+    Giraud, Langou and Rozloznik, 2005), vectorized over the samples. This is
+    the QR factorization G = QR with a positive diagonal in R, which is
+    unique, so Q is Haar on the full orthogonal group (Mezzadri, arXiv
+    math-ph/0609050). Samples with determinant -1 get their last column
+    negated, which maps that coset onto the rotation group
+    measure-preservingly.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -151,32 +153,67 @@ def haar_rotations(n: int, count: int, rng) -> np.ndarray:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = ensure_rng(rng)
     if count == 0:
-        return np.empty((0, n, n))
+        return np.empty((n, n, 0))
+    if n == 2:
+        c, s = rng.standard_normal((2, count))
+        norm = np.sqrt(c * c + s * s)
+        c /= norm
+        s /= norm
+        return np.stack((c, -s, s, c)).reshape(2, 2, count)
+    if n == 3:
+        return _quaternion_slabs(rng.standard_normal((4, count)))
     g = rng.standard_normal((count, n, n))
-    closed_form = n in (2, 3)
-    # cols[j, i, k] is entry (i, j) of sample k: each column is one (n, count)
-    # slab; for n = 2, 3 only the first n - 1 columns are copied
-    cols = np.ascontiguousarray(g[:, :, : n - 1 if closed_form else n].transpose(2, 1, 0))
+    # cols[j, i, k] is entry (i, j) of sample k: each column is one (n, count) slab
+    cols = np.ascontiguousarray(g.transpose(2, 1, 0))
     for j, col in enumerate(cols):
         if j:  # the first column has nothing to project out
             done = cols[:j]
             for _ in range(2):
                 col -= np.einsum("jik,jk->ik", done, np.einsum("jik,ik->jk", done, col))
         col /= np.sqrt(np.einsum("ik,ik->k", col, col))
-    if not closed_form:
-        q = np.ascontiguousarray(cols.transpose(2, 1, 0))
-        q[np.linalg.det(q) < 0, :, -1] *= -1.0
-        return q
-    # the orthonormal columns and the closed-form last one go back into the draw
-    g[:, :, : n - 1] = cols.transpose(2, 1, 0)
-    if n == 2:
-        g[:, 0, 1], g[:, 1, 1] = -cols[0, 1], cols[0, 0]
-    else:
-        q1, q2 = cols  # np.cross gives the same bits five times slower
-        g[:, 0, 2] = q1[1] * q2[2] - q1[2] * q2[1]
-        g[:, 1, 2] = q1[2] * q2[0] - q1[0] * q2[2]
-        g[:, 2, 2] = q1[0] * q2[1] - q1[1] * q2[0]
-    return g
+    r = np.ascontiguousarray(cols.transpose(1, 0, 2))
+    r[:, -1, np.linalg.det(np.moveaxis(r, -1, 0)) < 0] *= -1.0
+    return r
+
+
+def _quaternion_slabs(q) -> np.ndarray:
+    """Rotations (3, 3, count) of the quaternions (w, x, y, z) = q, any nonzero norm.
+
+    q is scaled in place to norm sqrt(2), which makes each product q_a q_b
+    twice that of the unit quaternion, so the entries are 1 - (yy + zz),
+    xy - wz, ... directly. The entries (i, j) and (j, i) share one product
+    and add or subtract another.
+    """
+    q *= np.sqrt(2.0 / np.einsum("ik,ik->k", q, q))
+    w, x, y, z = q
+    r = np.empty((3, 3, q.shape[1]))
+    xx, yy, zz = x * x, y * y, z * z
+    np.subtract(1.0, yy, out=r[0, 0])
+    r[0, 0] -= zz
+    np.subtract(1.0, xx, out=r[1, 1])
+    r[1, 1] -= zz
+    np.subtract(1.0, xx, out=r[2, 2])
+    r[2, 2] -= yy
+    shared, turn = yy, zz  # the squares are used up
+    for i, j, a, b, c, d in ((0, 1, x, y, w, z), (2, 0, z, x, w, y), (1, 2, y, z, w, x)):
+        np.multiply(a, b, out=shared)
+        np.multiply(c, d, out=turn)
+        np.subtract(shared, turn, out=r[i, j])
+        np.add(shared, turn, out=r[j, i])
+    return r
+
+
+def haar_rotations(n: int, count: int, rng) -> np.ndarray:
+    """Stack of ``count`` independent Haar-distributed rotations, shape (count, n, n).
+
+    A contiguous copy of ``_haar_slabs``, which is what the samplers inside
+    the package use: n = 2 rotations come from a uniform angle (2 normals per
+    rotation), n = 3 from a uniform unit quaternion (4 normals; Shoemake,
+    "Uniform random rotations", Graphics Gems III, 1992), and n = 1 and
+    n >= 4 from sign-corrected Gram-Schmidt QR of a Gaussian matrix (n^2
+    normals; Mezzadri, arXiv math-ph/0609050).
+    """
+    return np.ascontiguousarray(np.moveaxis(_haar_slabs(n, count, rng), -1, 0))
 
 
 def haar_rotation(n: int, rng) -> np.ndarray:

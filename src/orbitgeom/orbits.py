@@ -14,9 +14,9 @@ import numpy as np
 
 from .linalg import (
     DimensionError,
+    _haar_slabs,
     as_matrix,
     ensure_rng,
-    haar_rotations,
     require_rotation,
     require_square,
 )
@@ -157,16 +157,23 @@ def orbit_point(a, u, v) -> np.ndarray:
     return u @ a @ v
 
 
+def _orbit_slabs(u, a, v) -> np.ndarray:
+    """U A V for slab stacks U, V of shape (n, n, count), written over U's buffer."""
+    return np.einsum("ibk,bjk->ijk", np.matmul(a.T, u), v, out=u)
+
+
 def sample_image(lmap, orbit: OrbitSpec, count: int, rng, seed=None) -> PointCloud:
     """Monte Carlo sample of the orbit image under the map.
 
-    The factors U and V come from two ``haar_rotations`` stacks. For the full
-    orthogonal group they are drawn Haar on O_n with matching determinant
-    signs: the last column of both is flipped with probability 1/2, which
-    keeps each factor Haar on O_n. The points are evaluated in three
-    products: U @ A as one (count n, n) GEMM, the batched product with V, and
-    the flattened X against a (n^2, ell) matrix whose column m is P_m^T
-    flattened, since tr(P X) = sum_ij X_ij (P^T)_ij.
+    The factors U and V are two Haar stacks in slab layout (``_haar_slabs``:
+    closed-form angles for n = 2, uniform unit quaternions for n = 3,
+    Shoemake, "Uniform random rotations", Graphics Gems III, 1992; QR of
+    Gaussian matrices otherwise). For the full orthogonal group they are
+    drawn Haar on O_n with matching determinant signs: the last column of
+    both is flipped with probability 1/2, which keeps each factor Haar on
+    O_n. X = U A V is formed slab by slab in two products, and the points
+    are one (count, n^2) by (n^2, ell) product against the matrix whose column
+    m is P_m^T flattened, since tr(P X) = sum_ij X_ij (P^T)_ij.
     """
     mats = _map_mats(lmap)
     n = orbit.n
@@ -177,15 +184,15 @@ def sample_image(lmap, orbit: OrbitSpec, count: int, rng, seed=None) -> PointClo
     rng = ensure_rng(rng)
     if count == 0:
         return PointCloud(points=np.empty((0, len(mats))), seed=seed)
-    u = haar_rotations(n, count, rng)
-    v = haar_rotations(n, count, rng)
+    u = _haar_slabs(n, count, rng)
+    v = _haar_slabs(n, count, rng)
     if orbit.group == "O":
         flip = rng.random(count) < 0.5
-        u[flip, :, -1] *= -1.0
-        v[flip, :, -1] *= -1.0
-    x = (u.reshape(count * n, n) @ orbit.a).reshape(count, n, n) @ v
+        u[:, -1, flip] *= -1.0
+        v[:, -1, flip] *= -1.0
+    x = _orbit_slabs(u, orbit.a, v)
     pt = np.stack([p.T.ravel() for p in mats], axis=1)
-    pts = x.reshape(count, n * n) @ pt
+    pts = x.reshape(n * n, count).T @ pt
     return PointCloud(points=pts, seed=seed)
 
 

@@ -9,6 +9,7 @@ import scipy.spatial
 import orbitgeom as og
 from orbitgeom import boundary as bd
 from orbitgeom.boundary import _point_polygon_distance
+from orbitgeom.linalg import _haar_slabs
 
 
 def _e(i, j, n=2):
@@ -149,6 +150,21 @@ class TestSupportBoundary:
             assert np.array_equal(region.values, values)
             assert np.array_equal(region.touches, touches)
             assert np.array_equal(region.vertices, vertices)
+
+    @pytest.mark.parametrize("case", ["corner", 0, 1, 2, 3])
+    def test_vertices_equal_the_loop_dedupe(self, case):
+        # diagonal pairs (W11, W22) of SO(3) fill the square [-1, 1]^2: at each
+        # corner about 180 consecutive support lines meet in one point
+        if case == "corner":
+            p, q, a = _e(0, 0, 3), _e(1, 1, 3), np.eye(3)
+        else:
+            p, q, a = np.random.default_rng(130 + case).standard_normal((3, 3, 3))
+        region = og.support_boundary(p, q, a, 720)
+        vertices = _support_boundary_per_direction(p, q, a, 720)[2]
+        assert np.array_equal(region.vertices, vertices)
+        if case == "corner":
+            corners = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
+            assert np.max(np.abs(region.vertices - corners)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("kind", ["positive", "negative", "singular"])
@@ -548,14 +564,14 @@ class TestOracleKernels:
             [(2.0, rng.standard_normal((n, n)), rng.standard_normal((n, n)))],
         ]
         y = rng.standard_normal(2)
-        u = bd._slab(og.haar_rotations(n, starts, rng))
-        v = bd._slab(og.haar_rotations(n, starts, rng))
+        u = _haar_slabs(n, starts, rng)
+        v = _haar_slabs(n, starts, rng)
 
         def rebuilt(order):
             # K[:, :, m] from the turned factors, back in slab layout
             us, vs = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
             return np.stack([
-                bd._slab(sum(coef * order(us, pm, am, vs) for coef, pm, am in terms))
+                np.moveaxis(sum(coef * order(us, pm, am, vs) for coef, pm, am in terms), 0, -1)
                 for terms in coord_terms
             ], axis=2)
 

@@ -73,9 +73,11 @@ class TestHomotopyRealize:
         p, q, a = (rng.standard_normal((4, 4)) for _ in range(3))
         u, v = og.haar_rotation(4, rng), og.haar_rotation(4, rng)
         for mats in ([p, q], [p, q, a]):
-            cert = og.certify_scaled_point(mats, a, u, v, 1.0)
-            assert cert.residual <= 1e-8
-            assert all(step["s"] == 0.0 for step in cert.trace[1:])
+            # each cover step at eps = 1: the target is the start frame's own point
+            framed = [(m @ u) @ a for m in mats]
+            block = 2 ** (len(mats) - 1)
+            for rows in certify._row_cover(4, block)[0]:
+                assert certify._scaled_rows_step(framed, v, rows, 1.0)[2]["s"] == 0.0
 
     def test_polish_on_checked_curve(self, monkeypatch):
         # Q = 2P + 1e-9 noise: a nearly flat ellipse, where the coefficient-form
@@ -88,7 +90,11 @@ class TestHomotopyRealize:
         rng = np.random.default_rng(1)
         p = rng.standard_normal((3, 3))
         q = 2.0 * p + 1e-9 * rng.standard_normal((3, 3))
-        w = og.haar_rotation(3, rng)
+        # the frame this data was chosen with: sign-corrected QR of a Gaussian
+        w, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        w = w * np.sign(np.diag(r))
+        if np.linalg.det(w) < 0:
+            w[:, -1] *= -1.0
         curve = og.ellipse_eu(p, q, w)
         for _ in range(5):
             t = rng.uniform(0, 2 * np.pi)
@@ -206,8 +212,24 @@ class TestCertifyScaledPoint:
         a = rng.standard_normal((3, 3))
         u, v = og.haar_rotation(3, rng), og.haar_rotation(3, rng)
         cert = og.certify_scaled_point([p, q], a, u, v, 1.0)
-        assert cert.residual < 1e-10
-        assert np.max(np.abs(cert.witness[1] - v)) < 1e-10
+        # (U, V) is an exact witness: no cover step runs
+        assert np.array_equal(cert.witness[0], u) and np.array_equal(cert.witness[1], v)
+        assert cert.residual == 0.0
+        assert cert.trace == [{"alpha": 1.0, "eps": 1.0, "exponent": 2}]
+
+    def test_alpha_one_runs_no_homotopy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("homotopy run at alpha = 1")
+
+        monkeypatch.setattr(certify, "homotopy_realize", refuse)
+        rng = np.random.default_rng(8)
+        for ell, n in ((2, 4), (2, 5), (3, 6)):
+            mats = list(rng.standard_normal((ell, n, n)))
+            a = rng.standard_normal((n, n))
+            u, v = og.haar_rotation(n, rng), og.haar_rotation(n, rng)
+            cert = og.certify_scaled_point(mats, a, u, v, 1.0)
+            assert np.array_equal(cert.achieved, cert.target)
+            assert len(cert.trace) == 1
 
     def test_alpha_zero_hits_origin(self):
         rng = np.random.default_rng(8)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
+from scipy.spatial.transform import Rotation
 
 import orbitgeom as og
-from orbitgeom.linalg import _log_rotation_schur
+from orbitgeom.linalg import _haar_slabs, _log_rotation_schur
 
 
 def _plane_turn(n, angles, rng):
@@ -88,26 +90,44 @@ class TestSignedSVD:
 
 
 def _slab_haar_reference(n, count, rng):
-    """Haar sampler copying the whole draw into column slabs and back."""
+    """Haar sampler written out entry by entry from the same draws.
+
+    n = 2: the normalized Gaussian 2-vector (c, s) is the angle's cosine and
+    sine. n = 3: the Gaussian 4-vector scaled to norm sqrt(2) is a unit
+    quaternion (w, x, y, z) times sqrt(2), so each product below is twice the
+    unit quaternion's. Otherwise: the whole Gaussian matrix is copied into
+    column slabs, orthonormalized by Gram-Schmidt twice, and sign-corrected.
+    """
+    if n == 2:
+        c, s = rng.standard_normal((2, count))
+        norm = np.sqrt(c * c + s * s)
+        c, s = c / norm, s / norm
+        return np.stack([np.array([[c[k], -s[k]], [s[k], c[k]]]) for k in range(count)])
+    if n == 3:
+        q = rng.standard_normal((4, count))
+        w, x, y, z = q * np.sqrt(2.0 / np.einsum("ik,ik->k", q, q))
+        return np.stack([np.array([
+            [1.0 - y[k] * y[k] - z[k] * z[k], x[k] * y[k] - w[k] * z[k], z[k] * x[k] + w[k] * y[k]],
+            [x[k] * y[k] + w[k] * z[k], 1.0 - x[k] * x[k] - z[k] * z[k], y[k] * z[k] - w[k] * x[k]],
+            [z[k] * x[k] - w[k] * y[k], y[k] * z[k] + w[k] * x[k], 1.0 - x[k] * x[k] - y[k] * y[k]],
+        ]) for k in range(count)])
     g = rng.standard_normal((count, n, n))
     cols = np.ascontiguousarray(g.transpose(2, 1, 0))
-    closed_form = n in (2, 3)
-    for j, col in enumerate(cols[: n - 1] if closed_form else cols):
+    for j, col in enumerate(cols):
         done = cols[:j]
         for _ in range(2):
             col -= np.einsum("jik,jk->ik", done, np.einsum("jik,ik->jk", done, col))
         col /= np.sqrt(np.einsum("ik,ik->k", col, col))
-    if n == 2:
-        cols[1, 0], cols[1, 1] = -cols[0, 1], cols[0, 0]
-    elif n == 3:
-        q1, q2 = cols[0], cols[1]
-        cols[2] = (q1[1] * q2[2] - q1[2] * q2[1],
-                   q1[2] * q2[0] - q1[0] * q2[2],
-                   q1[0] * q2[1] - q1[1] * q2[0])
     q = np.ascontiguousarray(cols.transpose(2, 1, 0))
-    if not closed_form:
-        q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
+
+
+def _rotation_angles(u):
+    """Rotation angle of each rotation in a stack, in [0, pi] (n = 3) or (-pi, pi] (n = 2)."""
+    if u.shape[-1] == 2:
+        return np.arctan2(u[:, 1, 0], u[:, 0, 0])
+    return np.arccos(np.clip((np.einsum("sii->s", u) - 1.0) / 2.0, -1.0, 1.0))
 
 
 class TestHaar:
@@ -120,6 +140,42 @@ class TestHaar:
         assert u.flags.c_contiguous and u.shape == (count, n, n)
         assert np.array_equal(u, expected)
         assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stack_is_the_slabs_moved(self, n):
+        slabs = _haar_slabs(n, 300, np.random.default_rng(95 + n))
+        assert slabs.flags.c_contiguous and slabs.shape == (n, n, 300)
+        u = og.haar_rotations(n, 300, np.random.default_rng(95 + n))
+        assert np.array_equal(u, np.moveaxis(slabs, -1, 0))
+        assert _haar_slabs(n, 0, np.random.default_rng(0)).shape == (n, n, 0)
+
+    def test_quaternion_rotation_matches_scipy(self):
+        # scipy takes quaternions scalar-last and normalizes them itself
+        q = np.random.default_rng(97).standard_normal((4, 1000))
+        expected = Rotation.from_quat(np.roll(q, -1, axis=0).T).as_matrix()
+        u = og.haar_rotations(3, 1000, np.random.default_rng(97))
+        assert np.max(np.abs(u - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_draws_two_or_four_normals_per_rotation(self, n):
+        k = 257
+        rng = np.random.default_rng(85 + n)
+        og.haar_rotations(n, k, rng)
+        ref = np.random.default_rng(85 + n)
+        ref.standard_normal({2: 2, 3: 4}[n] * k)
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rotation_angle_distribution(self, n):
+        # Haar on SO(2): a uniform angle; on SO(3): the angle has density
+        # (1 - cos t) / pi on [0, pi], so CDF (t - sin t) / pi
+        theta = _rotation_angles(og.haar_rotations(n, 20000, np.random.default_rng(98 + n)))
+        if n == 2:
+            cdf = scipy.stats.uniform(loc=-np.pi, scale=2.0 * np.pi).cdf
+        else:
+            def cdf(t):
+                return (t - np.sin(t)) / np.pi
+        assert scipy.stats.kstest(theta, cdf).pvalue > 0.01
 
     def test_deterministic_under_seed(self):
         u1 = og.haar_rotation(3, np.random.default_rng(42))
@@ -140,7 +196,7 @@ class TestHaar:
         q = og.haar_rotations(3, 10000, rng)
         assert np.max(np.abs(q.mean(axis=0))) < 0.05
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", [1, 4, 5, 6, 7, 8])
     def test_matches_sign_corrected_qr_of_the_same_draws(self, n):
         # the positive-diagonal QR factor is unique, so any method computing it
         # agrees with Householder QR up to roundoff
@@ -154,6 +210,7 @@ class TestHaar:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_closed_form_last_column_needs_no_determinant(self, n, monkeypatch):
+        # n = 2, 3 write the whole rotation in closed form
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.det called")
 
@@ -163,9 +220,8 @@ class TestHaar:
         assert np.max(np.abs(u @ np.swapaxes(u, 1, 2) - np.eye(n))) < 1e-14
         assert np.max(np.abs(np.linalg.det(u) - 1.0)) < 1e-14
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 4])
     def test_draws_the_whole_gaussian_matrix(self, n):
-        # the closed-form column does not change what the generator yields next
         k = 257
         rng = np.random.default_rng(80 + n)
         og.haar_rotations(n, k, rng)
