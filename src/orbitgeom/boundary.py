@@ -37,6 +37,13 @@ from .orbits import LinearMapSpec, OrbitSpec, _orbit_slabs, sample_image
 # structure (off-diagonal blocks and the reconstruction of block factors).
 MAXIMIZER_VALUE_TOL = 1e-8
 MAXIMIZER_BLOCK_TOL = 1e-6
+# Stop rules of the multistart sweeps, and the distance the counterexample
+# report's midpoint must keep from the image.
+MAX_TRACE_SWEEP_TOL = 1e-7
+MAX_TRACE_MAX_SWEEPS = 500
+CLOSEST_IMAGE_SWEEP_TOL = 1e-9
+CLOSEST_IMAGE_MAX_SWEEPS = 200
+COUNTEREXAMPLE_DISTANCE_THRESHOLD = 1e-3
 
 
 def _require_same_square(p, a, names=("P", "A"), require=require_square):
@@ -105,9 +112,7 @@ def _turn(x, i, j, c, s):
     xj += t
 
 
-def max_trace_bruteforce(
-    p, a, starts: int = 2000, rng=None, tol: float = 1e-7, max_sweeps: int = 500
-) -> float:
+def max_trace_bruteforce(p, a, starts: int = 2000, rng=None) -> float:
     """Monte Carlo oracle for max_trace: Haar multistarts + coordinate ascent.
 
     Each Givens angle update is exact (the objective is a sinusoid in one
@@ -115,7 +120,8 @@ def max_trace_bruteforce(
     advanced together: W = U A V is kept as a slab stack (n, n, starts) and
     turned in place, rows on left sweeps and columns on right sweeps, so the
     factors U and V themselves are never formed again. The ascent stops once
-    no start improves by more than ``tol`` in a full sweep.
+    no start improves by more than ``MAX_TRACE_SWEEP_TOL`` in a full sweep,
+    or after ``MAX_TRACE_MAX_SWEEPS`` sweeps.
     """
     p, a = _require_same_square(p, a)
     rng = ensure_rng(rng)
@@ -128,7 +134,7 @@ def max_trace_bruteforce(
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     vals = None
-    for _ in range(max_sweeps):
+    for _ in range(MAX_TRACE_MAX_SWEEPS):
         # a left turn moves rows of W and of K = W P; a right turn moves
         # columns of W and of K = P W, one product on the (n, n * starts) slab
         for right in (False, True):
@@ -145,7 +151,7 @@ def max_trace_bruteforce(
                 for x in turned:
                     _turn(x, i, j, c, s)
         new_vals = np.trace(k)
-        if vals is not None and np.max(new_vals - vals) < tol:
+        if vals is not None and np.max(new_vals - vals) < MAX_TRACE_SWEEP_TOL:
             vals = new_vals
             break
         vals = new_vals
@@ -772,9 +778,7 @@ def _descent_sweep(coord_terms, u, v, y, right: bool) -> tuple:
     return k, before
 
 
-def _closest_image_distance(
-    coord_terms, n, y, starts, rng, two_sided, tol=1e-9, max_sweeps=200
-):
+def _closest_image_distance(coord_terms, n, y, starts, rng, two_sided):
     """Multistart coordinate-descent estimate of dist(y, image of the term map).
 
     ``coord_terms[m]`` lists (coef, P, A) triples with coordinate m evaluating
@@ -782,6 +786,8 @@ def _closest_image_distance(
     coordinate is affine in the sine and cosine of any single Givens angle,
     every coordinate update is a two-harmonic minimization. The coordinates
     are read as the traces of the K stack that each sweep turns in place.
+    The descent stops at ``CLOSEST_IMAGE_SWEEP_TOL`` and
+    ``CLOSEST_IMAGE_MAX_SWEEPS`` as ``max_trace_bruteforce`` does at its own.
     """
     rng = ensure_rng(rng)
     y = np.asarray(y, dtype=float)
@@ -793,13 +799,13 @@ def _closest_image_distance(
         return np.sum(diff * diff, axis=0)
 
     prev = None
-    for _ in range(max_sweeps):
+    for _ in range(CLOSEST_IMAGE_MAX_SWEEPS):
         for right in (False, True) if two_sided else (False,):
             k, before = _descent_sweep(coord_terms, u, v, y, right)
             if prev is None:
                 prev = objective(before)
         cur = objective(np.trace(k))
-        if np.max(prev - cur) < tol:
+        if np.max(prev - cur) < CLOSEST_IMAGE_SWEEP_TOL:
             prev = cur
             break
         prev = cur
@@ -842,14 +848,14 @@ def counterexample_report(
     ell: int = 3,
     rng=None,
     starts: int = 256,
-    distance_threshold: float = 1e-3,
 ) -> dict:
     """Verify a stock non-convexity instance numerically.
 
     Reproduces the two endpoint values from their closed-form frames and
     estimates the distance from their midpoint to the image by multistart
-    local minimization; the midpoint must stay at least ``distance_threshold``
-    away for the instance to count as verified.
+    local minimization; the midpoint must stay at least
+    ``COUNTEREXAMPLE_DISTANCE_THRESHOLD`` away for the instance to count as
+    verified. The report records the threshold as ``distance_threshold``.
     """
     rng = ensure_rng(rng)
     if kind == "ell3":
@@ -914,9 +920,9 @@ def counterexample_report(
         "endpoints_exact": endpoints_exact,
         "midpoint": midpoint.tolist(),
         "midpoint_distance_estimate": distance,
-        "distance_threshold": distance_threshold,
+        "distance_threshold": COUNTEREXAMPLE_DISTANCE_THRESHOLD,
         "starts": starts,
-        "passed": endpoints_exact and distance >= distance_threshold,
+        "passed": endpoints_exact and distance >= COUNTEREXAMPLE_DISTANCE_THRESHOLD,
     }
 
 

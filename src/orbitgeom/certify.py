@@ -152,16 +152,15 @@ def _solve_on_family(start_curve, family, y):
     starting frame (s = 0), to a degenerate one at s = 1. The target is
     classified against ``start_curve`` first; only when it lies strictly
     inside does ``family()`` build the path and return
-    ``(curve_at, radial, trial_gtol)``: ``curve_at(s)`` builds the curve
-    without input checks and ``curve_at(s, checked=True)`` validates its
-    frames; ``radial(s)`` is the trial evaluator, the radial coordinate of y
-    at s, +inf off a degenerate span. The bracketing root-finder runs on
+    ``(curve_at, radial, trial_gtol)``: ``curve_at(s)`` builds the curve at
+    the path's frames without input checks (the caller checks the witness it
+    returns); ``radial(s)`` is the trial evaluator, the radial coordinate of
+    y at s, +inf off a degenerate span. The bracketing root-finder runs on
     ``radial(s) - 1`` until |radial - 1| <= ``trial_gtol``. The gap is then
-    read once on the checked curve that yields the witness angles; if it
-    misses ``bisection_gtol`` there (a trial evaluator that agrees with the
-    checked curve only up to roundoff can stop short on a nearly flat
-    ellipse), the search continues on the checked curves' own radial, from a
-    tight bracket around s.
+    read once on the curve that yields the witness angles; if it misses
+    ``bisection_gtol`` there (a trial evaluator that agrees with the curve
+    only up to roundoff can stop short on a nearly flat ellipse), the search
+    continues on the curves' own radial, from a tight bracket around s.
     """
     m0 = membership(start_curve, y)
     if m0.classification in ("boundary", "on-degenerate-span"):
@@ -173,7 +172,7 @@ def _solve_on_family(start_curve, family, y):
     curve_at, radial, trial_gtol = family()
     m1 = membership(curve_at(1.0), y)
     if m1.classification in ("boundary", "on-degenerate-span"):
-        return m1.witness_angles, 1.0, 0, curve_at(1.0, checked=True)
+        return m1.witness_angles, 1.0, 0, curve_at(1.0)
     g0, g1 = m0.radial - 1.0, m1.radial - 1.0
     if np.isfinite(g1) and g1 < 0.0:
         raise NumericalError(
@@ -181,10 +180,10 @@ def _solve_on_family(start_curve, family, y):
         )
     gtol = tolerances.bisection_gtol
     s, iterations = _bracket_root(lambda s: radial(s) - 1.0, 0.0, 1.0, g0, g1, trial_gtol)
-    curve = curve_at(s, checked=True)
+    curve = curve_at(s)
     r, _, angles = surface_projection(curve, y)
-    # where the trial evaluator is the checked one it reads the same gap,
-    # and a search on the checked curves would retrace the same steps
+    # where the trial evaluator is the curve's own it reads the same gap,
+    # and a search on the curves would retrace the same steps
     if not abs(r - 1.0) <= gtol and r != radial(s):
 
         def exact(s):
@@ -193,7 +192,7 @@ def _solve_on_family(start_curve, family, y):
         lo, hi, glo, ghi, steps = _tight_bracket(exact, s, r - 1.0, g0, g1)
         s, more = _bracket_root(exact, lo, hi, glo, ghi, gtol)
         iterations += steps + more
-        curve = curve_at(s, checked=True)
+        curve = curve_at(s)
         _, _, angles = surface_projection(curve, y)
     if angles is None:
         raise NumericalError("crossing point left the reachable span")
@@ -213,7 +212,8 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
     built only for a target strictly inside the starting curve. Trial points
     are evaluated in coefficient form, planar ones by
     ``_ellipse_radial_along`` and ell >= 3 ones by ``_ellipsoid_radial_along``;
-    the witness comes from the checked curve at the crossing.
+    the witness comes from the curve at the crossing and is checked as a
+    rotation.
     """
     mats = [require_square(m, f"M[{i}]") for i, m in enumerate(m_list)]
     ell = len(mats)
@@ -234,16 +234,15 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
         start = require_rotation(start_frame, "start frame")
         if start.shape[0] != n:
             raise DimensionError(f"start frame is {start.shape}, expected {(n, n)}")
-        # P and Q are validated once, above; a checked curve re-checks its frame
+        # P and Q are validated once, above, and the witness once, below
         p, q = mats
         start_curve = _ellipse_eu(p, q, start)
 
         def family():
             path = geodesic(start, degenerate_u0(p, q))
 
-            def curve_at(s, checked=False):
-                u = path(s)
-                return _ellipse_eu(p, q, require_rotation(u, "U") if checked else u)
+            def curve_at(s):
+                return _ellipse_eu(p, q, path(s))
 
             # a trial costs microseconds, so its search runs on to the
             # radial's roundoff floor (one ulp of 1): the witness misses y by
@@ -272,11 +271,8 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
             path_u = geodesic(us, ud)
             path_v = geodesic(vs, vd)
 
-            def curve_at(s, checked=False):
-                u, v = path_u(s), path_v(s)
-                if checked:
-                    u, v = require_rotation(u, "U"), require_rotation(v, "V")
-                return _ellipsoid_euv(mats, u, v)
+            def curve_at(s):
+                return _ellipsoid_euv(mats, path_u(s), path_v(s))
 
             return (curve_at, _ellipsoid_radial_along(mats, path_u, path_v, y),
                     tolerances.bisection_gtol)
@@ -285,7 +281,7 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
         raise DimensionError("need at least two map coordinates")
 
     angles, s, iterations, curve = _solve_on_family(start_curve, family, y)
-    x = curve.witness(angles)
+    x = require_rotation(curve.witness(angles), "witness")
     achieved = apply_map(mats, x)
     residual = float(np.linalg.norm(achieved - y))
     if residual > tolerances.certificate_residual:

@@ -10,8 +10,8 @@ block embedded in a larger frame the locus is an ellipse with an offset.
 Both loci admit frames that make the swept shape rank-deficient; the two
 constructions below produce such frames explicitly.
 
-Along a rotation path both loci are also available in coefficient form: on a
-path segment the frame is linear in a few sines and cosines of the time, so
+Along a rotation path both loci are also available in coefficient form: the
+path's frame is linear in a few sines and cosines of the time, so
 the planar ellipse's shape and center, and the ellipsoid's shape (bilinear in
 its two frames), are fixed linear combinations of them, and the radial
 coordinate of a query is evaluated without building a frame
@@ -221,25 +221,21 @@ def _ellipse_eu(p, q, u) -> EllipsoidCurve:
 def _ellipse_radial_along(p, q, path, y):
     """Radial coordinate of y against the planar ellipse of (P, Q) at path(s), as a function.
 
-    On each path segment the frame is linear in {1, cos t theta_k, sin t theta_k}
+    The frame is linear in {1, cos s theta_k, sin s theta_k}
     (``RotationPath.trig_basis``), and the ellipse is linear in the frame, so
     the 2x2 shape and the center form a 6 x (2K+1) coefficient block, built
-    once per segment from one batched ``_ellipse_eu`` call. A trial point is
-    then the trigonometric values, one small product and the closed-form
-    radial of ``_radial_2x2``; it equals ``surface_projection`` on
+    once from one batched ``_ellipse_eu`` call. A trial point is then the
+    trigonometric values, one small product and the closed-form radial of
+    ``_radial_2x2``; it equals ``surface_projection`` on
     ``_ellipse_eu(p, q, path(s))`` up to roundoff.
     """
-    blocks = []
-    for theta, basis in path.trig_basis():
-        curves = _ellipse_eu(p, q, basis)
-        blocks.append((theta, np.concatenate(
-            (curves.shape.reshape(-1, 4), curves.center), axis=1).T))
+    curves = _ellipse_eu(p, q, path.trig_basis())
+    coef = np.concatenate((curves.shape.reshape(-1, 4), curves.center), axis=1).T
+    theta = path.theta
     y0, y1 = (float(v) for v in y)
 
     def radial(s):
-        k, t = path.locate(s)
-        theta, coef = blocks[k]
-        phase = t * theta
+        phase = s * theta
         s00, s01, s10, s11, c0, c1 = (
             coef @ np.concatenate(((1.0,), np.cos(phase), np.sin(phase)))
         ).tolist()
@@ -251,38 +247,26 @@ def _ellipse_radial_along(p, q, path, y):
 def _ellipsoid_radial_along(mats, path_u, path_v, y):
     """``_ellipse_radial_along`` for the centered ellipsoid of ``mats`` at (path_u(s), path_v(s)).
 
-    On a pair of path segments U is linear in its Ku = 2K+1 trigonometric
-    terms and V in its Kv terms (``RotationPath.trig_basis``), so U P_i V is
-    bilinear in the two bases, and so is the ell x ell shape, as ``_coeffs``
-    is linear. Its coefficients form an (ell, ell, Ku, Kv) block, built on
-    first use for each pair of segments from one product and one batched
-    ``_coeffs`` call. The paths are located separately: a detour may split
-    one of them and not the other. A trial point is then the two trigonometric
+    U is linear in its Ku = 2K+1 trigonometric terms and V in its Kv terms
+    (``RotationPath.trig_basis``), so U P_i V is bilinear in the two bases,
+    and so is the ell x ell shape, as ``_coeffs`` is linear. Its coefficients
+    form an (ell, ell, Ku, Kv) block, built once from one product and one
+    batched ``_coeffs`` call. A trial point is then the two trigonometric
     vectors, two small products and one SVD of the shape, whose radial takes
     ``surface_projection``'s rank test and off-span rule and no angles; it
     equals ``surface_projection`` on ``_ellipsoid_euv(mats, path_u(s),
     path_v(s))`` up to roundoff.
     """
-    stack = np.stack(mats)
-    bases_u, bases_v = path_u.trig_basis(), path_v.trig_basis()
+    prods = path_u.trig_basis()[:, None, None] @ np.stack(mats)[:, None] @ path_v.trig_basis()
+    block = np.ascontiguousarray(_coeffs(prods).transpose(1, 3, 0, 2))
     y = np.asarray(y, dtype=float)
-    blocks = {}
 
-    def block(ku, kv):
-        if (ku, kv) not in blocks:
-            prods = bases_u[ku][1][:, None, None] @ stack[:, None] @ bases_v[kv][1]
-            blocks[ku, kv] = np.ascontiguousarray(_coeffs(prods).transpose(1, 3, 0, 2))
-        return blocks[ku, kv]
-
-    def trig(path, bases, s):
-        k, t = path.locate(s)
-        phase = t * bases[k][0]
-        return k, np.concatenate(((1.0,), np.cos(phase), np.sin(phase)))
+    def trig(path, s):
+        phase = s * path.theta
+        return np.concatenate(((1.0,), np.cos(phase), np.sin(phase)))
 
     def radial(s):
-        ku, tu = trig(path_u, bases_u, s)
-        kv, tv = trig(path_v, bases_v, s)
-        w, sv, _ = np.linalg.svd((block(ku, kv) @ tv) @ tu)
+        w, sv, _ = np.linalg.svd((block @ trig(path_v, s)) @ trig(path_u, s))
         return _span_radial(sv, w.T @ y)[0]
 
     return radial

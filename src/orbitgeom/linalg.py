@@ -6,7 +6,7 @@ helpers enforce this at API boundaries instead of wrapping arrays in a class.
 
 Provides the signed SVD (both factors forced into the rotation group, the
 determinant sign absorbed into the last diagonal entry), Haar sampling,
-geodesic paths, and orthonormal completion to a full rotation.
+one-segment geodesic paths, and orthonormal completion to a full rotation.
 """
 
 from __future__ import annotations
@@ -222,111 +222,99 @@ def haar_rotation(n: int, rng) -> np.ndarray:
 
 
 def _log_rotation_schur(r: np.ndarray):
-    """Real Schur factors (Z, i, theta) of the principal logarithm of a rotation.
+    """Real Schur factors (Z, i, j, theta) of a real logarithm of a rotation.
 
     In the real Schur form ``R = Z T Z^T`` of a rotation, T is block diagonal
     up to roundoff: its 1x1 blocks are the eigenvalues +1 and -1, and each 2x2
-    block ``[[a, b], [c, d]]`` at rows ``(i_k, i_k + 1)`` turns its plane by
-    the angle ``theta_k = atan2((c - b) / 2, (a + d) / 2)``, with eigenvalues
-    ``(a + d) / 2 +- i (c - b) / 2``. The logarithm is ``Z L Z^T`` where L
-    holds each angle times the quarter turn ``[[0, -1], [1, 0]]`` at its
-    block. Returns None near an eigenvalue -1, where the log is ill-defined.
+    block ``[[a, b], [c, d]]`` at rows ``(i_k, j_k = i_k + 1)`` turns its plane
+    by ``theta_k = atan2((c - b) / 2, (a + d) / 2)``. As det R = +1 the blocks
+    -1 come in pairs, taken in order; each pair ``(i_k, j_k)`` is a turn by pi
+    in the plane of its two Schur vectors (Gallier and Xu, Int. J. Robotics
+    and Automation 17(4), 2002). The logarithm is ``Z L Z^T`` where L holds
+    each angle times the quarter turn ``[[0, -1], [1, 0]]`` at rows and
+    columns ``(i_k, j_k)``.
     """
     t, z = scipy.linalg.schur(r, output="real", check_finite=False)
     i = np.flatnonzero(np.diagonal(t, -1))
     j = i + 1
-    re = 0.5 * (t[i, i] + t[j, j])
-    im = 0.5 * (t[j, i] - t[i, j])
+    theta = np.arctan2(0.5 * (t[j, i] - t[i, j]), 0.5 * (t[i, i] + t[j, j]))
     single = np.ones(t.shape[0], dtype=bool)
     single[i] = single[j] = False
-    near_minus_one = np.concatenate(
-        (np.abs(np.diagonal(t)[single] + 1.0), np.hypot(re + 1.0, im))
-    )
-    if np.min(near_minus_one) < 1e-8:
-        return None
-    return z, i, np.arctan2(im, re)
+    hi, hj = np.flatnonzero(single & (np.diagonal(t) < 0.0)).reshape(-1, 2).T
+    return (z, np.concatenate((i, hi)), np.concatenate((j, hj)),
+            np.concatenate((theta, np.full(hi.size, np.pi))))
 
 
 @dataclass(frozen=True)
 class RotationPath:
-    """Continuous path of rotations on [0, 1], in per-segment real Schur factors.
+    """Geodesic of rotations on [0, 1], kept as its real Schur factors.
 
-    Each segment ``(base Z, Z^T, i, theta, s_lo, s_hi)`` turns its base frame
-    along the one-parameter subgroup of the skew generator ``Z T Z^T``, where T
-    holds the 2x2 blocks ``theta_k [[0, -1], [1, 0]]`` at rows
-    ``(i_k, i_k + 1)``. At local time t in [0, 1] of its subinterval the path
-    is ``(base Z) blockdiag(rot(t theta_k)) Z^T``: a few cosines and sines and
-    two small products. A single-segment path is the geodesic from its base.
+    The path turns its start frame along the one-parameter subgroup of the
+    skew generator ``Z L Z^T``, where L holds the 2x2 blocks
+    ``theta_k [[0, -1], [1, 0]]`` at rows and columns ``(i_k, j_k)``. At s in
+    [0, 1] the path is ``base_z turn(s) z_t``, where turn(s) rotates each
+    plane ``(i_k, j_k)`` by s theta_k, ``base_z`` is the start frame times Z
+    and ``z_t = Z^T``: a few cosines and sines and two small products.
     """
 
-    segments: tuple  # of (base @ Z, Z.T, i, theta, s_lo, s_hi)
+    base_z: np.ndarray
+    z_t: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    theta: np.ndarray
+
+    @property
+    def segments(self) -> tuple:
+        """``(self,)``: a geodesic is one segment. Read only by the benchmark's
+        tracer (``bench/tracer.py``), which counts paths of more than one."""
+        return (self,)
 
     @property
     def generator(self) -> np.ndarray:
-        """Skew generator K of a single-segment path: path(s) = path(0) expm(s K)."""
-        if len(self.segments) != 1:
-            raise ValueError("piecewise path has no single generator")
-        _, z_t, i, theta, _, _ = self.segments[0]
-        log_t = np.zeros(z_t.shape)
-        log_t[i + 1, i] = theta
-        log_t[i, i + 1] = -theta
-        k = (z_t.T @ log_t) @ z_t
+        """Skew generator K of the path: path(s) = path(0) expm(s K)."""
+        log_t = np.zeros(self.z_t.shape)
+        log_t[self.j, self.i] = self.theta
+        log_t[self.i, self.j] = -self.theta
+        k = (self.z_t.T @ log_t) @ self.z_t
         return (k - k.T) / 2.0
 
-    def locate(self, s: float) -> tuple:
-        """(segment index, local time t in [0, 1]) of the path parameter s."""
+    def __call__(self, s: float) -> np.ndarray:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"path parameter must be in [0, 1], got {s}")
-        for k, (*_, lo, hi) in enumerate(self.segments):
-            if s <= hi:
-                break
-        return k, 0.0 if hi == lo else (s - lo) / (hi - lo)
-
-    def __call__(self, s: float) -> np.ndarray:
-        k, t = self.locate(s)
-        base_z, z_t, i, theta, _, _ = self.segments[k]
-        c, sn = np.cos(t * theta), np.sin(t * theta)
-        turn = np.eye(z_t.shape[0])
+        i, j = self.i, self.j
+        c, sn = np.cos(s * self.theta), np.sin(s * self.theta)
+        turn = np.eye(self.z_t.shape[0])
         turn[i, i] = c
-        turn[i + 1, i + 1] = c
-        turn[i + 1, i] = sn
-        turn[i, i + 1] = -sn
-        return (base_z @ turn) @ z_t
+        turn[j, j] = c
+        turn[j, i] = sn
+        turn[i, j] = -sn
+        return (self.base_z @ turn) @ self.z_t
 
-    def trig_basis(self) -> list:
-        """Each segment's rotation as a linear combination of trigonometric terms.
+    def trig_basis(self) -> np.ndarray:
+        """The path as a linear combination of trigonometric terms.
 
-        Returns, per segment, ``(theta, basis)`` with basis of shape
-        (2K+1, n, n) for the segment's K block angles theta, such that at local
-        time t the path is ``basis[0] + sum_k cos(t theta_k) basis[1 + k]
-        + sin(t theta_k) basis[1 + K + k]``: the frame's fixed columns, then
-        each turning plane's cosine and sine parts.
+        Returns the basis of shape (2K+1, n, n) for the K block angles theta,
+        such that at s the path is ``basis[0] + sum_k cos(s theta_k)
+        basis[1 + k] + sin(s theta_k) basis[1 + K + k]``: the frame's fixed
+        columns, then each turning plane's cosine and sine parts.
         """
-        out = []
-        for base_z, z_t, i, theta, _, _ in self.segments:
-            j = i + 1
-            fixed = np.ones(z_t.shape[0], dtype=bool)
-            fixed[i] = fixed[j] = False
-            bi, bj = base_z[:, i].T[:, :, None], base_z[:, j].T[:, :, None]
-            zi, zj = z_t[i][:, None, :], z_t[j][:, None, :]
-            basis = np.concatenate(
-                ((base_z[:, fixed] @ z_t[fixed])[None], bi * zi + bj * zj, bj * zi - bi * zj)
-            )
-            out.append((theta, basis))
-        return out
+        base_z, z_t, i, j = self.base_z, self.z_t, self.i, self.j
+        fixed = np.ones(z_t.shape[0], dtype=bool)
+        fixed[i] = fixed[j] = False
+        bi, bj = base_z[:, i].T[:, :, None], base_z[:, j].T[:, :, None]
+        zi, zj = z_t[i][:, None, :], z_t[j][:, None, :]
+        return np.concatenate(
+            ((base_z[:, fixed] @ z_t[fixed])[None], bi * zi + bj * zj, bj * zi - bi * zj)
+        )
 
 
 def geodesic(u_start, u_end) -> RotationPath:
-    """Path in the rotation group from ``u_start`` to ``u_end``.
+    """Geodesic path in the rotation group from ``u_start`` to ``u_end``.
 
-    The generator is the principal logarithm of ``u_start.T @ u_end``, read
-    in closed form from that rotation's real Schur form (one angle per 2x2
-    block); the path keeps that factorization. When the rotation has an
-    eigenvalue at -1 (log ill-defined) the path detours through an
-    intermediate rotation and is returned as a two-segment piecewise path;
-    any continuous path serves the downstream homotopies. The intermediate
-    rotations are Haar draws from a fixed seed, so the same endpoints always
-    give the same path.
+    The generator is a logarithm of ``u_start.T @ u_end``, read in closed
+    form from that rotation's real Schur form (one angle per 2x2 block, and a
+    half turn per pair of eigenvalues -1), so every pair of endpoints gives
+    one segment, deterministically; the path keeps that factorization.
     """
     u_start = require_rotation(u_start, "u_start")
     u_end = require_rotation(u_end, "u_end")
@@ -334,22 +322,8 @@ def geodesic(u_start, u_end) -> RotationPath:
         raise DimensionError(
             f"endpoint shapes differ: {u_start.shape} vs {u_end.shape}"
         )
-
-    def segment(base, factors, lo, hi):
-        z, i, theta = factors
-        return base @ z, z.T, i, theta, lo, hi
-
-    f = _log_rotation_schur(u_start.T @ u_end)
-    if f is not None:
-        return RotationPath((segment(u_start, f, 0.0, 1.0),))
-    rng = np.random.default_rng(0)
-    for _ in range(64):
-        mid = haar_rotation(u_start.shape[0], rng)
-        f1 = _log_rotation_schur(u_start.T @ mid)
-        f2 = _log_rotation_schur(mid.T @ u_end)
-        if f1 is not None and f2 is not None:
-            return RotationPath((segment(u_start, f1, 0.0, 0.5), segment(mid, f2, 0.5, 1.0)))
-    raise NumericalError("could not find an intermediate rotation for the path")
+    z, i, j, theta = _log_rotation_schur(u_start.T @ u_end)
+    return RotationPath(u_start @ z, z.T, i, j, theta)
 
 
 def complete_to_rotation(columns) -> np.ndarray:

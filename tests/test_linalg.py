@@ -18,6 +18,19 @@ def _plane_turn(n, angles, rng):
     return q @ t @ q.T
 
 
+# (n, block angles) of rotations with an eigenvalue -1 or near it: one plane
+# at pi, -I for n = 2, 4 and 6, and planes inside the old 1e-8 band around pi
+HALF_TURNS = [
+    pytest.param(2, [np.pi], id="n2-pi"),
+    pytest.param(3, [np.pi], id="n3-pi"),
+    pytest.param(4, [np.pi, 0.7], id="n4-pi-0.7"),
+    pytest.param(4, [np.pi, np.pi], id="n4-pi-pi"),
+    pytest.param(5, [np.pi, np.pi - 1e-10], id="n5-pi-near1e-10"),
+    pytest.param(5, [np.pi - 5e-9, 0.4], id="n5-near5e-9-0.4"),
+    pytest.param(6, [np.pi, np.pi, np.pi], id="n6-pi-pi-pi"),
+]
+
+
 def _logm_oracle(r):
     k = np.real(scipy.linalg.logm(r))
     return (k - k.T) / 2.0
@@ -258,18 +271,26 @@ class TestGeodesic:
         for s in np.linspace(0, 1, 100):
             assert og.rotation_defect(path(s)) < 1e-10
 
-    def test_half_turn_needs_detour(self):
-        path = og.geodesic(np.eye(2), -np.eye(2))
-        assert len(path.segments) == 2
-        assert np.max(np.abs(path(1.0) + np.eye(2))) < 1e-10
+    @pytest.mark.parametrize("n, angles", HALF_TURNS)
+    def test_half_turn_is_one_segment(self, n, angles):
+        rng = np.random.default_rng(17)
+        u0 = og.haar_rotation(n, rng)
+        u1 = u0 @ _plane_turn(n, angles, rng)
+        path = og.geodesic(u0, u1)
+        assert path.segments == (path,)
+        assert np.max(np.abs(path(1.0) - u1)) < 1e-12
         for s in np.linspace(0, 1, 50):
-            assert og.rotation_defect(path(s)) < 1e-10
+            assert og.rotation_defect(path(s)) < 1e-12
 
-    def test_half_turn_detour_is_reproducible(self):
-        # the detour's intermediate rotation comes from a fixed seed
+    def test_half_turn_is_reproducible(self, monkeypatch):
+        # the path is read from one Schur form: no random draw, same bits
+        def no_draw(*args, **kwargs):
+            raise AssertionError("geodesic drew a random rotation")
+
         u1 = _plane_turn(4, [np.pi, 0.7], np.random.default_rng(18))
+        monkeypatch.setattr(og.linalg, "haar_rotation", no_draw)
+        monkeypatch.setattr(og.linalg, "haar_rotations", no_draw)
         first, second = og.geodesic(np.eye(4), u1), og.geodesic(np.eye(4), u1)
-        assert len(first.segments) == 2
         for s in np.linspace(0, 1, 21):
             assert np.array_equal(first(s), second(s))
 
@@ -294,12 +315,17 @@ class TestClosedFormLog:
         assert np.max(np.abs(k - _logm_oracle(r))) < 1e-12
 
     @pytest.mark.parametrize("gap", [0.0, 1e-10, 5e-9])
-    def test_none_within_guard_of_minus_one(self, gap):
-        # |exp(i(pi - gap)) + 1| is about gap, inside the 1e-8 guard
+    def test_factors_at_and_near_minus_one(self, gap):
+        # exp of the factors' generator gives back the rotation, and the
+        # eigenvalues -1 of the exact half turns pair into planes at pi
         r = _plane_turn(4, [np.pi - gap, 1.0], np.random.default_rng(12))
-        assert _log_rotation_schur(r) is None
-        assert _log_rotation_schur(-np.eye(2)) is None
-        assert _log_rotation_schur(np.diag([1.0, -1.0, -1.0])) is None
+        for rot in (r, -np.eye(2), np.diag([1.0, -1.0, -1.0]), -np.eye(4)):
+            z, i, j, theta = _log_rotation_schur(rot)
+            log_t = np.zeros(rot.shape)
+            log_t[j, i], log_t[i, j] = theta, -theta
+            assert np.max(np.abs(z @ scipy.linalg.expm(log_t) @ z.T - rot)) < 1e-12
+            assert np.max(np.abs(theta)) <= np.pi
+        assert sorted(np.abs(theta)) == [np.pi, np.pi]
 
 
 class TestPathEvaluation:
@@ -314,19 +340,17 @@ class TestPathEvaluation:
         for s in self.S_GRID:
             assert np.max(np.abs(path(s) - u0 @ scipy.linalg.expm(s * k))) < 1e-12
 
-    def test_two_segment_detour_matches_expm(self):
-        u1 = _plane_turn(4, [np.pi, 0.7], np.random.default_rng(13))
-        path = og.geodesic(np.eye(4), u1)
-        assert len(path.segments) == 2
+    @pytest.mark.parametrize("n, angles", HALF_TURNS)
+    def test_half_turn_matches_expm(self, n, angles):
+        rng = np.random.default_rng(13)
+        u0 = og.haar_rotation(n, rng)
+        path = og.geodesic(u0, u0 @ _plane_turn(n, angles, rng))
+        k = path.generator
         for s in self.S_GRID:
-            k, t = path.locate(s)
-            lo, hi = path.segments[k][-2:]
-            base = path(lo)
-            expected = base @ scipy.linalg.expm(t * _logm_oracle(base.T @ path(hi)))
-            assert np.max(np.abs(path(s) - expected)) < 1e-12
+            assert np.max(np.abs(path(s) - u0 @ scipy.linalg.expm(s * k))) < 1e-12
 
     def test_geodesic_factors_once(self, monkeypatch):
-        # the log's Schur form is the path's: one factorization per segment
+        # the log's Schur form is the path's: one factorization
         calls = []
         schur = scipy.linalg.schur
         monkeypatch.setattr(scipy.linalg, "schur",
@@ -341,13 +365,10 @@ class TestPathEvaluation:
         half_turn = _plane_turn(n, [np.pi] + [0.7] * (n // 2 - 1), rng)
         paths = [og.geodesic(og.haar_rotation(n, rng), og.haar_rotation(n, rng)),
                  og.geodesic(np.eye(n), half_turn)]
-        assert len(paths[1].segments) == 2
         for path in paths:
-            blocks = path.trig_basis()
+            basis = path.trig_basis()
             for s in self.S_GRID:
-                k, t = path.locate(s)
-                theta, basis = blocks[k]
-                w = np.concatenate(([1.0], np.cos(t * theta), np.sin(t * theta)))
+                w = np.concatenate(([1.0], np.cos(s * path.theta), np.sin(s * path.theta)))
                 assert np.max(np.abs(np.tensordot(w, basis, 1) - path(s))) < 1e-12
 
 
