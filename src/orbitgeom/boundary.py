@@ -16,7 +16,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 import numpy as np
-import scipy.linalg
 
 from .config import tolerances
 from .linalg import (
@@ -44,6 +43,12 @@ MAX_TRACE_MAX_SWEEPS = 500
 CLOSEST_IMAGE_SWEEP_TOL = 1e-9
 CLOSEST_IMAGE_MAX_SWEEPS = 200
 COUNTEREXAMPLE_DISTANCE_THRESHOLD = 1e-3
+# Margin of the extreme-point filter before qhull, relative to the cloud's
+# largest coordinate: a point is dropped only this far inside the polygon of
+# the cloud's extremes. That is far above the roundoff of the filter's own
+# test (a few 1e-16) and of qhull's, and small enough that a cloud of
+# relative width 1e-9 (a nearly collinear image) is still filtered.
+HULL_FILTER_MARGIN = 1e-12
 
 
 def _require_same_square(p, a, names=("P", "A"), require=require_square):
@@ -174,15 +179,27 @@ class SupportRegion:
     vertices: np.ndarray       # (m, 2) polygon of the half-plane intersection
 
     def violation(self, points) -> float:
-        """Largest amount by which any point leaves any half-plane."""
+        """Largest amount by which any point leaves any half-plane.
+
+        That is the largest slack ``x cos(t) + y sin(t) - h(t)`` over points
+        and directions. ``x cos(t) + y sin(t)`` is formed elementwise, so each
+        point's values are the same numbers whichever points it is passed
+        with; its largest value per direction is taken first, and h(t)
+        subtracted after, which gives the same maximum because rounding a
+        difference is monotone in it.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.size == 0:
             return 0.0
-        worst = -np.inf
-        for lo in range(0, pts.shape[0], 8192):
-            chunk = pts[lo : lo + 8192]
-            worst = max(worst, float(np.max(chunk @ self.directions.T - self.values)))
-        return worst
+        cos, sin = self.directions.T
+        reach = np.full(cos.shape, -np.inf)
+        # 128 points at a time: a (128, grid) block stays in cache
+        for lo in range(0, pts.shape[0], 128):
+            x, y = pts[lo : lo + 128].T
+            along = np.multiply.outer(x, cos)
+            along += np.multiply.outer(y, sin)
+            np.maximum(reach, along.max(axis=0), out=reach)
+        return float(np.max(reach - self.values))
 
     def diameter(self) -> float:
         if self.vertices.shape[0] < 2:
@@ -356,6 +373,17 @@ class MaximizerStructure:
         return cls(block_sizes=tuple(sizes), values=tuple(vals), a=a)
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """Square blocks placed along the diagonal of a zero matrix."""
+    size = sum(b.shape[0] for b in blocks)
+    out = np.zeros((size, size))
+    at = 0
+    for b in blocks:
+        out[at : at + b.shape[0], at : at + b.shape[0]] = b
+        at += b.shape[0]
+    return out
+
+
 def gamma_value(structure: MaximizerStructure) -> float:
     """The attained maximum: diagonal of P dotted with diagonal of A."""
     return float(np.diag(structure.p_matrix) @ np.diag(structure.a))
@@ -387,9 +415,7 @@ def gamma_build(structure: MaximizerStructure, factors) -> np.ndarray:
     else:
         left = list(factors)
         right = [f.T for f in factors]
-    lmat = scipy.linalg.block_diag(*left)
-    rmat = scipy.linalg.block_diag(*right)
-    return lmat @ structure.a @ rmat
+    return _block_diag(left) @ structure.a @ _block_diag(right)
 
 
 def gamma_sample(structure: MaximizerStructure, count: int, rng) -> list:
@@ -495,7 +521,7 @@ def block_decompose(b, a, k: int) -> BlockDecomposition:
         w[:, -1] *= -1.0
     f22 = signed_svd(b[k:, k:])
     x1, x2 = f22.u, f22.v.T
-    recon = scipy.linalg.block_diag(w, x1) @ a @ scipy.linalg.block_diag(w.T, x2)
+    recon = _block_diag((w, x1)) @ a @ _block_diag((w.T, x2))
     residual = float(np.max(np.abs(recon - b)))
     if residual > MAXIMIZER_BLOCK_TOL * scale:
         raise NumericalError(
@@ -987,22 +1013,71 @@ class ConvexityReport:
         }
 
 
+def _hull_candidates(pts) -> np.ndarray:
+    """Indices of the cloud points that are not well inside its convex hull.
+
+    The cloud's extremes along 16 directions are hull vertices in
+    counterclockwise order; the points strictly inside their polygon by
+    ``HULL_FILTER_MARGIN`` times the largest coordinate are dropped (Akl and
+    Toussaint, "A fast convex hull algorithm", Inf. Process. Lett. 7(5),
+    1978). The directions are a 22.5 degree turn apart once the cloud is
+    scaled to unit extent along its principal axes, so that a thin cloud has
+    extremes on its long sides too. A dropped point lies that far inside the
+    hull, so the survivors hold every hull vertex, every point within
+    roundoff of a hull edge, and every point where a linear function of the
+    cloud is largest. A flat cloud, or extremes that span no polygon, drop
+    no point.
+    """
+    x, y = np.ascontiguousarray(pts.T)
+    dx, dy = x - x.mean(), y - y.mean()
+    phi = 0.5 * np.arctan2(2.0 * (dx * dy).sum(), (dx * dx).sum() - (dy * dy).sum())
+    axes = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
+
+    def along(d):  # x d[0] + y d[1] of every point, written over dx
+        np.multiply(x, d[0], out=dx)
+        return np.add(dx, d[1] * y, out=dx)
+
+    extent = [np.ptp(along(d)) for d in axes]
+    if not min(extent) > 0.0:
+        return np.arange(len(x))
+    top, bottom = [], []
+    for t in np.pi * np.arange(8) / 8:
+        values = along(np.cos(t) / extent[0] * axes[0] + np.sin(t) / extent[1] * axes[1])
+        top.append(values.argmax())
+        bottom.append(values.argmin())
+    ring = top + bottom
+    ring = [i for k, i in enumerate(ring) if i != ring[k - 1]]
+    if len(ring) < 3:
+        return np.arange(len(x))
+    ex, ey = x[ring], y[ring]
+    # outward normals of the edges from each extreme to the next
+    nx, ny = np.roll(ey, -1) - ey, ex - np.roll(ex, -1)
+    margin = HULL_FILTER_MARGIN * max(np.abs(ex).max(), np.abs(ey).max())
+    bound = nx * ex + ny * ey - margin * np.hypot(nx, ny)
+    keep = np.zeros(len(x), dtype=bool)
+    for normal, c in zip(zip(nx, ny), bound):
+        keep |= along(normal) >= c
+    return np.flatnonzero(keep)
+
+
 def convexity_check(
     p, q, a, samples: int = 100000, rng=None, grid: int = 720
 ) -> ConvexityReport:
     """Compare the exact support region with the hull of a sampled image.
 
     Reports the worst support violation of the samples and both one-sided
-    gaps between the sampled hull and the region polygon. A linear functional
-    is largest over a finite set at an extreme point, so the violation is
-    taken over the hull's vertices and the points qhull keeps as coplanar
-    with a facet (option Qc), and equals the maximum over the whole cloud.
-    A flat (collinear) image has no 2-D hull: its sampled hull is the two
-    extreme points along the cloud's direction of spread, and the violation
-    is taken over every point. When the base matrix has tied singular values,
-    a small perturbation to distinct values probes the image drift (stability
-    of the convexity statement under perturbation); the drift is bounded by
-    trace linearity.
+    gaps between the sampled hull and the region polygon. Before qhull, the
+    points well inside the polygon of the cloud's extremes along 16
+    directions are dropped (``_hull_candidates``), which leaves a few dozen
+    to a few hundred of 1e5 samples. The survivors hold every hull vertex, so
+    the hull is the cloud's, and every point where a linear functional is
+    largest over the cloud: the violation is taken over them and equals the
+    maximum over the whole cloud. A flat (collinear) image keeps every sample
+    and has no 2-D hull: its sampled hull is the two extreme points of the
+    whole cloud along its direction of spread. When the base matrix has tied
+    singular values, a small perturbation to distinct values probes the image
+    drift (stability of the convexity statement under perturbation); the
+    drift is bounded by trace linearity.
     """
     p, q = _require_same_square(p, q, ("P", "Q"))
     a = require_square(a, "A")
@@ -1018,16 +1093,16 @@ def convexity_check(
     if spread > 1e-12 and pts.shape[0] >= 3:
         from scipy.spatial import ConvexHull, QhullError  # loaded on first use only
 
+        extreme = pts[_hull_candidates(pts)]
         try:
-            hull = ConvexHull(pts)
+            hull = ConvexHull(extreme)
         except QhullError:
             # flat image: a segment along the cloud's direction of spread
             centered = pts - pts.mean(axis=0)
             along = pts @ np.linalg.eigh(centered.T @ centered)[1][:, -1]
             hull_poly = pts[[np.argmin(along), np.argmax(along)]]
         else:
-            hull_poly = pts[hull.vertices]
-            extreme = pts[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+            hull_poly = extreme[hull.vertices]
     violation = region.violation(extreme)
     gap_hull_to_region = max(0.0, region.violation(hull_poly))
     if region.vertices.shape[0]:

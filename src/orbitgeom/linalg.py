@@ -130,13 +130,42 @@ def _haar_slabs(n: int, count: int, rng) -> np.ndarray:
     """``count`` independent Haar rotations in slab layout, shape (n, n, count).
 
     Entry (i, j) of sample k is ``r[i, j, k]``, so each entry slab ``r[i, j]``
-    is a contiguous (count,) block. For n = 2 a Gaussian 2-vector normalized
-    to (c, s) is uniform on the circle, which gives ``[[c, -s], [s, c]]``. For
-    n = 3 a Gaussian 4-vector normalized to a unit quaternion is uniform on
-    S^3, and the double cover S^3 -> SO(3) carries it to Haar measure
-    (Shoemake, "Uniform random rotations", Graphics Gems III, 1992); the
-    rotation is written out from products of its components. These two draw
-    2 count or 4 count normals, one contiguous slab per component.
+    is a contiguous (count,) block: the Gaussian draw of ``_haar_normals``,
+    finished into rotations by ``_haar_finish``.
+    """
+    return _haar_finish(n, _haar_normals(n, count, rng))
+
+
+def _haar_normals(n: int, count: int, rng) -> np.ndarray:
+    """The Gaussian draw behind ``count`` Haar rotations, sample index last.
+
+    Shape (2, count) for n = 2, (4, count) for n = 3, and for other n the
+    (count, n, n) draw of one Gaussian matrix per sample seen as (n, n, count).
+    Any slice ``g[..., lo:hi]`` finishes into the rotations of those samples
+    alone, so the rotations can be finished in blocks after one draw.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    rng = ensure_rng(rng)
+    if n == 2:
+        return rng.standard_normal((2, count))
+    if n == 3:
+        return rng.standard_normal((4, count))
+    return rng.standard_normal((count, n, n)).transpose(1, 2, 0)
+
+
+def _haar_finish(n: int, g) -> np.ndarray:
+    """Haar rotations (n, n, count) from a slice of ``_haar_normals``; overwrites g.
+
+    Every operation acts sample by sample, so a sample's rotation does not
+    depend on which other samples share the slice. For n = 2 a Gaussian
+    2-vector normalized to (c, s) is uniform on the circle, which gives
+    ``[[c, -s], [s, c]]``. For n = 3 a Gaussian 4-vector normalized to a unit
+    quaternion is uniform on S^3, and the double cover S^3 -> SO(3) carries it
+    to Haar measure (Shoemake, "Uniform random rotations", Graphics Gems III,
+    1992); the rotation is written out from products of its components.
 
     For n = 1 and n >= 4 a Gaussian matrix G is orthogonalized by classical
     Gram-Schmidt with every column projected out twice ("twice is enough":
@@ -147,24 +176,16 @@ def _haar_slabs(n: int, count: int, rng) -> np.ndarray:
     negated, which maps that coset onto the rotation group
     measure-preservingly.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    rng = ensure_rng(rng)
-    if count == 0:
-        return np.empty((n, n, 0))
     if n == 2:
-        c, s = rng.standard_normal((2, count))
+        c, s = g
         norm = np.sqrt(c * c + s * s)
         c /= norm
         s /= norm
-        return np.stack((c, -s, s, c)).reshape(2, 2, count)
+        return np.stack((c, -s, s, c)).reshape(2, 2, len(c))
     if n == 3:
-        return _quaternion_slabs(rng.standard_normal((4, count)))
-    g = rng.standard_normal((count, n, n))
+        return _quaternion_slabs(g)
     # cols[j, i, k] is entry (i, j) of sample k: each column is one (n, count) slab
-    cols = np.ascontiguousarray(g.transpose(2, 1, 0))
+    cols = np.ascontiguousarray(g.transpose(1, 0, 2))
     for j, col in enumerate(cols):
         if j:  # the first column has nothing to project out
             done = cols[:j]

@@ -14,12 +14,18 @@ import numpy as np
 
 from .linalg import (
     DimensionError,
-    _haar_slabs,
+    _haar_finish,
+    _haar_normals,
     as_matrix,
     ensure_rng,
     require_rotation,
     require_square,
 )
+
+# Samples per block of ``sample_image``: a block's rotations, orbit elements
+# and points stay in cache, and every product on a block is small enough for
+# BLAS to run on the calling thread.
+_SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -165,15 +171,21 @@ def _orbit_slabs(u, a, v) -> np.ndarray:
 def sample_image(lmap, orbit: OrbitSpec, count: int, rng, seed=None) -> PointCloud:
     """Monte Carlo sample of the orbit image under the map.
 
-    The factors U and V are two Haar stacks in slab layout (``_haar_slabs``:
-    closed-form angles for n = 2, uniform unit quaternions for n = 3,
-    Shoemake, "Uniform random rotations", Graphics Gems III, 1992; QR of
-    Gaussian matrices otherwise). For the full orthogonal group they are
-    drawn Haar on O_n with matching determinant signs: the last column of
-    both is flipped with probability 1/2, which keeps each factor Haar on
-    O_n. X = U A V is formed slab by slab in two products, and the points
-    are one (count, n^2) by (n^2, ell) product against the matrix whose column
-    m is P_m^T flattened, since tr(P X) = sum_ij X_ij (P^T)_ij.
+    The factors U and V are Haar rotations in slab layout (``_haar_normals``
+    and ``_haar_finish``: closed-form angles for n = 2, uniform unit
+    quaternions for n = 3, Shoemake, "Uniform random rotations", Graphics
+    Gems III, 1992; QR of Gaussian matrices otherwise). For the full
+    orthogonal group they are drawn Haar on O_n with matching determinant
+    signs: the last column of both is flipped with probability 1/2, which
+    keeps each factor Haar on O_n. All of U's normals are drawn first, then
+    all of V's, then the flips. The samples are then finished in blocks of
+    about 4096: the block's rotations, X = U A V slab by slab in two
+    products, and the points as one (block, n^2) by (n^2, ell) product
+    against the matrix whose column m is P_m^T flattened, since
+    tr(P X) = sum_ij X_ij (P^T)_ij. Each sample's point is the same, bit for
+    bit, as from one pass over all samples: a one-sample tail is folded into
+    the block before it, since one column would take BLAS's matrix-vector
+    path, which rounds differently.
     """
     mats = _map_mats(lmap)
     n = orbit.n
@@ -184,15 +196,20 @@ def sample_image(lmap, orbit: OrbitSpec, count: int, rng, seed=None) -> PointClo
     rng = ensure_rng(rng)
     if count == 0:
         return PointCloud(points=np.empty((0, len(mats))), seed=seed)
-    u = _haar_slabs(n, count, rng)
-    v = _haar_slabs(n, count, rng)
-    if orbit.group == "O":
-        flip = rng.random(count) < 0.5
-        u[:, -1, flip] *= -1.0
-        v[:, -1, flip] *= -1.0
-    x = _orbit_slabs(u, orbit.a, v)
+    gu = _haar_normals(n, count, rng)
+    gv = _haar_normals(n, count, rng)
+    flip = rng.random(count) < 0.5 if orbit.group == "O" else None
     pt = np.stack([p.T.ravel() for p in mats], axis=1)
-    pts = x.reshape(n * n, count).T @ pt
+    pts = np.empty((count, len(mats)))
+    edges = [*range(0, max(count - 1, 1), _SAMPLE_BLOCK), count]
+    for lo, hi in zip(edges, edges[1:]):
+        u = _haar_finish(n, gu[..., lo:hi])
+        v = _haar_finish(n, gv[..., lo:hi])
+        if flip is not None:
+            u[:, -1, flip[lo:hi]] *= -1.0
+            v[:, -1, flip[lo:hi]] *= -1.0
+        x = _orbit_slabs(u, orbit.a, v)
+        pts[lo:hi] = x.reshape(n * n, hi - lo).T @ pt
     return PointCloud(points=pts, seed=seed)
 
 

@@ -8,7 +8,7 @@ import scipy.spatial
 
 import orbitgeom as og
 from orbitgeom import boundary as bd
-from orbitgeom.boundary import _point_polygon_distance
+from orbitgeom.boundary import _block_diag, _hull_candidates, _point_polygon_distance
 from orbitgeom.linalg import _haar_slabs
 
 
@@ -325,6 +325,27 @@ class TestBlockDecompose:
         a = np.diag([4.0, 3.0, 2.0, -1.0])
         dec = og.block_decompose(a, a, 2)
         assert dec.residual <= 1e-12
+
+    def test_block_diag_equals_scipy(self):
+        # the numpy helper places the same entries, so the products that use
+        # it (gamma_build, block_decompose) are the same bit for bit
+        rng = np.random.default_rng(15)
+        blocks = [og.haar_rotation(k, rng) for k in (2, 1, 3)]
+        for group in (blocks, [b.T for b in blocks], blocks[:1]):
+            assert np.array_equal(_block_diag(group), scipy.linalg.block_diag(*group))
+        a = np.diag([4.0, 3.0, 2.0, 1.0])
+        st = og.MaximizerStructure.from_diagonal_p(np.diag([2.0, 2.0, 0.0, 0.0]), a)
+        factors = og.gamma_sample_factors(st, 1, rng)[0]
+        left = scipy.linalg.block_diag(*factors[:2])
+        right = scipy.linalg.block_diag(factors[0].T, factors[2])
+        assert np.array_equal(og.gamma_build(st, factors), left @ a @ right)
+        w, x1, x2 = (og.haar_rotation(2, rng) for _ in range(3))
+        b = scipy.linalg.block_diag(w, x1) @ a @ scipy.linalg.block_diag(w.T, x2)
+        dec = og.block_decompose(b, a, 2)
+        recon = scipy.linalg.block_diag(dec.w, dec.x1) @ a @ scipy.linalg.block_diag(
+            dec.w.T, dec.x2
+        )
+        assert dec.residual == float(np.max(np.abs(recon - b)))
 
     def test_trace_mismatch_rejected(self):
         a = np.diag([4.0, 3.0, 2.0, 1.0])
@@ -752,8 +773,9 @@ class TestHullReducedViolation:
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("group", ["SO", "O"])
     def test_hull_points_carry_the_cloud_maximum(self, n, group):
-        # the support violation over hull vertices and Qc-coplanar points is
-        # the brute-force maximum over every sample, bit for bit
+        # the support violation over hull vertices and Qc-coplanar points, and
+        # over the filter's candidates, is the brute-force maximum over every
+        # sample, bit for bit
         for seed, count in ((0, 10000), (1, 50000)):
             rng = np.random.default_rng(80 + 10 * n + seed)
             p, q, a = (rng.standard_normal((n, n)) for _ in range(3))
@@ -764,6 +786,7 @@ class TestHullReducedViolation:
             hull = scipy.spatial.ConvexHull(pts)
             extreme = np.union1d(hull.vertices, hull.coplanar[:, 0])
             assert region.violation(pts[extreme]) == region.violation(pts)
+            assert region.violation(pts[_hull_candidates(pts)]) == region.violation(pts)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_report_equals_brute_force_over_the_cloud(self, n):
@@ -774,6 +797,97 @@ class TestHullReducedViolation:
         pts = og.sample_image(
             og.LinearMapSpec((p, q)), og.OrbitSpec(a), 30000, np.random.default_rng(5)
         ).points
+        assert rep.support_violation == region.violation(pts)
+
+
+class TestViolation:
+    def _region_and_cloud(self, count):
+        rng = np.random.default_rng(32)
+        p, q, a = (rng.standard_normal((3, 3)) for _ in range(3))
+        region = og.support_boundary(p, q, a, 720)
+        pts = og.sample_image(og.LinearMapSpec((p, q)), og.OrbitSpec(a), count, rng).points
+        return region, 1.3 * pts
+
+    def test_each_row_is_independent_of_the_others(self):
+        region, pts = self._region_and_cloud(300)
+        rows = [region.violation(pts[i : i + 1]) for i in range(len(pts))]
+        assert region.violation(pts) == max(rows)
+        assert max(rows) > 0.0
+
+    def test_cloud_across_the_chunk_boundary_equals_its_halves(self):
+        # the halves split 10000 rows at 5000, off the 128-row chunk grid;
+        # the worst point sits in the second half
+        region, pts = self._region_and_cloud(10000)
+        pts[9000] = 1.5 * pts[np.argmax(np.hypot(*pts.T))]
+        whole = region.violation(pts)
+        assert whole == max(region.violation(pts[:5000]), region.violation(pts[5000:]))
+        assert whole == region.violation(pts[8192:])
+
+
+def _cloud(n, group, shape, count, seed):
+    rng = np.random.default_rng(seed)
+    p, q, a = (rng.standard_normal((n, n)) for _ in range(3))
+    if shape == "Q=2P":
+        q = 2.0 * p
+    elif shape == "Q=0":
+        q = np.zeros((n, n))
+    elif shape == "near-collinear":
+        q = 2.0 * p + 1e-9 * q
+    pts = og.sample_image(og.LinearMapSpec((p, q)), og.OrbitSpec(a, group), count, rng).points
+    return p, q, a, pts
+
+
+def _unfiltered_gaps(region, pts):
+    # both gaps from the hull of every sample, with the flat image's segment
+    # along the direction of spread when qhull finds no 2-D hull
+    try:
+        hull_poly = pts[scipy.spatial.ConvexHull(pts).vertices]
+    except scipy.spatial.QhullError:
+        centered = pts - pts.mean(axis=0)
+        along = pts @ np.linalg.eigh(centered.T @ centered)[1][:, -1]
+        hull_poly = pts[[np.argmin(along), np.argmax(along)]]
+    to_hull = _point_polygon_distance(region.vertices, hull_poly) if len(region.vertices) else 0.0
+    return max(0.0, region.violation(hull_poly)), to_hull
+
+
+class TestHullCandidates:
+    @pytest.mark.parametrize("count", [3, 5, 8, 15, 20000])
+    @pytest.mark.parametrize("n,group", [(3, "SO"), (3, "O"), (4, "SO"), (4, "O"),
+                                         (5, "SO"), (5, "O")])
+    def test_candidates_keep_the_hull(self, n, group, count):
+        _, _, _, pts = _cloud(n, group, "generic", count, 40 + 10 * n + count)
+        cand = _hull_candidates(pts)
+        hull = scipy.spatial.ConvexHull(pts)
+        assert set(cand[scipy.spatial.ConvexHull(pts[cand]).vertices]) == set(hull.vertices)
+        assert set(hull.coplanar[:, 0]) <= set(cand)
+        if count > 1000:
+            assert len(cand) < count // 20
+
+    @pytest.mark.parametrize("shape", ["Q=2P", "Q=0", "near-collinear"])
+    def test_flat_and_near_flat_clouds(self, shape):
+        _, _, _, pts = _cloud(3, "SO", shape, 20000, 50)
+        cand = _hull_candidates(pts)
+        if shape == "near-collinear":
+            # a thin cloud is filtered too: its extremes are taken in its own
+            # principal frame, where it has extremes on its long sides
+            hull = scipy.spatial.ConvexHull(pts)
+            assert set(cand[scipy.spatial.ConvexHull(pts[cand]).vertices]) == set(hull.vertices)
+            assert len(cand) < len(pts) // 20
+        else:
+            # no polygon to filter by: every point goes on to the hull
+            assert np.array_equal(cand, np.arange(len(pts)))
+
+    @pytest.mark.parametrize("count", [4, 15, 20000])
+    @pytest.mark.parametrize("shape", ["n=3", "n=4", "n=5", "Q=2P", "Q=0", "near-collinear"])
+    def test_report_equals_the_unfiltered_computation(self, shape, count):
+        n = int(shape[2]) if shape.startswith("n=") else 3
+        p, q, a, _ = _cloud(n, "SO", shape, 0, 60 + n)
+        rep = og.convexity_check(p, q, a, samples=count, rng=np.random.default_rng(count),
+                                 grid=360)
+        region = og.support_boundary(p, q, a, 360)
+        pts = og.sample_image(og.LinearMapSpec((p, q)), og.OrbitSpec(a), count,
+                              np.random.default_rng(count)).points
+        assert (rep.gap_hull_to_region, rep.gap_region_to_hull) == _unfiltered_gaps(region, pts)
         assert rep.support_violation == region.violation(pts)
 
 

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import orbitgeom as og
-from orbitgeom.orbits import LinearMapSpec, OrbitSpec, apply_map, orbit_point
+from orbitgeom.linalg import _haar_slabs
+from orbitgeom.orbits import (
+    _SAMPLE_BLOCK,
+    LinearMapSpec,
+    OrbitSpec,
+    _orbit_slabs,
+    apply_map,
+    orbit_point,
+)
 
 
 def _e(i, j, n=2):
@@ -142,6 +150,45 @@ class TestSampleImage:
         d2 = np.max(cKDTree(c1).query(c2)[0])
         diameter = np.max(np.linalg.norm(c1 - c1.mean(axis=0), axis=1)) * 2
         assert max(d1, d2) <= 0.05 * diameter
+
+
+def _whole_slab_sample(mats, a, group, count, rng):
+    # every sample in one pass: both Haar stacks, the flips, one orbit product
+    # and one projection
+    n = a.shape[0]
+    u = _haar_slabs(n, count, rng)
+    v = _haar_slabs(n, count, rng)
+    if group == "O":
+        flip = rng.random(count) < 0.5
+        u[:, -1, flip] *= -1.0
+        v[:, -1, flip] *= -1.0
+    x = _orbit_slabs(u, a, v)
+    pt = np.stack([p.T.ravel() for p in mats], axis=1)
+    return x.reshape(n * n, count).T @ pt
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("group", ["SO", "O"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_blocks_equal_the_whole_slab_sample(self, n, group):
+        # the draws, the points and the generator's state after the call are
+        # those of one pass over all samples, bit for bit; B + 1 and 2B + 1
+        # leave a one-sample tail, which must not be a block of its own.
+        # The map has 2 and 3 coordinates on alternate counts.
+        b = _SAMPLE_BLOCK
+        rng = np.random.default_rng(300 + n)
+        a = rng.standard_normal((n, n))
+        maps = [tuple(rng.standard_normal((n, n)) for _ in range(ell)) for ell in (2, 3)]
+        counts = (0, 1, 7, b - 1, b, b + 1, 2 * b + 1, 30000, 100000)
+        for k, count in enumerate(counts):
+            mats = maps[k % 2]
+            blocked, whole = np.random.default_rng(count), np.random.default_rng(count)
+            pts = og.sample_image(LinearMapSpec(mats), OrbitSpec(a, group), count,
+                                  blocked).points
+            ref = _whole_slab_sample(mats, a, group, count, whole)
+            assert pts.shape == (count, len(mats))
+            assert np.array_equal(pts, ref), count
+            assert blocked.random() == whole.random()
 
 
 class TestReduceJoint:
