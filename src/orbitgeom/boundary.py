@@ -43,11 +43,11 @@ MAX_TRACE_MAX_SWEEPS = 500
 CLOSEST_IMAGE_SWEEP_TOL = 1e-9
 CLOSEST_IMAGE_MAX_SWEEPS = 200
 COUNTEREXAMPLE_DISTANCE_THRESHOLD = 1e-3
-# Margin of the extreme-point filter before qhull, relative to the cloud's
+# Margin of the extreme-point filter before the hull, relative to the cloud's
 # largest coordinate: a point is dropped only this far inside the polygon of
 # the cloud's extremes. That is far above the roundoff of the filter's own
-# test (a few 1e-16) and of qhull's, and small enough that a cloud of
-# relative width 1e-9 (a nearly collinear image) is still filtered.
+# test and of the hull's turn test (a few 1e-16), and small enough that a
+# cloud of relative width 1e-9 (a nearly collinear image) is still filtered.
 HULL_FILTER_MARGIN = 1e-12
 
 
@@ -965,8 +965,6 @@ def _point_polygon_distance(points, poly) -> float:
     """
     points = np.asarray(points, dtype=float)
     poly = np.asarray(poly, dtype=float)
-    if poly.shape[0] == 0:
-        return float("inf")
     if poly.shape[0] == 1:
         return float(np.max(np.linalg.norm(points - poly[0], axis=1)))
     seg_a = poly
@@ -1026,7 +1024,8 @@ def _hull_candidates(pts) -> np.ndarray:
     hull, so the survivors hold every hull vertex, every point within
     roundoff of a hull edge, and every point where a linear function of the
     cloud is largest. A flat cloud, or extremes that span no polygon, drop
-    no point.
+    no point; a flat cloud then lies on ``_convex_hull``'s chord, which that
+    routine finds in one linear pass without sorting a point.
     """
     x, y = np.ascontiguousarray(pts.T)
     dx, dy = x - x.mean(), y - y.mean()
@@ -1060,25 +1059,64 @@ def _hull_candidates(pts) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _convex_hull(points) -> np.ndarray:
+    """Vertices of the convex hull of a 2-D cloud, counterclockwise.
+
+    Andrew's monotone chain ("Another efficient algorithm for convex hulls in
+    two dimensions", Inf. Process. Lett. 9(5), 1979). The chord between the
+    lexicographically first and last points splits the cloud. A point on the
+    chord is inside the hull or on one of its edges, so only the points
+    strictly below it (the lower chain, walked from the first point) and
+    strictly above it (the upper chain, walked back) are sorted and walked.
+    Points on a hull edge are dropped: a collinear cloud gives its two end
+    points, and a cloud of one distinct point gives that point.
+    """
+    x, y = points.T
+    tied = np.flatnonzero(x == x.min())
+    first = tied[np.argmin(y[tied])]
+    tied = np.flatnonzero(x == x.max())
+    last = tied[np.argmax(y[tied])]
+    if first == last:
+        return points[[first]]
+    side = _cross(points[first], points[last], (x, y))
+    hull = [points[first].tolist()]
+    for half, end in ((side < 0.0, last), (side > 0.0, first)):
+        start = len(hull)  # the chain never pops its first point, hull[start - 1]
+        walk = points[half]
+        walk = walk[np.lexsort(walk.T[::-1])].tolist()
+        for point in [*(walk if end == last else walk[::-1]), points[end].tolist()]:
+            while len(hull) > start and _cross(hull[-2], hull[-1], point) <= 0.0:
+                hull.pop()
+            hull.append(point)
+    return np.array(hull[:-1])
+
+
+def _cross(o, a, b):
+    """(a - o) x (b - o), positive where o, a, b turn counterclockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
 def convexity_check(
     p, q, a, samples: int = 100000, rng=None, grid: int = 720
 ) -> ConvexityReport:
     """Compare the exact support region with the hull of a sampled image.
 
     Reports the worst support violation of the samples and both one-sided
-    gaps between the sampled hull and the region polygon. Before qhull, the
-    points well inside the polygon of the cloud's extremes along 16
-    directions are dropped (``_hull_candidates``), which leaves a few dozen
-    to a few hundred of 1e5 samples. The survivors hold every hull vertex, so
-    the hull is the cloud's, and every point where a linear functional is
-    largest over the cloud: the violation is taken over them and equals the
-    maximum over the whole cloud. A flat (collinear) image keeps every sample
-    and has no 2-D hull: its sampled hull is the two extreme points of the
-    whole cloud along its direction of spread. When the base matrix has tied
-    singular values, a small perturbation to distinct values probes the image
-    drift (stability of the convexity statement under perturbation); the
-    drift is bounded by trace linearity.
+    gaps between the sampled hull and the region polygon. The points well
+    inside the polygon of the cloud's extremes along 16 directions are
+    dropped first (``_hull_candidates``), which leaves a few dozen to a few
+    hundred of 1e5 samples. The survivors hold every hull vertex, so their
+    hull (``_convex_hull``) is the cloud's, and every point where a linear
+    functional is largest over the cloud: the violation is taken over them
+    and equals the maximum over the whole cloud. A flat (collinear) image
+    keeps every sample, and its hull is the segment between its end points;
+    the hull of one or two samples is the samples themselves. When the base
+    matrix has tied singular values, a small perturbation to distinct values
+    probes the image drift (stability of the convexity statement under
+    perturbation); the drift is bounded by trace linearity.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     p, q = _require_same_square(p, q, ("P", "Q"))
     a = require_square(a, "A")
     if a.shape[0] < 3:
@@ -1086,23 +1124,9 @@ def convexity_check(
     rng = ensure_rng(rng)
     region = support_boundary(p, q, a, grid)
     lmap = LinearMapSpec((p, q))
-    cloud = sample_image(lmap, OrbitSpec(a), samples, rng)
-    pts = extreme = cloud.points
-    hull_poly = pts[:1] if len(cloud) else np.zeros((1, 2))
-    spread = float(np.max(pts) - np.min(pts)) if len(cloud) else 0.0
-    if spread > 1e-12 and pts.shape[0] >= 3:
-        from scipy.spatial import ConvexHull, QhullError  # loaded on first use only
-
-        extreme = pts[_hull_candidates(pts)]
-        try:
-            hull = ConvexHull(extreme)
-        except QhullError:
-            # flat image: a segment along the cloud's direction of spread
-            centered = pts - pts.mean(axis=0)
-            along = pts @ np.linalg.eigh(centered.T @ centered)[1][:, -1]
-            hull_poly = pts[[np.argmin(along), np.argmax(along)]]
-        else:
-            hull_poly = extreme[hull.vertices]
+    pts = sample_image(lmap, OrbitSpec(a), samples, rng).points
+    extreme = pts[_hull_candidates(pts)]
+    hull_poly = _convex_hull(extreme)
     violation = region.violation(extreme)
     gap_hull_to_region = max(0.0, region.violation(hull_poly))
     if region.vertices.shape[0]:

@@ -448,25 +448,6 @@ def _bracket_root(f, lo: float, hi: float, flo: float, fhi: float, ftol: float):
     )
 
 
-def bisect_root(f, lo: float, hi: float):
-    """Root of a sign change of f on [lo, hi]; returns (root, iterations).
-
-    Runs the package's one bracketing root-finder with no tolerance on |f|,
-    so the bracket is narrowed until no representable number lies strictly
-    between its ends, which pins the root to full relative precision (needed
-    when the slope at the root is large).
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo, 0
-    if fhi == 0.0:
-        return hi, 0
-    if np.sign(flo) == np.sign(fhi):
-        raise ValueError(f"no sign change: f({lo}) = {flo:.3e}, f({hi}) = {fhi:.3e}")
-    sign = 1.0 if flo < 0.0 else -1.0
-    return _bracket_root(lambda x: sign * f(x), lo, hi, sign * flo, sign * fhi, 0.0)
-
-
 def degenerate_u0(p, q) -> np.ndarray:
     """Frame U0 that makes the planar ellipse of (P, Q) rank-deficient.
 

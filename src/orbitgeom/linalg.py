@@ -7,6 +7,8 @@ helpers enforce this at API boundaries instead of wrapping arrays in a class.
 Provides the signed SVD (both factors forced into the rotation group, the
 determinant sign absorbed into the last diagonal entry), Haar sampling,
 one-segment geodesic paths, and orthonormal completion to a full rotation.
+Only a geodesic needs scipy (``scipy.linalg.schur``), which is imported on
+its first call; importing the package loads no scipy module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import tolerances
 
@@ -255,6 +256,8 @@ def _log_rotation_schur(r: np.ndarray):
     each angle times the quarter turn ``[[0, -1], [1, 0]]`` at rows and
     columns ``(i_k, j_k)``.
     """
+    import scipy.linalg  # loaded on the first geodesic only
+
     t, z = scipy.linalg.schur(r, output="real", check_finite=False)
     i = np.flatnonzero(np.diagonal(t, -1))
     j = i + 1

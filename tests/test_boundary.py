@@ -8,7 +8,12 @@ import scipy.spatial
 
 import orbitgeom as og
 from orbitgeom import boundary as bd
-from orbitgeom.boundary import _block_diag, _hull_candidates, _point_polygon_distance
+from orbitgeom.boundary import (
+    _block_diag,
+    _convex_hull,
+    _hull_candidates,
+    _point_polygon_distance,
+)
 from orbitgeom.linalg import _haar_slabs
 
 
@@ -833,8 +838,18 @@ def _cloud(n, group, shape, count, seed):
         q = np.zeros((n, n))
     elif shape == "near-collinear":
         q = 2.0 * p + 1e-9 * q
+    elif shape == "ultra-thin":
+        q = 2.0 * p + 1e-13 * q
     pts = og.sample_image(og.LinearMapSpec((p, q)), og.OrbitSpec(a, group), count, rng).points
     return p, q, a, pts
+
+
+def _assert_same_hull(poly, qhull_poly):
+    # the same vertices in the same counterclockwise cycle as qhull's, from
+    # any start
+    start = np.flatnonzero((qhull_poly == poly[0]).all(axis=1))
+    assert len(poly) == len(qhull_poly) and len(start) == 1
+    assert np.array_equal(np.roll(qhull_poly, -start[0], axis=0), poly)
 
 
 def _unfiltered_gaps(region, pts):
@@ -860,8 +875,17 @@ class TestHullCandidates:
         hull = scipy.spatial.ConvexHull(pts)
         assert set(cand[scipy.spatial.ConvexHull(pts[cand]).vertices]) == set(hull.vertices)
         assert set(hull.coplanar[:, 0]) <= set(cand)
+        _assert_same_hull(_convex_hull(pts[cand]), pts[hull.vertices])
         if count > 1000:
             assert len(cand) < count // 20
+
+    def test_chain_drops_edge_points_and_repeats(self):
+        # a unit square's corners, repeated, with its edge midpoints, centre
+        # and lexicographic ties at both ends of the chord
+        corners = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        others = [[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5], [0.5, 0.5]]
+        pts = np.random.default_rng(41).permutation(np.array(corners * 2 + others))
+        assert np.array_equal(_convex_hull(pts), corners)
 
     @pytest.mark.parametrize("shape", ["Q=2P", "Q=0", "near-collinear"])
     def test_flat_and_near_flat_clouds(self, shape):
@@ -878,7 +902,8 @@ class TestHullCandidates:
             assert np.array_equal(cand, np.arange(len(pts)))
 
     @pytest.mark.parametrize("count", [4, 15, 20000])
-    @pytest.mark.parametrize("shape", ["n=3", "n=4", "n=5", "Q=2P", "Q=0", "near-collinear"])
+    @pytest.mark.parametrize("shape", ["n=3", "n=4", "n=5", "Q=2P", "Q=0", "near-collinear",
+                                       "ultra-thin"])
     def test_report_equals_the_unfiltered_computation(self, shape, count):
         n = int(shape[2]) if shape.startswith("n=") else 3
         p, q, a, _ = _cloud(n, "SO", shape, 0, 60 + n)
@@ -887,7 +912,16 @@ class TestHullCandidates:
         region = og.support_boundary(p, q, a, 360)
         pts = og.sample_image(og.LinearMapSpec((p, q)), og.OrbitSpec(a), count,
                               np.random.default_rng(count)).points
-        assert (rep.gap_hull_to_region, rep.gap_region_to_hull) == _unfiltered_gaps(region, pts)
+        gaps = (rep.gap_hull_to_region, rep.gap_region_to_hull)
+        if shape == "ultra-thin":
+            # a cloud of relative width 1e-13 is within roundoff of flat:
+            # where qhull finds no 2-D hull the reference takes the segment
+            # along the spread and the chain keeps a sliver, which moves a
+            # gap by far less than 1e-15 of the diameter
+            assert np.allclose(gaps, _unfiltered_gaps(region, pts), rtol=0.0,
+                               atol=1e-15 * rep.diameter)
+        else:
+            assert gaps == _unfiltered_gaps(region, pts)
         assert rep.support_violation == region.violation(pts)
 
 
@@ -932,18 +966,29 @@ class TestConvexityCheck:
         assert rep.gap_hull_to_region <= 1e-8
         assert rep.diameter > 0
 
-    def test_near_collinear_image_goes_through_qhull(self, monkeypatch):
-        rng = np.random.default_rng(26)
-        p = rng.standard_normal((3, 3))
-        q = 2.0 * p + 1e-9 * rng.standard_normal((3, 3))
-        hulls = []
-        real = scipy.spatial.ConvexHull
+    def test_near_collinear_image_is_filtered_and_keeps_its_hull(self):
+        # a cloud of relative width 1e-9 is a thin 2-D hull, not a segment
+        _, _, _, pts = _cloud(3, "SO", "near-collinear", 5000, 26)
+        cand = _hull_candidates(pts)
+        assert len(cand) < len(pts) // 20
+        _assert_same_hull(_convex_hull(pts[cand]), pts[scipy.spatial.ConvexHull(pts).vertices])
 
-        def recording(points, *args, **kwargs):
-            hulls.append(real(points, *args, **kwargs))
-            return hulls[-1]
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_or_two_samples_are_their_own_hull(self, count):
+        rng = np.random.default_rng(27)
+        p, q = rng.standard_normal((2, 3, 3))
+        a = np.diag([3.0, 2.0, 1.0])
+        rep = og.convexity_check(p, q, a, samples=count, rng=np.random.default_rng(count),
+                                 grid=180)
+        region = og.support_boundary(p, q, a, 180)
+        pts = og.sample_image(og.LinearMapSpec((p, q)), og.OrbitSpec(a), count,
+                              np.random.default_rng(count)).points
+        hull = _convex_hull(pts)
+        assert len(hull) == count and {*map(tuple, hull)} == {*map(tuple, pts)}
+        assert rep.gap_region_to_hull == _point_polygon_distance(region.vertices, pts)
+        assert rep.gap_hull_to_region == max(0.0, region.violation(pts))
 
-        monkeypatch.setattr(scipy.spatial, "ConvexHull", recording)
-        rep = og.convexity_check(p, q, np.diag([3.0, 2.0, 1.0]), samples=5000, rng=rng, grid=180)
-        assert len(hulls) == 1
-        assert rep.support_violation <= 1e-8
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_no_samples_is_rejected(self, count):
+        with pytest.raises(ValueError, match="samples"):
+            og.convexity_check(np.eye(3), np.eye(3), np.eye(3), samples=count)

@@ -291,6 +291,12 @@ class TestMoreGeometryCommands:
         assert payload["support_violation"] <= 1e-8
         assert rc in (0, 1)  # the hull under-fills at tiny sample counts
 
+    def test_convexity_without_samples_is_an_input_error(self, tmp_path, capsys):
+        path = _write(tmp_path, "cvx.json", {"A": _mat(np.eye(3)), "P": _mat(np.eye(3)),
+                                             "Q": _mat(np.eye(3))})
+        assert main(["convexity", "--input", path, "--seed", "4", "--samples", "0"]) == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+
     def test_joint_o3(self, tmp_path):
         a1 = np.zeros((3, 3)); a1[0, 0] = 1.0
         a2 = np.zeros((3, 3)); a2[1, 1] = 1.0
@@ -357,13 +363,29 @@ class TestJointCommand:
         assert payload["num_failures"] == 0
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    # the hull's qhull module is loaded by convexity_check on first use only
-    code = "import sys, orbitgeom, orbitgeom.cli; print('scipy.spatial' in sys.modules)"
+_SCIPY_FREE_CALLS = """
+import sys
+import numpy as np
+import orbitgeom as og, orbitgeom.cli
+rng = np.random.default_rng(3)
+p, q = rng.standard_normal((2, 3, 3))
+og.convexity_check(p, q, np.diag([3.0, 2.0, 1.0]), samples=2000, rng=rng, grid=90)
+og.max_trace_bruteforce(p, np.eye(3), starts=4, rng=rng)
+og.counterexample_report("ell3", n=3, rng=rng, starts=4)
+assert not og.thompson_membership(og.DiagonalHullQuery([3.0, 0, 0], [1.0, 1, 1], 1)).member
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+og.geodesic(np.eye(3), og.haar_rotation(3, rng))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_where_a_geodesic_is_built():
+    # a fresh interpreter: the sampled checks and oracles load no scipy module,
+    # and one geodesic loads scipy.linalg for its Schur form
     src = os.path.dirname(os.path.dirname(orbitgeom.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CALLS], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 class TestDeterminism:

@@ -12,7 +12,6 @@ from orbitgeom.ellipsoids import (
     _ellipsoid_euv,
     _ellipsoid_radial_along,
     _radial_2x2,
-    bisect_root,
     surface_projection,
 )
 
@@ -392,9 +391,10 @@ class TestDegenerateU0:
             og.degenerate_u0(np.eye(2), np.eye(2))
 
     def test_bisection_iteration_budget(self):
-        # the root bracket is [0, pi]; the angle tolerance lands within 60 halvings
+        # the root bracket is [0, pi], where f falls through 0; with no
+        # tolerance on |f| the bracket closes within 60 steps
         f = lambda t: 0.8 * np.cos(t) - 0.8 * np.sin(t) / np.sqrt(0.64 * np.sin(t) ** 2 + 0.09)
-        root, iters = bisect_root(f, 0.0, np.pi)
+        root, iters = _bracket_root(lambda t: -f(t), 0.0, np.pi, -f(0.0), -f(np.pi), 0.0)
         assert iters <= 60
         assert abs(f(root)) < 1e-11
 
@@ -417,18 +417,11 @@ class TestBracketRoot:
             with pytest.raises(og.NumericalError):
                 _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
             with pytest.raises(og.NumericalError):
-                bisect_root(f, 0.0, 1.0)
+                _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 0.0)
         finally:
             og.tolerances.max_bisection_iter = saved
         x, _ = _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
         assert abs(f(x)) <= 1e-12
-
-    def test_bisect_root_either_orientation(self):
-        f = lambda t: np.cos(t) - t
-        for g in (f, lambda t: -f(t)):
-            root, iters = bisect_root(g, 0.0, 2.0)
-            assert abs(root - 0.7390851332151607) <= 2e-16
-            assert iters <= 60
 
 
 class TestDegenerateUV:
