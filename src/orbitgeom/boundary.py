@@ -128,6 +128,8 @@ def max_trace_bruteforce(p, a, starts: int = 2000, rng=None) -> float:
     no start improves by more than ``MAX_TRACE_SWEEP_TOL`` in a full sweep,
     or after ``MAX_TRACE_MAX_SWEEPS`` sweeps.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     p, a = _require_same_square(p, a)
     rng = ensure_rng(rng)
     n = p.shape[0]
@@ -396,6 +398,8 @@ def gamma_sample_factors(structure: MaximizerStructure, count: int, rng) -> list
     with a zero last group the final block carries independent left and right
     rotations (listed last in the factor tuple).
     """
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     rng = ensure_rng(rng)
     out = []
     for _ in range(count):
@@ -883,6 +887,8 @@ def counterexample_report(
     ``COUNTEREXAMPLE_DISTANCE_THRESHOLD`` away for the instance to count as
     verified. The report records the threshold as ``distance_threshold``.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     rng = ensure_rng(rng)
     if kind == "ell3":
         lmap = nonconvex_planar_map(n, ell)

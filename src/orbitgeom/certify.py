@@ -284,7 +284,7 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
     x = require_rotation(curve.witness(angles), "witness")
     achieved = apply_map(mats, x)
     residual = float(np.linalg.norm(achieved - y))
-    if residual > tolerances.certificate_residual:
+    if not residual <= tolerances.certificate_residual:  # a NaN residual fails too
         raise NumericalError(
             f"homotopy witness residual {residual:.3e} exceeds "
             f"{tolerances.certificate_residual:.1e}"
@@ -446,7 +446,7 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     achieved = apply_map(lmap, (u @ a) @ w)
     residual = float(np.linalg.norm(achieved - target))
     # each step passed the gate, but their errors add up in the composition
-    if residual > tolerances.certificate_residual:
+    if not residual <= tolerances.certificate_residual:
         raise NumericalError(
             f"composed certificate residual {residual:.3e} exceeds "
             f"{tolerances.certificate_residual:.1e}"
@@ -461,7 +461,11 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
 
 
 def _one_target(make_cert, idx, alpha_grid) -> list:
-    """Target idx's results, one per alpha; ``make_cert(idx)`` runs once."""
+    """Target idx's results, one per alpha; ``make_cert(idx)`` runs once.
+
+    A target passes when its certificate is returned: certify_scaled_point
+    raises past the residual bound.
+    """
     certs = make_cert(idx)
     out = []
     for alpha in alpha_grid:
@@ -476,7 +480,7 @@ def _one_target(make_cert, idx, alpha_grid) -> list:
             index=idx,
             alpha=alpha,
             residual=residual,
-            ok=residual <= tolerances.certificate_residual,
+            ok=error is None,
             iterations=iterations,
             error=error,
         ))
@@ -489,6 +493,8 @@ def _run_targets(make_cert, num_targets, alpha_grid, config) -> StarReport:
     ``make_cert(idx)`` returns target idx's map alpha -> Certificate. The
     report's config is ``config`` plus the batch's size, grid and tolerances.
     """
+    if num_targets < 0:
+        raise ValueError(f"num_targets must be at least 0, got {num_targets}")
     alpha_grid = [float(x) for x in alpha_grid]
     config = {**config, "num_targets": num_targets, "alpha_grid": alpha_grid,
               "tolerances": tolerances.as_dict()}
@@ -497,7 +503,13 @@ def _run_targets(make_cert, num_targets, alpha_grid, config) -> StarReport:
 
 
 def star_check(lmap, orbit: OrbitSpec, num_targets: int, alpha_grid, rng) -> StarReport:
-    """Certify alpha-scaled random image points of the orbit; failures are recorded."""
+    """Certify alpha-scaled random image points of the orbit; failures are recorded.
+
+    The frames are drawn from SO(n); an orbit of another group raises
+    ``PreconditionError``.
+    """
+    if orbit.group != "SO":
+        raise PreconditionError(f"star_check certifies SO orbits only, got {orbit.group!r}")
     lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
     rng = ensure_rng(rng)
     n = orbit.n
@@ -518,8 +530,11 @@ def star_check_joint(
 
     O1 and O2 reduce to a single-rotation map once and delegate; O3 freezes
     the left frame per target (coefficients sum_i P_i^(j) @ U @ A_i) and
-    certifies the scaling on the right factor.
+    certifies the scaling on the right factor. The frames are drawn from
+    SO(n); a joint orbit of another group raises ``PreconditionError``.
     """
+    if joint.group != "SO":
+        raise PreconditionError(f"star_check_joint certifies SO orbits only, got {joint.group!r}")
     rng = ensure_rng(rng)
     n = joint.n
     if joint.kind in ("O1", "O2"):

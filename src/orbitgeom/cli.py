@@ -46,6 +46,12 @@ def _get_matrix(obj, key, path):
     return ser.matrix_from_json(obj[key], key)
 
 
+def _input_matrices(path, *keys):
+    """The matrices under ``keys`` in the JSON input file at ``path``."""
+    obj = _load_input(path)
+    return [_get_matrix(obj, key, path) for key in keys]
+
+
 def _get_map(obj, path):
     if "map" not in obj:
         raise InputError(f"{path}: missing key 'map' ({{'P': [matrix, ...]}})")
@@ -106,10 +112,7 @@ def _cmd_sample(args):
 
 
 def _cmd_boundary(args):
-    obj = _load_input(args.input)
-    a = _get_matrix(obj, "A", args.input)
-    p = _get_matrix(obj, "P", args.input)
-    q = _get_matrix(obj, "Q", args.input)
+    a, p, q = _input_matrices(args.input, "A", "P", "Q")
     region = bd.support_boundary(p, q, a, args.grid)
     if args.format == "csv":
         _emit(args, ser.support_samples_to_csv(region))
@@ -136,9 +139,7 @@ def _cmd_star_check(args):
     rng = _require_seed(args)
     alphas = _parse_alpha(args.alpha)
     report = cf.star_check(lmap, OrbitSpec(a), args.samples, alphas, rng)
-    payload = report.to_json()
-    payload["seed"] = args.seed
-    _json_out(args, payload)
+    _json_out(args, report.to_json(), seed_used=args.seed)
     return 0 if not report.failures else 1
 
 
@@ -154,7 +155,6 @@ def _cmd_certify(args):
         alpha = vals[0]
     if alpha is None:
         raise InputError("certify needs 'alpha' in the input or --alpha")
-    seed_used = args.seed
     if "U" in obj and "V" in obj:
         u = _get_matrix(obj, "U", args.input)
         v = _get_matrix(obj, "V", args.input)
@@ -166,13 +166,14 @@ def _cmd_certify(args):
         cert = cf.certify_scaled_point(lmap, a, u, v, float(alpha))
     except (cf.NumericalError, PreconditionError) as exc:
         _json_out(args, {"ok": False, "alpha": float(alpha), "error": str(exc)},
-                  seed_used=seed_used)
+                  seed_used=args.seed)
         return 1
+    # certify_scaled_point raises past the residual bound, so a returned certificate passed
     payload = cert.to_json(include_witness=not args.no_witness)
     payload["alpha"] = float(alpha)
-    payload["ok"] = bool(cert.residual <= tolerances.certificate_residual)
-    _json_out(args, payload, seed_used=seed_used)
-    return 0 if payload["ok"] else 1
+    payload["ok"] = True
+    _json_out(args, payload, seed_used=args.seed)
+    return 0
 
 
 def _cmd_ellipse(args):
@@ -188,11 +189,10 @@ def _cmd_ellipse(args):
         u = _get_matrix(obj, "U", args.input)
         curve = el.ellipse_eu(p, q, u)
     if args.format == "svg":
-        thetas = np.linspace(0.0, 2.0 * np.pi, max(args.grid, 16))
-        pts = np.array([curve.point([t]) for t in thetas]) if curve.ell == 2 else None
-        if pts is None:
+        if curve.ell != 2:
             raise InputError("svg rendering of curves is planar only")
-        _emit(args, render_svg(curve=pts))
+        thetas = np.linspace(0.0, 2.0 * np.pi, max(args.grid, 16))
+        _emit(args, render_svg(curve=np.array([curve.point([t]) for t in thetas])))
         return 0
     _json_out(
         args,
@@ -238,9 +238,7 @@ def _cmd_degenerate(args):
 
 
 def _cmd_maxtrace(args):
-    obj = _load_input(args.input)
-    p = _get_matrix(obj, "P", args.input)
-    a = _get_matrix(obj, "A", args.input)
+    p, a = _input_matrices(args.input, "P", "A")
     value = bd.max_trace(p, a)
     u, v = bd.argmax_frames(p, a)
     achieved = float(np.einsum("ij,ji->", p, u @ a @ v))
@@ -257,10 +255,10 @@ def _cmd_maxtrace(args):
 
 
 def _cmd_gamma(args):
-    obj = _load_input(args.input)
-    p = _get_matrix(obj, "P", args.input)
-    a = _get_matrix(obj, "A", args.input)
+    p, a = _input_matrices(args.input, "P", "A")
     rng = _require_seed(args)
+    if args.samples < 1:
+        raise InputError(f"samples must be at least 1, got {args.samples}")
     structure = bd.MaximizerStructure.from_diagonal_p(p, a)
     mats = bd.gamma_sample(structure, args.samples, rng)
     reports = [bd.gamma_verify(b, p, a, structure) for b in mats]
@@ -314,14 +312,10 @@ def _cmd_counterexample(args):
 
 
 def _cmd_convexity(args):
-    obj = _load_input(args.input)
-    a = _get_matrix(obj, "A", args.input)
-    p = _get_matrix(obj, "P", args.input)
-    q = _get_matrix(obj, "Q", args.input)
+    a, p, q = _input_matrices(args.input, "A", "P", "Q")
     rng = _require_seed(args)
     report = bd.convexity_check(p, q, a, samples=args.samples, rng=rng, grid=args.grid)
-    payload = report.to_json()
-    _json_out(args, payload, seed_used=args.seed)
+    _json_out(args, report.to_json(), seed_used=args.seed)
     return 0 if report.passed else 1
 
 
@@ -343,11 +337,60 @@ def _cmd_joint(args):
     alphas = _parse_alpha(args.alpha)
     report = cf.star_check_joint(rows, joint, args.samples, alphas, rng)
     payload = report.to_json()
-    payload["seed"] = args.seed
     if kind in ("O1", "O2"):
         payload["reduced_map"] = ser.map_to_json(reduce_joint(rows, a_list, kind))
-    _json_out(args, payload)
+    _json_out(args, payload, seed_used=args.seed)
     return 0 if not report.failures else 1
+
+
+# The argparse keywords of each option, whichever subcommand reads it
+_OPTIONS = {
+    "--input": {"help": "path to the JSON input file"},
+    "--seed": {"type": int, "help": "RNG seed (required for sampling)"},
+    "--out": {"help": "output path (stdout when omitted)"},
+    "--format": {},
+    "--samples": {"type": int},
+    "--grid": {"type": int},
+    "--alpha": {},
+    "--tol": {"type": float, "help": "override the residual tolerance"},
+    "--threads": {"type": int, "help": "accepted for compatibility; ignored"},
+    "--no-witness": {"action": "store_true", "help": "omit the witness matrix from output"},
+    "kind": {"choices": ["ell3", "joint"]},
+    "--n": {"type": int},
+    "--m": {"type": int},
+    "--ell": {"type": int},
+    "--starts": {"type": int},
+}
+
+_FILE = {"--input": None, "--out": None}
+_SEEDED = {"--input": None, "--seed": None, "--out": None}
+_STAR = {**_SEEDED, "--samples": 10, "--tol": None, "--threads": None}
+
+# Every subcommand's handler, help text and the options it reads, with their
+# defaults; a --format entry gives the choices, of which the first is the default.
+_COMMANDS = {
+    "sample": (_cmd_sample, "CSV/JSON point cloud of an orbit image",
+               {**_SEEDED, "--format": ("json", "csv", "svg"), "--samples": 1000}),
+    "boundary": (_cmd_boundary, "exact planar support boundary",
+                 {**_FILE, "--format": ("json", "csv", "svg"), "--grid": 720}),
+    "star-check": (_cmd_star_check, "batch star-shapedness certification",
+                   {**_STAR, "--alpha": "0,0.25,0.5,0.75,1"}),
+    "certify": (_cmd_certify, "one scaled-point certificate",
+                {**_SEEDED, "--alpha": None, "--no-witness": False, "--tol": None}),
+    "ellipse": (_cmd_ellipse, "ellipse/ellipsoid locus of a frame",
+                {**_FILE, "--format": ("json", "svg"), "--grid": 360}),
+    "degenerate": (_cmd_degenerate, "degenerate frame construction", _FILE),
+    "maxtrace": (_cmd_maxtrace, "closed-form trace maximum and frames", _FILE),
+    "gamma": (_cmd_gamma, "sample and verify trace maximizers", {**_SEEDED, "--samples": 20}),
+    "thompson": (_cmd_thompson, "diagonal hull membership", _FILE),
+    "counterexample": (_cmd_counterexample, "verify a stock non-convexity instance",
+                       {"kind": None, "--n": 3, "--m": 2, "--ell": 3, "--starts": 256,
+                        "--seed": None, "--out": None}),
+    "convexity": (_cmd_convexity, "support region vs sampled hull",
+                  {**_SEEDED, "--samples": 100000, "--grid": 720}),
+    "joint": (_cmd_joint, "joint-orbit reduction and star check",
+              {**_STAR, "--alpha": "0,0.5,1"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,77 +399,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linear images of rotation orbits: certificates, boundaries, counterexamples.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, samples=None, grid=None, alpha=None):
-        sp.add_argument("--input", help="path to the JSON input file")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed (required for sampling)")
-        sp.add_argument("--out", help="output path (stdout when omitted)")
-        sp.add_argument("--format", choices=["json", "csv", "svg"], default="json")
-        sp.add_argument("--tol", type=float, default=None, help="override the residual tolerance")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; ignored")
-        if samples is not None:
-            sp.add_argument("--samples", type=int, default=samples)
-        if grid is not None:
-            sp.add_argument("--grid", type=int, default=grid)
-        if alpha is not None:
-            sp.add_argument("--alpha", default=alpha)
-
-    common(sub.add_parser("sample", help="CSV/JSON point cloud of an orbit image"), samples=1000)
-    common(sub.add_parser("boundary", help="exact planar support boundary"), grid=720)
-    common(sub.add_parser("star-check", help="batch star-shapedness certification"),
-           samples=10, alpha="0,0.25,0.5,0.75,1")
-    sp = sub.add_parser("certify", help="one scaled-point certificate")
-    common(sp)
-    sp.add_argument("--alpha", default=None)
-    sp.add_argument("--no-witness", action="store_true", help="omit the witness matrix from output")
-    common(sub.add_parser("ellipse", help="ellipse/ellipsoid locus of a frame"), grid=360)
-    common(sub.add_parser("degenerate", help="degenerate frame construction"))
-    common(sub.add_parser("maxtrace", help="closed-form trace maximum and frames"))
-    common(sub.add_parser("gamma", help="sample and verify trace maximizers"), samples=20)
-    common(sub.add_parser("thompson", help="diagonal hull membership"))
-    sp = sub.add_parser("counterexample", help="verify a stock non-convexity instance")
-    sp.add_argument("kind", choices=["ell3", "joint"])
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--ell", type=int, default=3)
-    sp.add_argument("--starts", type=int, default=256)
-    common(sp)
-    common(sub.add_parser("convexity", help="support region vs sampled hull"),
-           samples=100000, grid=720)
-    common(sub.add_parser("joint", help="joint-orbit reduction and star check"),
-           samples=10, alpha="0,0.5,1")
+    for name, (handler, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        for flag, default in options.items():
+            keywords = {**_OPTIONS[flag], "default": default}
+            if flag == "--format":
+                keywords.update(choices=default, default=default[0])
+            sp.add_argument(flag, **keywords)
     return parser
 
 
-_HANDLERS = {
-    "sample": _cmd_sample,
-    "boundary": _cmd_boundary,
-    "star-check": _cmd_star_check,
-    "certify": _cmd_certify,
-    "ellipse": _cmd_ellipse,
-    "degenerate": _cmd_degenerate,
-    "maxtrace": _cmd_maxtrace,
-    "gamma": _cmd_gamma,
-    "thompson": _cmd_thompson,
-    "counterexample": _cmd_counterexample,
-    "convexity": _cmd_convexity,
-    "joint": _cmd_joint,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     saved_tol = tolerances.certificate_residual
     if getattr(args, "tol", None) is not None:
         tolerances.certificate_residual = args.tol
     try:
-        return _HANDLERS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionError, ValueError) as exc:
+        return args.handler(args)
+    except (InputError, DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

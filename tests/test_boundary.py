@@ -49,6 +49,12 @@ class TestMaxTrace:
         oracle = og.max_trace_bruteforce(p, a, starts=500, rng=np.random.default_rng(n))
         assert abs(og.max_trace(p, a) - oracle) <= 1e-6
 
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_bruteforce_needs_a_start(self, starts):
+        with pytest.raises(ValueError, match=f"starts must be at least 1, got {starts}"):
+            og.max_trace_bruteforce(np.eye(3), np.eye(3), starts=starts,
+                                    rng=np.random.default_rng(0))
+
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(1)
         p, a = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
@@ -238,6 +244,12 @@ class TestGamma:
         return og.MaximizerStructure.from_diagonal_p(
             np.diag([3.0, 3.0, 1.0, 0.0]), np.diag([4.0, 3.0, 2.0, 1.0])
         )
+
+    def test_negative_count_rejected(self):
+        st = self._structure()
+        with pytest.raises(ValueError, match="count must be at least 0, got -3"):
+            og.gamma_sample_factors(st, -3, np.random.default_rng(0))
+        assert og.gamma_sample_factors(st, 0, np.random.default_rng(0)) == []
 
     def test_grouping(self):
         st = self._structure()
@@ -728,6 +740,11 @@ class TestCounterexamples:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             og.counterexample_report("nope", rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind, ell", [("ell3", 3), ("joint", 2)])
+    def test_starts_must_be_positive(self, kind, ell):
+        with pytest.raises(ValueError, match="starts must be at least 1, got 0"):
+            og.counterexample_report(kind, ell=ell, rng=np.random.default_rng(0), starts=0)
 
 
 class TestSupportConsistency:

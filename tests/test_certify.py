@@ -540,3 +540,30 @@ class TestStarCheckJoint:
         assert {"index", "alpha", "residual", "ok", "iterations", "error"} <= set(
             payload["results"][0]
         )
+
+
+class TestStarCheckPreconditions:
+    PS = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])]
+
+    def test_star_check_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="num_targets must be at least 0, got -2"):
+            og.star_check(self.PS, OrbitSpec(np.eye(3)), -2, [0.5], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", ["O1", "O3"])
+    def test_star_check_joint_rejects_a_negative_count(self, kind):
+        with pytest.raises(ValueError, match="num_targets must be at least 0, got -2"):
+            og.star_check_joint([[p] for p in self.PS], JointOrbitSpec((np.eye(3),), kind),
+                                -2, [0.5], np.random.default_rng(0))
+
+    def test_star_check_refuses_o_orbits(self):
+        # its frames are drawn from SO(n) only; an O orbit was certified as SO
+        with pytest.raises(og.PreconditionError, match="SO orbits only, got 'O'"):
+            og.star_check(self.PS, OrbitSpec(np.eye(3), "O"), 2, [0.5],
+                          np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", ["O1", "O2", "O3"])
+    def test_star_check_joint_refuses_o_orbits(self, kind):
+        with pytest.raises(og.PreconditionError, match="SO orbits only, got 'O'"):
+            og.star_check_joint([[p] for p in self.PS],
+                                JointOrbitSpec((np.eye(3),), kind, group="O"), 2, [0.5],
+                                np.random.default_rng(0))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import orbitgeom
 from orbitgeom import serialize as ser
-from orbitgeom.cli import main
+from orbitgeom.cli import build_parser, main
 
 
 def _write(tmp_path, name, payload):
@@ -126,6 +127,18 @@ class TestStarCheckCommand:
             assert all(r["residual"] is None for r in payload["results"])
 
 
+    def test_negative_samples_is_an_input_error(self, tmp_path, capsys):
+        path = _write(tmp_path, "star.json", {
+            "A": _mat(np.eye(3)),
+            "map": {"P": [_mat(np.diag([1.0, 0, 0])), _mat(np.diag([0, 1.0, 0]))]},
+        })
+        out = tmp_path / "report.json"
+        assert main(["star-check", "--input", path, "--seed", "7", "--samples", "-1",
+                     "--out", str(out)]) == 2
+        assert "num_targets must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCertifyCommand:
     def test_fixed_frames(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -224,6 +237,15 @@ class TestGeometryCommands:
         payload = json.loads(out.read_text())
         assert payload["all_verified"]
         assert payload["r"] == 23.0
+
+    def test_gamma_without_samples_is_an_input_error(self, tmp_path, capsys):
+        path = _write(
+            tmp_path,
+            "gamma.json",
+            {"P": _mat(np.diag([3.0, 3.0, 1.0, 0.0])), "A": _mat(np.diag([4.0, 3.0, 2.0, 1.0]))},
+        )
+        assert main(["gamma", "--input", path, "--seed", "3", "--samples", "0"]) == 2
+        assert "samples must be at least 1, got 0" in capsys.readouterr().err
 
     def test_boundary_csv(self, tmp_path):
         path = _write(
@@ -441,3 +463,75 @@ class TestDeterminism:
                              "--out", str(out)]) == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
+
+
+# Each subcommand's options, as README's CLI table lists them
+_SURFACE = {
+    "sample": "--input --seed --out --format --samples",
+    "boundary": "--input --out --format --grid",
+    "ellipse": "--input --out --format --grid",
+    "star-check": "--input --seed --out --samples --alpha --tol --threads",
+    "joint": "--input --seed --out --samples --alpha --tol --threads",
+    "certify": "--input --seed --out --alpha --no-witness --tol",
+    "degenerate": "--input --out",
+    "maxtrace": "--input --out",
+    "thompson": "--input --out",
+    "gamma": "--input --seed --out --samples",
+    "counterexample": "kind --n --m --ell --starts --seed --out",
+    "convexity": "--input --seed --out --samples --grid",
+}
+
+
+class TestSurface:
+    @staticmethod
+    def _subparsers():
+        parser = build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_each_subcommand_parses_only_the_options_it_reads(self):
+        options = {
+            name: {a.option_strings[0] if a.option_strings else a.dest
+                   for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+            for name, sp in self._subparsers().items()
+        }
+        assert options == {name: set(opts.split()) for name, opts in _SURFACE.items()}
+        assert sum(len(opts) for opts in options.values()) == 55
+
+    def test_format_choices(self):
+        subparsers = self._subparsers()
+        for name, choices in (("sample", ("json", "csv", "svg")),
+                              ("boundary", ("json", "csv", "svg")), ("ellipse", ("json", "svg"))):
+            fmt = next(a for a in subparsers[name]._actions if "--format" in a.option_strings)
+            assert (fmt.choices, fmt.default) == (choices, "json")
+
+    @pytest.mark.parametrize("argv", [
+        ["star-check", "--input", "star.json", "--seed", "1", "--format", "csv"],
+        ["ellipse", "--input", "ellipse.json", "--format", "csv"],
+        ["boundary", "--input", "planar.json", "--seed", "1"],
+        ["boundary", "--input", "planar.json", "--tol", "1e-3"],
+        ["maxtrace", "--input", "planar.json", "--threads", "2"],
+        ["counterexample", "ell3", "--seed", "1", "--starts", "4", "--input", "x.json"],
+        ["certify", "--input", "star.json", "--alpha", "0.5", "--seed", "1", "--threads", "2"],
+        ["convexity", "--input", "planar.json", "--seed", "1", "--samples", "50",
+         "--format", "svg"],
+        ["thompson", "--input", "thompson.json", "--format", "csv"],
+    ], ids=lambda argv: " ".join(a for a in argv if a.startswith("-") or a == argv[0]))
+    def test_unread_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        # each call is valid without its last flag, which the subcommand does not read
+        inputs = {
+            "star.json": {"A": _mat(np.eye(3)), "map": {"P": [_mat(np.diag([1.0, 0, 0])),
+                                                              _mat(np.diag([0, 1.0, 0]))]}},
+            "ellipse.json": {"P": _mat(_e(0, 0)), "Q": _mat(_e(1, 0)), "U": _mat(np.eye(2))},
+            "planar.json": {"A": _mat(np.eye(3)), "P": _mat(np.eye(3)), "Q": _mat(np.eye(3))},
+            "thompson.json": {"A": _mat(np.diag([3.0, 2.0, 1.0])), "d": [3.0, 2.0, 1.0]},
+        }
+        argv = [_write(tmp_path, a, inputs[a]) if a in inputs else a for a in argv]
+        assert main(argv[:-2] + ["--out", str(tmp_path / "valid")]) in (0, 1)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
+        assert not out.exists()
