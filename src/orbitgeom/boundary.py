@@ -225,8 +225,9 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
     last product sits on the last entries) and the frames of
     ``argmax_frames``, matrix for matrix as one call per direction. The region
     polygon comes from consecutive support-line intersections (one batched
-    2x2 solve), pruned to feasibility and to one copy of each run of repeated
-    points, as where many support lines meet at a corner of the region.
+    2x2 solve), pruned to one copy of each run of repeated points, as where
+    many support lines meet at a corner of the region. Each support line
+    touches the image, so every such intersection is a region vertex.
     """
     p, q = _require_same_square(p, q, ("P", "Q"))
     a = require_square(a, "A")
@@ -245,18 +246,7 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
     scale = float(np.max(np.abs(values))) + 1.0
     mats = np.stack((dirs, np.roll(dirs, -1, axis=0)), axis=1)
     rhs = np.stack((values, np.roll(values, -1)), axis=1)
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    keep = np.abs(det) >= 1e-12
-    raw = np.linalg.solve(mats[keep], rhs[keep, :, None])[:, :, 0]
-    # 16 candidates per product: a (grid, grid) feasibility matrix costs memory,
-    # and at grid 720 a 16-row block stays below malloc's mmap threshold
-    dirs_t = np.ascontiguousarray(dirs.T)
-    feasible = np.empty(len(raw), dtype=bool)
-    for start in range(0, len(raw), 16):
-        slack = raw[start:start + 16] @ dirs_t
-        slack -= values
-        feasible[start:start + 16] = slack.max(axis=1) <= 1e-8 * scale
-    cand = raw[feasible]
+    cand = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
     keep = np.ones(len(cand), dtype=bool)
     keep[1:] = np.abs(np.diff(cand, axis=0)).max(axis=1) > 1e-12 * scale
     vertices = cand[keep]
@@ -442,12 +432,9 @@ class GammaVerifyReport:
         return self.in_orbit and self.det_sign_ok and self.trace_ok and self.blocks_ok
 
 
-def gamma_verify(b, p, a,
-                 structure: MaximizerStructure | None = None) -> GammaVerifyReport:
+def gamma_verify(b, structure: MaximizerStructure) -> GammaVerifyReport:
     """Check membership in the maximizing set: orbit, trace value, block shape."""
     b = require_square(b, "B")
-    if structure is None:
-        structure = MaximizerStructure.from_diagonal_p(p, a)
     a = structure.a
     if b.shape != a.shape:
         raise DimensionError(f"B is {b.shape} but A is {a.shape}")
@@ -572,8 +559,8 @@ class ThompsonResult:
     the entries the inequality constrains) and its exact slack
     ``margin = d.g - max_v v.g`` over the hull's vertices v. The vertex list
     and a member's convex weights are computed on first access only:
-    ``vertices`` is ``thompson_vertices(s, det_sign)``, and ``weights``
-    solves a feasibility LP over it (None for a non-member).
+    ``vertices`` is ``thompson_vertices(s, det_sign)`` (n <= 7), and
+    ``weights`` solves a feasibility LP over it (None for a non-member).
     """
 
     query: DiagonalHullQuery
@@ -610,10 +597,12 @@ def thompson_vertices(s, det_sign: int) -> np.ndarray:
 
     An even number of minus signs for det >= 0, odd for det <= 0, both classes
     when the determinant vanishes. Rows are distinct and in lexicographic
-    order; a zero coordinate is +0.0.
+    order; a zero coordinate is +0.0. Sizes beyond 7 (n! 2^(n-1)) are refused.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     n = s.size
+    if n > 7:
+        raise ValueError(f"vertex enumeration is desk-scale only (n <= 7), got n={n}")
     parities = {0} if det_sign > 0 else {1} if det_sign < 0 else {0, 1}
     signs = [bits for bits in itertools.product((1.0, -1.0), repeat=n)
              if (bits.count(-1.0) % 2) in parities]
@@ -660,14 +649,11 @@ def thompson_membership(query: DiagonalHullQuery) -> ThompsonResult:
     both parities are vertices and only the majorization remains. Each
     inequality holds to a band of ``matrix_residual * (1 + s.sum())``. A
     violated one gives the separating functional and its exact margin. No
-    vertex is listed and no LP is solved here; the result's ``vertices`` and
-    ``weights`` do that on first access, so sizes beyond 7 (n! 2^(n-1)
-    vertices) are refused.
+    vertex is listed and no LP is solved here, so any size is answered; the
+    result's ``vertices`` and ``weights`` do that on first access.
     """
     d, s = query.d, query.s
     n = d.size
-    if n > 7:
-        raise ValueError(f"vertex enumeration is desk-scale only (n <= 7), got n={n}")
     band = tolerances.matrix_residual * (1.0 + s.sum())
     order = np.argsort(-np.abs(d), kind="stable")
     excess = np.cumsum(np.abs(d)[order]) - np.cumsum(s)
@@ -1135,10 +1121,7 @@ def convexity_check(
     hull_poly = _convex_hull(extreme)
     violation = region.violation(extreme)
     gap_hull_to_region = max(0.0, region.violation(hull_poly))
-    if region.vertices.shape[0]:
-        gap_region_to_hull = _point_polygon_distance(region.vertices, hull_poly)
-    else:
-        gap_region_to_hull = 0.0
+    gap_region_to_hull = _point_polygon_distance(region.vertices, hull_poly)
 
     sv = np.linalg.svd(a, compute_uv=False)
     scale = sv[0] + 1.0

@@ -531,10 +531,8 @@ def star_check_joint(
     O1 and O2 reduce to a single-rotation map once and delegate; O3 freezes
     the left frame per target (coefficients sum_i P_i^(j) @ U @ A_i) and
     certifies the scaling on the right factor. The frames are drawn from
-    SO(n); a joint orbit of another group raises ``PreconditionError``.
+    SO(n).
     """
-    if joint.group != "SO":
-        raise PreconditionError(f"star_check_joint certifies SO orbits only, got {joint.group!r}")
     rng = ensure_rng(rng)
     n = joint.n
     if joint.kind in ("O1", "O2"):

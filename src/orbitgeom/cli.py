@@ -96,7 +96,7 @@ def _cmd_sample(args):
     lmap = _get_map(obj, args.input)
     group = obj.get("group", "SO")
     rng = _require_seed(args)
-    cloud = sample_image(lmap, OrbitSpec(a, group), args.samples, rng, seed=args.seed)
+    cloud = sample_image(lmap, OrbitSpec(a, group), args.samples, rng)
     if args.format == "csv":
         _emit(args, ser.cloud_to_csv(cloud))
         print(f"seed={args.seed} samples={len(cloud)}", file=sys.stderr)
@@ -191,7 +191,7 @@ def _cmd_ellipse(args):
     if args.format == "svg":
         if curve.ell != 2:
             raise InputError("svg rendering of curves is planar only")
-        thetas = np.linspace(0.0, 2.0 * np.pi, max(args.grid, 16))
+        thetas = np.linspace(0.0, 2.0 * np.pi, 360)
         _emit(args, render_svg(curve=np.array([curve.point([t]) for t in thetas])))
         return 0
     _json_out(
@@ -261,7 +261,7 @@ def _cmd_gamma(args):
         raise InputError(f"samples must be at least 1, got {args.samples}")
     structure = bd.MaximizerStructure.from_diagonal_p(p, a)
     mats = bd.gamma_sample(structure, args.samples, rng)
-    reports = [bd.gamma_verify(b, p, a, structure) for b in mats]
+    reports = [bd.gamma_verify(b, structure) for b in mats]
     _json_out(
         args,
         {
@@ -304,8 +304,9 @@ def _cmd_thompson(args):
 
 def _cmd_counterexample(args):
     rng = _require_seed(args)
+    m = 2 if args.m is None else args.m  # main refuses --m for ell3
     report = bd.counterexample_report(
-        args.kind, n=args.n, m=args.m, ell=args.ell, rng=rng, starts=args.starts
+        args.kind, n=args.n, m=m, ell=args.ell, rng=rng, starts=args.starts
     )
     _json_out(args, report, seed_used=args.seed)
     return 0 if report["passed"] else 1
@@ -352,19 +353,18 @@ _OPTIONS = {
     "--samples": {"type": int},
     "--grid": {"type": int},
     "--alpha": {},
-    "--tol": {"type": float, "help": "override the residual tolerance"},
     "--threads": {"type": int, "help": "accepted for compatibility; ignored"},
     "--no-witness": {"action": "store_true", "help": "omit the witness matrix from output"},
     "kind": {"choices": ["ell3", "joint"]},
     "--n": {"type": int},
-    "--m": {"type": int},
+    "--m": {"type": int, "help": "orbit matrices of the joint instance (default 2)"},
     "--ell": {"type": int},
     "--starts": {"type": int},
 }
 
 _FILE = {"--input": None, "--out": None}
 _SEEDED = {"--input": None, "--seed": None, "--out": None}
-_STAR = {**_SEEDED, "--samples": 10, "--tol": None, "--threads": None}
+_STAR = {**_SEEDED, "--samples": 10, "--threads": None}
 
 # Every subcommand's handler, help text and the options it reads, with their
 # defaults; a --format entry gives the choices, of which the first is the default.
@@ -376,15 +376,15 @@ _COMMANDS = {
     "star-check": (_cmd_star_check, "batch star-shapedness certification",
                    {**_STAR, "--alpha": "0,0.25,0.5,0.75,1"}),
     "certify": (_cmd_certify, "one scaled-point certificate",
-                {**_SEEDED, "--alpha": None, "--no-witness": False, "--tol": None}),
+                {**_SEEDED, "--alpha": None, "--no-witness": False}),
     "ellipse": (_cmd_ellipse, "ellipse/ellipsoid locus of a frame",
-                {**_FILE, "--format": ("json", "svg"), "--grid": 360}),
+                {**_FILE, "--format": ("json", "svg")}),
     "degenerate": (_cmd_degenerate, "degenerate frame construction", _FILE),
     "maxtrace": (_cmd_maxtrace, "closed-form trace maximum and frames", _FILE),
     "gamma": (_cmd_gamma, "sample and verify trace maximizers", {**_SEEDED, "--samples": 20}),
     "thompson": (_cmd_thompson, "diagonal hull membership", _FILE),
     "counterexample": (_cmd_counterexample, "verify a stock non-convexity instance",
-                       {"kind": None, "--n": 3, "--m": 2, "--ell": 3, "--starts": 256,
+                       {"kind": None, "--n": 3, "--m": None, "--ell": 3, "--starts": 256,
                         "--seed": None, "--out": None}),
     "convexity": (_cmd_convexity, "support region vs sampled hull",
                   {**_SEEDED, "--samples": 100000, "--grid": 720}),
@@ -411,17 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    saved_tol = tolerances.certificate_residual
-    if getattr(args, "tol", None) is not None:
-        tolerances.certificate_residual = args.tol
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "counterexample" and args.kind == "ell3" and args.m is not None:
+        parser.error(f"unrecognized arguments: --m {args.m} (only counterexample joint reads it)")
     try:
         return args.handler(args)
     except (InputError, DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        tolerances.certificate_residual = saved_tol
 
 
 if __name__ == "__main__":

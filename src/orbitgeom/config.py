@@ -1,8 +1,8 @@
 """Numerical tolerances: one policy for the whole package.
 
-The module-level ``tolerances`` instance is the only source of every
-threshold; no routine takes a per-call override. Matrix-valued residuals
-default to 1e-10 absolute. The eight fields are:
+The frozen module-level ``tolerances`` instance is the only source of every
+threshold, fixed at import: no routine or flag overrides it. Matrix-valued
+residuals default to 1e-10 absolute. The eight fields are:
 
 - ``matrix_residual``: reconstruction and rotation-group defects (max-norm),
   and, scaled by ``1 + sum(s)``, the band of the Thompson hull inequalities
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     matrix_residual: float = 1e-10
     boundary_band: float = 1e-8

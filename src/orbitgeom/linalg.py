@@ -68,13 +68,6 @@ def rotation_defect(u) -> float:
     return max(ortho, abs(float(np.linalg.det(u)) - 1.0))
 
 
-def is_rotation(u) -> bool:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return rotation_defect(u) <= tolerances.matrix_residual
-
-
 def require_rotation(u, name: str = "rotation") -> np.ndarray:
     arr = require_square(u, name)
     tol = tolerances.matrix_residual

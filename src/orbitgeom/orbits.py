@@ -78,12 +78,11 @@ class JointOrbitSpec:
     """Joint orbit of several matrices sharing rotation factors.
 
     kind O1: (A_1 V, ..., A_m V); O2: (U A_1, ..., U A_m);
-    O3: (U A_1 V, ..., U A_m V).
+    O3: (U A_1 V, ..., U A_m V), with U and V in SO(n).
     """
 
     a_list: tuple
     kind: str
-    group: str = "SO"
 
     def __post_init__(self):
         mats = tuple(require_square(a, f"A[{i}]") for i, a in enumerate(self.a_list))
@@ -99,8 +98,6 @@ class JointOrbitSpec:
         object.__setattr__(self, "a_list", mats)
         if self.kind not in ("O1", "O2", "O3"):
             raise ValueError(f"kind must be one of O1, O2, O3, got {self.kind!r}")
-        if self.group not in ("SO", "O"):
-            raise ValueError(f"group must be 'SO' or 'O', got {self.group!r}")
 
     @property
     def n(self) -> int:
@@ -113,10 +110,9 @@ class JointOrbitSpec:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Sampled points in R^ell with the seed they were drawn from."""
+    """Sampled points in R^ell."""
 
     points: np.ndarray
-    seed: object = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -168,7 +164,7 @@ def _orbit_slabs(u, a, v) -> np.ndarray:
     return np.einsum("ibk,bjk->ijk", np.matmul(a.T, u), v, out=u)
 
 
-def sample_image(lmap, orbit: OrbitSpec, count: int, rng, seed=None) -> PointCloud:
+def sample_image(lmap, orbit: OrbitSpec, count: int, rng) -> PointCloud:
     """Monte Carlo sample of the orbit image under the map.
 
     The factors U and V are Haar rotations in slab layout (``_haar_normals``
@@ -195,7 +191,7 @@ def sample_image(lmap, orbit: OrbitSpec, count: int, rng, seed=None) -> PointClo
         )
     rng = ensure_rng(rng)
     if count == 0:
-        return PointCloud(points=np.empty((0, len(mats))), seed=seed)
+        return PointCloud(points=np.empty((0, len(mats))))
     gu = _haar_normals(n, count, rng)
     gv = _haar_normals(n, count, rng)
     flip = rng.random(count) < 0.5 if orbit.group == "O" else None
@@ -210,7 +206,7 @@ def sample_image(lmap, orbit: OrbitSpec, count: int, rng, seed=None) -> PointClo
             v[:, -1, flip[lo:hi]] *= -1.0
         x = _orbit_slabs(u, orbit.a, v)
         pts[lo:hi] = x.reshape(n * n, hi - lo).T @ pt
-    return PointCloud(points=pts, seed=seed)
+    return PointCloud(points=pts)
 
 
 def reduce_joint(l_joint, a_list, kind: str) -> LinearMapSpec:

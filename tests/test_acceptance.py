@@ -200,7 +200,7 @@ def test_10_gamma_structure():
     factor_sets = og.gamma_sample_factors(structure, 100, rng)
     for factors in factor_sets:
         b = og.gamma_build(structure, factors)
-        rep = og.gamma_verify(b, p, a, structure)
+        rep = og.gamma_verify(b, structure)
         worst_gap = max(worst_gap, rep.trace_gap)
         worst_off = max(worst_off, rep.max_off_block)
     worst_path = 0.0

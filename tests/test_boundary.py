@@ -146,17 +146,33 @@ def _support_boundary_per_direction(p, q, a, grid_size):
 
 class TestSupportBoundary:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("kind", ["generic", "tied", "zero"])
+    @pytest.mark.parametrize("kind", ["generic", "tied", "zero", "rank-deficient",
+                                      "Q=2P", "Q=0", "P=Q=0", "x1e6", "x1e-9"])
     def test_equals_per_direction_reference(self, n, kind):
+        # every intersection of consecutive support lines is a region vertex,
+        # degenerate maps included: each meets every half-plane, and the loop
+        # form, which drops an infeasible one, drops none
         rng = np.random.default_rng(70 + n)
         p, q = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        g = rng.standard_normal((n, n))
         a = {
-            "generic": rng.standard_normal((n, n)),
             "tied": np.diag(np.r_[2.0, np.ones(n - 1)]),
             "zero": np.zeros((n, n)),
-        }[kind]
-        for grid in (8, 360):
+            "rank-deficient": g[:, :1] @ g[:1, :],
+        }.get(kind, g)
+        if kind == "Q=2P":
+            q = 2.0 * p
+        elif kind in ("Q=0", "P=Q=0"):
+            p, q = (p if kind == "Q=0" else 0.0 * p), 0.0 * q
+        elif kind in ("x1e6", "x1e-9"):
+            factor = float(kind[1:])
+            p, q, a = factor * p, factor * q, factor * a
+        for grid in (8, 360, 2048):
             region = og.support_boundary(p, q, a, grid)
+            scale = np.max(np.abs(region.values)) + 1.0
+            assert region.violation(region.vertices) <= 1e-12 * scale
+            if grid == 2048:
+                continue  # the loop form's signed SVD per direction is slow here
             values, touches, vertices = _support_boundary_per_direction(p, q, a, grid)
             assert np.array_equal(region.values, values)
             assert np.array_equal(region.touches, touches)
@@ -288,7 +304,7 @@ class TestGamma:
         st = self._structure()
         rng = np.random.default_rng(9)
         for b in og.gamma_sample(st, 20, rng):
-            rep = og.gamma_verify(b, st.p_matrix, st.a, st)
+            rep = og.gamma_verify(b, st)
             assert rep.passed
             assert rep.trace_gap <= 1e-10
             assert rep.max_off_block <= 1e-10
@@ -297,7 +313,7 @@ class TestGamma:
         st = self._structure()
         rng = np.random.default_rng(10)
         b = og.haar_rotation(4, rng) @ st.a @ og.haar_rotation(4, rng)
-        rep = og.gamma_verify(b, st.p_matrix, st.a, st)
+        rep = og.gamma_verify(b, st)
         assert not rep.trace_ok
 
     def test_verify_rejects_perturbed_sample(self):
@@ -305,7 +321,7 @@ class TestGamma:
         rng = np.random.default_rng(11)
         b = og.gamma_sample(st, 1, rng)[0]
         b[0, 3] += 1e-3
-        rep = og.gamma_verify(b, st.p_matrix, st.a, st)
+        rep = og.gamma_verify(b, st)
         assert not (rep.in_orbit and rep.blocks_ok)
 
     def test_tied_base_rejected(self):
@@ -430,10 +446,28 @@ class TestThompson:
         assert not np.any(np.signbit(verts[verts == 0]))  # zeros come out as +0.0
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            og.thompson_membership(
-                og.DiagonalHullQuery(d=np.zeros(8), s=np.arange(8.0)[::-1], det_sign=1)
-            )
+        # the cap guards the vertex enumeration, which .vertices and .weights run
+        res = og.thompson_membership(
+            og.DiagonalHullQuery(d=np.zeros(8), s=np.arange(8.0)[::-1], det_sign=1)
+        )
+        assert res.member
+        with pytest.raises(ValueError, match="n <= 7"):
+            res.vertices
+
+    @pytest.mark.parametrize("det_sign", [-1, 0, 1])
+    def test_verdicts_beyond_the_enumeration_cap(self, det_sign):
+        # membership reads only the closed-form inequalities, at any size
+        rng = np.random.default_rng(170 + det_sign)
+        s = np.sort(rng.uniform(0.5, 3.0, 10))[::-1]
+        a = np.diag(s * np.r_[np.ones(9), det_sign or 1.0])
+        if det_sign == 0:
+            s[-1] = a[-1, -1] = 0.0
+        d = np.diag(og.haar_rotation(10, rng) @ a @ og.haar_rotation(10, rng))
+        member = og.thompson_membership(og.DiagonalHullQuery(d=d, s=s, det_sign=det_sign))
+        assert member.member
+        far = 1.05 * s.sum() / np.abs(d).sum() * d  # outside the l1 ball of radius sum(s)
+        outside = og.thompson_membership(og.DiagonalHullQuery(d=far, s=s, det_sign=det_sign))
+        assert not outside.member and outside.margin > 0
 
     def test_empty_query_rejected(self):
         with pytest.raises(og.DimensionError):

@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import orbitgeom
+from orbitgeom import certify
 from orbitgeom import serialize as ser
 from orbitgeom.cli import build_parser, main
 
@@ -48,6 +51,27 @@ class TestSample:
         pts = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
         assert pts.shape == (100, 2)
         assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-9
+
+    def test_json_is_the_sampled_cloud(self, tmp_path, circle_input):
+        out = tmp_path / "cloud.json"
+        rc = main(["sample", "--input", circle_input, "--seed", "1",
+                   "--samples", "100", "--format", "json", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert (payload["count"], payload["seed"]) == (100, 1)
+        assert payload["tolerances"] == orbitgeom.tolerances.as_dict()
+        cloud = orbitgeom.sample_image([_e(0, 0), _e(1, 0)], orbitgeom.OrbitSpec(np.eye(2)),
+                                       100, np.random.default_rng(1))
+        assert np.array_equal(payload["points"], cloud.points)
+
+    def test_svg_draws_every_point(self, tmp_path, circle_input):
+        out = tmp_path / "cloud.svg"
+        rc = main(["sample", "--input", circle_input, "--seed", "1",
+                   "--samples", "100", "--format", "svg", "--out", str(out)])
+        assert rc == 0
+        text = out.read_text()
+        assert text.startswith("<svg") and text.count("<circle") == 100
+        assert "<polyline" not in text and "<polygon" not in text
 
     def test_seed_required(self, circle_input, capsys):
         rc = main(["sample", "--input", circle_input, "--samples", "10"])
@@ -100,9 +124,9 @@ class TestStarCheckCommand:
         assert "tolerances" in payload
 
 
-    def test_failed_targets_write_strict_json(self, tmp_path):
-        # an unreachable --tol fails every target; their residuals and the
-        # maximum over no passing target are null, never a bare NaN
+    def test_failed_targets_write_strict_json(self, tmp_path, monkeypatch):
+        # an unreachable residual bound fails every target; their residuals and
+        # the maximum over no passing target are null, never a bare NaN
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
@@ -116,10 +140,12 @@ class TestStarCheckCommand:
             "maps": [[_mat(rng.standard_normal((3, 3))) for _ in range(2)] for _ in range(2)],
             "kind": "O3",
         })
+        monkeypatch.setattr(certify, "tolerances",
+                            dataclasses.replace(orbitgeom.tolerances, certificate_residual=1e-300))
         for sub, path in (("star-check", star), ("joint", joint)):
             out = tmp_path / f"{sub}.json"
             rc = main([sub, "--input", path, "--seed", "3", "--samples", "2",
-                       "--alpha", "0.5", "--tol", "1e-300", "--out", str(out)])
+                       "--alpha", "0.5", "--out", str(out)])
             assert rc == 1
             payload = json.loads(out.read_text(), parse_constant=refuse)
             assert payload["num_failures"] == 2
@@ -178,6 +204,30 @@ class TestGeometryCommands:
         payload = json.loads(out.read_text())
         assert payload["degenerate"] is False
         assert payload["shape"]["data"] == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_ellipse_svg_is_one_polyline_of_360_points(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "ellipse.json",
+            {"P": _mat(_e(0, 0)), "Q": _mat(_e(1, 0)), "U": _mat(np.eye(2))},
+        )
+        runs = []
+        for k in range(2):
+            out = tmp_path / f"ellipse{k}.svg"
+            assert main(["ellipse", "--input", path, "--format", "svg", "--out", str(out)]) == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
+        text = runs[0].decode()
+        assert text.count("<polyline") == 1
+        assert "<polygon" not in text and "<circle" not in text
+        coords = re.search(r'<polyline points="([^"]*)"', text).group(1).split()
+        xy = np.array([[float(c) for c in pair.split(",")] for pair in coords])
+        assert xy.shape == (360, 2)
+        # mapped back through the recorded transform, every point is on the unit circle
+        meta = json.loads(re.search(r"<metadata>(.*)</metadata>", text).group(1))
+        data = (xy - 400.0) * [1.0, -1.0] / meta["scale"] + meta["center"]
+        assert np.allclose(np.hypot(*data.T), 1.0, rtol=0, atol=1e-6)
+        assert np.array_equal(xy[0], xy[-1])
 
     def test_degenerate_planar(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -363,6 +413,14 @@ class TestCounterexampleCommand:
         assert payload["endpoints"] == [[1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
         assert payload["midpoint_distance_estimate"] >= 1e-3
 
+    def test_joint_reads_m(self, tmp_path):
+        # m = 2 unless --m is given; only the joint instance has an m
+        for extra, m in (([], 2), (["--m", "3"], 3)):
+            out = tmp_path / f"ce{m}.json"
+            assert main(["counterexample", "joint", "--seed", "5", "--starts", "8", *extra,
+                         "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["m"] == m
+
 
 class TestJointCommand:
     def test_o1_includes_reduced_map(self, tmp_path):
@@ -469,10 +527,10 @@ class TestDeterminism:
 _SURFACE = {
     "sample": "--input --seed --out --format --samples",
     "boundary": "--input --out --format --grid",
-    "ellipse": "--input --out --format --grid",
-    "star-check": "--input --seed --out --samples --alpha --tol --threads",
-    "joint": "--input --seed --out --samples --alpha --tol --threads",
-    "certify": "--input --seed --out --alpha --no-witness --tol",
+    "ellipse": "--input --out --format",
+    "star-check": "--input --seed --out --samples --alpha --threads",
+    "joint": "--input --seed --out --samples --alpha --threads",
+    "certify": "--input --seed --out --alpha --no-witness",
     "degenerate": "--input --out",
     "maxtrace": "--input --out",
     "thompson": "--input --out",
@@ -496,7 +554,7 @@ class TestSurface:
             for name, sp in self._subparsers().items()
         }
         assert options == {name: set(opts.split()) for name, opts in _SURFACE.items()}
-        assert sum(len(opts) for opts in options.values()) == 55
+        assert sum(len(opts) for opts in options.values()) == 51
 
     def test_format_choices(self):
         subparsers = self._subparsers()
@@ -516,6 +574,12 @@ class TestSurface:
         ["convexity", "--input", "planar.json", "--seed", "1", "--samples", "50",
          "--format", "svg"],
         ["thompson", "--input", "thompson.json", "--format", "csv"],
+        ["star-check", "--input", "star.json", "--seed", "1", "--samples", "1",
+         "--tol", "1e-3"],
+        ["joint", "--input", "joint.json", "--seed", "1", "--samples", "1", "--tol", "1e-3"],
+        ["certify", "--input", "star.json", "--alpha", "0.5", "--seed", "1", "--tol", "1e-3"],
+        ["ellipse", "--input", "ellipse.json", "--format", "svg", "--grid", "16"],
+        ["counterexample", "ell3", "--seed", "1", "--starts", "4", "--m", "2"],
     ], ids=lambda argv: " ".join(a for a in argv if a.startswith("-") or a == argv[0]))
     def test_unread_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
         # each call is valid without its last flag, which the subcommand does not read
@@ -525,6 +589,8 @@ class TestSurface:
             "ellipse.json": {"P": _mat(_e(0, 0)), "Q": _mat(_e(1, 0)), "U": _mat(np.eye(2))},
             "planar.json": {"A": _mat(np.eye(3)), "P": _mat(np.eye(3)), "Q": _mat(np.eye(3))},
             "thompson.json": {"A": _mat(np.diag([3.0, 2.0, 1.0])), "d": [3.0, 2.0, 1.0]},
+            "joint.json": {"A_list": [_mat(np.eye(3))], "kind": "O3",
+                           "maps": [[_mat(np.diag([1.0, 0, 0]))], [_mat(np.diag([0, 1.0, 0]))]]},
         }
         argv = [_write(tmp_path, a, inputs[a]) if a in inputs else a for a in argv]
         assert main(argv[:-2] + ["--out", str(tmp_path / "valid")]) in (0, 1)

@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import orbitgeom as og
+from orbitgeom import ellipsoids
 from orbitgeom.ellipsoids import (
     _bracket_root,
     _coeffs,
@@ -319,26 +321,20 @@ class TestMembership:
             og.membership(curve, y)
             assert len(calls) == 1
 
-    def test_boundary_band_comes_from_tolerances(self):
+    def test_boundary_band_comes_from_tolerances(self, monkeypatch):
         y = [1.0 + 5e-9, 0.0]
         assert og.membership(self._circle(), y).classification == "boundary"
-        saved = og.tolerances.boundary_band
-        og.tolerances.boundary_band = 1e-9
-        try:
-            assert og.membership(self._circle(), y).classification == "outside"
-        finally:
-            og.tolerances.boundary_band = saved
+        monkeypatch.setattr(ellipsoids, "tolerances",
+                            dataclasses.replace(og.tolerances, boundary_band=1e-9))
+        assert og.membership(self._circle(), y).classification == "outside"
 
-    def test_off_span_tol_comes_from_tolerances(self):
+    def test_off_span_tol_comes_from_tolerances(self, monkeypatch):
         seg = self._segment()
         y = [0.5, 5e-9]
         assert surface_projection(seg, y)[0] == pytest.approx(0.5)
-        saved = og.tolerances.off_span_tol
-        og.tolerances.off_span_tol = 1e-9
-        try:
-            assert surface_projection(seg, y)[0] == np.inf
-        finally:
-            og.tolerances.off_span_tol = saved
+        monkeypatch.setattr(ellipsoids, "tolerances",
+                            dataclasses.replace(og.tolerances, off_span_tol=1e-9))
+        assert surface_projection(seg, y)[0] == np.inf
 
 
 class TestDegenerateU0:
@@ -409,17 +405,15 @@ class TestBracketRoot:
         assert abs(x - root) < 1e-12
         assert iters <= 20
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
         f = lambda s: np.tanh(50.0 * (s - 0.3))
-        saved = og.tolerances.max_bisection_iter
-        og.tolerances.max_bisection_iter = 4
-        try:
+        with monkeypatch.context() as patch:
+            patch.setattr(ellipsoids, "tolerances",
+                          dataclasses.replace(og.tolerances, max_bisection_iter=4))
             with pytest.raises(og.NumericalError):
                 _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
             with pytest.raises(og.NumericalError):
                 _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 0.0)
-        finally:
-            og.tolerances.max_bisection_iter = saved
         x, _ = _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
         assert abs(f(x)) <= 1e-12
 
