@@ -43,6 +43,16 @@ MAX_TRACE_MAX_SWEEPS = 500
 CLOSEST_IMAGE_SWEEP_TOL = 1e-9
 CLOSEST_IMAGE_MAX_SWEEPS = 200
 COUNTEREXAMPLE_DISTANCE_THRESHOLD = 1e-3
+# Stop rule of Wolfe's minimum-norm point (a member's Thompson weights): the
+# residual is within this of the distance from d to the hull, relative to
+# 1 + sum(s). It sits a few times above the roundoff of one Wolfe step, and
+# far below the membership band ``matrix_residual * (1 + sum(s))``.
+WOLFE_GAP_TOL = 1e-14
+# The two gates of ``ConvexityReport.passed``: the largest support violation
+# of a sample (absolute), and the region-to-hull gap as a share of the
+# region's diameter.
+CONVEXITY_VIOLATION_TOL = 1e-8
+CONVEXITY_GAP_SHARE = 0.01
 # Margin of the extreme-point filter before the hull, relative to the cloud's
 # largest coordinate: a point is dropped only this far inside the polygon of
 # the cloud's extremes. That is far above the roundoff of the filter's own
@@ -204,14 +214,35 @@ class SupportRegion:
         return float(np.max(reach - self.values))
 
     def diameter(self) -> float:
-        if self.vertices.shape[0] < 2:
+        """Largest distance between two vertices of the region polygon.
+
+        The vertices are a convex polygon in counterclockwise order, so the
+        farthest pair is antipodal, and one rotating-calipers sweep visits
+        every antipodal pair in O(m) (Preparata and Shamos, *Computational
+        Geometry: An Introduction*, 1985, section 4.2.3): for each edge i,
+        the far vertex j moves on while edge j still turns toward edge i's
+        opposite, and both ends of edge i are paired with it. Repeated
+        vertices are dropped first, since an edge of length zero has no
+        direction. Each pair's squared distance is the all-pairs expression,
+        so the value is the all-pairs maximum itself.
+        """
+        v = self.vertices
+        v = v[np.any(v != np.roll(v, 1, axis=0), axis=1)]
+        m = len(v)
+        if m < 2:
             return 0.0
-        x, y = self.vertices.T
-        # squared distances 128 rows at a time, which stay in cache
-        return float(np.sqrt(max(
-            np.max((x[lo : lo + 128, None] - x) ** 2 + (y[lo : lo + 128, None] - y) ** 2)
-            for lo in range(0, x.size, 128)
-        )))
+        x, y = v.T
+        ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+        # the far vertex of edge 0 starts the sweep
+        j = int(np.argmax(ex[0] * (y - y[0]) - ey[0] * (x - x[0])))
+        ex, ey = ex.tolist(), ey.tolist()
+        near, far = [], []
+        for i in range(m):
+            while ex[i] * ey[j] - ey[i] * ex[j] > 0.0:
+                j = (j + 1) % m
+            near += (i, (i + 1) % m)
+            far += (j, j)
+        return float(np.sqrt(np.max((x[near] - x[far]) ** 2 + (y[near] - y[far]) ** 2)))
 
 
 def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
@@ -560,7 +591,13 @@ class ThompsonResult:
     ``margin = d.g - max_v v.g`` over the hull's vertices v. The vertex list
     and a member's convex weights are computed on first access only:
     ``vertices`` is ``thompson_vertices(s, det_sign)`` (n <= 7), and
-    ``weights`` solves a feasibility LP over it (None for a non-member).
+    ``weights`` (None for a non-member) is aligned with its rows. The weights
+    come from Wolfe's minimum-norm point of the hull minus d
+    (``_min_norm_point``): at most n + 1 of them are nonzero and they sum to
+    1. A member lies within the membership band ``matrix_residual *
+    (1 + sum(s))`` of the hull, and weights whose ``weights @ vertices``
+    misses d by more than that raise ``NumericalError``. Any other convex
+    combination would do as well; this one is sparse and needs no LP.
     """
 
     query: DiagonalHullQuery
@@ -574,22 +611,88 @@ class ThompsonResult:
 
     @functools.cached_property
     def weights(self) -> np.ndarray | None:
-        import scipy.optimize  # the LP's solver, loaded on first use only
-
         if not self.member:
             return None
         verts = self.vertices
-        m = verts.shape[0]
-        res = scipy.optimize.linprog(
-            c=np.zeros(m),
-            A_eq=np.vstack([verts.T, np.ones((1, m))]),
-            b_eq=np.concatenate([self.query.d, [1.0]]),
-            bounds=[(0.0, None)] * m,
-            method="highs",
-        )
-        if res.status != 0:
-            raise NumericalError(f"feasibility LP failed on a member query: {res.message}")
-        return res.x
+        support, lam = _min_norm_point(self.query)
+        w = np.zeros(len(verts))
+        for row, weight in zip(support, lam):
+            w[np.all(verts == row, axis=1)] = weight
+        residual = float(np.max(np.abs(w @ verts - self.query.d)))
+        if residual > tolerances.matrix_residual * (1.0 + self.query.s.sum()):
+            raise NumericalError(
+                f"minimum-norm point misses a member query by {residual:.3g}"
+            )
+        return w
+
+
+def _argmax_vertex(s, det_sign: int, g) -> np.ndarray:
+    """The vertex v of ``thompson_vertices(s, det_sign)`` that maximizes v.g.
+
+    s goes onto the entries of g by decreasing |g|, with the signs of g (+
+    at a zero entry); when that sign vector has the parity the vertices
+    lack, the entry of smallest |g| flips. Every value is +/- an entry of s
+    and a zero is +0.0, so the row equals one of ``thompson_vertices``' rows
+    bit for bit.
+    """
+    order = np.argsort(-np.abs(g), kind="stable")
+    signs = np.where(g < 0, -1.0, 1.0)
+    if det_sign != 0 and _odd(signs) != (det_sign < 0):
+        signs[order[-1]] *= -1.0
+    v = np.empty(s.size)
+    v[order] = s
+    return v * signs + 0.0
+
+
+def _min_norm_point(query: DiagonalHullQuery) -> tuple:
+    """Support vertices and convex weights of the hull point nearest d.
+
+    Wolfe's algorithm ("Finding the nearest point in a polytope", Math.
+    Programming 11, 1976) on the hull of the signed permutations minus d,
+    with ``_argmax_vertex`` as its linear oracle. A major cycle adds the
+    vertex q that minimizes x.(q - d) for the current residual x; minor
+    cycles take the affine minimum-norm point of the support (one
+    (k+1) x (k+1) solve) and step back to the support's hull, dropping
+    vertices, while that point leaves it. The support stays affinely
+    independent, so it never holds more than n + 1 vertices. The cycle stops
+    when ``|x|`` is within ``WOLFE_GAP_TOL * (1 + sum(s))`` of the distance
+    to the hull (``|x|**2 - min_q x.(q - d)`` bounds their difference times
+    ``|x|``), or when a full simplex holds d, or at roundoff: the oracle
+    offers a support vertex again, or ``|x|`` stops falling.
+    """
+    d, s, det_sign = query.d, query.s, query.det_sign
+    tol = WOLFE_GAP_TOL * (1.0 + s.sum())
+    support = _argmax_vertex(s, det_sign, d)[None, :]
+    lam = np.ones(1)
+    x = support[0] - d
+    while len(support) <= d.size:
+        q = _argmax_vertex(s, det_sign, -x)
+        norm = np.sqrt(x @ x)
+        if (norm <= tol or x @ x - x @ (q - d) <= tol * norm
+                or np.any(np.all(support == q, axis=1))):
+            break
+        support = np.vstack((support, q))
+        lam = np.append(lam, 0.0)
+        while True:
+            k = len(support)
+            p = support - d
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = p @ p.T
+            kkt[k, k] = 0.0
+            alpha = np.linalg.solve(kkt, np.eye(k + 1)[k])[:k]
+            if alpha.min() >= 0.0:
+                break
+            out = np.flatnonzero(alpha < 0.0)
+            ratio = lam[out] / (lam[out] - alpha[out])
+            lam = lam + ratio.min() * (alpha - lam)
+            lam[out[np.argmin(ratio)]] = 0.0
+            support, lam = support[lam > 0.0], lam[lam > 0.0]
+        support, lam = support[alpha > 0.0], alpha[alpha > 0.0]
+        x_new = lam @ (support - d)
+        if x_new @ x_new >= x @ x:
+            break
+        x = x_new
+    return support, lam
 
 
 def thompson_vertices(s, det_sign: int) -> np.ndarray:
@@ -649,8 +752,8 @@ def thompson_membership(query: DiagonalHullQuery) -> ThompsonResult:
     both parities are vertices and only the majorization remains. Each
     inequality holds to a band of ``matrix_residual * (1 + s.sum())``. A
     violated one gives the separating functional and its exact margin. No
-    vertex is listed and no LP is solved here, so any size is answered; the
-    result's ``vertices`` and ``weights`` do that on first access.
+    vertex is listed here, so any size is answered; the result lists the
+    ``vertices`` and finds a member's ``weights`` on first access.
     """
     d, s = query.d, query.s
     n = d.size
@@ -860,7 +963,7 @@ def nonconvex_joint_instance(n: int, m: int) -> tuple:
 def counterexample_report(
     kind: str,
     n: int = 3,
-    m: int = 2,
+    m: int | None = None,
     ell: int = 3,
     rng=None,
     starts: int = 256,
@@ -872,11 +975,15 @@ def counterexample_report(
     local minimization; the midpoint must stay at least
     ``COUNTEREXAMPLE_DISTANCE_THRESHOLD`` away for the instance to count as
     verified. The report records the threshold as ``distance_threshold``.
+    Only the joint instance has an ``m`` (2 when None); the ell3 instance
+    refuses one.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
     rng = ensure_rng(rng)
     if kind == "ell3":
+        if m is not None:
+            raise ValueError(f"the ell3 instance has no m, got m={m}")
         lmap = nonconvex_planar_map(n, ell)
         x2 = np.eye(n)
         x2[n - 2 :, n - 2 :] = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -894,6 +1001,7 @@ def counterexample_report(
     elif kind == "joint":
         if ell < 2:
             raise PreconditionError(f"need ell >= 2, got {ell}")
+        m = 2 if m is None else m
         a_list, rows = nonconvex_joint_instance(n, m)
         a1, a2 = a_list[0], a_list[1]
         u2 = np.eye(n)
@@ -931,7 +1039,7 @@ def counterexample_report(
     return {
         "kind": kind,
         "n": n,
-        "m": m if kind == "joint" else None,
+        "m": m,
         "ell": ell,
         "endpoints": [end1.tolist(), end2.tolist()],
         "expected_endpoints": [expected1.tolist(), expected2.tolist()],
@@ -984,9 +1092,16 @@ class ConvexityReport:
 
     @property
     def passed(self) -> bool:
-        ok = self.support_violation <= 1e-8
+        """Whether both gates hold.
+
+        No sample leaves a support half-plane by more than
+        ``CONVEXITY_VIOLATION_TOL``, and every region vertex is within
+        ``CONVEXITY_GAP_SHARE`` times the diameter of the sampled hull; the
+        second gate is skipped when the diameter is zero.
+        """
+        ok = self.support_violation <= CONVEXITY_VIOLATION_TOL
         if self.diameter > 0:
-            ok = ok and self.gap_region_to_hull <= 0.01 * self.diameter
+            ok = ok and self.gap_region_to_hull <= CONVEXITY_GAP_SHARE * self.diameter
         return ok
 
     def to_json(self) -> dict:

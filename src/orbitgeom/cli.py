@@ -304,9 +304,8 @@ def _cmd_thompson(args):
 
 def _cmd_counterexample(args):
     rng = _require_seed(args)
-    m = 2 if args.m is None else args.m  # main refuses --m for ell3
     report = bd.counterexample_report(
-        args.kind, n=args.n, m=m, ell=args.ell, rng=rng, starts=args.starts
+        args.kind, n=args.n, m=args.m, ell=args.ell, rng=rng, starts=args.starts
     )
     _json_out(args, report, seed_used=args.seed)
     return 0 if report["passed"] else 1

@@ -144,29 +144,51 @@ def _support_boundary_per_direction(p, q, a, grid_size):
     return values, touches, np.array(verts) if verts else np.empty((0, 2))
 
 
+_DEGENERATE_KINDS = ["generic", "tied", "zero", "rank-deficient",
+                     "Q=2P", "Q=0", "P=Q=0", "x1e6", "x1e-9"]
+
+
+def _degenerate_map(n, kind) -> tuple:
+    """(P, Q, A) of one of ``_DEGENERATE_KINDS``, seeded by n."""
+    rng = np.random.default_rng(70 + n)
+    p, q = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    g = rng.standard_normal((n, n))
+    a = {
+        "tied": np.diag(np.r_[2.0, np.ones(n - 1)]),
+        "zero": np.zeros((n, n)),
+        "rank-deficient": g[:, :1] @ g[:1, :],
+    }.get(kind, g)
+    if kind == "Q=2P":
+        q = 2.0 * p
+    elif kind in ("Q=0", "P=Q=0"):
+        p, q = (p if kind == "Q=0" else 0.0 * p), 0.0 * q
+    elif kind in ("x1e6", "x1e-9"):
+        factor = float(kind[1:])
+        p, q, a = factor * p, factor * q, factor * a
+    return p, q, a
+
+
+def _all_pairs_diameter(vertices) -> float:
+    """Largest vertex distance over all pairs (the reference)."""
+    x, y = np.asarray(vertices, dtype=float).reshape(-1, 2).T
+    return float(np.sqrt(np.max((x[:, None] - x) ** 2 + (y[:, None] - y) ** 2, initial=0.0)))
+
+
+def _region_with_vertices(vertices):
+    return og.SupportRegion(
+        thetas=np.zeros(0), directions=np.zeros((0, 2)), values=np.zeros(0),
+        touches=np.zeros((0, 2)), vertices=np.asarray(vertices, dtype=float).reshape(-1, 2),
+    )
+
+
 class TestSupportBoundary:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("kind", ["generic", "tied", "zero", "rank-deficient",
-                                      "Q=2P", "Q=0", "P=Q=0", "x1e6", "x1e-9"])
+    @pytest.mark.parametrize("kind", _DEGENERATE_KINDS)
     def test_equals_per_direction_reference(self, n, kind):
         # every intersection of consecutive support lines is a region vertex,
         # degenerate maps included: each meets every half-plane, and the loop
         # form, which drops an infeasible one, drops none
-        rng = np.random.default_rng(70 + n)
-        p, q = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        g = rng.standard_normal((n, n))
-        a = {
-            "tied": np.diag(np.r_[2.0, np.ones(n - 1)]),
-            "zero": np.zeros((n, n)),
-            "rank-deficient": g[:, :1] @ g[:1, :],
-        }.get(kind, g)
-        if kind == "Q=2P":
-            q = 2.0 * p
-        elif kind in ("Q=0", "P=Q=0"):
-            p, q = (p if kind == "Q=0" else 0.0 * p), 0.0 * q
-        elif kind in ("x1e6", "x1e-9"):
-            factor = float(kind[1:])
-            p, q, a = factor * p, factor * q, factor * a
+        p, q, a = _degenerate_map(n, kind)
         for grid in (8, 360, 2048):
             region = og.support_boundary(p, q, a, grid)
             scale = np.max(np.abs(region.values)) + 1.0
@@ -212,15 +234,55 @@ class TestSupportBoundary:
         assert np.max(np.abs(region.values - expected)) <= 1e-12 * scale
 
     def test_diameter_is_largest_vertex_distance(self):
+        # convex polygons in counterclockwise order, as region vertices are:
+        # hulls of Gaussian clouds, and 720 points on random ellipses
         rng = np.random.default_rng(23)
         for _ in range(20):
-            verts = 3.0 * rng.standard_normal((720, 2))
-            region = og.SupportRegion(
-                thetas=np.zeros(0), directions=np.zeros((0, 2)), values=np.zeros(0),
-                touches=np.zeros((0, 2)), vertices=verts,
-            )
-            d2 = np.sum((verts[:, None, :] - verts[None, :, :]) ** 2, axis=2)
-            assert region.diameter() == float(np.sqrt(np.max(d2)))
+            hull = _convex_hull(3.0 * rng.standard_normal((720, 2)))
+            shape = rng.standard_normal((2, 2))
+            shape[:, 0] *= np.sign(np.linalg.det(shape))  # keeps the turn counterclockwise
+            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 720))
+            ellipse = np.column_stack((np.cos(t), np.sin(t))) @ shape.T + rng.standard_normal(2)
+            for verts in (hull, ellipse):
+                assert _region_with_vertices(verts).diameter() == _all_pairs_diameter(verts)
+
+    @pytest.mark.parametrize("maps", ["acceptance", "degenerate", "convexity workload"])
+    def test_diameter_of_region_polygons(self, maps):
+        # the calipers sweep gives the all-pairs value itself, to the bit
+        if maps == "acceptance":
+            rng = np.random.default_rng(107)  # the map of test_07
+            cases = [(*rng.standard_normal((2, 3, 3)), np.diag([3.0, 2.0, 1.0]))]
+            cases += [(_e(0, 0, 3), _e(1, 1, 3), np.eye(3))]  # a square, many lines per corner
+            cases += [  # the seeded maps of test_vertices_equal_the_loop_dedupe
+                np.random.default_rng(130 + k).standard_normal((3, 3, 3)) for k in range(4)
+            ]
+            grids = (720,)
+        elif maps == "degenerate":
+            cases = [_degenerate_map(n, kind) for n in (2, 3, 4, 5) for kind in _DEGENERATE_KINDS]
+            grids = (8, 720)
+        else:
+            # the six n = 3 maps that the convexity workload draws at seeds 7919 and 1
+            cases = []
+            for seed in (7919, 1):
+                rng = np.random.default_rng(seed)
+                for _ in range(6):
+                    cases.append([rng.standard_normal((3, 3)) for _ in range(3)])
+                    rng.integers(2**31 - 1)  # the op's sampling seed
+            grids = (720,)
+        for p, q, a in cases:
+            for grid in grids:
+                region = og.support_boundary(p, q, a, grid)
+                assert region.diameter() == _all_pairs_diameter(region.vertices)
+
+    @pytest.mark.parametrize("verts", [
+        [[1.0, 2.0]],                                              # one vertex
+        [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],                      # one, repeated
+        [[0.0, 0.0], [3.0, 4.0]],                                  # two vertices
+        [[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [3.0, 4.0]],          # two, repeated
+        [[0.0, 0.0], [2.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0], [0.0, 0.0]],
+    ])
+    def test_diameter_of_degenerate_polygons(self, verts):
+        assert _region_with_vertices(verts).diameter() == _all_pairs_diameter(verts)
 
     def test_unit_circle(self):
         region = og.support_boundary(_e(0, 0), _e(1, 0), np.eye(2), 64)
@@ -508,10 +570,22 @@ def _thompson_queries(rng, s, verts) -> list:
     ]
 
 
+def _check_weights(res):
+    """A member's weights: convex, at most n + 1 of them, and reproducing d."""
+    d, s = res.query.d, res.query.s
+    w = res.weights
+    assert w.shape == (len(res.vertices),)
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+    assert np.count_nonzero(w) <= d.size + 1
+    assert np.max(np.abs(w @ res.vertices - d)) <= 1e-13 * (1.0 + np.sum(s))
+
+
 def _check_thompson_against_lp(d, s, det_sign, verts) -> bool:
     res = og.thompson_membership(og.DiagonalHullQuery(d=d, s=s, det_sign=det_sign))
     assert res.member == _hull_lp_member(np.asarray(d, dtype=float), verts)
-    if not res.member:
+    if res.member:
+        _check_weights(res)
+    else:
         g = res.functional
         exact = float(d @ g - np.max(verts @ g))
         assert abs(res.margin - exact) <= 1e-12 * (1.0 + np.sum(s))
@@ -552,6 +626,10 @@ class TestThompsonInequalities:
             ([4.0, 3.0, 2.0, 0.0], [4.0, 3.0, 2.0, 1.0], 0, True),
             ([3.0, 2.0, 0.0], [3.0, 2.0, 1.0], 1, False),
             ([3.0, 2.0, 0.0], [3.0, 2.0, 0.0], -1, True),
+            ([3.0, 1.0, 0.0, 0.0], [3.0, 1.0, 0.0, 0.0], 1, True),   # zeros in s
+            ([2.0, -1.0, 0.5, 0.0], [3.0, 1.0, 0.0, 0.0], 0, True),
+            ([0.5, 0.5, -0.5, 0.5], [3.0, 1.0, 0.0, 0.0], -1, True),
+            ([3.0, 1.0, 0.5, 0.0], [3.0, 1.0, 0.0, 0.0], 0, False),
         ],
     )
     def test_boundary_cases(self, d, s, det_sign, member):
@@ -562,20 +640,67 @@ class TestThompsonInequalities:
         def refuse(*args, **kwargs):
             raise AssertionError("membership must not enumerate vertices or solve an LP")
 
+        # no LP is solved for the weights either, so linprog stays refused
         monkeypatch.setattr(scipy.optimize, "linprog", refuse)
-        monkeypatch.setattr(bd, "thompson_vertices", refuse)
-        s, d = [3.0, 2.0, 1.0], np.array([2.0, 1.0, 0.5])
-        inside = og.thompson_membership(og.DiagonalHullQuery(d=d, s=s, det_sign=1))
-        outside = og.thompson_membership(og.DiagonalHullQuery(d=2 * d, s=s, det_sign=1))
-        assert inside.member and inside.functional is None
-        assert not outside.member and outside.functional is not None
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(bd, "thompson_vertices", refuse)
+            s, d = [3.0, 2.0, 1.0], np.array([2.0, 1.0, 0.5])
+            inside = og.thompson_membership(og.DiagonalHullQuery(d=d, s=s, det_sign=1))
+            outside = og.thompson_membership(og.DiagonalHullQuery(d=2 * d, s=s, det_sign=1))
+            assert inside.member and inside.functional is None
+            assert not outside.member and outside.functional is not None
         w = inside.weights
         assert w.min() >= -1e-9 and abs(w.sum() - 1.0) <= 1e-7
         assert np.max(np.abs(w @ inside.vertices - d)) <= 1e-7
         assert outside.weights is None
         assert np.array_equal(inside.vertices, og.thompson_vertices(s, 1))
         assert np.array_equal(outside.vertices, og.thompson_vertices(s, 1))
+
+    @pytest.mark.parametrize("det_sign", [-1, 0, 1])
+    def test_weights_of_faces_and_vertices(self, det_sign):
+        # d between two vertices, on the facet x.(1, ..., 1) = sum(s), and at a
+        # vertex, which takes all of the weight
+        rng = np.random.default_rng(180 + det_sign)
+        s = np.array([4.0, 2.5, 2.5, 1.0, 0.0])
+        verts = og.thompson_vertices(s, det_sign)
+        facet = verts[np.all(verts >= 0.0, axis=1)]
+        picks = facet[rng.choice(len(facet), size=5, replace=False)]
+        for d in (picks[:2].mean(axis=0), rng.dirichlet(np.ones(5)) @ picks, picks[0]):
+            res = og.thompson_membership(og.DiagonalHullQuery(d=d, s=s, det_sign=det_sign))
+            _check_weights(res)
+        assert res.weights.max() == 1.0
+
+    def test_weights_of_a_member_just_outside(self):
+        # d is 0.5 band beyond the facet x_1 <= 3: a member by the band, whose
+        # weights give the hull point nearest d, 0.5 band away
+        s = np.array([3.0, 2.0, 1.0])
+        band = og.tolerances.matrix_residual * (1.0 + s.sum())
+        d = np.array([3.0 + 0.5 * band, 1.5, 0.5])
+        res = og.thompson_membership(og.DiagonalHullQuery(d=d, s=s, det_sign=1))
+        assert res.member
+        w = res.weights
+        assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+        miss = w @ res.vertices - d
+        assert np.max(np.abs(miss - [-0.5 * band, 0.0, 0.0])) <= 1e-13 * (1.0 + s.sum())
+
+    def test_weights_at_n7(self):
+        rng = np.random.default_rng(187)
+        a = rng.standard_normal((7, 7))
+        s = np.linalg.svd(a, compute_uv=False)
+        d = np.diag(og.haar_rotation(7, rng) @ a @ og.haar_rotation(7, rng))
+        res = og.thompson_membership(
+            og.DiagonalHullQuery(d=d, s=s, det_sign=int(np.sign(np.linalg.det(a))))
+        )
+        assert res.member
+        _check_weights(res)
+
+    def test_weights_that_miss_raise(self):
+        # a result marked member for a point outside the hull: the nearest
+        # hull point misses d by far more than the band
+        query = og.DiagonalHullQuery(d=[3.5, 2.0, 1.0], s=[3.0, 2.0, 1.0], det_sign=1)
+        res = bd.ThompsonResult(query=query, member=True, functional=None, margin=None)
+        with pytest.raises(og.NumericalError, match="misses a member query by 0.5"):
+            res.weights
 
 
 def _two_harmonic_objective(const, bcos, bsin, y, theta):
@@ -774,6 +899,14 @@ class TestCounterexamples:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             og.counterexample_report("nope", rng=np.random.default_rng(0))
+
+    def test_only_the_joint_instance_has_an_m(self):
+        rng = np.random.default_rng(19)
+        assert og.counterexample_report("joint", rng=rng, starts=4)["m"] == 2
+        assert og.counterexample_report("ell3", rng=rng, starts=4)["m"] is None
+        for m in (2, 9):
+            with pytest.raises(ValueError, match="the ell3 instance has no m, got m="):
+                og.counterexample_report("ell3", m=m, rng=rng, starts=4)
 
     @pytest.mark.parametrize("kind, ell", [("ell3", 3), ("joint", 2)])
     def test_starts_must_be_positive(self, kind, ell):

@@ -444,7 +444,7 @@ class TestJointCommand:
 
 
 _SCIPY_FREE_CALLS = """
-import sys
+import json, os, sys, tempfile
 import numpy as np
 import orbitgeom as og, orbitgeom.cli
 rng = np.random.default_rng(3)
@@ -453,6 +453,16 @@ og.convexity_check(p, q, np.diag([3.0, 2.0, 1.0]), samples=2000, rng=rng, grid=9
 og.max_trace_bruteforce(p, np.eye(3), starts=4, rng=rng)
 og.counterexample_report("ell3", n=3, rng=rng, starts=4)
 assert not og.thompson_membership(og.DiagonalHullQuery([3.0, 0, 0], [1.0, 1, 1], 1)).member
+s = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+assert og.thompson_membership(og.DiagonalHullQuery(0.5 * s, s, 1)).weights.max() > 0.0
+with tempfile.TemporaryDirectory() as tmp:
+    member = os.path.join(tmp, "member.json")
+    with open(member, "w") as f:
+        json.dump({"d": [2.0, 1.0, 0.5], "s": [3.0, 2.0, 1.0], "det_sign": 1}, f)
+    out = os.path.join(tmp, "out.json")
+    assert orbitgeom.cli.main(["thompson", "--input", member, "--out", out]) == 0
+    with open(out) as f:
+        assert json.load(f)["member"]
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 og.geodesic(np.eye(3), og.haar_rotation(3, rng))
 print("scipy.linalg" in sys.modules)
@@ -460,8 +470,9 @@ print("scipy.linalg" in sys.modules)
 
 
 def test_scipy_loads_only_where_a_geodesic_is_built():
-    # a fresh interpreter: the sampled checks and oracles load no scipy module,
-    # and one geodesic loads scipy.linalg for its Schur form
+    # a fresh interpreter: the sampled checks, the oracles and a member's
+    # Thompson weights (by call and by `orbitgeom thompson`) load no scipy
+    # module, and one geodesic loads scipy.linalg for its Schur form
     src = os.path.dirname(os.path.dirname(orbitgeom.__file__))
     out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CALLS], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
