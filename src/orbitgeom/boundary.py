@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import tolerances
@@ -259,12 +260,13 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
     2x2 solve), pruned to one copy of each run of repeated points, as where
     many support lines meet at a corner of the region. Each support line
     touches the image, so every such intersection is a region vertex.
+    ``grid_size`` is an integer of at least 8; a float raises ``TypeError``.
     """
     p, q = _require_same_square(p, q, ("P", "Q"))
     a = require_square(a, "A")
     if a.shape != p.shape:
         raise DimensionError(f"A is {a.shape} but coefficients are {p.shape}")
-    if grid_size < 8:
+    if operator.index(grid_size) < 8:
         raise ValueError(f"grid_size must be at least 8, got {grid_size}")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
@@ -726,19 +728,6 @@ def _odd(signs) -> bool:
     return bool(np.count_nonzero(signs < 0) % 2)
 
 
-def _vertex_max(s, det_sign: int, g) -> float:
-    """max over thompson_vertices(s, det_sign) of v.g, in closed form.
-
-    Sorted |g| pairs with s; a sign vector of g whose parity the vertices lack
-    (and no zero entry to absorb it) costs the last product twice.
-    """
-    mags = np.sort(np.abs(g))[::-1]
-    top = float(mags @ s)
-    if det_sign != 0 and np.all(g != 0) and _odd(g) != (det_sign < 0):
-        top -= 2.0 * mags[-1] * s[-1]
-    return top
-
-
 def thompson_membership(query: DiagonalHullQuery) -> ThompsonResult:
     """Test hull membership of a diagonal vector by Thompson's inequalities.
 
@@ -773,7 +762,7 @@ def thompson_membership(query: DiagonalHullQuery) -> ThompsonResult:
             g = None
     if g is None:
         return ThompsonResult(query=query, member=True, functional=None, margin=None)
-    margin = float(d @ g - _vertex_max(s, query.det_sign, g))
+    margin = float(d @ g - _argmax_vertex(s, query.det_sign, g) @ g)
     return ThompsonResult(query=query, member=False, functional=g, margin=margin)
 
 
@@ -970,9 +959,13 @@ def counterexample_report(
 ) -> dict:
     """Verify a stock non-convexity instance numerically.
 
-    Reproduces the two endpoint values from their closed-form frames and
-    estimates the distance from their midpoint to the image by multistart
-    local minimization; the midpoint must stay at least
+    Each instance is one term map: coordinate m is sum coef * tr(P U A V)
+    over its (coef, P, A) terms, zero beyond them up to ``ell``. The two
+    endpoints evaluate it at the instance's closed-form frame pairs, from 0
+    up, so they equal the expected integers exactly. The distance from their
+    midpoint to the image is estimated by multistart local minimization of
+    the same term map (``_closest_image_distance``; one-sided for ell3, whose
+    A is the identity); the midpoint must stay at least
     ``COUNTEREXAMPLE_DISTANCE_THRESHOLD`` away for the instance to count as
     verified. The report records the threshold as ``distance_threshold``.
     Only the joint instance has an ``m`` (2 when None); the ell3 instance
@@ -981,68 +974,53 @@ def counterexample_report(
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
     rng = ensure_rng(rng)
+    eye = np.eye(n)
+    expected = np.zeros((2, ell))
     if kind == "ell3":
         if m is not None:
             raise ValueError(f"the ell3 instance has no m, got m={m}")
         lmap = nonconvex_planar_map(n, ell)
         x2 = np.eye(n)
         x2[n - 2 :, n - 2 :] = np.array([[0.0, -1.0], [1.0, 0.0]])
-        end1 = np.array([np.einsum("ij,ji->", p, np.eye(n)) for p in lmap.mats])
-        end2 = np.array([np.einsum("ij,ji->", p, x2) for p in lmap.mats])
-        expected1 = np.zeros(ell)
-        expected1[:3] = (n - 2, n - 1, n - 2)
-        expected2 = np.zeros(ell)
-        expected2[:3] = (n - 2, n - 2, n - 1)
-        midpoint = 0.5 * (end1 + end2)
-        terms = [[(1.0, p, np.eye(n))] for p in lmap.mats]
-        distance = _closest_image_distance(
-            terms, n, midpoint, starts, rng, two_sided=False
-        )
+        terms = [[(1.0, p, eye)] for p in lmap.mats]
+        frames = ((eye, eye), (x2, eye))
+        expected[:, :3] = (n - 2, n - 1, n - 2), (n - 2, n - 2, n - 1)
     elif kind == "joint":
         if ell < 2:
             raise PreconditionError(f"need ell >= 2, got {ell}")
         m = 2 if m is None else m
-        a_list, rows = nonconvex_joint_instance(n, m)
-        a1, a2 = a_list[0], a_list[1]
+        (a1, a2, *_), _ = nonconvex_joint_instance(n, m)
         u2 = np.eye(n)
         u2[:3, :3] = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         v2 = np.eye(n)
         v2[:3, :3] = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-        def joint_point(u, v):
-            x1, x2m = u @ a1 @ v, u @ a2 @ v
-            out = np.zeros(ell)
-            out[0] = np.einsum("ij,ji->", a1, x1) + np.einsum("ij,ji->", a2, x2m)
-            out[1] = np.einsum("ij,ji->", a2, x1) - np.einsum("ij,ji->", a1, x2m)
-            return out
-
-        end1 = joint_point(np.eye(n), np.eye(n))
-        end2 = joint_point(u2, v2)
-        expected1 = np.zeros(ell)
-        expected1[0] = 2.0
-        expected2 = np.zeros(ell)
-        expected2[1] = 2.0
-        midpoint = 0.5 * (end1 + end2)
         terms = [
             [(1.0, a1, a1), (1.0, a2, a2)],
             [(1.0, a2, a1), (-1.0, a1, a2)],
         ]
-        distance = _closest_image_distance(
-            terms, n, midpoint[:2], starts, rng, two_sided=True
-        )
+        frames = ((eye, eye), (u2, v2))
+        expected[0, 0] = expected[1, 1] = 2.0
     else:
         raise ValueError(f"kind must be 'ell3' or 'joint', got {kind!r}")
 
-    endpoints_exact = bool(
-        np.array_equal(end1, expected1) and np.array_equal(end2, expected2)
+    # each endpoint is the term map at its frame pair, zero beyond the terms
+    ends = np.zeros((2, ell))
+    for end, (u, v) in zip(ends, frames):
+        for coord, coord_terms in enumerate(terms):
+            for coef, p, a in coord_terms:
+                end[coord] += coef * np.einsum("ij,ji->", p, u @ a @ v)
+    midpoint = 0.5 * (ends[0] + ends[1])
+    distance = _closest_image_distance(
+        terms, n, midpoint[: len(terms)], starts, rng, two_sided=kind == "joint"
     )
+    endpoints_exact = bool(np.array_equal(ends, expected))
     return {
         "kind": kind,
         "n": n,
         "m": m,
         "ell": ell,
-        "endpoints": [end1.tolist(), end2.tolist()],
-        "expected_endpoints": [expected1.tolist(), expected2.tolist()],
+        "endpoints": ends.tolist(),
+        "expected_endpoints": expected.tolist(),
         "endpoints_exact": endpoints_exact,
         "midpoint": midpoint.tolist(),
         "midpoint_distance_estimate": distance,
@@ -1105,17 +1083,7 @@ class ConvexityReport:
         return ok
 
     def to_json(self) -> dict:
-        return {
-            "support_violation": self.support_violation,
-            "gap_hull_to_region": self.gap_hull_to_region,
-            "gap_region_to_hull": self.gap_region_to_hull,
-            "diameter": self.diameter,
-            "samples": self.samples,
-            "grid": self.grid,
-            "tie_probe": self.tie_probe,
-            "passed": self.passed,
-            "tolerances": tolerances.as_dict(),
-        }
+        return {**asdict(self), "passed": self.passed, "tolerances": tolerances.as_dict()}
 
 
 def _hull_candidates(pts) -> np.ndarray:
@@ -1220,8 +1188,11 @@ def convexity_check(
     the hull of one or two samples is the samples themselves. When the base
     matrix has tied singular values, a small perturbation to distinct values
     probes the image drift (stability of the convexity statement under
-    perturbation); the drift is bounded by trace linearity.
+    perturbation): the largest norm in a small ``sample_image`` of the
+    orbit of A - A_delta, drawn after the main samples. The drift is bounded
+    by trace linearity.
     """
+    samples, grid = operator.index(samples), operator.index(grid)  # the report's ints
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     p, q = _require_same_square(p, q, ("P", "Q"))
@@ -1248,16 +1219,8 @@ def convexity_check(
         s_new = f.s + np.sign(f.s + (f.s == 0)) * bump
         a_delta = (f.u * s_new) @ f.v.T
         probes = min(200, max(1, samples // 100))
-        u = haar_rotations(a.shape[0], probes, rng)
-        v = haar_rotations(a.shape[0], probes, rng)
-        diff = u @ (a - a_delta) @ v
-        drift = float(
-            np.max(
-                np.hypot(
-                    np.einsum("ij,sji->s", p, diff), np.einsum("ij,sji->s", q, diff)
-                )
-            )
-        )
+        diff = sample_image(lmap, OrbitSpec(a - a_delta), probes, rng).points
+        drift = float(np.max(np.hypot(diff[:, 0], diff[:, 1])))
         bound = 10.0 * delta * (np.linalg.norm(p) + np.linalg.norm(q))
         tie_probe = {"delta": delta, "drift": drift, "bound": float(bound)}
     return ConvexityReport(

@@ -20,7 +20,7 @@ trial builds no frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import lcm
 
 import numpy as np
@@ -111,17 +111,8 @@ class StarReport:
             "config": self.config,
             "max_residual": _finite_or_none(self.max_residual),
             "num_failures": len(self.failures),
-            "results": [
-                {
-                    "index": r.index,
-                    "alpha": r.alpha,
-                    "residual": _finite_or_none(r.residual),
-                    "ok": r.ok,
-                    "iterations": r.iterations,
-                    "error": r.error,
-                }
-                for r in self.results
-            ],
+            "results": [{**asdict(r), "residual": _finite_or_none(r.residual)}
+                        for r in self.results],
         }
 
 
@@ -213,24 +204,23 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
     are evaluated in coefficient form, planar ones by
     ``_ellipse_radial_along`` and ell >= 3 ones by ``_ellipsoid_radial_along``;
     the witness comes from the curve at the crossing and is checked as a
-    rotation.
+    rotation. The matrices are validated once, as a ``LinearMapSpec``, which
+    the witness's trace evaluation reuses.
     """
-    mats = [require_square(m, f"M[{i}]") for i, m in enumerate(m_list)]
-    ell = len(mats)
+    if len(m_list) < 2:
+        raise DimensionError("need at least two map coordinates")
+    lmap = LinearMapSpec(tuple(m_list))
+    mats, ell, n = lmap.mats, lmap.ell, lmap.n
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != ell:
         raise DimensionError(f"target has dimension {y.size}, map has {ell}")
+    # planar maps need a size above 2^(ell-1) = 2, where no degenerate frame
+    # exists; ell >= 3 runs at the block size 2^(ell-1) exactly
+    if (n <= 2) if ell == 2 else (n != 2 ** (ell - 1)):
+        size = "> 2" if ell == 2 else f"{2 ** (ell - 1)}"
+        raise DimensionError(f"a homotopy with ell={ell} needs size {size}, got {n}")
 
     if ell == 2:
-        n = mats[0].shape[0]
-        if mats[1].shape[0] != n:
-            raise DimensionError(
-                f"matrices differ in size: {mats[0].shape} vs {mats[1].shape}"
-            )
-        if n < 3:
-            raise DimensionError(
-                "planar homotopy needs size >= 3; no degenerate frame exists at size 2"
-            )
         start = require_rotation(start_frame, "start frame")
         if start.shape[0] != n:
             raise DimensionError(f"start frame is {start.shape}, expected {(n, n)}")
@@ -250,14 +240,13 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
             # origin needs a far smaller gap than bisection_gtol
             return curve_at, _ellipse_radial_along(p, q, path, y), np.finfo(float).eps
 
-    elif ell >= 3:
-        n = 2 ** (ell - 1)
-        for i, m in enumerate(mats):
-            if m.shape[0] != n:
-                raise DimensionError(
-                    f"M[{i}] has shape {m.shape}, expected {(n, n)} for ell={ell}"
-                )
-        us, vs = start_frame
+    else:
+        try:
+            us, vs = start_frame
+        except (TypeError, ValueError):
+            raise DimensionError(
+                f"start frame for ell={ell} must be a (U, V) pair of {n}x{n} rotations"
+            ) from None
         us = require_rotation(us, "start frame U")
         vs = require_rotation(vs, "start frame V")
         if us.shape[0] != n or vs.shape[0] != n:
@@ -277,12 +266,9 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
             return (curve_at, _ellipsoid_radial_along(mats, path_u, path_v, y),
                     tolerances.bisection_gtol)
 
-    else:
-        raise DimensionError("need at least two map coordinates")
-
     angles, s, iterations, curve = _solve_on_family(start_curve, family, y)
     x = require_rotation(curve.witness(angles), "witness")
-    achieved = apply_map(mats, x)
+    achieved = apply_map(lmap, x)
     residual = float(np.linalg.norm(achieved - y))
     if not residual <= tolerances.certificate_residual:  # a NaN residual fails too
         raise NumericalError(
@@ -460,18 +446,26 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     )
 
 
-def _one_target(make_cert, idx, alpha_grid) -> list:
-    """Target idx's results, one per alpha; ``make_cert(idx)`` runs once.
+def _frames(n: int, num_targets: int, rng) -> list:
+    """The targets' Haar frame pairs (U, V), U then V drawn per target; a
+    negative count raises ``ValueError``."""
+    if num_targets < 0:
+        raise ValueError(f"num_targets must be at least 0, got {num_targets}")
+    return [(haar_rotation(n, rng), haar_rotation(n, rng)) for _ in range(num_targets)]
 
-    A target passes when its certificate is returned: certify_scaled_point
-    raises past the residual bound.
+
+def _one_target(job, idx, alpha_grid) -> list:
+    """Target idx's results, one per alpha: ``certify_scaled_point(*job, alpha)``.
+
+    ``job`` is the target's (map, A, U, V). A target passes when its
+    certificate is returned: certify_scaled_point raises past the residual
+    bound.
     """
-    certs = make_cert(idx)
     out = []
     for alpha in alpha_grid:
         residual, iterations, error = float("nan"), 0, None
         try:
-            cert = certs(alpha)
+            cert = certify_scaled_point(*job, alpha)
             residual = cert.residual
             iterations = sum(s.get("iterations", 0) for s in cert.trace)
         except (NumericalError, PreconditionError) as exc:
@@ -487,18 +481,16 @@ def _one_target(make_cert, idx, alpha_grid) -> list:
     return out
 
 
-def _run_targets(make_cert, num_targets, alpha_grid, config) -> StarReport:
-    """The batch driver: every target at every alpha, failures recorded.
+def _run_targets(jobs, alpha_grid, config) -> StarReport:
+    """The batch driver: every target's job at every alpha, failures recorded.
 
-    ``make_cert(idx)`` returns target idx's map alpha -> Certificate. The
-    report's config is ``config`` plus the batch's size, grid and tolerances.
+    ``jobs`` holds one (map, A, U, V) per target. The report's config is
+    ``config`` plus the batch's size, grid and tolerances.
     """
-    if num_targets < 0:
-        raise ValueError(f"num_targets must be at least 0, got {num_targets}")
     alpha_grid = [float(x) for x in alpha_grid]
-    config = {**config, "num_targets": num_targets, "alpha_grid": alpha_grid,
+    config = {**config, "num_targets": len(jobs), "alpha_grid": alpha_grid,
               "tolerances": tolerances.as_dict()}
-    results = [r for i in range(num_targets) for r in _one_target(make_cert, i, alpha_grid)]
+    results = [r for i, job in enumerate(jobs) for r in _one_target(job, i, alpha_grid)]
     return StarReport(results=results, config=config)
 
 
@@ -511,16 +503,9 @@ def star_check(lmap, orbit: OrbitSpec, num_targets: int, alpha_grid, rng) -> Sta
     if orbit.group != "SO":
         raise PreconditionError(f"star_check certifies SO orbits only, got {orbit.group!r}")
     lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
-    rng = ensure_rng(rng)
-    n = orbit.n
-    frames = [(haar_rotation(n, rng), haar_rotation(n, rng)) for _ in range(num_targets)]
-
-    def make_cert(idx):
-        u, v = frames[idx]
-        return lambda alpha: certify_scaled_point(lmap, orbit.a, u, v, alpha)
-
-    config = {"kind": "single", "n": n, "ell": lmap.ell}
-    return _run_targets(make_cert, num_targets, alpha_grid, config)
+    jobs = [(lmap, orbit.a, u, v) for u, v in _frames(orbit.n, num_targets, ensure_rng(rng))]
+    config = {"kind": "single", "n": orbit.n, "ell": lmap.ell}
+    return _run_targets(jobs, alpha_grid, config)
 
 
 def star_check_joint(
@@ -528,41 +513,35 @@ def star_check_joint(
 ) -> StarReport:
     """Star check for joint orbits.
 
-    O1 and O2 reduce to a single-rotation map once and delegate; O3 freezes
-    the left frame per target (coefficients sum_i P_i^(j) @ U @ A_i) and
-    certifies the scaling on the right factor. The frames are drawn from
-    SO(n).
+    O1 and O2 reduce to a single-rotation map once (``reduce_joint``), and
+    each target certifies that map at A = I, as ``star_check`` of the
+    reduced map on the orbit of I would. O3 freezes the left frame per
+    target (coefficients sum_i P_i^(j) @ U @ A_i) and certifies the scaling
+    on the right factor, with A = U = I. The frames are drawn from SO(n),
+    (U, V) per target, in both cases.
     """
     rng = ensure_rng(rng)
     n = joint.n
+    identity = np.eye(n)
     if joint.kind in ("O1", "O2"):
         reduced = reduce_joint(l_joint, joint.a_list, joint.kind)
-        report = star_check(reduced, OrbitSpec(np.eye(n)), num_targets, alpha_grid, rng)
-        report.config["kind"] = f"joint-{joint.kind}"
-        report.config["m"] = joint.m
-        return report
-
-    rows = [
-        [require_square(p, f"P[{j}][{i}]") for i, p in enumerate(coeffs)]
-        for j, coeffs in enumerate(l_joint)
-    ]
-    for j, coeffs in enumerate(rows):
-        if len(coeffs) != joint.m:
-            raise DimensionError(
-                f"map row {j} has {len(coeffs)} coefficients for m={joint.m}"
-            )
-    frames = [(haar_rotation(n, rng), haar_rotation(n, rng)) for _ in range(num_targets)]
-    identity = np.eye(n)
-
-    def make_cert(idx):
-        u, v = frames[idx]
-        frozen = LinearMapSpec(
-            tuple(
-                sum((p @ u) @ a for p, a in zip(coeffs, joint.a_list))
-                for coeffs in rows
-            )
-        )
-        return lambda alpha: certify_scaled_point(frozen, identity, identity, v, alpha)
-
-    config = {"kind": "joint-O3", "n": n, "m": joint.m, "ell": len(rows)}
-    return _run_targets(make_cert, num_targets, alpha_grid, config)
+        ell = reduced.ell
+        jobs = [(reduced, identity, u, v) for u, v in _frames(n, num_targets, rng)]
+    else:
+        rows = [
+            [require_square(p, f"P[{j}][{i}]") for i, p in enumerate(coeffs)]
+            for j, coeffs in enumerate(l_joint)
+        ]
+        for j, coeffs in enumerate(rows):
+            if len(coeffs) != joint.m:
+                raise DimensionError(
+                    f"map row {j} has {len(coeffs)} coefficients for m={joint.m}"
+                )
+        ell = len(rows)
+        jobs = [
+            (LinearMapSpec(tuple(sum((p @ u) @ a for p, a in zip(coeffs, joint.a_list))
+                                 for coeffs in rows)), identity, identity, v)
+            for u, v in _frames(n, num_targets, rng)
+        ]
+    config = {"kind": f"joint-{joint.kind}", "n": n, "m": joint.m, "ell": ell}
+    return _run_targets(jobs, alpha_grid, config)

@@ -155,7 +155,7 @@ def _cmd_certify(args):
         alpha = vals[0]
     if alpha is None:
         raise InputError("certify needs 'alpha' in the input or --alpha")
-    if "U" in obj and "V" in obj:
+    if "U" in obj or "V" in obj:  # both or neither: a lone frame is a missing key
         u = _get_matrix(obj, "U", args.input)
         v = _get_matrix(obj, "V", args.input)
     else:

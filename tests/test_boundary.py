@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.spatial
 
 import orbitgeom as og
 from orbitgeom import boundary as bd
+from orbitgeom import serialize
 from orbitgeom.boundary import (
     _block_diag,
     _convex_hull,
@@ -315,6 +317,17 @@ class TestSupportBoundary:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             og.support_boundary(_e(0, 0), _e(1, 0), np.eye(2), 4)
+
+    @pytest.mark.parametrize("grid", [8.5, 10.5, 720.0])
+    def test_grid_must_be_an_integer(self, grid):
+        # 8.5 once gave 9 directions spaced 2 pi / 8.5, and convexity_check
+        # reported a grid of 10.5
+        p, q, a = np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([3.0, 2.0, 1.0])
+        with pytest.raises(TypeError):
+            og.support_boundary(p, q, a, grid)
+        with pytest.raises(TypeError):
+            og.convexity_check(p, q, a, samples=10, rng=np.random.default_rng(0), grid=grid)
+        assert len(og.support_boundary(p, q, a, np.int64(10)).thetas) == 10
 
 
 class TestGamma:
@@ -873,14 +886,20 @@ class TestCounterexamples:
             assert abs(rep["midpoint_distance_estimate"]
                        - ref["midpoint_distance_estimate"]) <= 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_planar_endpoints(self, n):
-        rep = og.counterexample_report("ell3", n=n, rng=np.random.default_rng(16), starts=32)
+    @pytest.mark.parametrize("n, ell", [
+        pytest.param(n, ell, id=str(n) if ell == 3 else f"{n}-ell{ell}")
+        for ell in (3, 4) for n in (2, 3, 4)
+    ])
+    def test_planar_endpoints(self, n, ell):
+        rep = og.counterexample_report("ell3", n=n, ell=ell, rng=np.random.default_rng(16),
+                                       starts=32)
         assert rep["endpoints_exact"]
-        exp1 = [n - 2, n - 1, n - 2]
-        exp2 = [n - 2, n - 2, n - 1]
+        pad = [0.0] * (ell - 3)
+        exp1 = [n - 2, n - 1, n - 2, *pad]
+        exp2 = [n - 2, n - 2, n - 1, *pad]
         assert rep["endpoints"][0] == exp1
         assert rep["endpoints"][1] == exp2
+        assert rep["expected_endpoints"] == [exp1, exp2]
 
     def test_planar_midpoint_distance(self):
         rep = og.counterexample_report("ell3", n=3, rng=np.random.default_rng(17), starts=64)
@@ -1128,6 +1147,37 @@ class TestConvexityCheck:
         assert rep.tie_probe is not None
         assert rep.tie_probe["drift"] <= rep.tie_probe["bound"]
         assert rep.tie_probe["drift"] <= 10 * 1e-6 * (np.linalg.norm(p) + np.linalg.norm(q))
+
+    @pytest.mark.parametrize("a", [np.eye(3), np.diag([2.0, 2.0, 1.0]),
+                                   np.diag([1.0, 1.0, 1.0, 0.5])])
+    def test_tie_probe_drift_matches_the_stack_reference(self, a):
+        # the probe samples the image of A - A_delta; the reference draws the
+        # same frames as two haar_rotations stacks and takes the traces itself
+        n = a.shape[0]
+        rng = np.random.default_rng(24)
+        p, q = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        rep = og.convexity_check(p, q, a, samples=3000, rng=np.random.default_rng(25), grid=90)
+
+        ref_rng = np.random.default_rng(25)
+        og.sample_image(og.LinearMapSpec((p, q)), og.OrbitSpec(a), 3000, ref_rng)
+        f = og.signed_svd(a)
+        bump = 1e-6 * np.arange(n - 1, -1, -1, dtype=float)
+        a_delta = (f.u * (f.s + np.sign(f.s + (f.s == 0)) * bump)) @ f.v.T
+        u = og.haar_rotations(n, 30, ref_rng)
+        v = og.haar_rotations(n, 30, ref_rng)
+        diff = u @ (a - a_delta) @ v
+        drift = np.max(np.hypot(np.einsum("ij,sji->s", p, diff),
+                                np.einsum("ij,sji->s", q, diff)))
+        assert abs(rep.tie_probe["drift"] - drift) <= 1e-12 * drift
+
+    def test_numpy_integer_counts_give_a_json_report(self):
+        # a numpy grid or sample count once went into the report as is, and
+        # the JSON dump refused it
+        p, q, a = np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([3.0, 2.0, 1.0])
+        rep = og.convexity_check(p, q, a, samples=np.int64(50), rng=np.random.default_rng(0),
+                                 grid=np.int32(90))
+        payload = json.loads(serialize.dump_json(rep.to_json()))
+        assert (payload["samples"], payload["grid"]) == (50, 90)
 
     def test_zero_matrix(self):
         rng = np.random.default_rng(21)

@@ -137,6 +137,19 @@ class TestHomotopyRealize:
         with pytest.raises(og.DimensionError):
             og.homotopy_realize(planar, [0.0, 0.0], (np.eye(3), w))
 
+    def test_block_start_frame_is_a_pair(self):
+        # one n x n frame once failed as "too many values to unpack"
+        rng = np.random.default_rng(9)
+        spatial = [rng.standard_normal((4, 4)) for _ in range(3)]
+        w = og.haar_rotation(4, rng)
+        with pytest.raises(og.DimensionError, match=r"\(U, V\) pair of 4x4 rotations"):
+            og.homotopy_realize(spatial, [0.0, 0.0, 0.0], w)
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_too_few_coordinates(self, ell):
+        with pytest.raises(og.DimensionError, match="at least two map coordinates"):
+            og.homotopy_realize([np.eye(3)] * ell, [0.0] * ell, np.eye(3))
+
 
 class TestCertifyRowScaled:
     def test_inclusion_property(self):
@@ -514,6 +527,20 @@ class TestStarCheckJoint:
         r2 = [r.residual for r in rep2.results]
         assert np.allclose(r1, r2, rtol=0, atol=1e-12)
         assert rep1.max_residual <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["O1", "O2"])
+    def test_o1_o2_are_star_check_of_the_reduced_map(self, kind):
+        rng = np.random.default_rng(26)
+        rows = [[rng.standard_normal((3, 3)) for _ in range(2)] for _ in range(3)]
+        a_list = (rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+        alphas = [0.0, 0.4, 1.0]
+        rep = og.star_check_joint(rows, JointOrbitSpec(a_list, kind), 4, alphas,
+                                  np.random.default_rng(27))
+        ref = og.star_check(og.reduce_joint(rows, a_list, kind), OrbitSpec(np.eye(3)), 4,
+                            alphas, np.random.default_rng(27))
+        assert repr(rep.results) == repr(ref.results)
+        assert {**rep.config, "kind": "single"} == {**ref.config, "m": 2}
+        assert rep.config["kind"] == f"joint-{kind}"
 
     def test_failures_recorded_not_thrown(self, monkeypatch):
         # an unreachable residual bound turns every certificate into a

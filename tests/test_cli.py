@@ -190,6 +190,23 @@ class TestCertifyCommand:
         assert payload["residual"] <= 1e-8
         assert {"target", "achieved", "witness", "iterations"} <= set(payload)
 
+    @pytest.mark.parametrize("given, missing", [("U", "V"), ("V", "U")])
+    @pytest.mark.parametrize("seed", [None, "3"])
+    def test_a_lone_frame_is_an_input_error(self, tmp_path, capsys, given, missing, seed):
+        # a lone frame was once dropped and both frames drawn from --seed, so
+        # even a non-rotation exited 0 unchecked
+        path = _write(tmp_path, "cert.json", {
+            "A": _mat(np.eye(3)),
+            "map": {"P": [_mat(np.diag([1.0, 0, 0])), _mat(np.diag([0, 1.0, 0]))]},
+            given: _mat(2.0 * np.eye(3)),
+            "alpha": 0.5,
+        })
+        out = tmp_path / "cert_out.json"
+        argv = ["certify", "--input", path, "--out", str(out)]
+        assert main(argv + (["--seed", seed] if seed else [])) == 2
+        assert f"missing key '{missing}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGeometryCommands:
     def test_ellipse(self, tmp_path):
