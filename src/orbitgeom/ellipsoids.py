@@ -461,7 +461,9 @@ def degenerate_u0(p, q) -> np.ndarray:
     B = 1 + a^2 - b^2 >= 2 a^2 > 0, whose one root in (0, 1) is taken in the
     cancellation-free form x = 2 a^2 / (B + sqrt(B^2 + 4 a^2 b^2)), so x <= 1/2.
     The conditions are symmetric under swapping the two rows along with the
-    two vectors, so the larger row is normalized first.
+    two vectors, so the larger row is normalized first. The result is that
+    frame with its first three columns turned by the rotation
+    [u1, u2, u1 x u2] of their span, so one orthonormal completion serves.
     """
     p = require_square(p, "P")
     q = require_square(q, "Q")
@@ -494,27 +496,22 @@ def degenerate_u0(p, q) -> np.ndarray:
     a = float(p2 @ q1)
     b = float(p2 @ q2)
     tiny = 1e-13
+    # columns u1, u2 and u1 x u2, in the frame's first three coordinates
     if abs(a) <= tiny or b <= tiny:
-        u1 = np.zeros(n)
-        u1[0] = -b
-        u1[2] = np.sqrt(max(0.0, 1.0 - b * b))
-        u2 = np.zeros(n)
-        u2[1] = 1.0
+        c = math.sqrt(max(0.0, 1.0 - b * b))
+        g = np.array([[-b, 0.0, -c], [0.0, 1.0, 0.0], [c, 0.0, -b]])
     else:
         big = 1.0 + a * a - b * b
-        x = 2.0 * a * a / (big + np.sqrt(big * big + 4.0 * a * a * b * b))
-        st, ct = np.sqrt(x), np.sqrt(1.0 - x)
-        norm = np.sqrt(b * b * x + a * a)
-        u1 = np.zeros(n)
-        u1[:3] = np.array([-b * st, a * st, -a * ct]) / norm
-        u2 = np.zeros(n)
-        u2[1] = ct
-        u2[2] = st
-    u1 = frame @ u1
-    u2 = frame @ u2
-    if swapped:
-        u1, u2 = u2, u1
-    return complete_to_rotation([u1, u2])
+        x = 2.0 * a * a / (big + math.sqrt(big * big + 4.0 * a * a * b * b))
+        st, ct = math.sqrt(x), math.sqrt(1.0 - x)
+        norm = math.sqrt(b * b * x + a * a)
+        g = np.array([[-b * st / norm, 0.0, a / norm],
+                      [a * st / norm, ct, b * x / norm],
+                      [-a * ct / norm, st, -b * st * ct / norm]])
+    if swapped:  # (u2, u1, u2 x u1) keeps the determinant +1
+        g = g[:, [1, 0, 2]] * [1.0, 1.0, -1.0]
+    frame[:, :3] = frame[:, :3] @ g
+    return frame
 
 
 def degenerate_uv(p1) -> tuple:

@@ -7,12 +7,14 @@ helpers enforce this at API boundaries instead of wrapping arrays in a class.
 Provides the signed SVD (both factors forced into the rotation group, the
 determinant sign absorbed into the last diagonal entry), Haar sampling,
 one-segment geodesic paths, and orthonormal completion to a full rotation.
-Only a geodesic needs scipy (``scipy.linalg.schur``), which is imported on
-its first call; importing the package loads no scipy module.
+Everything here is numpy: a geodesic's logarithm comes from one Hermitian
+eigendecomposition, so no path of the package loads scipy.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,30 +238,110 @@ def haar_rotation(n: int, rng) -> np.ndarray:
     return haar_rotations(n, 1, rng)[0]
 
 
+# Angles this close to 0 or pi are read as exactly 0 or pi: their eigenvectors
+# are taken together, as a cluster with a real basis.
+_CLUSTER = 5e-13
+# The Cayley transform of R itself serves while the sum of tan^2(theta / 2)
+# over R's eigenvalue angles stays below this, i.e. no angle within ~0.03 of pi.
+_CAYLEY_BOUND = 4096.0
+# Eigenvectors whose real and imaginary parts are orthonormal to this need no polish.
+_SLACK = 1e-14
+
+
+def _widest_gap(r) -> float:
+    """Angle in [0, pi] at the middle of the widest gap between r's eigenvalue angles.
+
+    The angles of a rotation come in pairs +-a_k, and the cosines cos a_k are
+    the eigenvalues of its symmetric part. The gap around 0 is 2 min a_k, the
+    one around pi is 2 (pi - max a_k), and between them the widest gap lies
+    between two consecutive a_k (and again between their negatives).
+    """
+    a = np.arccos(np.clip(0.5 * np.linalg.eigvalsh(r + r.T), -1.0, 1.0)).tolist()
+    e = [math.pi, *a, 0.0]  # descending
+    gaps = [(e[k] - e[k + 1], 0.5 * (e[k] + e[k + 1])) for k in range(len(e) - 1)]
+    gaps[0] = (2.0 * gaps[0][0], math.pi)
+    gaps[-1] = (2.0 * gaps[-1][0], 0.0)
+    return max(gaps)[1]
+
+
+def _real_basis(c) -> np.ndarray:
+    """Real orthonormal basis of the span of the complex columns c, closed under conjugation."""
+    return np.linalg.svd(np.hstack((c.real, c.imag)))[0][:, :c.shape[1]]
+
+
 def _log_rotation_schur(r: np.ndarray):
     """Real Schur factors (Z, i, j, theta) of a real logarithm of a rotation.
 
-    In the real Schur form ``R = Z T Z^T`` of a rotation, T is block diagonal
-    up to roundoff: its 1x1 blocks are the eigenvalues +1 and -1, and each 2x2
-    block ``[[a, b], [c, d]]`` at rows ``(i_k, j_k = i_k + 1)`` turns its plane
-    by ``theta_k = atan2((c - b) / 2, (a + d) / 2)``. As det R = +1 the blocks
-    -1 come in pairs, taken in order; each pair ``(i_k, j_k)`` is a turn by pi
-    in the plane of its two Schur vectors (Gallier and Xu, Int. J. Robotics
-    and Automation 17(4), 2002). The logarithm is ``Z L Z^T`` where L holds
-    each angle times the quarter turn ``[[0, -1], [1, 0]]`` at rows and
-    columns ``(i_k, j_k)``.
-    """
-    import scipy.linalg  # loaded on the first geodesic only
+    ``R = Z T Z^T`` with Z orthogonal and T block diagonal: each pair of
+    columns ``(i_k, j_k)`` spans a plane that R turns by ``theta_k``, and the
+    other columns are fixed. Eigenvalues -1 pair up into half turns, in order
+    (Gallier and Xu, Int. J. Robotics and Automation 17(4), 2002). The
+    logarithm is ``Z L Z^T`` where L holds each angle times the quarter turn
+    ``[[0, -1], [1, 0]]`` at rows and columns ``(i_k, j_k)``.
 
-    t, z = scipy.linalg.schur(r, output="real", check_finite=False)
-    i = np.flatnonzero(np.diagonal(t, -1))
-    j = i + 1
-    theta = np.arctan2(0.5 * (t[j, i] - t[i, j]), 0.5 * (t[i, i] + t[j, j]))
-    single = np.ones(t.shape[0], dtype=bool)
-    single[i] = single[j] = False
-    hi, hj = np.flatnonzero(single & (np.diagonal(t) < 0.0)).reshape(-1, 2).T
-    return (z, np.concatenate((i, hi)), np.concatenate((j, hj)),
-            np.concatenate((theta, np.full(hi.size, np.pi))))
+    The planes come from one Hermitian eigendecomposition. For a unit z with
+    -conj(z) in the widest gap of R's eigenvalue angles (z = 1 while no angle
+    is near pi), ``H = i (I + z R)^-1 (I - z R)`` has R's eigenvectors and the
+    eigenvalues tan((theta + arg z) / 2), increasing in theta. Each eigenvector
+    v of an angle in (-pi, 0) gives the plane (sqrt 2 Re v, sqrt 2 Im v); in
+    ascending order those angles are one run of columns, and each conjugate
+    angle mirrors one of them, so the clusters of angles within ``_CLUSTER``
+    of pi and of 0 are the runs between the mirrors. A cluster gets a real
+    basis from the SVD of its columns' real and imaginary parts, and then Z
+    its nearest orthogonal matrix; so does a Z whose planes came out of
+    ``eigh`` less orthonormal than ``_SLACK``. The lone eigenvalue +1 of odd
+    n is read off its eigenvector, real up to a phase. The angles are read
+    from ``Z^T R Z``; a half turn is exactly pi.
+    """
+    n = r.shape[0]
+    eye = np.eye(n)
+    try:
+        s = np.linalg.solve(eye + r, eye - r)
+    except np.linalg.LinAlgError:  # an eigenvalue exactly -1
+        s = None
+    if s is not None and np.vdot(s, s) <= _CAYLEY_BOUND:
+        beta, h = math.pi, 1j * s
+    else:
+        beta = _widest_gap(r)  # -conj(z) = exp(i beta)
+        zr = complex(-math.cos(beta), math.sin(beta)) * r
+        h = 1j * np.linalg.solve(eye + zr, eye - zr)
+    mu, v = np.linalg.eigh(h)
+    # theta < c exactly where mu < tan((c + pi - beta) / 2): counts of the
+    # angles below -beta (the arc through pi), -pi + _CLUSTER and -_CLUSTER
+    mu = mu.tolist()
+    na = bisect.bisect_left(mu, math.tan(0.5 * math.pi - beta))
+    a0 = bisect.bisect_left(mu, math.tan(0.5 * (_CLUSTER - beta)))
+    b0 = bisect.bisect_left(mu, math.tan(0.5 * (math.pi - _CLUSTER - beta)))
+    half = 2 * a0 - na  # columns na - a0 .. a0 mirror no plane: the cluster at pi
+    ones = n + na - 2 * b0  # columns b0 .. n + na - b0: the cluster at 0
+    planes = b0 - a0
+    pairs = 2 * planes + half
+    flat = v.view(float)  # Re v_0, Im v_0, Re v_1, ...
+    root2 = math.sqrt(2.0)
+    if half == 0 and ones <= 1:
+        sel = v[:, a0:b0 + ones]
+        g = sel.T @ sel  # zero for orthonormal planes, but for the phase of +1
+        if ones:
+            v[:, b0] *= complex(g[-1, -1].conjugate()) ** 0.5 / root2
+            g[-1, -1] = 0.0
+        z = flat[:, 2 * a0:2 * a0 + n] * root2
+        polish = not abs(np.vdot(g, g)) <= _SLACK * _SLACK
+    else:
+        z = np.empty((n, n))
+        z[:, :2 * planes] = flat[:, 2 * a0:2 * b0] * root2
+        z[:, 2 * planes:pairs] = _real_basis(v[:, na - a0:a0])
+        z[:, pairs:] = _real_basis(v[:, b0:b0 + ones])
+        polish = True
+    if polish:
+        u, _, vt = np.linalg.svd(z)
+        z = u @ vt
+    t = z.T @ (r @ z)
+    d = t.diagonal()
+    theta = np.arctan2(t.diagonal(-1)[0:pairs:2] - t.diagonal(1)[0:pairs:2],
+                       d[0:pairs:2] + d[1:pairs:2])
+    theta[planes:] = np.pi
+    i = np.arange(0, pairs, 2)
+    return z, i, i + 1, theta
 
 
 @dataclass(frozen=True)
@@ -329,9 +411,10 @@ def geodesic(u_start, u_end) -> RotationPath:
     """Geodesic path in the rotation group from ``u_start`` to ``u_end``.
 
     The generator is a logarithm of ``u_start.T @ u_end``, read in closed
-    form from that rotation's real Schur form (one angle per 2x2 block, and a
-    half turn per pair of eigenvalues -1), so every pair of endpoints gives
-    one segment, deterministically; the path keeps that factorization.
+    form from that rotation's real Schur form (``_log_rotation_schur``: one
+    angle per turning plane, and a half turn per pair of eigenvalues -1), so
+    every pair of endpoints gives one segment, deterministically; the path
+    keeps that factorization.
     """
     u_start = require_rotation(u_start, "u_start")
     u_end = require_rotation(u_end, "u_end")

@@ -461,10 +461,28 @@ class TestJointCommand:
 
 
 _SCIPY_FREE_CALLS = """
-import json, os, sys, tempfile
+import importlib.abc, json, os, sys, tempfile
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"refused import of {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
 import numpy as np
-import orbitgeom as og, orbitgeom.cli
+import orbitgeom as og, orbitgeom.cli, orbitgeom.serialize
 rng = np.random.default_rng(3)
+for n in (3, 4, 5):
+    p, q = rng.standard_normal((2, n, n))
+    u, v = og.haar_rotation(n, rng), og.haar_rotation(n, rng)
+    assert og.certify_scaled_point([p, q], np.diag(np.arange(n, 0, -1.0)), u, v,
+                                   0.5).residual <= 1e-8
+rep = og.star_check(list(rng.standard_normal((3, 4, 4))), og.OrbitSpec(np.eye(4)), 2,
+                    [0.5, 1.0], rng)
+assert rep.results and not rep.failures
 p, q = rng.standard_normal((2, 3, 3))
 og.convexity_check(p, q, np.diag([3.0, 2.0, 1.0]), samples=2000, rng=rng, grid=90)
 og.max_trace_bruteforce(p, np.eye(3), starts=4, rng=rng)
@@ -472,6 +490,13 @@ og.counterexample_report("ell3", n=3, rng=rng, starts=4)
 assert not og.thompson_membership(og.DiagonalHullQuery([3.0, 0, 0], [1.0, 1, 1], 1)).member
 s = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
 assert og.thompson_membership(og.DiagonalHullQuery(0.5 * s, s, 1)).weights.max() > 0.0
+a1, a2 = np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])
+mat = og.serialize.matrix_to_json
+inputs = {
+    "star-check": {"A": mat(np.diag([3.0, 2.0, 1.0])), "map": {"P": [mat(a1), mat(a2)]}},
+    "joint": {"A_list": [mat(a1), mat(a2)], "kind": "O3",
+              "maps": [[mat(a1), mat(a2)], [mat(a2), mat(-a1)]]},
+}
 with tempfile.TemporaryDirectory() as tmp:
     member = os.path.join(tmp, "member.json")
     with open(member, "w") as f:
@@ -480,20 +505,28 @@ with tempfile.TemporaryDirectory() as tmp:
     assert orbitgeom.cli.main(["thompson", "--input", member, "--out", out]) == 0
     with open(out) as f:
         assert json.load(f)["member"]
+    for sub, payload in inputs.items():
+        path, out = os.path.join(tmp, sub + ".json"), os.path.join(tmp, sub + "_out.json")
+        with open(path, "w") as f:
+            json.dump(payload, f)
+        assert orbitgeom.cli.main([sub, "--input", path, "--seed", "5", "--samples", "2",
+                                   "--alpha", "0.5,1", "--out", out]) == 0
+        with open(out) as f:
+            assert json.load(f)["num_failures"] == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-og.geodesic(np.eye(3), og.haar_rotation(3, rng))
-print("scipy.linalg" in sys.modules)
 """
 
 
-def test_scipy_loads_only_where_a_geodesic_is_built():
-    # a fresh interpreter: the sampled checks, the oracles and a member's
-    # Thompson weights (by call and by `orbitgeom thompson`) load no scipy
-    # module, and one geodesic loads scipy.linalg for its Schur form
+def test_no_scipy_module_loads():
+    # a fresh interpreter that refuses every scipy import: planar
+    # certificates at n = 3, 4 and 5 (each builds geodesics), an ell = 3
+    # star check, `orbitgeom star-check` and `joint` O3, the sampled
+    # convexity check, the oracles and a member's Thompson weights (by call
+    # and by `orbitgeom thompson`)
     src = os.path.dirname(os.path.dirname(orbitgeom.__file__))
     out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CALLS], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    assert out.stdout.split("\n")[:1] == ["[]"]
 
 
 class TestDeterminism:

@@ -337,6 +337,33 @@ class TestMembership:
         assert surface_projection(seg, y)[0] == np.inf
 
 
+def _pair_before_completion(p):
+    """The vectors (u1, u2) of ``degenerate_u0``, built column by column in the row frame."""
+    p1, p2 = p[0], p[1]
+    swapped = np.linalg.norm(p2) > np.linalg.norm(p1)
+    if swapped:
+        p1, p2 = p2, p1
+    p1, p2 = p1 / np.linalg.norm(p1), p2 / np.linalg.norm(p1)
+    resid = p2 - (p2 @ p1) * p1
+    if np.linalg.norm(resid) > 1e-13:
+        q2 = resid / np.linalg.norm(resid)
+        q2 = q2 - (q2 @ p1) * p1
+        frame = og.complete_to_rotation([p1, q2 / np.linalg.norm(q2)])
+    else:
+        frame = og.complete_to_rotation([p1])
+    a, b = p2 @ frame[:, 0], p2 @ frame[:, 1]
+    if abs(a) <= 1e-13 or b <= 1e-13:
+        u1, u2 = np.array([-b, 0.0, np.sqrt(max(0.0, 1.0 - b * b))]), np.array([0.0, 1.0, 0.0])
+    else:
+        big = 1.0 + a * a - b * b
+        x = 2.0 * a * a / (big + np.sqrt(big * big + 4.0 * a * a * b * b))
+        st, ct = np.sqrt(x), np.sqrt(1.0 - x)
+        u1 = np.array([-b * st, a * st, -a * ct]) / np.sqrt(b * b * x + a * a)
+        u2 = np.array([0.0, ct, st])
+    u1, u2 = frame[:, :3] @ u1, frame[:, :3] @ u2
+    return (u2, u1) if swapped else (u1, u2)
+
+
 class TestDegenerateU0:
     def test_axis_branch(self):
         # rows e1 and a scaled e2 exercise the explicit-vector branch
@@ -380,6 +407,32 @@ class TestDegenerateU0:
             u0 = og.degenerate_u0(p, rng.standard_normal((n, n)))
             assert og.rotation_defect(u0) < 1e-12
             row = _ellipse_eu(p, p, u0).shape[0]
+            assert np.max(np.abs(row)) <= 1e-13 * np.linalg.norm(p)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_one_completion_keeps_the_pair(self, n):
+        # the frame's first two columns are the pair (u1, u2) as a second
+        # orthonormal completion of it had them, and at n = 3 the whole frame
+        rng = np.random.default_rng(90 + n)
+        cases = []
+        for _ in range(10):
+            p = rng.standard_normal((n, n))
+            swapped = p.copy()
+            swapped[1] *= 3.0 * np.linalg.norm(p[0]) / np.linalg.norm(p[1])
+            cases += [p, swapped]
+        for c in (0.5, 2.0):  # parallel rows: rnorm <= 1e-13, plain and swapped
+            p = rng.standard_normal((n, n))
+            p[1] = c * p[0]
+            cases.append(p)
+        for p in cases:
+            q = rng.standard_normal((n, n))
+            u0 = og.degenerate_u0(p, q)
+            u1, u2 = _pair_before_completion(p)
+            assert np.max(np.abs(u0[:, :2] - np.column_stack((u1, u2)))) <= 1e-14
+            assert og.rotation_defect(u0) <= 1e-13
+            if n == 3:
+                assert np.max(np.abs(u0 - og.complete_to_rotation([u1, u2]))) <= 1e-14
+            row = _ellipse_eu(p, q, u0).shape[0]
             assert np.max(np.abs(row)) <= 1e-13 * np.linalg.norm(p)
 
     def test_rejects_small_dimension(self):

@@ -328,6 +328,52 @@ class TestClosedFormLog:
         assert sorted(np.abs(theta)) == [np.pi, np.pi]
 
 
+def _kernel_cases(n, rng):
+    """(rotation, whether scipy's logm is an accurate reference there)."""
+    cases = [(og.haar_rotation(n, rng), True) for _ in range(10)]
+    for e in range(3, 16):  # near the identity, 1e-3 down to 1e-15
+        cases.append((_plane_turn(n, [10.0 ** -e, 1.3 * 10.0 ** -e][:n // 2], rng), True))
+    cases.append((_plane_turn(n, [0.9] * (n // 2), rng), True))  # tied angles
+    cases.append((_plane_turn(n, [1e-7], rng), True))  # a single 1e-7 plane
+    if n >= 4:  # a tiny plane beside a wide one: eigh mixes the tiny pair
+        cases.append((_plane_turn(n, [2.5, 1e-9], rng), True))
+    cases.append((_plane_turn(n, [np.pi] * (n // 2), rng), False))  # all half turns
+    if n >= 4:
+        cases.append((_plane_turn(n, [np.pi, 0.7], rng), False))  # a half turn beside a plane
+    for e in range(6, 14):  # 1e-6 to 1e-13 short of a half turn
+        cases.append((_plane_turn(n, [np.pi - 10.0 ** -e], rng), e == 6))
+    return cases
+
+
+class TestRotationLogKernel:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    def test_factors_reconstruct_the_rotation(self, n):
+        for r, reference in _kernel_cases(n, np.random.default_rng(400 + n)):
+            z, i, j, theta = _log_rotation_schur(r)
+            turn, log_t = np.eye(n), np.zeros((n, n))
+            turn[i, i] = turn[j, j] = np.cos(theta)
+            turn[j, i], turn[i, j] = np.sin(theta), -np.sin(theta)
+            log_t[j, i], log_t[i, j] = theta, -theta
+            assert np.max(np.abs(z @ turn @ z.T - r)) <= 1e-12
+            assert np.max(np.abs(z.T @ z - np.eye(n))) <= 1e-12
+            assert np.max(np.abs(theta), initial=0.0) <= np.pi
+            if reference:  # the principal logarithm is unique there
+                assert np.max(np.abs(z @ log_t @ z.T - _logm_oracle(r))) <= 1e-12
+
+    def test_same_bits_and_no_random_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the logarithm drew a random number")
+
+        cases = [r for n in (3, 4, 5, 6, 8)
+                 for r, _ in _kernel_cases(n, np.random.default_rng(500 + n))]
+        for name in ("haar_rotation", "haar_rotations", "ensure_rng"):
+            monkeypatch.setattr(og.linalg, name, no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        for r in cases:
+            first, second = _log_rotation_schur(r), _log_rotation_schur(r)
+            assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
 class TestPathEvaluation:
     S_GRID = np.linspace(0.0, 1.0, 41)
 
@@ -350,11 +396,11 @@ class TestPathEvaluation:
             assert np.max(np.abs(path(s) - u0 @ scipy.linalg.expm(s * k))) < 1e-12
 
     def test_geodesic_factors_once(self, monkeypatch):
-        # the log's Schur form is the path's: one factorization
+        # the log's eigendecomposition is the path's: one factorization
         calls = []
-        schur = scipy.linalg.schur
-        monkeypatch.setattr(scipy.linalg, "schur",
-                            lambda *a, **k: calls.append(1) or schur(*a, **k))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: calls.append(1) or eigh(*a, **k))
         rng = np.random.default_rng(16)
         og.geodesic(og.haar_rotation(5, rng), og.haar_rotation(5, rng))
         assert len(calls) == 1
