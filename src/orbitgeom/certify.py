@@ -16,38 +16,55 @@ mod n, so that every row is scaled equally often by the fewest subsets. In both
 cases the search's trial points are evaluated in coefficient form: the swept
 shape is a fixed linear combination of the paths' sines and cosines, so a
 trial builds no frame.
+
+There is one engine, and it works on lanes: a lane is one (map, A, U, V,
+alpha) certificate. ``_certify`` takes every job of a star check at every
+alpha as lanes and runs cover step j for all live lanes together
+(``_scaled_rows_step`` and ``_homotopies``), each stage one stacked kernel
+call: classifications, degenerate frames, geodesics, coefficient blocks,
+witnesses and their checks. The root search advances the searching lanes in
+lockstep (``ellipsoids._lockstep``). A lane that fails records the exception
+and message its own call raises and leaves the batch; the others go on, and
+no lane's steps depend on the lanes beside it. ``certify_scaled_point``,
+``certify_row_scaled`` and ``homotopy_realize`` are batches of one that
+re-raise their lane's exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import lcm
+from math import isfinite, lcm
 
 import numpy as np
 
 from .config import tolerances
 from .ellipsoids import (
     _bracket_root,
+    _classes,
     _ellipse_eu,
     _ellipse_radial_along,
     _ellipsoid_euv,
     _ellipsoid_radial_along,
+    _lockstep,
+    _projections,
     degenerate_u0,
     degenerate_uv,
-    membership,
-    surface_projection,
+    recursive_rotation,
 )
 from .linalg import (
     DimensionError,
     NumericalError,
     PreconditionError,
+    RotationPath,
+    _dots,
+    _geodesic,
     ensure_rng,
-    geodesic,
     haar_rotation,
     require_rotation,
     require_square,
+    rotation_defect,
 )
-from .orbits import JointOrbitSpec, LinearMapSpec, OrbitSpec, apply_map, reduce_joint
+from .orbits import JointOrbitSpec, LinearMapSpec, OrbitSpec, reduce_joint
 
 
 @dataclass(frozen=True)
@@ -116,78 +133,211 @@ class StarReport:
         }
 
 
-def _tight_bracket(g, s, gs, g0, g1):
-    """Sign-change bracket (lo, hi, g(lo), g(hi), evaluations) of g next to s.
-
-    Steps away from s toward the side where the sign changes, from 2^-30 and
-    growing sixteenfold, and stops at the ends 0 and 1 of the homotopy, whose
-    values g0 < 0 and g1 >= 0 are known.
-    """
+def _step_out(s: float, gs: float, g0: float, g1: float):
+    """One lane of ``_tight_bracket``: a generator of points, returning the bracket."""
     step, evaluations = 2.0 ** -30, 0
     while True:
         x = min(1.0, s + step) if gs < 0.0 else max(0.0, s - step)
         if x in (0.0, 1.0):
             gx = g0 if x == 0.0 else g1
         else:
-            gx, evaluations = g(x), evaluations + 1
+            gx, evaluations = (yield x), evaluations + 1
         if (gx < 0.0) != (gs < 0.0):
             lo, hi = sorted(((s, gs), (x, gx)))
             return lo[0], hi[0], lo[1], hi[1], evaluations
         s, gs, step = x, gx, 16.0 * step
 
 
-def _solve_on_family(start_curve, family, y):
-    """Find (angles, s, iterations, curve) with curve.point(angles) = y.
+def _tight_bracket(g, s, gs, g0, g1):
+    """Sign-change brackets (lo, hi, g(lo), g(hi), evaluations) of g next to s, lane by lane.
 
-    The homotopy's curves run from ``start_curve``, the checked curve at the
-    starting frame (s = 0), to a degenerate one at s = 1. The target is
-    classified against ``start_curve`` first; only when it lies strictly
-    inside does ``family()`` build the path and return
-    ``(curve_at, radial, trial_gtol)``: ``curve_at(s)`` builds the curve at
-    the path's frames without input checks (the caller checks the witness it
-    returns); ``radial(s)`` is the trial evaluator, the radial coordinate of
-    y at s, +inf off a degenerate span. The bracketing root-finder runs on
-    ``radial(s) - 1`` until |radial - 1| <= ``trial_gtol``. The gap is then
-    read once on the curve that yields the witness angles; if it misses
-    ``bisection_gtol`` there (a trial evaluator that agrees with the curve
-    only up to roundoff can stop short on a nearly flat ellipse), the search
-    continues on the curves' own radial, from a tight bracket around s.
+    Each lane steps away from its s toward the side where the sign changes,
+    from 2^-30 and growing sixteenfold, and stops at the ends 0 and 1 of the
+    homotopy, whose values g0 < 0 and g1 >= 0 are known. ``g(x, live)``
+    evaluates the lanes ``live`` (indices) at their points x; the lanes step
+    in lockstep (``_lockstep``).
     """
-    m0 = membership(start_curve, y)
-    if m0.classification in ("boundary", "on-degenerate-span"):
-        return m0.witness_angles, 0.0, 0, start_curve
-    if m0.classification in ("outside", "off-degenerate-span"):
-        raise PreconditionError(
-            f"target lies outside the starting curve (radial {m0.radial:.6g})"
-        )
-    curve_at, radial, trial_gtol = family()
-    m1 = membership(curve_at(1.0), y)
-    if m1.classification in ("boundary", "on-degenerate-span"):
-        return m1.witness_angles, 1.0, 0, curve_at(1.0)
-    g0, g1 = m0.radial - 1.0, m1.radial - 1.0
-    if np.isfinite(g1) and g1 < 0.0:
-        raise NumericalError(
-            "target remains interior at the degenerate frame; no crossing to find"
-        )
+    lanes = zip(*(np.asarray(v, dtype=float).tolist() for v in (s, gs, g0, g1)))
+    results, _ = _lockstep([_step_out(*lane) for lane in lanes], g)
+    lo, hi, glo, ghi, evaluations = (np.array(v) for v in zip(*results))
+    return lo, hi, glo, ghi, evaluations
+
+
+def _traces(mats, x):
+    """tr(M_i X) per lane, for matrices (lanes, ell, n, n) and X (lanes, n, n).
+
+    Read off the products' diagonals, so that each lane's sums run in the
+    same order whatever the number of lanes.
+    """
+    return np.einsum("kmii->km", mats @ x[:, None])
+
+
+def _lanes(path: RotationPath, idx) -> RotationPath:
+    """The paths ``idx`` of a stack of paths."""
+    return RotationPath(path.base_z[idx], path.z_t[idx], path.i, path.j, path.theta[idx])
+
+
+def _homotopies(mats, y, start):
+    """Lane-wise ``homotopy_realize``, in lockstep: (witnesses, achieved, residuals, steps).
+
+    Lane k realizes the target y[k] with the matrices mats[k], from the
+    frames start[...][k]: planar lanes take two n x n matrices and one start
+    frame, ``start = (U,)``; ell >= 3 lanes take ell matrices of the block
+    size 2^(ell-1) and ``start = (U, V)``. Inputs are not checked. Each step
+    runs for every lane still live, through stacked kernels:
+
+    1. classify the targets against the start curves; a lane on its curve
+       settles at s = 0, and one outside it fails;
+    2. build the degenerate frames and the geodesics to them (``_geodesic``:
+       the start frames are checked by the caller, and the degenerate frames
+       are rotations by construction), and classify against the end curves;
+       a lane on its end curve settles at s = 1, and one still inside fails;
+    3. the lane-wise root search on the coefficient-form trial radial minus
+       1 (``_bracket_root``), planar lanes to the radial's roundoff floor
+       (one ulp of 1: the witness misses y by about |y - center| |radial -
+       1|, so a target far from the origin needs a far smaller gap than
+       ``bisection_gtol``), block lanes to ``bisection_gtol``;
+    4. read the gap once on the curve at the crossing; a lane whose gap
+       misses ``bisection_gtol`` there (a trial evaluator that agrees with
+       the curve only up to roundoff can stop short on a nearly flat
+       ellipse) searches on with the curves' own radial, from a tight
+       bracket around its s (``_tight_bracket``);
+    5. the witnesses from the crossing curves' frames and angles, their
+       rotation defects in one stacked check, and the residual gate.
+
+    steps[k] is lane k's trace step ``{"s", "iterations", "angles"}``, or the
+    exception the lane failed with, which is the exception and message its
+    own call raises; the witness, achieved point and residual of a failed
+    lane are meaningless. A lane's steps do not depend on the other lanes.
+    """
+    lanes, ell = y.shape
+    planar = ell == 2
+    steps = [None] * lanes
+    s, iterations = np.zeros(lanes), np.zeros(lanes, dtype=int)
+    angles = np.zeros((lanes, ell - 1))
+    frames = tuple(f.copy() for f in start)  # each lane's frames where it settles
+
+    def project(m, at, target):
+        curve = _ellipse_eu(m[:, 0], m[:, 1], *at) if planar else _ellipsoid_euv(m, *at)
+        return _projections(curve.shape, curve.center, target)
+
+    # 1. the start curves; the live lanes' data is compacted as lanes leave
+    live, m, target, at = np.arange(lanes), mats, y, start
+    radial0, _, ang, degenerate = project(m, at, target)
+    settled, inside = _classes(radial0, degenerate)
+    if np.count_nonzero(inside) < len(live):
+        angles[settled] = ang[settled]
+        for k in np.flatnonzero(~(settled | inside)):
+            steps[k] = PreconditionError(
+                f"target lies outside the starting curve (radial {radial0[k]:.6g})")
+        live, m, target, radial0 = live[inside], m[inside], target[inside], radial0[inside]
+        at = tuple(f[inside] for f in at)
+    if live.size:  # 2. the degenerate frames, the paths and the end curves
+        ends = (degenerate_u0(m[:, 0], m[:, 1]),) if planar else degenerate_uv(m[:, 0])
+        paths = tuple(_geodesic(f, end) for f, end in zip(at, ends))
+        at = ends  # the paths' frames at s = 1
+        radial1, _, ang, degenerate = project(m, at, target)
+        settled, inside = _classes(radial1, degenerate)
+        search = ~(settled | inside)
+        if np.count_nonzero(search) < len(live):
+            done = live[settled]
+            s[done], angles[done] = 1.0, ang[settled]
+            for frame, end in zip(frames, at):
+                frame[done] = end[settled]
+            for k in live[inside]:
+                steps[k] = NumericalError(
+                    "target remains interior at the degenerate frame; no crossing to find")
+            live, m, target = live[search], m[search], target[search]
+            radial0, radial1 = radial0[search], radial1[search]
+            paths = tuple(_lanes(path, search) for path in paths)
+    if live.size:  # 3. and 4. the crossings
+        if planar:
+            trial = _ellipse_radial_along(m[:, 0], m[:, 1], *paths, target)
+            ftol = np.finfo(float).eps
+        else:
+            trial = _ellipsoid_radial_along(m, *paths, target)
+            ftol = tolerances.bisection_gtol
+        s[live], iterations[live], angles[live], at, errors = _crossings(
+            trial, ftol, lambda idx, at: project(m[idx], at, target[idx]), paths,
+            radial0 - 1.0, radial1 - 1.0)
+        for frame, new in zip(frames, at):
+            frame[live] = new
+        for k, exc in errors.items():
+            steps[live[k]] = exc
+    # 5. the witnesses, checked together
+    good = [k for k, step in enumerate(steps) if step is None]
+    good = slice(None) if len(good) == lanes else np.array(good, dtype=int)
+    witness = frames[0].copy()
+    if planar:  # the frame times the leading block's turn [[c, s], [-s, c]]
+        f, t = frames[0][good], angles[good]
+        c, sn = np.cos(t), np.sin(t)
+        witness[good, :, 0] = c * f[:, :, 0] - sn * f[:, :, 1]
+        witness[good, :, 1] = sn * f[:, :, 0] + c * f[:, :, 1]
+    else:
+        witness[good] = frames[1][good] @ recursive_rotation(angles[good]) @ frames[0][good]
+    tol, gate = tolerances.matrix_residual, tolerances.certificate_residual
+    defect = rotation_defect(witness[good]).tolist()  # not finite exactly for such witnesses
+    achieved = _traces(mats, witness)
+    miss = achieved - y
+    residual = np.sqrt(_dots(miss, miss))
+    for k, bad in zip(np.arange(lanes)[good].tolist(), defect):
+        if not isfinite(bad):
+            steps[k] = ValueError("witness contains non-finite entries")
+        elif bad > tol:
+            steps[k] = ValueError(f"witness is not a rotation (defect {bad:.3e} > {tol:.1e})")
+        elif not residual[k] <= gate:  # a NaN residual fails too
+            steps[k] = NumericalError(
+                f"homotopy witness residual {residual[k]:.3e} exceeds {gate:.1e}")
+        else:
+            steps[k] = {"s": float(s[k]), "iterations": int(iterations[k]),
+                        "angles": angles[k].tolist()}
+    return witness, achieved, residual, steps
+
+
+def _crossings(trial, ftol, project, paths, g0, g1):
+    """Steps 3 and 4 of ``_homotopies`` for its searching lanes.
+
+    ``trial(s, live)`` is the lanes' coefficient-form radial minus 1,
+    ``project(idx, frames)`` the projections of their curves at the frames,
+    ``paths`` their stacks of paths and g0 < 0 <= g1 their radial gaps at
+    s = 0 and 1.
+    Returns (s, iterations, angles, frames, errors), with NaN angles where
+    the crossing point left the reachable span and ``errors`` mapping a
+    lane to its NumericalError.
+    """
+    count = len(g0)
+    x, its, errors = _bracket_root(trial, np.zeros(count), np.ones(count), g0, g1, ftol)
+    at = tuple(path._at(x) for path in paths)
+    r, _, angles, _ = project(slice(None), at)
     gtol = tolerances.bisection_gtol
-    s, iterations = _bracket_root(lambda s: radial(s) - 1.0, 0.0, 1.0, g0, g1, trial_gtol)
-    curve = curve_at(s)
-    r, _, angles = surface_projection(curve, y)
     # where the trial evaluator is the curve's own it reads the same gap,
     # and a search on the curves would retrace the same steps
-    if not abs(r - 1.0) <= gtol and r != radial(s):
+    gap = r - 1.0
+    polish = ~(np.abs(gap) <= gtol)
+    if errors:
+        polish[list(errors)] = False
+    if np.count_nonzero(polish):
+        polish[polish] = gap[polish] != np.asarray(trial(x[polish], np.flatnonzero(polish)))
+    if np.count_nonzero(polish):
+        redo = np.flatnonzero(polish)
+        redone = tuple(_lanes(path, redo) for path in paths)
 
-        def exact(s):
-            return surface_projection(curve_at(s), y)[0] - 1.0
+        def exact(t, live):
+            at = tuple(_lanes(path, live)._at(t) for path in redone)
+            return project(redo[live], at)[0] - 1.0
 
-        lo, hi, glo, ghi, steps = _tight_bracket(exact, s, r - 1.0, g0, g1)
-        s, more = _bracket_root(exact, lo, hi, glo, ghi, gtol)
-        iterations += steps + more
-        curve = curve_at(s)
-        _, _, angles = surface_projection(curve, y)
-    if angles is None:
-        raise NumericalError("crossing point left the reachable span")
-    return angles, s, iterations, curve
+        lo, hi, glo, ghi, more = _tight_bracket(exact, x[redo], gap[redo], g0[redo], g1[redo])
+        x[redo], most, late = _bracket_root(exact, lo, hi, glo, ghi, gtol)
+        its[redo] += more + most
+        errors.update((int(redo[k]), exc) for k, exc in late.items())
+        frames = tuple(path._at(x[redo]) for path in redone)
+        for frame, new in zip(at, frames):
+            frame[redo] = new
+        angles[redo] = project(redo, frames)[2]
+    lost = np.isnan(angles[:, 0])
+    for k in np.flatnonzero(lost) if np.count_nonzero(lost) else ():
+        errors.setdefault(int(k), NumericalError("crossing point left the reachable span"))
+    return x, its, angles, at, errors
 
 
 def homotopy_realize(m_list, y, start_frame) -> Certificate:
@@ -199,13 +349,8 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
     ell >= 3 the matrices have the minimal block size 2^(ell-1),
     ``start_frame`` is the pair (U, V), and both frames of the centered
     ellipsoid travel to the pair produced by the diagonal quarter-turn
-    construction. The degenerate frames and the paths (``geodesic``) are
-    built only for a target strictly inside the starting curve. Trial points
-    are evaluated in coefficient form, planar ones by
-    ``_ellipse_radial_along`` and ell >= 3 ones by ``_ellipsoid_radial_along``;
-    the witness comes from the curve at the crossing and is checked as a
-    rotation. The matrices are validated once, as a ``LinearMapSpec``, which
-    the witness's trace evaluation reuses.
+    construction. The inputs are checked here, once; the homotopy itself is
+    a batch of one lane of ``_homotopies``, whose exception it raises.
     """
     if len(m_list) < 2:
         raise DimensionError("need at least two map coordinates")
@@ -224,22 +369,7 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
         start = require_rotation(start_frame, "start frame")
         if start.shape[0] != n:
             raise DimensionError(f"start frame is {start.shape}, expected {(n, n)}")
-        # P and Q are validated once, above, and the witness once, below
-        p, q = mats
-        start_curve = _ellipse_eu(p, q, start)
-
-        def family():
-            path = geodesic(start, degenerate_u0(p, q))
-
-            def curve_at(s):
-                return _ellipse_eu(p, q, path(s))
-
-            # a trial costs microseconds, so its search runs on to the
-            # radial's roundoff floor (one ulp of 1): the witness misses y by
-            # about |y - center| |radial - 1|, so a target far from the
-            # origin needs a far smaller gap than bisection_gtol
-            return curve_at, _ellipse_radial_along(p, q, path, y), np.finfo(float).eps
-
+        frames = (start[None],)
     else:
         try:
             us, vs = start_frame
@@ -253,36 +383,12 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
             raise DimensionError(
                 f"start frames must be {n}x{n}: U is {us.shape}, V is {vs.shape}"
             )
-        start_curve = _ellipsoid_euv(mats, us, vs)
-
-        def family():
-            ud, vd = degenerate_uv(mats[0])
-            path_u = geodesic(us, ud)
-            path_v = geodesic(vs, vd)
-
-            def curve_at(s):
-                return _ellipsoid_euv(mats, path_u(s), path_v(s))
-
-            return (curve_at, _ellipsoid_radial_along(mats, path_u, path_v, y),
-                    tolerances.bisection_gtol)
-
-    angles, s, iterations, curve = _solve_on_family(start_curve, family, y)
-    x = require_rotation(curve.witness(angles), "witness")
-    achieved = apply_map(lmap, x)
-    residual = float(np.linalg.norm(achieved - y))
-    if not residual <= tolerances.certificate_residual:  # a NaN residual fails too
-        raise NumericalError(
-            f"homotopy witness residual {residual:.3e} exceeds "
-            f"{tolerances.certificate_residual:.1e}"
-        )
-    return Certificate(
-        target=y,
-        witness=(x,),
-        achieved=achieved,
-        residual=residual,
-        trace=[{"s": float(s), "iterations": int(iterations),
-                "angles": [float(a) for a in np.atleast_1d(angles)]}],
-    )
+        frames = (us[None], vs[None])
+    witness, achieved, residual, steps = _homotopies(np.stack(mats)[None], y[None], frames)
+    if isinstance(steps[0], Exception):
+        raise steps[0]
+    return Certificate(target=y, witness=(witness[0],), achieved=achieved[0],
+                       residual=float(residual[0]), trace=steps)
 
 
 def _front_permutation(n: int, rows) -> np.ndarray:
@@ -292,32 +398,36 @@ def _front_permutation(n: int, rows) -> np.ndarray:
 
 
 def _scaled_rows_step(mats, w, rows, eps):
-    """One homotopy realizing the point of frame w with ``rows`` scaled by eps.
+    """One homotopy per lane realizing the point of frame w with ``rows`` scaled by eps.
 
-    Returns (witness, target, trace step). The rows are permuted to the front,
-    a conjugation that preserves traces and keeps the frame a rotation. Two
-    matrices scale the two leading rows and run the planar homotopy from w;
-    more matrices run the block homotopy on their leading block, whose
-    witness turns the leading columns of w. The witness is permuted back.
+    Lanes: matrices (lanes, ell, n, n), frames w (lanes, n, n) and eps
+    (lanes,). Returns (witnesses, targets, steps), where steps[k] is lane
+    k's trace step, or the exception it failed with. The rows are permuted
+    to the front, a conjugation that preserves traces and keeps the frame a
+    rotation. Two matrices scale the two leading rows and run the planar
+    homotopy from w; more matrices run the block homotopy on their leading
+    block from the identity, whose witness turns the leading columns of w.
+    The witness is permuted back.
     """
-    perm = _front_permutation(w.shape[0], rows)
+    perm = _front_permutation(w.shape[-1], rows)
     inv = np.argsort(perm)
-    front = [m[perm][:, perm] for m in mats]
-    wp = w[perm][:, perm]
-    if len(mats) == 2:
-        scaled = [m.copy() for m in front]
-        for m in scaled:
-            m[:2, :] *= eps
-        target = np.array([np.einsum("ij,ji->", m, wp) for m in scaled])
-        cert = homotopy_realize(front, target, wp)
-        wp = cert.witness[0]
+    front = mats[..., perm[:, None], perm]
+    wp = w[:, perm[:, None], perm]
+    if mats.shape[1] == 2:
+        scaled = front.copy()
+        scaled[:, :, :2, :] *= eps[:, None, None, None]
+        target = _traces(scaled, wp)
+        wp, _, _, steps = _homotopies(front, target, (wp,))
     else:
         block = len(rows)
-        b_list = [m[:block, :] @ wp[:, :block] for m in front]
-        target = eps * np.array([np.trace(b) for b in b_list])
-        cert = homotopy_realize(b_list, target, (np.eye(block), np.eye(block)))
-        wp[:, :block] = wp[:, :block] @ cert.witness[0]
-    return wp[inv][:, inv], target, {"rows": list(rows), **cert.trace[0]}
+        b = front[:, :, :block, :] @ wp[:, None, :, :block]
+        target = eps[:, None] * np.einsum("kmii->km", b)
+        eye = np.broadcast_to(np.eye(block), (len(wp), block, block))
+        witness, _, _, steps = _homotopies(b, target, (eye, eye))
+        wp[:, :, :block] = wp[:, :, :block] @ witness
+    steps = [step if isinstance(step, Exception) else {"rows": list(rows), **step}
+             for step in steps]
+    return wp[:, inv[:, None], inv], target, steps
 
 
 def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1)) -> Certificate:
@@ -341,16 +451,19 @@ def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1)) -> Certificate:
     if (len(rows) != 2 or rows[0] == rows[1]
             or not all(isinstance(r, (int, np.integer)) and 0 <= r < n for r in rows)):
         raise ValueError(f"rows must be two distinct indices in range({n}), got {rows}")
-    witness, target, step = _scaled_rows_step((m1, m2), frame, rows, eps)
+    witness, target, steps = _scaled_rows_step(
+        np.stack((m1, m2))[None], frame[None], rows, np.array([eps], dtype=float))
+    if isinstance(steps[0], Exception):
+        raise steps[0]
     achieved = np.array(
-        [np.einsum("ij,ji->", m, witness) for m in (m1, m2)]
+        [np.einsum("ij,ji->", m, witness[0]) for m in (m1, m2)]
     )
     return Certificate(
-        target=target,
-        witness=(witness,),
+        target=target[0],
+        witness=(witness[0],),
         achieved=achieved,
-        residual=float(np.linalg.norm(achieved - target)),
-        trace=[step],
+        residual=float(np.linalg.norm(achieved - target[0])),
+        trace=steps,
     )
 
 
@@ -387,63 +500,119 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     / block of them, each row in k = lcm(n, block) / n, which the trace
     reports as ``exponent``. At alpha = 1 the witness is (U, V) itself and the
     trace holds only its head. Raises ``NumericalError`` when a step's or the
-    composed certificate's residual exceeds ``certificate_residual``.
+    composed certificate's residual exceeds ``certificate_residual``. The
+    certificate is a batch of one lane of ``_certify``.
     """
+    outcome = _certify([(lmap, a, u, v)], [alpha])[0][0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _checked(job, alpha_grid):
+    """The job's (map, A, U, V) checked as ``certify_scaled_point`` checks them.
+
+    Returns (map, A, U, V, problem): ``problem`` is the PreconditionError of
+    every one of the job's lanes, or None. An alpha outside [0, 1] or sizes
+    that differ raise at once, as the job's first lane with them would.
+    """
+    lmap, a, u, v = job
     lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
     a = require_square(a, "A")
     u = require_rotation(u, "U")
     v = require_rotation(v, "V")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    n = a.shape[0]
-    ell = lmap.ell
-    if lmap.n != n:
-        raise DimensionError(f"map coefficients are {lmap.n}x{lmap.n}, A is {a.shape}")
+    n, ell = a.shape[0], lmap.ell
+    for alpha in alpha_grid:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        if lmap.n != n:
+            raise DimensionError(f"map coefficients are {lmap.n}x{lmap.n}, A is {a.shape}")
+    problem = None
     if ell == 2:
         if n < 3:
-            raise PreconditionError("planar certification needs n >= 3")
-        block = 2
+            problem = PreconditionError("planar certification needs n >= 3")
     elif ell >= 3:
-        block = 2 ** (ell - 1)
-        if n < block:
-            raise PreconditionError(
-                f"certification with {ell} coordinates needs n >= {block}, got {n}"
+        if n < 2 ** (ell - 1):
+            problem = PreconditionError(
+                f"certification with {ell} coordinates needs n >= {2 ** (ell - 1)}, got {n}"
             )
     else:
-        raise PreconditionError("need at least two map coordinates")
+        problem = PreconditionError("need at least two map coordinates")
+    return lmap, a, u, v, problem
 
-    mats = [(p @ u) @ a for p in lmap.mats]
-    subsets, exponent = _row_cover(n, block)
-    eps = float(alpha) ** (1.0 / exponent) if alpha > 0.0 else 0.0
-    target = alpha * apply_map(lmap, (u @ a) @ v)
 
+def _certify(jobs, alpha_grid) -> list:
+    """The certification engine: every job at every alpha, as lanes in lockstep.
+
+    ``jobs`` holds (map, A, U, V) tuples of one size n and one ell. Returns,
+    per job and per alpha, the Certificate of ``certify_scaled_point`` or
+    the exception that lane failed with. A lane is one (job, alpha); every
+    lane with alpha < 1 walks the same cover, and step j runs for every lane
+    still live at once (``_scaled_rows_step``), so the homotopies of a whole
+    star check share each stacked kernel call. A lane that fails leaves; the
+    others go on, and each lane's certificate, or failure, is the one its
+    own call gives. The witnesses are then composed and gated lane by lane.
+    """
+    checked = [_checked(job, alpha_grid) for job in jobs]
+    out = [[problem] * len(alpha_grid) for *_, problem in checked]
+    ready = [j for j, (*_, problem) in enumerate(checked) if problem is None]
+    if not ready or not alpha_grid:
+        return out
+    lmaps, aa, uu, vv, _ = zip(*(checked[j] for j in ready))
+    n, ell = aa[0].shape[0], lmaps[0].ell
+    subsets, exponent = _row_cover(n, 2 if ell == 2 else 2 ** (ell - 1))
+    # lane k is job ready[job[k]] at alpha_grid[k % len(alpha_grid)]
+    job = [j for j in range(len(ready)) for _ in alpha_grid]
+    alphas = [float(x) for _ in ready for x in alpha_grid]
+    eps = [x ** (1.0 / exponent) if x > 0.0 else 0.0 for x in alphas]
+    coeffs = np.array([lmap.mats for lmap in lmaps])[job]
+    ua = np.array([u @ a for u, a in zip(uu, aa)])[job]
+    mats = (coeffs @ np.array(uu)[job][:, None]) @ np.array(aa)[job][:, None]
+
+    def image(w):
+        return _traces(coeffs, ua @ w)
+
+    w = np.array(vv)[job]
+    target = np.array(alphas)[:, None] * image(w)
+    traces = [[{"alpha": x, "eps": e, "exponent": exponent}] for x, e in zip(alphas, eps)]
+    outcome = [None] * len(alphas)
     # every row lies in `exponent` subsets; walking them in reverse, a row's
     # count drops to the number of subsets before the current one holding it.
     # At alpha = 1 the pair (U, V) is itself an exact witness: no steps.
-    count = np.full(n, exponent)
-    w = v
-    steps = []
-    for rows in reversed(subsets) if alpha < 1.0 else ():
-        count[list(rows)] -= 1
-        rowscale = eps ** count.astype(float)
-        w, _, step = _scaled_rows_step([rowscale[:, None] * m for m in mats], w, rows, eps)
-        steps.append(step)
+    live = [k for k, x in enumerate(alphas) if x < 1.0]
+    eps = np.array(eps)
+    count = [exponent] * n
+    for rows in reversed(subsets):
+        if not live:
+            break
+        for r in rows:
+            count[r] -= 1
+        rowscale = eps[live, None] ** np.array(count, dtype=float)
+        w[live], _, steps = _scaled_rows_step(rowscale[:, None, :, None] * mats[live], w[live],
+                                              rows, eps[live])
+        for k, step in zip(live, steps):
+            if isinstance(step, Exception):
+                outcome[k] = step
+            else:
+                traces[k].append(step)
+        live = [k for k in live if outcome[k] is None]
 
-    achieved = apply_map(lmap, (u @ a) @ w)
-    residual = float(np.linalg.norm(achieved - target))
-    # each step passed the gate, but their errors add up in the composition
-    if not residual <= tolerances.certificate_residual:
-        raise NumericalError(
-            f"composed certificate residual {residual:.3e} exceeds "
-            f"{tolerances.certificate_residual:.1e}"
-        )
-    return Certificate(
-        target=target,
-        witness=(u, w),
-        achieved=achieved,
-        residual=residual,
-        trace=[{"alpha": float(alpha), "eps": eps, "exponent": exponent}] + steps,
-    )
+    achieved = image(w)
+    miss = achieved - target
+    residual = np.sqrt(_dots(miss, miss)).tolist()
+    gate = tolerances.certificate_residual
+    for k, j in enumerate(job):
+        if outcome[k] is not None:
+            pass
+        # each step passed the gate, but their errors add up in the composition
+        elif not residual[k] <= gate:
+            outcome[k] = NumericalError(
+                f"composed certificate residual {residual[k]:.3e} exceeds {gate:.1e}")
+        else:
+            outcome[k] = Certificate(target=target[k], witness=(uu[j], w[k]), achieved=achieved[k],
+                                     residual=residual[k], trace=traces[k])
+        out[ready[j]][k % len(alpha_grid)] = outcome[k]
+    return out
 
 
 def _frames(n: int, num_targets: int, rng) -> list:
@@ -454,22 +623,23 @@ def _frames(n: int, num_targets: int, rng) -> list:
     return [(haar_rotation(n, rng), haar_rotation(n, rng)) for _ in range(num_targets)]
 
 
-def _one_target(job, idx, alpha_grid) -> list:
-    """Target idx's results, one per alpha: ``certify_scaled_point(*job, alpha)``.
+def _one_target(idx, alpha_grid, outcomes) -> list:
+    """Target idx's results, one per alpha, from its lanes' outcomes.
 
-    ``job`` is the target's (map, A, U, V). A target passes when its
-    certificate is returned: certify_scaled_point raises past the residual
-    bound.
+    A target passes at an alpha when its certificate came out of the engine
+    (which raises past the residual bound); a NumericalError or
+    PreconditionError is recorded, and any other exception raises.
     """
     out = []
-    for alpha in alpha_grid:
+    for alpha, cert in zip(alpha_grid, outcomes):
         residual, iterations, error = float("nan"), 0, None
-        try:
-            cert = certify_scaled_point(*job, alpha)
+        if isinstance(cert, (NumericalError, PreconditionError)):
+            error = str(cert)
+        elif isinstance(cert, Exception):
+            raise cert
+        else:
             residual = cert.residual
             iterations = sum(s.get("iterations", 0) for s in cert.trace)
-        except (NumericalError, PreconditionError) as exc:
-            error = str(exc)
         out.append(StarTargetResult(
             index=idx,
             alpha=alpha,
@@ -484,13 +654,15 @@ def _one_target(job, idx, alpha_grid) -> list:
 def _run_targets(jobs, alpha_grid, config) -> StarReport:
     """The batch driver: every target's job at every alpha, failures recorded.
 
-    ``jobs`` holds one (map, A, U, V) per target. The report's config is
+    ``jobs`` holds one (map, A, U, V) per target; all of them at every alpha
+    run as the lanes of one ``_certify`` call. The report's config is
     ``config`` plus the batch's size, grid and tolerances.
     """
     alpha_grid = [float(x) for x in alpha_grid]
     config = {**config, "num_targets": len(jobs), "alpha_grid": alpha_grid,
               "tolerances": tolerances.as_dict()}
-    results = [r for i, job in enumerate(jobs) for r in _one_target(job, i, alpha_grid)]
+    outcomes = _certify(jobs, alpha_grid)
+    results = [r for i, lanes in enumerate(outcomes) for r in _one_target(i, alpha_grid, lanes)]
     return StarReport(results=results, config=config)
 
 

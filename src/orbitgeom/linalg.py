@@ -13,7 +13,6 @@ eigendecomposition, so no path of the package loads scipy.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -62,12 +61,26 @@ def require_square_stack(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def rotation_defect(u) -> float:
-    """Max-norm deviation of ``u`` from the special orthogonal group."""
+def rotation_defect(u):
+    """Max-norm deviation of ``u`` from the special orthogonal group.
+
+    A stack (..., n, n) gives one value per matrix, as an array.
+    """
     u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    ortho = float(np.max(np.abs(u @ u.T - np.eye(n))))
-    return max(ortho, abs(float(np.linalg.det(u)) - 1.0))
+    gram = u @ np.swapaxes(u, -1, -2) - np.eye(u.shape[-1])
+    ortho = np.abs(gram.reshape(gram.shape[:-2] + (gram.shape[-1] ** 2,))).max(axis=-1)
+    defect = np.maximum(ortho, np.abs(np.linalg.det(u) - 1.0))
+    return defect if defect.ndim else float(defect)
+
+
+def _dots(x, y) -> np.ndarray:
+    """Dot products along the last axis, lane by lane.
+
+    Summed by numpy's own loops over contiguous copies, whose order does not
+    depend on where a vector sits in memory; a BLAS dot may peel for
+    alignment and round a lane differently when it shares a stack.
+    """
+    return np.einsum("...i,...i->...", np.ascontiguousarray(x), np.ascontiguousarray(y))
 
 
 def require_rotation(u, name: str = "rotation") -> np.ndarray:
@@ -248,20 +261,22 @@ _CAYLEY_BOUND = 4096.0
 _SLACK = 1e-14
 
 
-def _widest_gap(r) -> float:
+def _widest_gap(r) -> np.ndarray:
     """Angle in [0, pi] at the middle of the widest gap between r's eigenvalue angles.
 
     The angles of a rotation come in pairs +-a_k, and the cosines cos a_k are
     the eigenvalues of its symmetric part. The gap around 0 is 2 min a_k, the
     one around pi is 2 (pi - max a_k), and between them the widest gap lies
-    between two consecutive a_k (and again between their negatives).
+    between two consecutive a_k (and again between their negatives); of equal
+    gaps the one nearer pi wins. Takes a stack (k, n, n): one angle each.
     """
-    a = np.arccos(np.clip(0.5 * np.linalg.eigvalsh(r + r.T), -1.0, 1.0)).tolist()
-    e = [math.pi, *a, 0.0]  # descending
-    gaps = [(e[k] - e[k + 1], 0.5 * (e[k] + e[k + 1])) for k in range(len(e) - 1)]
-    gaps[0] = (2.0 * gaps[0][0], math.pi)
-    gaps[-1] = (2.0 * gaps[-1][0], 0.0)
-    return max(gaps)[1]
+    a = np.arccos(np.clip(0.5 * np.linalg.eigvalsh(r + np.swapaxes(r, -1, -2)), -1.0, 1.0))
+    ends = np.ones((len(a), 1))
+    e = np.concatenate((math.pi * ends, a, 0.0 * ends), axis=1)  # descending
+    gaps, mids = e[:, :-1] - e[:, 1:], 0.5 * (e[:, :-1] + e[:, 1:])
+    gaps[:, [0, -1]] *= 2.0
+    mids[:, 0], mids[:, -1] = math.pi, 0.0
+    return mids[np.arange(len(a)), gaps.argmax(axis=1)]
 
 
 def _real_basis(c) -> np.ndarray:
@@ -292,56 +307,93 @@ def _log_rotation_schur(r: np.ndarray):
     ``eigh`` less orthonormal than ``_SLACK``. The lone eigenvalue +1 of odd
     n is read off its eigenvector, real up to a phase. The angles are read
     from ``Z^T R Z``; a half turn is exactly pi.
+
+    Also takes a stack (..., n, n). Each rotation of it chooses its z, its
+    clusters and its polish on its own, so it gets the factors of its own
+    single call; the stack's planes are all n // 2 leading column pairs, and
+    a rotation with fewer turning planes has theta = 0, which turns nothing,
+    on the rest. Z and theta then carry the stack's leading axes.
     """
-    n = r.shape[0]
-    eye = np.eye(n)
+    n = r.shape[-1]
+    rs = r.reshape(-1, n, n)
+    count, eye, root2 = len(rs), np.eye(n), math.sqrt(2.0)
     try:
-        s = np.linalg.solve(eye + r, eye - r)
-    except np.linalg.LinAlgError:  # an eigenvalue exactly -1
-        s = None
-    if s is not None and np.vdot(s, s) <= _CAYLEY_BOUND:
-        beta, h = math.pi, 1j * s
-    else:
-        beta = _widest_gap(r)  # -conj(z) = exp(i beta)
-        zr = complex(-math.cos(beta), math.sin(beta)) * r
-        h = 1j * np.linalg.solve(eye + zr, eye - zr)
+        s = np.linalg.solve(eye + rs, eye - rs)
+        solved = True
+    except np.linalg.LinAlgError:  # an eigenvalue exactly -1 somewhere: find where
+        s, solved = np.zeros(rs.shape), np.zeros(count, dtype=bool)
+        for k, rk in enumerate(rs):
+            try:
+                s[k], solved[k] = np.linalg.solve(eye + rk, eye - rk), True
+            except np.linalg.LinAlgError:
+                pass
+    flat_s = s.reshape(count, n * n)
+    cayley = solved & (_dots(flat_s, flat_s) <= _CAYLEY_BOUND)
+    h = 1j * s
+    if np.count_nonzero(cayley) < count:
+        shift = ~cayley
+        beta = np.full(count, math.pi)
+        beta[shift] = _widest_gap(rs[shift])  # -conj(z) = exp(i beta)
+        zr = np.exp(1j * (math.pi - beta[shift]))[:, None, None] * rs[shift]
+        h[shift] = 1j * np.linalg.solve(eye + zr, eye - zr)
     mu, v = np.linalg.eigh(h)
     # theta < c exactly where mu < tan((c + pi - beta) / 2): counts of the
     # angles below -beta (the arc through pi), -pi + _CLUSTER and -_CLUSTER
-    mu = mu.tolist()
-    na = bisect.bisect_left(mu, math.tan(0.5 * math.pi - beta))
-    a0 = bisect.bisect_left(mu, math.tan(0.5 * (_CLUSTER - beta)))
-    b0 = bisect.bisect_left(mu, math.tan(0.5 * (math.pi - _CLUSTER - beta)))
-    half = 2 * a0 - na  # columns na - a0 .. a0 mirror no plane: the cluster at pi
-    ones = n + na - 2 * b0  # columns b0 .. n + na - b0: the cluster at 0
-    planes = b0 - a0
-    pairs = 2 * planes + half
-    flat = v.view(float)  # Re v_0, Im v_0, Re v_1, ...
-    root2 = math.sqrt(2.0)
-    if half == 0 and ones <= 1:
-        sel = v[:, a0:b0 + ones]
-        g = sel.T @ sel  # zero for orthonormal planes, but for the phase of +1
-        if ones:
-            v[:, b0] *= complex(g[-1, -1].conjugate()) ** 0.5 / root2
-            g[-1, -1] = 0.0
-        z = flat[:, 2 * a0:2 * a0 + n] * root2
-        polish = not abs(np.vdot(g, g)) <= _SLACK * _SLACK
+    if np.count_nonzero(cayley) == count:
+        # z = 1 (beta = pi) throughout: every |tan(theta / 2)| <= 64, so no
+        # angle lies below -beta or -pi + _CLUSTER
+        b0 = (mu < np.tan(0.5 * (math.pi - _CLUSTER) - math.pi * 0.5)).sum(axis=1).tolist()
+        na = a0 = [0] * count
     else:
-        z = np.empty((n, n))
-        z[:, :2 * planes] = flat[:, 2 * a0:2 * b0] * root2
-        z[:, 2 * planes:pairs] = _real_basis(v[:, na - a0:a0])
-        z[:, pairs:] = _real_basis(v[:, b0:b0 + ones])
-        polish = True
-    if polish:
-        u, _, vt = np.linalg.svd(z)
-        z = u @ vt
-    t = z.T @ (r @ z)
-    d = t.diagonal()
-    theta = np.arctan2(t.diagonal(-1)[0:pairs:2] - t.diagonal(1)[0:pairs:2],
-                       d[0:pairs:2] + d[1:pairs:2])
-    theta[planes:] = np.pi
-    i = np.arange(0, pairs, 2)
-    return z, i, i + 1, theta
+        edges = np.tan(np.array([0.5 * math.pi, 0.5 * _CLUSTER, 0.5 * (math.pi - _CLUSTER)])
+                       - beta[:, None] * [1.0, 0.5, 0.5])
+        na, a0, b0 = (mu[:, None, :] < edges[:, :, None]).sum(axis=2).T.tolist()
+    # plain: no cluster at pi (columns na - a0 .. a0 would mirror no plane)
+    # and at most the one eigenvalue +1 of odd n (columns b0 .. n + na - b0)
+    plain = [2 * a == m and 2 * b >= n - 1 + m for m, a, b in zip(na, a0, b0)]
+    # a plain rotation's planes are columns a0 .. a0 + n // 2, and then +1's:
+    # rolled to the front (a0 is 0 unless z was shifted)
+    odd, rows = n % 2, n - n % 2
+    if any(a0):
+        front = np.take_along_axis(v, (np.array(a0)[:, None, None] + np.arange(n)) % n, axis=2)
+    else:  # the rotations with clusters read v as it is
+        front = v if all(plain) else v.copy()
+    sel = front[:, :, :n // 2 + odd]
+    g = sel.swapaxes(-1, -2) @ sel  # zero for orthonormal planes, but for the phase of +1
+    if odd:
+        phase = [c.conjugate() ** 0.5 / root2 for c in g[:, -1, -1].tolist()]
+        front[:, :, n // 2] *= np.array(phase)[:, None]
+        g[:, -1, -1] = 0.0
+    z = front.view(float)[:, :, :n] * root2  # Re v_0, Im v_0, Re v_1, ...
+    flat_g = g.view(float).reshape(count, -1)
+    polish = ~(_dots(flat_g, flat_g) <= _SLACK * _SLACK)
+    clusters = []  # (lane, planes, half turns) of the rotations with clusters
+    for k in [k for k, fine in enumerate(plain) if not fine]:
+        planes, half, ones = b0[k] - a0[k], 2 * a0[k] - na[k], n + na[k] - 2 * b0[k]
+        pairs, flat = 2 * planes + half, v[k].view(float)
+        z[k, :, :2 * planes] = flat[:, 2 * a0[k]:2 * b0[k]] * root2
+        z[k, :, 2 * planes:pairs] = _real_basis(v[k][:, na[k] - a0[k]:a0[k]])
+        z[k, :, pairs:] = _real_basis(v[k][:, b0[k]:b0[k] + ones])
+        polish[k] = True
+        clusters.append((k, planes, pairs // 2))
+    if np.count_nonzero(polish):
+        u, _, vt = np.linalg.svd(z[polish])
+        z[polish] = u @ vt
+    t = z.swapaxes(-1, -2) @ (rs @ z)
+    # plane m: t[2m, 2m] at 2m (n + 1) in the flat t, t[2m + 1, 2m] n later,
+    # t[2m, 2m + 1] 1 later and t[2m + 1, 2m + 1] n + 1 later
+    flat, step = t.reshape(count, n * n), 2 * (n + 1)
+    end = n // 2 * step
+    theta = np.arctan2(flat[:, n:end:step] - flat[:, 1:end:step],
+                       flat[:, 0:end:step] + flat[:, n + 1:end:step])
+    for k, planes, turning in clusters:
+        theta[k, planes:turning] = np.pi
+        theta[k, turning:] = 0.0
+    i = np.arange(0, rows, 2)
+    if r.ndim == 2:
+        turning = clusters[0][2] if clusters else n // 2
+        return z[0], i[:turning], i[:turning] + 1, theta[0, :turning]
+    return z.reshape(r.shape), i, i + 1, theta.reshape(r.shape[:-2] + (len(i),))
 
 
 @dataclass(frozen=True)
@@ -354,6 +406,10 @@ class RotationPath:
     [0, 1] the path is ``base_z turn(s) z_t``, where turn(s) rotates each
     plane ``(i_k, j_k)`` by s theta_k, ``base_z`` is the start frame times Z
     and ``z_t = Z^T``: a few cosines and sines and two small products.
+
+    A stack of paths carries leading axes on ``base_z``, ``z_t`` and
+    ``theta`` and shares the planes ``(i, j)``; it is evaluated at one s per
+    path, and its ``trig_basis`` has the same leading axes.
     """
 
     base_z: np.ndarray
@@ -377,34 +433,39 @@ class RotationPath:
         k = (self.z_t.T @ log_t) @ self.z_t
         return (k - k.T) / 2.0
 
-    def __call__(self, s: float) -> np.ndarray:
-        if not 0.0 <= s <= 1.0:
+    def __call__(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        if not (s.min() >= 0.0 and s.max() <= 1.0):
             raise ValueError(f"path parameter must be in [0, 1], got {s}")
-        i, j = self.i, self.j
-        c, sn = np.cos(s * self.theta), np.sin(s * self.theta)
-        turn = np.eye(self.z_t.shape[0])
-        turn[i, i] = c
-        turn[j, j] = c
-        turn[j, i] = sn
-        turn[i, j] = -sn
-        return (self.base_z @ turn) @ self.z_t
+        return self._at(s)
+
+    def _at(self, s) -> np.ndarray:
+        """The path at s without the range check: one s per path of a stack."""
+        phase = s[..., None, None] * self.theta[..., None, :]
+        c, sn = np.cos(phase), np.sin(phase)
+        bi, bj = self.base_z[..., :, self.i], self.base_z[..., :, self.j]
+        turned = self.base_z.copy()  # base_z turn(s): each plane's two columns turned
+        turned[..., :, self.i] = bi * c + bj * sn
+        turned[..., :, self.j] = bj * c - bi * sn
+        return turned @ self.z_t
 
     def trig_basis(self) -> np.ndarray:
         """The path as a linear combination of trigonometric terms.
 
-        Returns the basis of shape (2K+1, n, n) for the K block angles theta,
-        such that at s the path is ``basis[0] + sum_k cos(s theta_k)
+        Returns the basis of shape (..., 2K+1, n, n) for the K block angles
+        theta, such that at s the path is ``basis[0] + sum_k cos(s theta_k)
         basis[1 + k] + sin(s theta_k) basis[1 + K + k]``: the frame's fixed
         columns, then each turning plane's cosine and sine parts.
         """
         base_z, z_t, i, j = self.base_z, self.z_t, self.i, self.j
-        fixed = np.ones(z_t.shape[0], dtype=bool)
+        fixed = np.ones(z_t.shape[-1], dtype=bool)
         fixed[i] = fixed[j] = False
-        bi, bj = base_z[:, i].T[:, :, None], base_z[:, j].T[:, :, None]
-        zi, zj = z_t[i][:, None, :], z_t[j][:, None, :]
+        bi = np.swapaxes(base_z[..., :, i], -1, -2)[..., None]
+        bj = np.swapaxes(base_z[..., :, j], -1, -2)[..., None]
+        zi, zj = z_t[..., i, None, :], z_t[..., j, None, :]
         return np.concatenate(
-            ((base_z[:, fixed] @ z_t[fixed])[None], bi * zi + bj * zj, bj * zi - bi * zj)
-        )
+            ((base_z[..., :, fixed] @ z_t[..., fixed, :])[..., None, :, :],
+             bi * zi + bj * zj, bj * zi - bi * zj), axis=-3)
 
 
 def geodesic(u_start, u_end) -> RotationPath:
@@ -422,8 +483,14 @@ def geodesic(u_start, u_end) -> RotationPath:
         raise DimensionError(
             f"endpoint shapes differ: {u_start.shape} vs {u_end.shape}"
         )
-    z, i, j, theta = _log_rotation_schur(u_start.T @ u_end)
-    return RotationPath(u_start @ z, z.T, i, j, theta)
+    return _geodesic(u_start, u_end)
+
+
+def _geodesic(u_start, u_end) -> RotationPath:
+    """``geodesic`` without input checks, for endpoints that are rotations by
+    construction; also takes stacks (..., n, n), giving a stack of paths."""
+    z, i, j, theta = _log_rotation_schur(np.swapaxes(u_start, -1, -2) @ u_end)
+    return RotationPath(u_start @ z, np.swapaxes(z, -1, -2), i, j, theta)
 
 
 def complete_to_rotation(columns) -> np.ndarray:

@@ -68,17 +68,18 @@ class TestHomotopyRealize:
         def refuse(*args, **kwargs):
             raise AssertionError("path built for a target on the starting curve")
 
-        for name in ("degenerate_u0", "degenerate_uv", "geodesic"):
+        for name in ("degenerate_u0", "degenerate_uv", "_geodesic"):
             monkeypatch.setattr(certify, name, refuse)
         rng = np.random.default_rng(17)
         p, q, a = (rng.standard_normal((4, 4)) for _ in range(3))
         u, v = og.haar_rotation(4, rng), og.haar_rotation(4, rng)
         for mats in ([p, q], [p, q, a]):
             # each cover step at eps = 1: the target is the start frame's own point
-            framed = [(m @ u) @ a for m in mats]
+            framed = np.stack([(m @ u) @ a for m in mats])[None]
             block = 2 ** (len(mats) - 1)
             for rows in certify._row_cover(4, block)[0]:
-                assert certify._scaled_rows_step(framed, v, rows, 1.0)[2]["s"] == 0.0
+                steps = certify._scaled_rows_step(framed, v[None], rows, np.ones(1))[2]
+                assert steps[0]["s"] == 0.0
 
     def test_polish_on_checked_curve(self, monkeypatch):
         # Q = 2P + 1e-9 noise: a nearly flat ellipse, where the coefficient-form
@@ -205,7 +206,9 @@ class TestScaledRowsStep:
         mats = [rng.standard_normal((5, 5)) for _ in range(3)]
         w = og.haar_rotation(5, rng)
         rows, eps = (0, 2, 3, 4), 0.7
-        witness, target, _ = certify._scaled_rows_step(mats, w, rows, eps)
+        witness, target, _ = certify._scaled_rows_step(np.stack(mats)[None], w[None], rows,
+                                                       np.array([eps]))
+        witness, target = witness[0], target[0]
         perm = np.array([0, 2, 3, 4, 1])
         inv = np.argsort(perm)
         wp = w[perm][:, perm]
@@ -593,3 +596,132 @@ def test_tolerances_are_read_only():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(og.tolerances, field.name, 0.0)
     assert og.tolerances == og.Tolerances()
+
+
+def _single(job, alpha):
+    """(ok, error class, message, iterations, residual) of one certify_scaled_point call."""
+    try:
+        cert = og.certify_scaled_point(*job, alpha)
+    except (og.NumericalError, og.PreconditionError) as exc:
+        return False, type(exc), str(exc), 0, float("nan")
+    return True, None, None, sum(s.get("iterations", 0) for s in cert.trace), cert.residual
+
+
+class TestLockstepLanes:
+    """A star check runs every (target, alpha) lane through one engine call;
+    each lane's result is the one its own certify_scaled_point call gives."""
+
+    ALPHAS = [0.0, 0.3, 0.5, 0.9, 1.0]
+
+    def _assert_lanes_alone(self, report, jobs):
+        grid = report.config["alpha_grid"]
+        outcomes = certify._certify(jobs, grid)  # the lanes' certificates or exceptions
+        for result in report.results:
+            ok, kind, message, iterations, residual = _single(jobs[result.index], result.alpha)
+            assert (result.ok, result.error, result.iterations) == (ok, message, iterations)
+            lane = outcomes[result.index][grid.index(result.alpha)]
+            assert (None if ok else type(lane)) == kind
+            if ok:
+                assert abs(result.residual - residual) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_star_check_ell3(self, n):
+        rng = np.random.default_rng(40 + n)
+        mats = list(rng.standard_normal((3, n, n)))
+        a = rng.standard_normal((n, n))
+        report = og.star_check(mats, OrbitSpec(a), 8, self.ALPHAS, np.random.default_rng(n))
+        jobs = [(mats, a, u, v) for u, v in certify._frames(n, 8, np.random.default_rng(n))]
+        assert not report.failures
+        self._assert_lanes_alone(report, jobs)
+
+    def test_star_check_joint_o3(self):
+        rng = np.random.default_rng(43)
+        a_list = tuple(rng.standard_normal((2, 3, 3)))
+        rows = [list(rng.standard_normal((2, 3, 3))) for _ in range(2)]
+        report = og.star_check_joint(rows, JointOrbitSpec(a_list, "O3"), 8, self.ALPHAS,
+                                     np.random.default_rng(44))
+        eye = np.eye(3)
+        jobs = [([sum((p @ u) @ a for p, a in zip(coeffs, a_list)) for coeffs in rows],
+                 eye, eye, v) for u, v in certify._frames(3, 8, np.random.default_rng(44))]
+        assert not report.failures
+        self._assert_lanes_alone(report, jobs)
+
+    def test_failing_lane_leaves_the_others_unchanged(self):
+        # rank-one A at alpha = 0 and n = 4: the known interior-at-the-degenerate-
+        # frame failure (ROADMAP 9(a)), batched with generic lanes
+        rng = np.random.default_rng(45)
+        mats = list(rng.standard_normal((2, 4, 4)))
+        rank_one = np.outer(rng.standard_normal(4), rng.standard_normal(4))
+        generic = rng.standard_normal((4, 4))
+        frames = certify._frames(4, 4, rng)
+        jobs = [(mats, generic, *frames[0]), (mats, rank_one, *frames[1]),
+                (mats, generic, *frames[2]), (mats, rank_one, *frames[3])]
+        report = certify._run_targets(jobs, [0.0, 0.5], {})
+        alone = certify._run_targets(jobs[::2], [0.0, 0.5], {})
+        failed = [r for r in report.results if not r.ok]
+        assert [(r.index, r.alpha) for r in failed] == [(1, 0.0), (3, 0.0)]
+        assert all(r.error == "target remains interior at the degenerate frame; no crossing "
+                              "to find" for r in failed)
+        kept = [r for r in report.results if r.index in (0, 2)]
+        assert [(r.ok, r.error, r.iterations, r.residual) for r in kept] == [
+            (r.ok, r.error, r.iterations, r.residual) for r in alone.results]
+        self._assert_lanes_alone(report, jobs)
+
+
+def test_planar_certificate_checks_only_its_inputs_as_rotations(monkeypatch):
+    # U and V are checked once at the entry; the engine's own frames (start,
+    # degenerate, witnesses) are rotations by construction or checked in one
+    # stacked defect per step, not through require_rotation (22 calls before)
+    calls = []
+    check = og.linalg.require_rotation
+
+    def counting(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs.get("name"))
+        return check(*args, **kwargs)
+
+    for module in (og.linalg, certify, og.ellipsoids, og.orbits, og):
+        if getattr(module, "require_rotation", None) is check:
+            monkeypatch.setattr(module, "require_rotation", counting)
+    rng = np.random.default_rng(5)
+    p, q, a = rng.standard_normal((3, 5, 5))
+    u, v = og.haar_rotation(5, rng), og.haar_rotation(5, rng)
+    cert = og.certify_scaled_point([p, q], a, u, v, 0.5)
+    assert len(cert.trace) == 6 and all(step["s"] > 0.0 for step in cert.trace[1:])
+    assert calls == ["U", "V"]
+
+
+def _support_touch_case(kind, ell, n, rng):
+    """A map, an A of the given structure and the frames of an exact support touch."""
+    mats = list(rng.standard_normal((ell, n, n)))
+    spectrum = {"rank-two": [2.0, 1.0] + [0.0] * (n - 2), "tied": [2.0] * (n - 1) + [1.0],
+                "scalar": [1.7] * n, "rank-one": [1.5] + [0.0] * (n - 1)}[kind]
+    a = og.haar_rotation(n, rng) @ np.diag(spectrum) @ og.haar_rotation(n, rng)
+    direction = rng.standard_normal(ell)
+    u, v = og.argmax_frames(sum(d * m for d, m in zip(direction, mats)), a)
+    return mats, a, u, v
+
+
+class TestStructuredTargets:
+    """Support touches (``argmax_frames``) of structured A (ROADMAP 9(b), the
+    subset that passes). Left out: alpha = 1e-16 at odd n, where eps =
+    alpha^(1/2) = 1e-8 and the residual reaches ~1e-8 (CHANGES.md, FOUND)."""
+
+    ALPHAS = (0.0, 1e-16, 1e-6, 1.0 - 1e-6, 1.0)
+
+    @pytest.mark.parametrize("kind", ["rank-two", "tied", "scalar"])
+    @pytest.mark.parametrize("ell, n", [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
+    def test_support_touches_certify(self, kind, ell, n):
+        rng = np.random.default_rng([ell, n, len(kind)])
+        for _ in range(2):
+            mats, a, u, v = _support_touch_case(kind, ell, n, rng)
+            for alpha in self.ALPHAS if n % 2 == 0 else (0.0, 1e-6, 1.0 - 1e-6, 1.0):
+                cert = og.certify_scaled_point(mats, a, u, v, alpha)
+                assert cert.residual <= 1e-8
+                assert _recheck(mats, a, u, v, alpha, cert)
+
+    @pytest.mark.xfail(strict=True, raises=og.NumericalError,
+                       reason="ROADMAP 9(a): rank-one A at alpha = 0 and even n leaves the "
+                              "target interior at the degenerate frame")
+    def test_rank_one_at_alpha_zero(self):
+        mats, a, u, v = _support_touch_case("rank-one", 2, 4, np.random.default_rng(9))
+        og.certify_scaled_point(mats, a, u, v, 0.0)

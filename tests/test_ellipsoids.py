@@ -204,6 +204,25 @@ def _exact_planar_radial(p, q, path, s, y):
     return float(r2) ** 0.5
 
 
+def _root(f, lo, hi, flo, fhi, ftol):
+    """``_bracket_root`` on one lane of a scalar function, its error raised."""
+    x, iterations, errors = _bracket_root(lambda s, live: np.array([f(v) for v in s]),
+                                          [lo], [hi], [flo], [fhi], ftol)
+    if errors:
+        raise errors[0]
+    return x[0], iterations[0]
+
+
+def _lane(path):
+    """The path as a stack of one."""
+    return og.RotationPath(path.base_z[None], path.z_t[None], path.i, path.j, path.theta[None])
+
+
+def _one_lane(gap):
+    """The radial of one lane of a lane-wise trial gap evaluator, as a function of s."""
+    return lambda s: gap(np.array([s]), np.array([0]))[0] + 1.0
+
+
 class TestCoefficientForm:
     S_GRID = np.linspace(0.0, 1.0, 41)
 
@@ -225,7 +244,7 @@ class TestCoefficientForm:
         curve = og.ellipse_eu(p, q, start)
         t = rng.uniform(0, 2 * np.pi)
         y = curve.shape @ (0.6 * np.array([np.cos(t), np.sin(t)])) + curve.center
-        radial = _ellipse_radial_along(p, q, path, y)
+        radial = _one_lane(_ellipse_radial_along(p[None], q[None], _lane(path), y[None]))
         for s in self.S_GRID:
             expected = surface_projection(_ellipse_eu(p, q, path(s)), y)[0]
             if s == 1.0:
@@ -254,7 +273,8 @@ class TestCoefficientForm:
         start = _ellipsoid_euv(mats, u0, v0)
         z = rng.standard_normal(ell)
         y = start.shape @ (0.6 * z / np.linalg.norm(z))
-        radial = _ellipsoid_radial_along(mats, path_u, path_v, y)
+        radial = _one_lane(_ellipsoid_radial_along(np.stack(mats)[None], _lane(path_u),
+                                                   _lane(path_v), y[None]))
         for s in self.S_GRID:
             expected = surface_projection(_ellipsoid_euv(mats, path_u(s), path_v(s)), y)[0]
             if s == 1.0:
@@ -443,7 +463,7 @@ class TestDegenerateU0:
         # the root bracket is [0, pi], where f falls through 0; with no
         # tolerance on |f| the bracket closes within 60 steps
         f = lambda t: 0.8 * np.cos(t) - 0.8 * np.sin(t) / np.sqrt(0.64 * np.sin(t) ** 2 + 0.09)
-        root, iters = _bracket_root(lambda t: -f(t), 0.0, np.pi, -f(0.0), -f(np.pi), 0.0)
+        root, iters = _root(lambda t: -f(t), 0.0, np.pi, -f(0.0), -f(np.pi), 0.0)
         assert iters <= 60
         assert abs(f(root)) < 1e-11
 
@@ -453,7 +473,7 @@ class TestBracketRoot:
         # +inf beyond 0.8, as a target off a degenerate span reads near s = 1
         root = 0.3141592653589793
         f = lambda s: np.inf if s > 0.8 else np.expm1(4.0 * (s - root))
-        x, iters = _bracket_root(f, 0.0, 1.0, f(0.0), np.inf, 1e-12)
+        x, iters = _root(f, 0.0, 1.0, f(0.0), np.inf, 1e-12)
         assert abs(f(x)) <= 1e-12
         assert abs(x - root) < 1e-12
         assert iters <= 20
@@ -464,11 +484,43 @@ class TestBracketRoot:
             patch.setattr(ellipsoids, "tolerances",
                           dataclasses.replace(og.tolerances, max_bisection_iter=4))
             with pytest.raises(og.NumericalError):
-                _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+                _root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
             with pytest.raises(og.NumericalError):
-                _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 0.0)
-        x, _ = _bracket_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+                _root(f, 0.0, 1.0, f(0.0), f(1.0), 0.0)
+        x, _ = _root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
         assert abs(f(x)) <= 1e-12
+
+    def test_lanes_take_their_own_steps(self, monkeypatch):
+        # lanes of one search stop at different steps, one on the budget;
+        # each returns what it returns alone, and the stopped ones are not
+        # evaluated again
+        monkeypatch.setattr(ellipsoids, "tolerances",
+                            dataclasses.replace(og.tolerances, max_bisection_iter=10))
+        fs = [lambda s: np.expm1(4.0 * (s - 0.31)), lambda s: np.tanh(50.0 * (s - 0.3)),
+              lambda s: np.inf if s > 0.8 else s ** 3 - 0.1, lambda s: s - 0.5,
+              lambda s: np.tanh(50.0 * (s - 0.77))]
+        lo, hi = np.zeros(len(fs)), np.ones(len(fs))
+        flo = np.array([f(0.0) for f in fs])
+        fhi = np.array([f(1.0) for f in fs])
+        seen = []
+
+        def lanes(x, live):
+            seen.append(live.copy())
+            return np.array([fs[k](v) for k, v in zip(live, x)])
+
+        for ftol in (0.0, 1e-12):
+            seen.clear()
+            x, iterations, errors = _bracket_root(lanes, lo, hi, flo, fhi, ftol)
+            for k, f in enumerate(fs):
+                try:
+                    alone = _root(f, 0.0, 1.0, flo[k], fhi[k], ftol)
+                except og.NumericalError as exc:
+                    assert str(errors[k]) == str(exc)
+                else:
+                    assert k not in errors
+                    assert (x[k], iterations[k]) == alone
+                    assert sum(k in live for live in seen) == alone[1]
+            assert errors
 
 
 class TestDegenerateUV:

@@ -360,6 +360,31 @@ class TestRotationLogKernel:
             if reference:  # the principal logarithm is unique there
                 assert np.max(np.abs(z @ log_t @ z.T - _logm_oracle(r))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_stack_equals_single_calls(self, n, monkeypatch):
+        # one mixed stack: Haar draws, near the identity, tied angles, all
+        # half turns, just short of a half turn and a lone 1e-7 plane; each
+        # rotation chooses its own shift, clusters and polish
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the logarithm drew a random number")
+
+        cases = [r for r, _ in _kernel_cases(n, np.random.default_rng(600 + n))]
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        stack = np.stack(cases).reshape(-1, 2, n, n)
+        z, i, j, theta = _log_rotation_schur(stack)
+        assert z.shape == stack.shape and theta.shape == stack.shape[:2] + (n // 2,)
+        assert np.array_equal(i, np.arange(0, 2 * (n // 2), 2)) and np.array_equal(j, i + 1)
+        for idx in np.ndindex(stack.shape[:2]):
+            z1, i1, _, theta1 = _log_rotation_schur(stack[idx])
+            assert np.max(np.abs(z[idx] - z1)) <= 1e-14
+            padded = np.zeros(n // 2)
+            padded[i1 // 2] = theta1
+            assert np.max(np.abs(theta[idx] - padded), initial=0.0) <= 1e-14
+            turn = np.eye(n)
+            turn[i, i] = turn[j, j] = np.cos(theta[idx])
+            turn[j, i], turn[i, j] = np.sin(theta[idx]), -np.sin(theta[idx])
+            assert np.max(np.abs(z[idx] @ turn @ z[idx].T - stack[idx])) <= 1e-12
+
     def test_same_bits_and_no_random_draw(self, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("the logarithm drew a random number")
