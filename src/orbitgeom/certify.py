@@ -47,9 +47,9 @@ from .ellipsoids import (
     _ellipsoid_radial_along,
     _lockstep,
     _projections,
+    _witnesses,
     degenerate_u0,
     degenerate_uv,
-    recursive_rotation,
 )
 from .linalg import (
     DimensionError,
@@ -157,10 +157,8 @@ def _tight_bracket(g, s, gs, g0, g1):
     evaluates the lanes ``live`` (indices) at their points x; the lanes step
     in lockstep (``_lockstep``).
     """
-    lanes = zip(*(np.asarray(v, dtype=float).tolist() for v in (s, gs, g0, g1)))
-    results, _ = _lockstep([_step_out(*lane) for lane in lanes], g)
-    lo, hi, glo, ghi, evaluations = (np.array(v) for v in zip(*results))
-    return lo, hi, glo, ghi, evaluations
+    results, _ = _lockstep(_step_out, g, s, gs, g0, g1)
+    return tuple(np.array(v) for v in zip(*results))
 
 
 def _traces(mats, x):
@@ -174,7 +172,7 @@ def _traces(mats, x):
 
 def _lanes(path: RotationPath, idx) -> RotationPath:
     """The paths ``idx`` of a stack of paths."""
-    return RotationPath(path.base_z[idx], path.z_t[idx], path.i, path.j, path.theta[idx])
+    return RotationPath(path.base_z[idx], path.z_t[idx], path.theta[idx])
 
 
 def _homotopies(mats, y, start):
@@ -268,13 +266,7 @@ def _homotopies(mats, y, start):
     good = [k for k, step in enumerate(steps) if step is None]
     good = slice(None) if len(good) == lanes else np.array(good, dtype=int)
     witness = frames[0].copy()
-    if planar:  # the frame times the leading block's turn [[c, s], [-s, c]]
-        f, t = frames[0][good], angles[good]
-        c, sn = np.cos(t), np.sin(t)
-        witness[good, :, 0] = c * f[:, :, 0] - sn * f[:, :, 1]
-        witness[good, :, 1] = sn * f[:, :, 0] + c * f[:, :, 1]
-    else:
-        witness[good] = frames[1][good] @ recursive_rotation(angles[good]) @ frames[0][good]
+    witness[good] = _witnesses(tuple(f[good] for f in frames), angles[good])
     tol, gate = tolerances.matrix_residual, tolerances.certificate_residual
     defect = rotation_defect(witness[good]).tolist()  # not finite exactly for such witnesses
     achieved = _traces(mats, witness)

@@ -96,6 +96,8 @@ def _cmd_sample(args):
     lmap = _get_map(obj, args.input)
     group = obj.get("group", "SO")
     rng = _require_seed(args)
+    if args.format == "svg" and lmap.ell < 2:
+        raise InputError("svg rendering of samples needs at least two map coordinates")
     cloud = sample_image(lmap, OrbitSpec(a, group), args.samples, rng)
     if args.format == "csv":
         _emit(args, ser.cloud_to_csv(cloud))
@@ -290,7 +292,7 @@ def _cmd_thompson(args):
         det_sign = 0 if det == 0 else (1 if det > 0 else -1)
     else:
         s = np.asarray(obj.get("s", []), dtype=float)
-        det_sign = int(obj.get("det_sign", 1))
+        det_sign = obj.get("det_sign", 1)
     result = bd.thompson_membership(bd.DiagonalHullQuery(d=d, s=s, det_sign=det_sign))
     payload = {"member": result.member}
     if result.member:

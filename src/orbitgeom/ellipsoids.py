@@ -146,18 +146,28 @@ class EllipsoidCurve:
 
     def witness(self, angles) -> np.ndarray:
         """Rotation X with trace-map value at X equal to point(angles)."""
-        if self.kind == "euv":
-            u, v = self.frames
-            return v @ recursive_rotation(angles) @ u
-        u = self.frames[0]
-        n = u.shape[0]
-        t = np.eye(n)
-        t[:2, :2] = recursive_rotation([np.atleast_1d(angles)[0]])
-        return u @ t
+        return _witnesses(self.frames, angles)
 
     def is_degenerate(self) -> bool:
         sv = np.linalg.svd(self.shape, compute_uv=False)
         return bool(sv[-1] <= tolerances.degenerate_rank * max(sv[0], 1e-300))
+
+
+def _witnesses(frames, angles) -> np.ndarray:
+    """Rotations realizing the curve points at ``angles``; stacks share leading axes.
+
+    A planar curve's frame U has its leading column pair turned: U (R(t) (+) I),
+    R(t) = [[cos t, sin t], [-sin t, cos t]]. An ellipsoid's (U, V) give V R(angles) U.
+    """
+    if len(frames) == 2:
+        u, v = frames
+        return v @ recursive_rotation(angles) @ u
+    u = frames[0]
+    c, sn = np.cos(angles), np.sin(angles)
+    witness = u.copy()
+    witness[..., :, 0] = c * u[..., :, 0] - sn * u[..., :, 1]
+    witness[..., :, 1] = sn * u[..., :, 0] + c * u[..., :, 1]
+    return witness
 
 
 def ellipsoid_euv(p_list, u, v) -> EllipsoidCurve:
@@ -253,21 +263,18 @@ def _ellipse_radial_along(p, q, path, y):
     block = np.concatenate((curves.shape.reshape(lanes, -1, 4), curves.center), axis=2)
     block = np.ascontiguousarray(block.transpose(0, 2, 1))
     ys, turns = y.tolist(), path.theta.shape[-1]
-    held = [None, b""]
+    held = [None]
 
     def gap(s, live):
-        if live is not held[0]:
-            if live.tobytes() != held[1]:  # the live lanes' rows, taken once per set of lanes
-                trig = np.ones((len(live), 1 + 2 * turns))  # [1, cos, sin] per lane
-                held[1:] = (live.tobytes(), block[live], path.theta[live],
-                            [ys[k] for k in live.tolist()], trig)
-            held[0] = live
-        phase, trig = s[:, None] * held[3], held[5]
+        if live is not held[0]:  # the live lanes' rows, taken once per set of lanes
+            trig = np.ones((len(live), 1 + 2 * turns))  # [1, cos, sin] per lane
+            held[:] = (live, block[live], path.theta[live], [ys[k] for k in live.tolist()], trig)
+        phase, trig = s[:, None] * held[2], held[4]
         np.cos(phase, out=trig[:, 1:1 + turns])
         np.sin(phase, out=trig[:, 1 + turns:])
-        values = (held[2] @ trig[:, :, None]).reshape(len(phase), 6).tolist()
+        values = (held[1] @ trig[:, :, None]).reshape(len(phase), 6).tolist()
         return [_radial_2x2(s00, s01, s10, s11, y0 - c0, y1 - c1) - 1.0
-                for (s00, s01, s10, s11, c0, c1), (y0, y1) in zip(values, held[4])]
+                for (s00, s01, s10, s11, c0, c1), (y0, y1) in zip(values, held[3])]
 
     return gap
 
@@ -290,22 +297,20 @@ def _ellipsoid_radial_along(mats, path_u, path_v, y):
     bu, bv = path_u.trig_basis(), path_v.trig_basis()
     prods = bu[:, :, None, None] @ mats[:, None, :, None] @ bv[:, None, None]
     block = np.ascontiguousarray(_coeffs(prods).transpose(0, 2, 4, 1, 3))
-    held = [None, b""]
+    held = [None]
 
     def trig(theta, s):
         phase = s[:, None] * theta
-        return np.concatenate((held[6], np.cos(phase), np.sin(phase)), axis=1)
+        return np.concatenate((held[5], np.cos(phase), np.sin(phase)), axis=1)
 
     def gap(s, live):
-        if live is not held[0]:
-            if live.tobytes() != held[1]:  # the live lanes' rows, taken once per set of lanes
-                held[1:] = (live.tobytes(), block[live], path_u.theta[live], path_v.theta[live],
-                            y[live], np.ones((len(live), 1)))
-            held[0] = live
-        shape = ((held[2] @ trig(held[4], s)[:, None, None, :, None])[..., 0]
-                 @ trig(held[3], s)[:, None, :, None])[..., 0]
+        if live is not held[0]:  # the live lanes' rows, taken once per set of lanes
+            held[:] = (live, block[live], path_u.theta[live], path_v.theta[live], y[live],
+                       np.ones((len(live), 1)))
+        shape = ((held[1] @ trig(held[3], s)[:, None, None, :, None])[..., 0]
+                 @ trig(held[2], s)[:, None, :, None])[..., 0]
         w, sv, _ = np.linalg.svd(shape)
-        return _span_radial(sv, (w.swapaxes(-1, -2) @ held[5][..., None])[..., 0])[0] - 1.0
+        return _span_radial(sv, (w.swapaxes(-1, -2) @ held[4][..., None])[..., 0])[0] - 1.0
 
     return gap
 
@@ -461,22 +466,24 @@ def membership(curve: EllipsoidCurve, y) -> MembershipResult:
                             None, float("nan"), radial)
 
 
-def _lockstep(searches, f):
+def _lockstep(search, f, *columns):
     """Run one search per lane in lockstep: (results, errors).
 
-    A search is a generator that yields its lane's next point and is sent
-    the value there, and returns its result. Each round evaluates the points
-    of every lane still searching in one call ``f(x, live)`` (``live``: the
-    lanes' indices, the same array object while no lane leaves), so the
-    lanes share each stacked evaluation, while a lane's steps depend on its
-    own values alone. A lane whose search returns leaves with its result;
-    one that raises NumericalError leaves with the error, in ``errors``
-    (lane -> error).
+    Lane k runs the generator ``search(*row)`` on the floats of row k of the
+    ``columns``: it yields its next point, is sent the value there, and
+    returns its result. Each round evaluates the points of every lane still
+    searching in one call ``f(x, live)`` (``live``: the lanes' indices, the
+    same array object while no lane leaves), so the lanes share each stacked
+    evaluation, while a lane's steps depend on its own values alone. A lane
+    whose search returns leaves with its result; one that raises
+    NumericalError leaves with the error, in ``errors`` (lane -> error).
     """
+    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
+    searches = [search(*row) for row in rows]
     results, errors, order, points = [None] * len(searches), {}, [], []
-    for k, search in enumerate(searches):
+    for k, lane in enumerate(searches):
         try:
-            points.append(next(search))
+            points.append(next(lane))
             order.append(k)
         except StopIteration as done:
             results[k] = done.value
@@ -561,8 +568,7 @@ def _bracket_root(f, lo, hi, flo, fhi, ftol: float):
     searching lane at once, and each lane's bookkeeping is its own scalar
     arithmetic, so it takes exactly the steps it would take alone.
     """
-    lanes = zip(*(np.asarray(v, dtype=float).tolist() for v in (lo, hi, flo, fhi)))
-    results, errors = _lockstep([_illinois(*lane, ftol) for lane in lanes], f)
+    results, errors = _lockstep(lambda *lane: _illinois(*lane, ftol), f, lo, hi, flo, fhi)
     x = np.array([r[0] if r else np.nan for r in results])
     return x, np.array([r[1] if r else 0 for r in results], dtype=int), errors
 

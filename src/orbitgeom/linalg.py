@@ -285,14 +285,15 @@ def _real_basis(c) -> np.ndarray:
 
 
 def _log_rotation_schur(r: np.ndarray):
-    """Real Schur factors (Z, i, j, theta) of a real logarithm of a rotation.
+    """Real Schur factors (Z, theta) of a real logarithm of a rotation.
 
-    ``R = Z T Z^T`` with Z orthogonal and T block diagonal: each pair of
-    columns ``(i_k, j_k)`` spans a plane that R turns by ``theta_k``, and the
-    other columns are fixed. Eigenvalues -1 pair up into half turns, in order
-    (Gallier and Xu, Int. J. Robotics and Automation 17(4), 2002). The
-    logarithm is ``Z L Z^T`` where L holds each angle times the quarter turn
-    ``[[0, -1], [1, 0]]`` at rows and columns ``(i_k, j_k)``.
+    ``R = Z T Z^T`` with Z orthogonal and T block diagonal: plane k, the
+    columns (2k, 2k + 1) of Z for k < n // 2, is turned by ``theta_k``, and
+    the last column of odd n is fixed. A plane that R does not turn has
+    theta = 0. Eigenvalues -1 pair up into half turns, in order (Gallier and
+    Xu, Int. J. Robotics and Automation 17(4), 2002). The logarithm is
+    ``Z L Z^T`` where L holds each angle times the quarter turn
+    ``[[0, -1], [1, 0]]`` at rows and columns (2k, 2k + 1).
 
     The planes come from one Hermitian eigendecomposition. For a unit z with
     -conj(z) in the widest gap of R's eigenvalue angles (z = 1 while no angle
@@ -310,9 +311,7 @@ def _log_rotation_schur(r: np.ndarray):
 
     Also takes a stack (..., n, n). Each rotation of it chooses its z, its
     clusters and its polish on its own, so it gets the factors of its own
-    single call; the stack's planes are all n // 2 leading column pairs, and
-    a rotation with fewer turning planes has theta = 0, which turns nothing,
-    on the rest. Z and theta then carry the stack's leading axes.
+    single call; Z and theta then carry the stack's leading axes.
     """
     n = r.shape[-1]
     rs = r.reshape(-1, n, n)
@@ -353,7 +352,7 @@ def _log_rotation_schur(r: np.ndarray):
     plain = [2 * a == m and 2 * b >= n - 1 + m for m, a, b in zip(na, a0, b0)]
     # a plain rotation's planes are columns a0 .. a0 + n // 2, and then +1's:
     # rolled to the front (a0 is 0 unless z was shifted)
-    odd, rows = n % 2, n - n % 2
+    odd = n % 2
     if any(a0):
         front = np.take_along_axis(v, (np.array(a0)[:, None, None] + np.arange(n)) % n, axis=2)
     else:  # the rotations with clusters read v as it is
@@ -389,11 +388,7 @@ def _log_rotation_schur(r: np.ndarray):
     for k, planes, turning in clusters:
         theta[k, planes:turning] = np.pi
         theta[k, turning:] = 0.0
-    i = np.arange(0, rows, 2)
-    if r.ndim == 2:
-        turning = clusters[0][2] if clusters else n // 2
-        return z[0], i[:turning], i[:turning] + 1, theta[0, :turning]
-    return z.reshape(r.shape), i, i + 1, theta.reshape(r.shape[:-2] + (len(i),))
+    return z.reshape(r.shape), theta.reshape(r.shape[:-2] + (n // 2,))
 
 
 @dataclass(frozen=True)
@@ -402,20 +397,18 @@ class RotationPath:
 
     The path turns its start frame along the one-parameter subgroup of the
     skew generator ``Z L Z^T``, where L holds the 2x2 blocks
-    ``theta_k [[0, -1], [1, 0]]`` at rows and columns ``(i_k, j_k)``. At s in
-    [0, 1] the path is ``base_z turn(s) z_t``, where turn(s) rotates each
-    plane ``(i_k, j_k)`` by s theta_k, ``base_z`` is the start frame times Z
-    and ``z_t = Z^T``: a few cosines and sines and two small products.
+    ``theta_k [[0, -1], [1, 0]]`` at rows and columns (2k, 2k + 1), one per
+    entry of the n // 2 angles ``theta``. At s in [0, 1] the path is
+    ``base_z turn(s) z_t``, where turn(s) rotates plane k, the columns
+    (2k, 2k + 1), by s theta_k, ``base_z`` is the start frame times Z and
+    ``z_t = Z^T``: a few cosines and sines and two small products.
 
-    A stack of paths carries leading axes on ``base_z``, ``z_t`` and
-    ``theta`` and shares the planes ``(i, j)``; it is evaluated at one s per
-    path, and its ``trig_basis`` has the same leading axes.
+    A stack of paths carries leading axes on all three fields; it is
+    evaluated at one s per path, and its ``trig_basis`` has the same axes.
     """
 
     base_z: np.ndarray
     z_t: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
     theta: np.ndarray
 
     @property
@@ -427,10 +420,11 @@ class RotationPath:
     @property
     def generator(self) -> np.ndarray:
         """Skew generator K of the path: path(s) = path(0) expm(s K)."""
-        log_t = np.zeros(self.z_t.shape)
-        log_t[self.j, self.i] = self.theta
-        log_t[self.i, self.j] = -self.theta
-        k = (self.z_t.T @ log_t) @ self.z_t
+        z, end = self.z_t.T, 2 * len(self.theta)
+        zl = np.zeros(z.shape)  # Z L: each plane's columns turned a quarter, times theta
+        zl[:, 0:end:2] = z[:, 1:end:2] * self.theta
+        zl[:, 1:end:2] = -z[:, 0:end:2] * self.theta
+        k = zl @ self.z_t
         return (k - k.T) / 2.0
 
     def __call__(self, s) -> np.ndarray:
@@ -443,10 +437,11 @@ class RotationPath:
         """The path at s without the range check: one s per path of a stack."""
         phase = s[..., None, None] * self.theta[..., None, :]
         c, sn = np.cos(phase), np.sin(phase)
-        bi, bj = self.base_z[..., :, self.i], self.base_z[..., :, self.j]
+        end = 2 * self.theta.shape[-1]
+        bi, bj = self.base_z[..., :, 0:end:2], self.base_z[..., :, 1:end:2]
         turned = self.base_z.copy()  # base_z turn(s): each plane's two columns turned
-        turned[..., :, self.i] = bi * c + bj * sn
-        turned[..., :, self.j] = bj * c - bi * sn
+        turned[..., :, 0:end:2] = bi * c + bj * sn
+        turned[..., :, 1:end:2] = bj * c - bi * sn
         return turned @ self.z_t
 
     def trig_basis(self) -> np.ndarray:
@@ -454,17 +449,15 @@ class RotationPath:
 
         Returns the basis of shape (..., 2K+1, n, n) for the K block angles
         theta, such that at s the path is ``basis[0] + sum_k cos(s theta_k)
-        basis[1 + k] + sin(s theta_k) basis[1 + K + k]``: the frame's fixed
-        columns, then each turning plane's cosine and sine parts.
+        basis[1 + k] + sin(s theta_k) basis[1 + K + k]``: the columns past the
+        planes, which stay fixed, then each plane's cosine and sine parts.
         """
-        base_z, z_t, i, j = self.base_z, self.z_t, self.i, self.j
-        fixed = np.ones(z_t.shape[-1], dtype=bool)
-        fixed[i] = fixed[j] = False
-        bi = np.swapaxes(base_z[..., :, i], -1, -2)[..., None]
-        bj = np.swapaxes(base_z[..., :, j], -1, -2)[..., None]
-        zi, zj = z_t[..., i, None, :], z_t[..., j, None, :]
+        base_z, z_t, end = self.base_z, self.z_t, 2 * self.theta.shape[-1]
+        bi = np.swapaxes(base_z[..., :, 0:end:2], -1, -2)[..., None]
+        bj = np.swapaxes(base_z[..., :, 1:end:2], -1, -2)[..., None]
+        zi, zj = z_t[..., 0:end:2, None, :], z_t[..., 1:end:2, None, :]
         return np.concatenate(
-            ((base_z[..., :, fixed] @ z_t[..., fixed, :])[..., None, :, :],
+            ((base_z[..., :, end:] @ z_t[..., end:, :])[..., None, :, :],
              bi * zi + bj * zj, bj * zi - bi * zj), axis=-3)
 
 
@@ -473,9 +466,9 @@ def geodesic(u_start, u_end) -> RotationPath:
 
     The generator is a logarithm of ``u_start.T @ u_end``, read in closed
     form from that rotation's real Schur form (``_log_rotation_schur``: one
-    angle per turning plane, and a half turn per pair of eigenvalues -1), so
-    every pair of endpoints gives one segment, deterministically; the path
-    keeps that factorization.
+    angle per leading column pair of Z, n // 2 of them, 0 on a plane that does
+    not turn and pi per pair of eigenvalues -1), so every pair of endpoints
+    gives one segment, deterministically; the path keeps that factorization.
     """
     u_start = require_rotation(u_start, "u_start")
     u_end = require_rotation(u_end, "u_end")
@@ -489,8 +482,8 @@ def geodesic(u_start, u_end) -> RotationPath:
 def _geodesic(u_start, u_end) -> RotationPath:
     """``geodesic`` without input checks, for endpoints that are rotations by
     construction; also takes stacks (..., n, n), giving a stack of paths."""
-    z, i, j, theta = _log_rotation_schur(np.swapaxes(u_start, -1, -2) @ u_end)
-    return RotationPath(u_start @ z, np.swapaxes(z, -1, -2), i, j, theta)
+    z, theta = _log_rotation_schur(np.swapaxes(u_start, -1, -2) @ u_end)
+    return RotationPath(u_start @ z, np.swapaxes(z, -1, -2), theta)
 
 
 def complete_to_rotation(columns) -> np.ndarray:

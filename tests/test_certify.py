@@ -702,26 +702,42 @@ def _support_touch_case(kind, ell, n, rng):
 
 
 class TestStructuredTargets:
-    """Support touches (``argmax_frames``) of structured A (ROADMAP 9(b), the
-    subset that passes). Left out: alpha = 1e-16 at odd n, where eps =
-    alpha^(1/2) = 1e-8 and the residual reaches ~1e-8 (CHANGES.md, FOUND)."""
+    """Support touches (``argmax_frames``) of structured A at ROADMAP 9(b)'s
+    alphas, n = 3-6 for ell = 2 and n = 4, 5 for ell = 3. Two known reds are
+    strict xfails: rank-one A at alpha = 0 and even n (ROADMAP 9(a)), and
+    alpha = 1e-16 at odd n, where eps = alpha^(1/2) = 1e-8 and the composed
+    residual reaches ~1e-8 (CHANGES.md, FOUND); the passing test leaves that
+    alpha out at odd n."""
 
-    ALPHAS = (0.0, 1e-16, 1e-6, 1.0 - 1e-6, 1.0)
+    ALPHAS = (0.0, 1e-300, 1e-16, 1e-6, 1.0 - 1e-6, 1.0)
+    RANK_ONE = ("ROADMAP 9(a): rank-one A at alpha = 0 and even n leaves the target "
+                "interior at the degenerate frame")
 
     @pytest.mark.parametrize("kind", ["rank-two", "tied", "scalar"])
-    @pytest.mark.parametrize("ell, n", [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
+    @pytest.mark.parametrize("ell, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5)])
     def test_support_touches_certify(self, kind, ell, n):
         rng = np.random.default_rng([ell, n, len(kind)])
         for _ in range(2):
             mats, a, u, v = _support_touch_case(kind, ell, n, rng)
-            for alpha in self.ALPHAS if n % 2 == 0 else (0.0, 1e-6, 1.0 - 1e-6, 1.0):
+            for alpha in [x for x in self.ALPHAS if n % 2 == 0 or x != 1e-16]:
                 cert = og.certify_scaled_point(mats, a, u, v, alpha)
                 assert cert.residual <= 1e-8
                 assert _recheck(mats, a, u, v, alpha, cert)
 
-    @pytest.mark.xfail(strict=True, raises=og.NumericalError,
-                       reason="ROADMAP 9(a): rank-one A at alpha = 0 and even n leaves the "
-                              "target interior at the degenerate frame")
+    @pytest.mark.xfail(strict=True, raises=og.NumericalError, reason=RANK_ONE)
     def test_rank_one_at_alpha_zero(self):
         mats, a, u, v = _support_touch_case("rank-one", 2, 4, np.random.default_rng(9))
         og.certify_scaled_point(mats, a, u, v, 0.0)
+
+    @pytest.mark.xfail(strict=True, raises=og.NumericalError, reason=RANK_ONE)
+    def test_rank_one_at_alpha_zero_n6(self):
+        mats, a, u, v = _support_touch_case("rank-one", 2, 6, np.random.default_rng(0))
+        og.certify_scaled_point(mats, a, u, v, 0.0)
+
+    @pytest.mark.xfail(strict=True, raises=og.NumericalError,
+                       reason="alpha = 1e-16 at odd n: composed residual 1.124e-08 > 1e-08")
+    def test_tiny_alpha_at_odd_n(self):
+        rng = np.random.default_rng([2, 5, len("rank-two")])
+        for _ in range(2):  # the second rank-two draw of test_support_touches_certify[2-5]
+            mats, a, u, v = _support_touch_case("rank-two", 2, 5, rng)
+        og.certify_scaled_point(mats, a, u, v, 1e-16)

@@ -73,6 +73,19 @@ class TestSample:
         assert text.startswith("<svg") and text.count("<circle") == 100
         assert "<polyline" not in text and "<polygon" not in text
 
+    @pytest.mark.parametrize("samples", ["10", "11"])
+    def test_svg_refuses_one_coordinate(self, tmp_path, capsys, samples):
+        # a (count, 1) cloud has no second coordinate to plot; it used to be
+        # reshaped into fake pairs (even counts) or crash (odd counts)
+        path = _write(tmp_path, "line.json",
+                      {"A": _mat(np.eye(2)), "map": {"P": [_mat(_e(0, 0))]}})
+        out = tmp_path / "line.svg"
+        rc = main(["sample", "--input", path, "--seed", "1", "--samples", samples,
+                   "--format", "svg", "--out", str(out)])
+        assert rc == 2
+        assert "two map coordinates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_required(self, circle_input, capsys):
         rc = main(["sample", "--input", circle_input, "--samples", "10"])
         assert rc == 2
@@ -418,6 +431,14 @@ class TestMoreGeometryCommands:
         payload = json.loads(out.read_text())
         assert payload["member"] is False
         assert payload["margin"] > 0
+
+    def test_thompson_refuses_fractional_det_sign(self, tmp_path, capsys):
+        # 0.5 is no determinant sign; it used to be truncated to 0
+        path = _write(tmp_path, "th3.json", {"d": [1, 2, 3], "s": [3, 2, 1], "det_sign": 0.5})
+        out = tmp_path / "th3_out.json"
+        assert main(["thompson", "--input", path, "--out", str(out)]) == 2
+        assert "det_sign must be -1, 0, or +1, got 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCounterexampleCommand:

@@ -185,8 +185,8 @@ def _exact_planar_radial(p, q, path, s, y):
     rounds.
     """
     bt = [[Fraction(x) for x in row] for row in path.base_z]
-    for c, sn, i, j in zip(np.cos(s * path.theta), np.sin(s * path.theta), path.i, path.j):
-        c, sn = Fraction(c), Fraction(sn)
+    for k, (c, sn) in enumerate(zip(np.cos(s * path.theta), np.sin(s * path.theta))):
+        c, sn, i, j = Fraction(c), Fraction(sn), 2 * k, 2 * k + 1
         for row in bt:
             row[i], row[j] = c * row[i] + sn * row[j], c * row[j] - sn * row[i]
     z_t = [[Fraction(x) for x in row] for row in path.z_t]
@@ -215,7 +215,7 @@ def _root(f, lo, hi, flo, fhi, ftol):
 
 def _lane(path):
     """The path as a stack of one."""
-    return og.RotationPath(path.base_z[None], path.z_t[None], path.i, path.j, path.theta[None])
+    return og.RotationPath(path.base_z[None], path.z_t[None], path.theta[None])
 
 
 def _one_lane(gap):

@@ -320,12 +320,19 @@ class TestClosedFormLog:
         # eigenvalues -1 of the exact half turns pair into planes at pi
         r = _plane_turn(4, [np.pi - gap, 1.0], np.random.default_rng(12))
         for rot in (r, -np.eye(2), np.diag([1.0, -1.0, -1.0]), -np.eye(4)):
-            z, i, j, theta = _log_rotation_schur(rot)
+            z, theta = _log_rotation_schur(rot)
+            i, j = _planes(theta)
             log_t = np.zeros(rot.shape)
             log_t[j, i], log_t[i, j] = theta, -theta
             assert np.max(np.abs(z @ scipy.linalg.expm(log_t) @ z.T - rot)) < 1e-12
             assert np.max(np.abs(theta)) <= np.pi
         assert sorted(np.abs(theta)) == [np.pi, np.pi]
+
+
+def _planes(theta):
+    """Index arrays of the planes of ``_log_rotation_schur``: the leading column pairs."""
+    i = np.arange(0, 2 * theta.shape[-1], 2)
+    return i, i + 1
 
 
 def _kernel_cases(n, rng):
@@ -349,7 +356,8 @@ class TestRotationLogKernel:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
     def test_factors_reconstruct_the_rotation(self, n):
         for r, reference in _kernel_cases(n, np.random.default_rng(400 + n)):
-            z, i, j, theta = _log_rotation_schur(r)
+            z, theta = _log_rotation_schur(r)
+            i, j = _planes(theta)
             turn, log_t = np.eye(n), np.zeros((n, n))
             turn[i, i] = turn[j, j] = np.cos(theta)
             turn[j, i], turn[i, j] = np.sin(theta), -np.sin(theta)
@@ -371,15 +379,14 @@ class TestRotationLogKernel:
         cases = [r for r, _ in _kernel_cases(n, np.random.default_rng(600 + n))]
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         stack = np.stack(cases).reshape(-1, 2, n, n)
-        z, i, j, theta = _log_rotation_schur(stack)
+        z, theta = _log_rotation_schur(stack)
         assert z.shape == stack.shape and theta.shape == stack.shape[:2] + (n // 2,)
-        assert np.array_equal(i, np.arange(0, 2 * (n // 2), 2)) and np.array_equal(j, i + 1)
+        i, j = _planes(theta)
         for idx in np.ndindex(stack.shape[:2]):
-            z1, i1, _, theta1 = _log_rotation_schur(stack[idx])
+            z1, theta1 = _log_rotation_schur(stack[idx])
             assert np.max(np.abs(z[idx] - z1)) <= 1e-14
-            padded = np.zeros(n // 2)
-            padded[i1 // 2] = theta1
-            assert np.max(np.abs(theta[idx] - padded), initial=0.0) <= 1e-14
+            assert theta1.shape == (n // 2,)
+            assert np.max(np.abs(theta[idx] - theta1), initial=0.0) <= 1e-14
             turn = np.eye(n)
             turn[i, i] = turn[j, j] = np.cos(theta[idx])
             turn[j, i], turn[i, j] = np.sin(theta[idx]), -np.sin(theta[idx])
