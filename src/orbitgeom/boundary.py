@@ -26,6 +26,7 @@ from .linalg import (
     _haar_slabs,
     ensure_rng,
     haar_rotations,
+    require_same_size,
     require_square,
     require_square_stack,
     signed_svd,
@@ -62,16 +63,6 @@ CONVEXITY_GAP_SHARE = 0.01
 HULL_FILTER_MARGIN = 1e-12
 
 
-def _require_same_square(p, a, names=("P", "A"), require=require_square):
-    p = require(p, names[0])
-    a = require(a, names[1])
-    if p.shape[-2:] != a.shape[-2:]:
-        raise DimensionError(
-            f"{names[0]} is {p.shape} but {names[1]} is {a.shape}"
-        )
-    return p, a
-
-
 def max_trace(p, a):
     """Exact maximum of tr(P U A V) over rotation pairs.
 
@@ -81,7 +72,8 @@ def max_trace(p, a):
     (..., n, n) that broadcast against each other; two matrices give a float,
     stacks an array of maxima, each equal to its single-matrix value.
     """
-    p, a = _require_same_square(p, a, require=require_square_stack)
+    p, a = require_square_stack(p, "P"), require_square_stack(a, "A")
+    require_same_size(P=p, A=a)
     sp = np.linalg.svd(p, compute_uv=False)
     sa = np.linalg.svd(a, compute_uv=False)
     sgn = np.where(np.linalg.det(a) * np.linalg.det(p) < 0, -1.0, 1.0)
@@ -100,7 +92,8 @@ def argmax_frames(p, a) -> tuple:
     the closed form because both sign conventions put the determinant sign on
     the last diagonal entry. Stacks (..., n, n) broadcast as in max_trace.
     """
-    p, a = _require_same_square(p, a, require=require_square_stack)
+    p, a = require_square_stack(p, "P"), require_square_stack(a, "A")
+    require_same_size(P=p, A=a)
     return _aligned_frames(p, a)[1:]
 
 
@@ -141,11 +134,9 @@ def max_trace_bruteforce(p, a, starts: int = 2000, rng=None) -> float:
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
-    p, a = _require_same_square(p, a)
+    p, a = require_square(p, "P"), require_square(a, "A")
+    n = require_same_size(P=p, A=a)
     rng = ensure_rng(rng)
-    n = p.shape[0]
-    if n == 1:
-        return float(abs(p[0, 0] * a[0, 0]))
     u = _haar_slabs(n, starts, rng)
     v = _haar_slabs(n, starts, rng)
     w = _orbit_slabs(u, a, v)
@@ -262,10 +253,8 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
     touches the image, so every such intersection is a region vertex.
     ``grid_size`` is an integer of at least 8; a float raises ``TypeError``.
     """
-    p, q = _require_same_square(p, q, ("P", "Q"))
-    a = require_square(a, "A")
-    if a.shape != p.shape:
-        raise DimensionError(f"A is {a.shape} but coefficients are {p.shape}")
+    p, q, a = require_square(p, "P"), require_square(q, "Q"), require_square(a, "A")
+    require_same_size(P=p, Q=q, A=a)
     if operator.index(grid_size) < 8:
         raise ValueError(f"grid_size must be at least 8, got {grid_size}")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
@@ -465,16 +454,19 @@ class GammaVerifyReport:
         return self.in_orbit and self.det_sign_ok and self.trace_ok and self.blocks_ok
 
 
+def _sv_gap(b, a) -> float:
+    """Largest difference of the singular values of B and A."""
+    return float(np.max(np.abs(np.linalg.svd(b, compute_uv=False)
+                               - np.linalg.svd(a, compute_uv=False))))
+
+
 def gamma_verify(b, structure: MaximizerStructure) -> GammaVerifyReport:
     """Check membership in the maximizing set: orbit, trace value, block shape."""
     b = require_square(b, "B")
     a = structure.a
-    if b.shape != a.shape:
-        raise DimensionError(f"B is {b.shape} but A is {a.shape}")
+    require_same_size(B=b, A=a)
     scale = float(np.max(np.abs(a))) + 1.0
-    sv_b = np.linalg.svd(b, compute_uv=False)
-    sv_a = np.linalg.svd(a, compute_uv=False)
-    sv_error = float(np.max(np.abs(sv_b - sv_a)))
+    sv_error = _sv_gap(b, a)
     in_orbit = sv_error <= MAXIMIZER_VALUE_TOL * scale
     det_a, det_b = np.linalg.det(a), np.linalg.det(b)
     det_sign_ok = bool(det_a * det_b >= -((MAXIMIZER_VALUE_TOL * scale) ** b.shape[0]))
@@ -517,9 +509,7 @@ def block_decompose(b, a, k: int) -> BlockDecomposition:
     """
     b = require_square(b, "B")
     a, d = _check_signed_diagonal(a)
-    n = a.shape[0]
-    if b.shape != a.shape:
-        raise DimensionError(f"B is {b.shape} but A is {a.shape}")
+    n = require_same_size(B=b, A=a)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     scale = float(np.max(np.abs(a))) + 1.0
@@ -529,13 +519,7 @@ def block_decompose(b, a, k: int) -> BlockDecomposition:
             f"leading diagonal sums differ by {tk_gap:.3e}; the block structure "
             f"is only forced at equality"
         )
-    sv_gap = float(
-        np.max(
-            np.abs(
-                np.linalg.svd(b, compute_uv=False) - np.linalg.svd(a, compute_uv=False)
-            )
-        )
-    )
+    sv_gap = _sv_gap(b, a)
     if sv_gap > MAXIMIZER_VALUE_TOL * scale:
         raise PreconditionError(f"B is not in the orbit of A (sv gap {sv_gap:.3e})")
     b11 = 0.5 * (b[:k, :k] + b[:k, :k].T)
@@ -1043,8 +1027,6 @@ def _point_polygon_distance(points, poly) -> float:
     """
     points = np.asarray(points, dtype=float)
     poly = np.asarray(poly, dtype=float)
-    if poly.shape[0] == 1:
-        return float(np.max(np.linalg.norm(points - poly[0], axis=1)))
     seg_a = poly
     seg_b = np.roll(poly, -1, axis=0)
     ab = seg_b - seg_a
@@ -1195,9 +1177,8 @@ def convexity_check(
     samples, grid = operator.index(samples), operator.index(grid)  # the report's ints
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    p, q = _require_same_square(p, q, ("P", "Q"))
-    a = require_square(a, "A")
-    if a.shape[0] < 3:
+    p, q, a = require_square(p, "P"), require_square(q, "Q"), require_square(a, "A")
+    if require_same_size(P=p, Q=q, A=a) < 3:
         raise PreconditionError("convexity holds for n >= 3 only")
     rng = ensure_rng(rng)
     region = support_boundary(p, q, a, grid)

@@ -61,10 +61,11 @@ from .linalg import (
     ensure_rng,
     haar_rotation,
     require_rotation,
+    require_same_size,
     require_square,
     rotation_defect,
 )
-from .orbits import JointOrbitSpec, LinearMapSpec, OrbitSpec, reduce_joint
+from .orbits import JointOrbitSpec, LinearMapSpec, OrbitSpec, _as_map, _joint_rows, reduce_joint
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,10 @@ def _homotopies(mats, y, start):
        settles at s = 0, and one outside it fails;
     2. build the degenerate frames and the geodesics to them (``_geodesic``:
        the start frames are checked by the caller, and the degenerate frames
-       are rotations by construction), and classify against the end curves;
-       a lane on its end curve settles at s = 1, and one still inside fails;
+       are rotations by construction), and classify against the end curves,
+       whose rank is judged against the Frobenius norm of the lane's
+       matrices where that exceeds the shape's largest singular value; a
+       lane on its end curve settles at s = 1, and one still inside fails;
     3. the lane-wise root search on the coefficient-form trial radial minus
        1 (``_bracket_root``), planar lanes to the radial's roundoff floor
        (one ulp of 1: the witness misses y by about |y - center| |radial -
@@ -215,9 +218,9 @@ def _homotopies(mats, y, start):
     angles = np.zeros((lanes, ell - 1))
     frames = tuple(f.copy() for f in start)  # each lane's frames where it settles
 
-    def project(m, at, target):
+    def project(m, at, target, floor=1e-300):
         curve = _ellipse_eu(m[:, 0], m[:, 1], *at) if planar else _ellipsoid_euv(m, *at)
-        return _projections(curve.shape, curve.center, target)
+        return _projections(curve.shape, curve.center, target, floor)
 
     # 1. the start curves; the live lanes' data is compacted as lanes leave
     live, m, target, at = np.arange(lanes), mats, y, start
@@ -234,7 +237,10 @@ def _homotopies(mats, y, start):
         ends = (degenerate_u0(m[:, 0], m[:, 1]),) if planar else degenerate_uv(m[:, 0])
         paths = tuple(_geodesic(f, end) for f, end in zip(at, ends))
         at = ends  # the paths' frames at s = 1
-        radial1, _, ang, degenerate = project(m, at, target)
+        # a rank-one pair's degenerate shape is pure roundoff, of full rank
+        # against its own largest singular value: judge it at the lane's scale
+        scale = np.linalg.norm(m.reshape(len(m), -1), axis=1)[:, None]
+        radial1, _, ang, degenerate = project(m, at, target, scale)
         settled, inside = _classes(radial1, degenerate)
         search = ~(settled | inside)
         if np.count_nonzero(search) < len(live):
@@ -359,8 +365,7 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
 
     if ell == 2:
         start = require_rotation(start_frame, "start frame")
-        if start.shape[0] != n:
-            raise DimensionError(f"start frame is {start.shape}, expected {(n, n)}")
+        require_same_size(M=mats[0], start_frame=start)
         frames = (start[None],)
     else:
         try:
@@ -371,10 +376,7 @@ def homotopy_realize(m_list, y, start_frame) -> Certificate:
             ) from None
         us = require_rotation(us, "start frame U")
         vs = require_rotation(vs, "start frame V")
-        if us.shape[0] != n or vs.shape[0] != n:
-            raise DimensionError(
-                f"start frames must be {n}x{n}: U is {us.shape}, V is {vs.shape}"
-            )
+        require_same_size(M=mats[0], U=us, V=vs)
         frames = (us[None], vs[None])
     witness, achieved, residual, steps = _homotopies(np.stack(mats)[None], y[None], frames)
     if isinstance(steps[0], Exception):
@@ -436,9 +438,7 @@ def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1)) -> Certificate:
     frame = require_rotation(frame, "frame")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0, 1], got {eps}")
-    n = frame.shape[0]
-    if m1.shape != (n, n) or m2.shape != (n, n):
-        raise DimensionError(f"M1 is {m1.shape}, M2 is {m2.shape}, frame is {frame.shape}")
+    n = require_same_size(M1=m1, M2=m2, frame=frame)
     rows = tuple(rows)
     if (len(rows) != 2 or rows[0] == rows[1]
             or not all(isinstance(r, (int, np.integer)) and 0 <= r < n for r in rows)):
@@ -509,7 +509,7 @@ def _checked(job, alpha_grid):
     that differ raise at once, as the job's first lane with them would.
     """
     lmap, a, u, v = job
-    lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
+    lmap = _as_map(lmap)
     a = require_square(a, "A")
     u = require_rotation(u, "U")
     v = require_rotation(v, "V")
@@ -517,8 +517,8 @@ def _checked(job, alpha_grid):
     for alpha in alpha_grid:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if lmap.n != n:
-            raise DimensionError(f"map coefficients are {lmap.n}x{lmap.n}, A is {a.shape}")
+    if alpha_grid:
+        require_same_size(P=lmap.mats[0], A=a, U=u, V=v)
     problem = None
     if ell == 2:
         if n < 3:
@@ -666,7 +666,7 @@ def star_check(lmap, orbit: OrbitSpec, num_targets: int, alpha_grid, rng) -> Sta
     """
     if orbit.group != "SO":
         raise PreconditionError(f"star_check certifies SO orbits only, got {orbit.group!r}")
-    lmap = lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
+    lmap = _as_map(lmap)
     jobs = [(lmap, orbit.a, u, v) for u, v in _frames(orbit.n, num_targets, ensure_rng(rng))]
     config = {"kind": "single", "n": orbit.n, "ell": lmap.ell}
     return _run_targets(jobs, alpha_grid, config)
@@ -692,15 +692,7 @@ def star_check_joint(
         ell = reduced.ell
         jobs = [(reduced, identity, u, v) for u, v in _frames(n, num_targets, rng)]
     else:
-        rows = [
-            [require_square(p, f"P[{j}][{i}]") for i, p in enumerate(coeffs)]
-            for j, coeffs in enumerate(l_joint)
-        ]
-        for j, coeffs in enumerate(rows):
-            if len(coeffs) != joint.m:
-                raise DimensionError(
-                    f"map row {j} has {len(coeffs)} coefficients for m={joint.m}"
-                )
+        rows = _joint_rows(l_joint, joint.a_list)
         ell = len(rows)
         jobs = [
             (LinearMapSpec(tuple(sum((p @ u) @ a for p, a in zip(coeffs, joint.a_list))

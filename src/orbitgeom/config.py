@@ -10,7 +10,9 @@ residuals default to 1e-10 absolute. The eight fields are:
 - ``boundary_band``: the |radial - 1| band counting as "on the curve";
 - ``certificate_residual``: the largest accepted certificate mismatch;
 - ``tie_gap``: the relative singular-value gap treated as tied;
-- ``degenerate_rank``: sv_min <= tol * sv_max marks a degenerate shape;
+- ``degenerate_rank``: sv_min <= tol * sv_max marks a degenerate shape; a
+  homotopy's end shape is judged against max(sv_max, |M|_F), the Frobenius
+  norm of its matrices;
 - ``off_span_tol``: a component off a degenerate span treated as unreachable;
 - ``bisection_gtol``: the |radial - 1| at which the homotopy's crossing
   search stops, read on the curve that yields the witness (the planar

@@ -32,6 +32,7 @@ from .linalg import (
     NumericalError,
     _dots,
     require_rotation,
+    require_same_size,
     require_square,
     require_square_stack,
     signed_svd,
@@ -182,18 +183,11 @@ def ellipsoid_euv(p_list, u, v) -> EllipsoidCurve:
     ell = len(mats)
     if ell < 2:
         raise DimensionError("need at least two coefficient matrices")
-    n = 2 ** (ell - 1)
     u = require_rotation(u, "U")
     v = require_rotation(v, "V")
-    for i, p in enumerate(mats):
-        if p.shape[0] != n:
-            raise DimensionError(
-                f"P[{i}] has shape {p.shape}, expected {(n, n)} for ell={ell}"
-            )
-    if u.shape[0] != n or v.shape[0] != n:
-        raise DimensionError(
-            f"frames must be {n}x{n}: U is {u.shape}, V is {v.shape}"
-        )
+    n = require_same_size(**{f"P[{i}]": p for i, p in enumerate(mats)}, U=u, V=v)
+    if n != 2 ** (ell - 1):
+        raise DimensionError(f"ell={ell} needs size {2 ** (ell - 1)}, got {n}")
     return _ellipsoid_euv(mats, u, v)
 
 
@@ -216,12 +210,7 @@ def ellipse_eu(p, q, u) -> EllipsoidCurve:
     p = require_square(p, "P")
     q = require_square(q, "Q")
     u = require_rotation(u, "U")
-    n = p.shape[0]
-    if q.shape[0] != n or u.shape[0] != n:
-        raise DimensionError(
-            f"sizes differ: P {p.shape}, Q {q.shape}, U {u.shape}"
-        )
-    if n < 2:
+    if require_same_size(P=p, Q=q, U=u) < 2:
         raise DimensionError("the planar ellipse needs size >= 2")
     return _ellipse_eu(p, q, u)
 
@@ -330,17 +319,18 @@ class MembershipResult:
     radial: float
 
 
-def _span_radial(sv, d):
+def _span_radial(sv, d, floor=1e-300):
     """(radial, off, keep, pre) of shapes with singular values sv, queries d in their left bases.
 
     Lane by lane over the leading axes. ``keep`` marks the singular values
-    above ``degenerate_rank`` times the largest, a prefix whose length is
-    the numerical rank; ``pre`` is the least-squares preimage d / sv there
+    above ``degenerate_rank`` times the largest, or times ``floor`` (a scale
+    per lane, shape (..., 1)) where that is larger: a prefix whose length is
+    the numerical rank. ``pre`` is the least-squares preimage d / sv there
     and 0 beyond. ``off`` is the norm of d beyond the rank; the radial is
     +inf when it exceeds ``off_span_tol``, and otherwise the norm of the
     preimage (0 at rank zero).
     """
-    keep = sv > tolerances.degenerate_rank * np.maximum(sv[..., :1], 1e-300)
+    keep = sv > tolerances.degenerate_rank * np.maximum(sv[..., :1], floor)
     if np.count_nonzero(keep) == keep.size:  # every shape at full rank
         pre = d / sv
         return np.sqrt(_dots(pre, pre)), np.zeros(sv.shape[:-1]), keep, pre
@@ -354,7 +344,7 @@ def _span_radial(sv, d):
     return np.where(far, np.inf, radial), off, keep, pre
 
 
-def _projections(shape, center, y):
+def _projections(shape, center, y, floor=1e-300):
     """``surface_projection`` for stacks of shapes, plus whether each is degenerate.
 
     Shapes (lanes, ell, ell), centers and queries (lanes, ell), one SVD for
@@ -362,13 +352,14 @@ def _projections(shape, center, y):
     per lane; a lane's angles are NaN where its radial is infinite. A shape
     is degenerate when its smallest singular value is at most
     ``degenerate_rank`` times the largest, the test of
-    ``EllipsoidCurve.is_degenerate``: its numerical rank is below ell. For
+    ``EllipsoidCurve.is_degenerate``, or times the lane's ``floor`` (lanes,
+    1) where that is larger: its numerical rank is below ell. For
     rank-deficient shapes the least-squares preimage is topped up with a
     null direction, so the angles land on the swept set when radial <= 1.
     """
     w, sv, zt = np.linalg.svd(shape)
     d = (w.swapaxes(-1, -2) @ (y - center)[..., None])[..., 0]
-    radial, off, keep, pre = _span_radial(sv, d)
+    radial, off, keep, pre = _span_radial(sv, d, floor)
     degenerate = ~keep[:, -1]
     plain = (radial > 0.0) > degenerate
     if np.count_nonzero(plain) == len(plain):

@@ -33,19 +33,10 @@ class PreconditionError(ValueError):
     """A documented precondition of an operation is violated."""
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def require_square(a, name: str = "matrix") -> np.ndarray:
-    arr = as_matrix(a, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
+    arr = require_square_stack(a, name)
+    if arr.ndim != 2:
+        raise DimensionError(f"{name} must be one square matrix, got shape {arr.shape}")
     return arr
 
 
@@ -59,6 +50,19 @@ def require_square_stack(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def require_same_size(**named) -> int:
+    """The size n shared by the named square matrices or stacks (..., n, n).
+
+    Raises one ``DimensionError`` naming every input's shape unless all sizes
+    agree. The inputs are arrays already checked as square.
+    """
+    sizes = {x.shape[-1] for x in named.values()}
+    if len(sizes) > 1:
+        shapes = ", ".join(f"{name} {x.shape}" for name, x in named.items())
+        raise DimensionError(f"sizes differ: {shapes}")
+    return sizes.pop()
 
 
 def rotation_defect(u):
@@ -472,10 +476,7 @@ def geodesic(u_start, u_end) -> RotationPath:
     """
     u_start = require_rotation(u_start, "u_start")
     u_end = require_rotation(u_end, "u_end")
-    if u_start.shape != u_end.shape:
-        raise DimensionError(
-            f"endpoint shapes differ: {u_start.shape} vs {u_end.shape}"
-        )
+    require_same_size(u_start=u_start, u_end=u_end)
     return _geodesic(u_start, u_end)
 
 

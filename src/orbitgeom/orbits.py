@@ -16,9 +16,9 @@ from .linalg import (
     DimensionError,
     _haar_finish,
     _haar_normals,
-    as_matrix,
     ensure_rng,
     require_rotation,
+    require_same_size,
     require_square,
 )
 
@@ -38,13 +38,7 @@ class LinearMapSpec:
         mats = tuple(require_square(m, f"P[{i}]") for i, m in enumerate(self.mats))
         if not mats:
             raise ValueError("a linear map needs at least one coefficient matrix")
-        n = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape[0] != n:
-                raise DimensionError(
-                    f"coefficient matrices differ in size: P[0] is {mats[0].shape}, "
-                    f"P[{i}] is {m.shape}"
-                )
+        require_same_size(**{f"P[{i}]": m for i, m in enumerate(mats)})
         object.__setattr__(self, "mats", mats)
 
     @property
@@ -88,13 +82,7 @@ class JointOrbitSpec:
         mats = tuple(require_square(a, f"A[{i}]") for i, a in enumerate(self.a_list))
         if not mats:
             raise ValueError("a joint orbit needs at least one matrix")
-        n = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape[0] != n:
-                raise DimensionError(
-                    f"joint-orbit matrices differ in size: A[0] is {mats[0].shape}, "
-                    f"A[{i}] is {m.shape}"
-                )
+        require_same_size(**{f"A[{i}]": a for i, a in enumerate(mats)})
         object.__setattr__(self, "a_list", mats)
         if self.kind not in ("O1", "O2", "O3"):
             raise ValueError(f"kind must be one of O1, O2, O3, got {self.kind!r}")
@@ -130,20 +118,29 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def _map_mats(lmap) -> tuple:
-    if isinstance(lmap, LinearMapSpec):
-        return lmap.mats
-    return LinearMapSpec(tuple(lmap)).mats
+def _as_map(lmap) -> LinearMapSpec:
+    """A ``LinearMapSpec`` as it is, or one built from a sequence of matrices."""
+    return lmap if isinstance(lmap, LinearMapSpec) else LinearMapSpec(tuple(lmap))
+
+
+def _joint_rows(l_joint, a_mats) -> list:
+    """A joint map's rows: one square coefficient matrix per orbit matrix, of its size."""
+    rows = [[require_square(p, f"P[{j}][{i}]") for i, p in enumerate(coeffs)]
+            for j, coeffs in enumerate(l_joint)]
+    for j, coeffs in enumerate(rows):
+        if len(coeffs) != len(a_mats):
+            raise DimensionError(
+                f"map row {j} has {len(coeffs)} coefficients for {len(a_mats)} orbit matrices")
+    named = {f"P[{j}][{i}]": p for j, coeffs in enumerate(rows) for i, p in enumerate(coeffs)}
+    require_same_size(**{f"A[{i}]": a for i, a in enumerate(a_mats)}, **named)
+    return rows
 
 
 def apply_map(lmap, x) -> np.ndarray:
     """Evaluate the trace map: component i is tr(P_i @ x)."""
-    mats = _map_mats(lmap)
+    mats = _as_map(lmap).mats
     x = require_square(x, "X")
-    if x.shape[0] != mats[0].shape[0]:
-        raise DimensionError(
-            f"X has shape {x.shape} but coefficients are {mats[0].shape}"
-        )
+    require_same_size(P=mats[0], X=x)
     return np.array([np.einsum("ij,ji->", p, x) for p in mats])
 
 
@@ -152,10 +149,7 @@ def orbit_point(a, u, v) -> np.ndarray:
     a = require_square(a, "A")
     u = require_rotation(u, "U")
     v = require_rotation(v, "V")
-    if u.shape != a.shape or v.shape != a.shape:
-        raise DimensionError(
-            f"incompatible shapes: A {a.shape}, U {u.shape}, V {v.shape}"
-        )
+    require_same_size(A=a, U=u, V=v)
     return u @ a @ v
 
 
@@ -183,12 +177,8 @@ def sample_image(lmap, orbit: OrbitSpec, count: int, rng) -> PointCloud:
     the block before it, since one column would take BLAS's matrix-vector
     path, which rounds differently.
     """
-    mats = _map_mats(lmap)
-    n = orbit.n
-    if mats[0].shape[0] != n:
-        raise DimensionError(
-            f"map coefficients are {mats[0].shape} but orbit matrix is {orbit.a.shape}"
-        )
+    mats = _as_map(lmap).mats
+    n = require_same_size(P=mats[0], A=orbit.a)
     rng = ensure_rng(rng)
     if count == 0:
         return PointCloud(points=np.empty((0, len(mats))))
@@ -224,14 +214,8 @@ def reduce_joint(l_joint, a_list, kind: str) -> LinearMapSpec:
     if kind not in ("O1", "O2"):
         raise ValueError(f"kind must be O1 or O2, got {kind!r}")
     a_mats = [require_square(a, f"A[{i}]") for i, a in enumerate(a_list)]
-    m = len(a_mats)
     reduced = []
-    for j, coeffs in enumerate(l_joint):
-        coeffs = [require_square(p, f"P[{j}][{i}]") for i, p in enumerate(coeffs)]
-        if len(coeffs) != m:
-            raise DimensionError(
-                f"map row {j} has {len(coeffs)} coefficients for {m} orbit matrices"
-            )
+    for coeffs in _joint_rows(l_joint, a_mats):
         if kind == "O1":
             q = sum(p @ a for p, a in zip(coeffs, a_mats))
         else:

@@ -41,7 +41,7 @@ class TestMaxTrace:
             oracle = og.max_trace_bruteforce(p, a, starts=500, rng=np.random.default_rng(k))
             assert abs(og.max_trace(p, a) - oracle) <= 1e-6
 
-    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
     @pytest.mark.parametrize("det_sign", [1.0, -1.0])
     def test_against_bruteforce_other_sizes(self, n, det_sign):
         rng = np.random.default_rng(10 * n + (det_sign > 0))

@@ -478,3 +478,43 @@ class TestCompleteToRotation:
         cols = [np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, -1.0])]
         with pytest.raises(ValueError):
             og.complete_to_rotation(cols)
+
+
+_M3 = np.random.default_rng(3).standard_normal((3, 3))
+_M4 = np.random.default_rng(4).standard_normal((4, 4))
+_I3, _I4 = np.eye(3), np.eye(4)
+_STRUCTURE = og.MaximizerStructure((1, 2), (2.0, 1.0), np.diag([3.0, 2.0, 1.0]))
+# every public entry point taking two or more matrices, given one 3x3 and one 4x4
+SIZE_MISMATCHES = {
+    "geodesic": lambda: og.geodesic(_I3, _I4),
+    "LinearMapSpec": lambda: og.LinearMapSpec((_M3, _M4)),
+    "JointOrbitSpec": lambda: og.JointOrbitSpec((_M3, _M4), "O1"),
+    "apply_map": lambda: og.apply_map([_M3, _M3], _M4),
+    "orbit_point": lambda: og.orbit_point(_M3, _I3, _I4),
+    "sample_image": lambda: og.sample_image([_M3, _M3], og.OrbitSpec(_M4), 5, 0),
+    "reduce_joint": lambda: og.reduce_joint([[_M3]], [_M4], "O1"),
+    "ellipse_eu": lambda: og.ellipse_eu(_M3, _M3, _I4),
+    "ellipsoid_euv": lambda: og.ellipsoid_euv([_M4, _M4, _M4], _I4, _I3),
+    "degenerate_u0": lambda: og.degenerate_u0(_M3, _M4),
+    "homotopy_realize-planar": lambda: og.homotopy_realize([_M3, _M3], [0.0, 0.0], _I4),
+    "homotopy_realize-ell3": lambda: og.homotopy_realize([_M4] * 3, np.zeros(3), (_I4, _I3)),
+    "certify_row_scaled": lambda: og.certify_row_scaled(_M3, _M3, _I4, 0.5),
+    "certify_scaled_point": lambda: og.certify_scaled_point([_M3, _M3], _M3, _I3, _I4, 0.5),
+    "star_check": lambda: og.star_check([_M3, _M3], og.OrbitSpec(_M4), 1, [0.5], 0),
+    "star_check_joint": lambda: og.star_check_joint(
+        [[_M4]], og.JointOrbitSpec((_M3,), "O3"), 1, [0.5], 0),
+    "max_trace": lambda: og.max_trace(_M3, _M4),
+    "argmax_frames": lambda: og.argmax_frames(_M3, _M4),
+    "max_trace_bruteforce": lambda: og.max_trace_bruteforce(_M3, _M4, starts=2, rng=0),
+    "support_boundary": lambda: og.support_boundary(_M3, _M3, _M4),
+    "convexity_check": lambda: og.convexity_check(_M3, _M3, _M4, samples=10, rng=0),
+    "gamma_verify": lambda: og.gamma_verify(_M4, _STRUCTURE),
+    "block_decompose": lambda: og.block_decompose(_M4, np.diag([3.0, 2.0, 1.0]), 1),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_MISMATCHES.values(), ids=SIZE_MISMATCHES.keys())
+def test_size_mismatch_names_every_shape(call):
+    with pytest.raises(og.DimensionError) as info:
+        call()
+    assert "(3, 3)" in str(info.value) and "(4, 4)" in str(info.value)
