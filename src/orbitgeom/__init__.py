@@ -47,7 +47,6 @@ from .ellipsoids import (
 from .certify import (
     Certificate,
     StarReport,
-    certify_row_scaled,
     certify_scaled_point,
     homotopy_realize,
     star_check,
@@ -82,69 +81,6 @@ from .boundary import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Tolerances",
-    "tolerances",
-    "DimensionError",
-    "NumericalError",
-    "PreconditionError",
-    "RotationPath",
-    "SignedSVD",
-    "complete_to_rotation",
-    "geodesic",
-    "haar_rotation",
-    "haar_rotations",
-    "require_rotation",
-    "rotation_defect",
-    "signed_svd",
-    "JointOrbitSpec",
-    "LinearMapSpec",
-    "OrbitSpec",
-    "PointCloud",
-    "apply_map",
-    "orbit_point",
-    "reduce_joint",
-    "sample_image",
-    "EllipsoidCurve",
-    "MembershipResult",
-    "angles_from_unit",
-    "degenerate_u0",
-    "degenerate_uv",
-    "ellipse_eu",
-    "ellipsoid_euv",
-    "membership",
-    "recursive_rotation",
-    "spherical_coeffs",
-    "spherical_point",
-    "Certificate",
-    "StarReport",
-    "certify_row_scaled",
-    "certify_scaled_point",
-    "homotopy_realize",
-    "star_check",
-    "star_check_joint",
-    "BlockDecomposition",
-    "ConvexityReport",
-    "DiagonalHullQuery",
-    "GammaVerifyReport",
-    "MaximizerStructure",
-    "SupportRegion",
-    "ThompsonResult",
-    "argmax_frames",
-    "block_decompose",
-    "convexity_check",
-    "counterexample_report",
-    "diagonal_sum",
-    "gamma_build",
-    "gamma_sample",
-    "gamma_sample_factors",
-    "gamma_value",
-    "gamma_verify",
-    "max_trace",
-    "max_trace_bruteforce",
-    "nonconvex_joint_instance",
-    "nonconvex_planar_map",
-    "support_boundary",
-    "thompson_membership",
-    "thompson_vertices",
-]
+# every public name imported above; ``__version__`` and the submodules are not in it
+__all__ = [name for name, value in list(globals().items())
+           if getattr(value, "__module__", "").startswith("orbitgeom.")]

@@ -26,6 +26,7 @@ from .linalg import (
     _haar_slabs,
     ensure_rng,
     haar_rotations,
+    require_rotation,
     require_same_size,
     require_square,
     require_square_stack,
@@ -423,8 +424,20 @@ def gamma_sample_factors(structure: MaximizerStructure, count: int, rng) -> list
 
 
 def gamma_build(structure: MaximizerStructure, factors) -> np.ndarray:
-    """Assemble the maximizing orbit element from its block factors."""
+    """Assemble the maximizing orbit element from its block factors.
+
+    The factors are one rotation per block, in block order; with a zero last
+    group value one more rotation of the last block's size follows, the last
+    block's right factor (as ``gamma_sample_factors`` lists them).
+    """
     k = len(structure.block_sizes)
+    sizes = structure.block_sizes + (structure.block_sizes[-1:] if structure.zero_tail else ())
+    factors = [np.asarray(f, dtype=float) for f in factors]
+    shapes = [f.shape for f in factors]
+    if shapes != [(s, s) for s in sizes]:
+        raise DimensionError(f"factors for block sizes {structure.block_sizes} must be "
+                             f"square of sizes {sizes}, got shapes {shapes}")
+    factors = [require_rotation(f, f"factor {i}") for i, f in enumerate(factors)]
     if structure.zero_tail:
         left = list(factors[:k])
         right = [f.T for f in factors[: k - 1]] + [factors[k]]

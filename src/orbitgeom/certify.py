@@ -18,15 +18,15 @@ shape is a fixed linear combination of the paths' sines and cosines, so a
 trial builds no frame.
 
 There is one engine, and it works on lanes: a lane is one (map, A, U, V,
-alpha) certificate. ``_certify`` takes every job of a star check at every
-alpha as lanes and runs cover step j for all live lanes together
-(``_scaled_rows_step`` and ``_homotopies``), each stage one stacked kernel
-call: classifications, degenerate frames, geodesics, coefficient blocks,
-witnesses and their checks. The root search advances the searching lanes in
-lockstep (``ellipsoids._lockstep``). A lane that fails records the exception
-and message its own call raises and leaves the batch; the others go on, and
-no lane's steps depend on the lanes beside it. ``certify_scaled_point``,
-``certify_row_scaled`` and ``homotopy_realize`` are batches of one that
+alpha) certificate. ``_certify`` takes a flat list of lanes (a star check's
+are every target at every alpha) and runs cover step j for all live lanes
+together (``_scaled_rows_step`` and ``_homotopies``), each stage one stacked
+kernel call: classifications, degenerate frames, geodesics, coefficient
+blocks, witnesses and their checks. The root search advances the searching
+lanes in lockstep (``ellipsoids._lockstep``). A lane that fails records the
+exception and message its own call raises and leaves the batch; the others go
+on, and no lane's steps depend on the lanes beside it.
+``certify_scaled_point`` and ``homotopy_realize`` are batches of one that
 re-raise their lane's exception.
 """
 
@@ -424,41 +424,6 @@ def _scaled_rows_step(mats, w, rows, eps):
     return wp[:, inv[:, None], inv], target, steps
 
 
-def certify_row_scaled(m1, m2, frame, eps: float, rows=(0, 1)) -> Certificate:
-    """Realize the point whose designated two rows are scaled by eps in [0, 1].
-
-    The scaled point sits inside or on the row-pair ellipse at the current
-    frame, so one homotopy call produces the witness. Row pairs other than
-    (0, 1) are reduced to the leading pair by a permutation conjugation, which
-    preserves traces and keeps the frame a rotation. ``rows`` must be two
-    distinct indices in ``range(n)``; anything else raises ``ValueError``.
-    """
-    m1 = require_square(m1, "M1")
-    m2 = require_square(m2, "M2")
-    frame = require_rotation(frame, "frame")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    n = require_same_size(M1=m1, M2=m2, frame=frame)
-    rows = tuple(rows)
-    if (len(rows) != 2 or rows[0] == rows[1]
-            or not all(isinstance(r, (int, np.integer)) and 0 <= r < n for r in rows)):
-        raise ValueError(f"rows must be two distinct indices in range({n}), got {rows}")
-    witness, target, steps = _scaled_rows_step(
-        np.stack((m1, m2))[None], frame[None], rows, np.array([eps], dtype=float))
-    if isinstance(steps[0], Exception):
-        raise steps[0]
-    achieved = np.array(
-        [np.einsum("ij,ji->", m, witness[0]) for m in (m1, m2)]
-    )
-    return Certificate(
-        target=target[0],
-        witness=(witness[0],),
-        achieved=achieved,
-        residual=float(np.linalg.norm(achieved - target[0])),
-        trace=steps,
-    )
-
-
 def _row_cover(n: int, block: int):
     """Minimal cyclic cover of n rows by subsets of size ``block``.
 
@@ -495,18 +460,18 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     composed certificate's residual exceeds ``certificate_residual``. The
     certificate is a batch of one lane of ``_certify``.
     """
-    outcome = _certify([(lmap, a, u, v)], [alpha])[0][0]
+    outcome = _certify([(_checked((lmap, a, u, v), [alpha]), alpha)])[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _checked(job, alpha_grid):
+def _checked(job, alphas):
     """The job's (map, A, U, V) checked as ``certify_scaled_point`` checks them.
 
-    Returns (map, A, U, V, problem): ``problem`` is the PreconditionError of
-    every one of the job's lanes, or None. An alpha outside [0, 1] or sizes
-    that differ raise at once, as the job's first lane with them would.
+    Returns the checked job, or the PreconditionError of every lane with it.
+    One of the job's ``alphas`` outside [0, 1] or sizes that differ raise at
+    once, as the job's first lane with them would.
     """
     lmap, a, u, v = job
     lmap = _as_map(lmap)
@@ -514,57 +479,50 @@ def _checked(job, alpha_grid):
     u = require_rotation(u, "U")
     v = require_rotation(v, "V")
     n, ell = a.shape[0], lmap.ell
-    for alpha in alpha_grid:
+    for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if alpha_grid:
-        require_same_size(P=lmap.mats[0], A=a, U=u, V=v)
-    problem = None
-    if ell == 2:
-        if n < 3:
-            problem = PreconditionError("planar certification needs n >= 3")
-    elif ell >= 3:
-        if n < 2 ** (ell - 1):
-            problem = PreconditionError(
-                f"certification with {ell} coordinates needs n >= {2 ** (ell - 1)}, got {n}"
-            )
-    else:
-        problem = PreconditionError("need at least two map coordinates")
-    return lmap, a, u, v, problem
+    require_same_size(P=lmap.mats[0], A=a, U=u, V=v)
+    if ell < 2:
+        return PreconditionError("need at least two map coordinates")
+    if ell == 2 and n < 3:
+        return PreconditionError("planar certification needs n >= 3")
+    if ell >= 3 and n < 2 ** (ell - 1):
+        return PreconditionError(
+            f"certification with {ell} coordinates needs n >= {2 ** (ell - 1)}, got {n}")
+    return lmap, a, u, v
 
 
-def _certify(jobs, alpha_grid) -> list:
-    """The certification engine: every job at every alpha, as lanes in lockstep.
+def _certify(lanes) -> list:
+    """The certification engine: every lane in lockstep.
 
-    ``jobs`` holds (map, A, U, V) tuples of one size n and one ell. Returns,
-    per job and per alpha, the Certificate of ``certify_scaled_point`` or
-    the exception that lane failed with. A lane is one (job, alpha); every
-    lane with alpha < 1 walks the same cover, and step j runs for every lane
-    still live at once (``_scaled_rows_step``), so the homotopies of a whole
-    star check share each stacked kernel call. A lane that fails leaves; the
-    others go on, and each lane's certificate, or failure, is the one its
-    own call gives. The witnesses are then composed and gated lane by lane.
+    A lane is a (job, alpha) pair, where the job is a (map, A, U, V) checked
+    by ``_checked``; all jobs have one size n and one ell. Returns, per lane,
+    the Certificate of ``certify_scaled_point`` or the exception that lane
+    failed with. Every lane with alpha < 1 walks the same cover, and step j
+    runs for every lane still live at once (``_scaled_rows_step``), so the
+    homotopies of a whole star check share each stacked kernel call. A lane
+    that fails leaves; the others go on, and each lane's certificate, or
+    failure, is the one its own call gives. The witnesses are then composed
+    and gated lane by lane.
     """
-    checked = [_checked(job, alpha_grid) for job in jobs]
-    out = [[problem] * len(alpha_grid) for *_, problem in checked]
-    ready = [j for j, (*_, problem) in enumerate(checked) if problem is None]
-    if not ready or not alpha_grid:
-        return out
-    lmaps, aa, uu, vv, _ = zip(*(checked[j] for j in ready))
+    # n and ell alone decide a PreconditionError, so one lane's is every lane's
+    if not lanes or isinstance(lanes[0][0], PreconditionError):
+        return [job for job, _ in lanes]
+    jobs, alphas = zip(*lanes)
+    lmaps, aa, uu, vv = zip(*jobs)
     n, ell = aa[0].shape[0], lmaps[0].ell
     subsets, exponent = _row_cover(n, 2 if ell == 2 else 2 ** (ell - 1))
-    # lane k is job ready[job[k]] at alpha_grid[k % len(alpha_grid)]
-    job = [j for j in range(len(ready)) for _ in alpha_grid]
-    alphas = [float(x) for _ in ready for x in alpha_grid]
+    alphas = [float(x) for x in alphas]
     eps = [x ** (1.0 / exponent) if x > 0.0 else 0.0 for x in alphas]
-    coeffs = np.array([lmap.mats for lmap in lmaps])[job]
-    ua = np.array([u @ a for u, a in zip(uu, aa)])[job]
-    mats = (coeffs @ np.array(uu)[job][:, None]) @ np.array(aa)[job][:, None]
+    coeffs = np.array([lmap.mats for lmap in lmaps])
+    ua = np.array([u @ a for u, a in zip(uu, aa)])
+    mats = (coeffs @ np.array(uu)[:, None]) @ np.array(aa)[:, None]
 
     def image(w):
         return _traces(coeffs, ua @ w)
 
-    w = np.array(vv)[job]
+    w = np.array(vv)
     target = np.array(alphas)[:, None] * image(w)
     traces = [[{"alpha": x, "eps": e, "exponent": exponent}] for x, e in zip(alphas, eps)]
     outcome = [None] * len(alphas)
@@ -593,7 +551,7 @@ def _certify(jobs, alpha_grid) -> list:
     miss = achieved - target
     residual = np.sqrt(_dots(miss, miss)).tolist()
     gate = tolerances.certificate_residual
-    for k, j in enumerate(job):
+    for k in range(len(outcome)):
         if outcome[k] is not None:
             pass
         # each step passed the gate, but their errors add up in the composition
@@ -601,10 +559,9 @@ def _certify(jobs, alpha_grid) -> list:
             outcome[k] = NumericalError(
                 f"composed certificate residual {residual[k]:.3e} exceeds {gate:.1e}")
         else:
-            outcome[k] = Certificate(target=target[k], witness=(uu[j], w[k]), achieved=achieved[k],
+            outcome[k] = Certificate(target=target[k], witness=(uu[k], w[k]), achieved=achieved[k],
                                      residual=residual[k], trace=traces[k])
-        out[ready[j]][k % len(alpha_grid)] = outcome[k]
-    return out
+    return outcome
 
 
 def _frames(n: int, num_targets: int, rng) -> list:
@@ -646,15 +603,18 @@ def _one_target(idx, alpha_grid, outcomes) -> list:
 def _run_targets(jobs, alpha_grid, config) -> StarReport:
     """The batch driver: every target's job at every alpha, failures recorded.
 
-    ``jobs`` holds one (map, A, U, V) per target; all of them at every alpha
-    run as the lanes of one ``_certify`` call. The report's config is
-    ``config`` plus the batch's size, grid and tolerances.
+    ``jobs`` holds one (map, A, U, V) per target; each is checked once, and
+    all of them at every alpha run as the lanes of one ``_certify`` call. The
+    report's config is ``config`` plus the batch's size, grid and tolerances.
     """
     alpha_grid = [float(x) for x in alpha_grid]
     config = {**config, "num_targets": len(jobs), "alpha_grid": alpha_grid,
               "tolerances": tolerances.as_dict()}
-    outcomes = _certify(jobs, alpha_grid)
-    results = [r for i, lanes in enumerate(outcomes) for r in _one_target(i, alpha_grid, lanes)]
+    checked = [_checked(job, alpha_grid) for job in jobs]
+    outcomes = _certify([(job, alpha) for job in checked for alpha in alpha_grid])
+    width = len(alpha_grid)
+    results = [r for i in range(len(jobs))
+               for r in _one_target(i, alpha_grid, outcomes[i * width:(i + 1) * width])]
     return StarReport(results=results, config=config)
 
 

@@ -157,6 +157,8 @@ def _cmd_certify(args):
         alpha = vals[0]
     if alpha is None:
         raise InputError("certify needs 'alpha' in the input or --alpha")
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise InputError(f"{args.input}: 'alpha' must be a number, got {alpha!r}")
     if "U" in obj or "V" in obj:  # both or neither: a lone frame is a missing key
         u = _get_matrix(obj, "U", args.input)
         v = _get_matrix(obj, "V", args.input)

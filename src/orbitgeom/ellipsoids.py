@@ -30,6 +30,7 @@ from .config import tolerances
 from .linalg import (
     DimensionError,
     NumericalError,
+    _completions,
     _dots,
     require_rotation,
     require_same_size,
@@ -608,19 +609,10 @@ def degenerate_u0(p, q) -> np.ndarray:
     q2 = q2 / np.where(apart, np.sqrt(_dots(q2, q2)), 1.0)[:, None]
     # one orthonormal completion of (q1, q2), or of q1 alone for parallel rows
     pairs = np.concatenate((q1[..., None], q2[..., None]), axis=-1)
-    if np.count_nonzero(apart) == len(apart):
-        frame = np.linalg.qr(pairs, mode="complete")[0]
-        frame[..., :2] = pairs
-    else:
-        frame = np.empty((len(rows), n, n))
-        for lanes, cols in ((apart, pairs), (~apart, pairs[..., :1])):
-            if np.count_nonzero(lanes):
-                done = np.linalg.qr(cols[lanes], mode="complete")[0]
-                done[..., :cols.shape[-1]] = cols[lanes]
-                frame[lanes] = done
-    flip = np.linalg.det(frame) < 0
-    if np.count_nonzero(flip):
-        frame[flip, :, -1] *= -1.0
+    frame = np.empty((len(rows), n, n))
+    for lanes, cols in ((apart, pairs), (~apart, pairs[..., :1])):
+        if np.count_nonzero(lanes):
+            frame[lanes] = _completions(cols[lanes])
     b = _dots(p2, np.where(apart[:, None], q2, frame[:, :, 1]))
     # columns u1, u2 and u1 x u2, in the frame's first three coordinates
     g = np.array([_turn3(*lane) for lane in zip(a.tolist(), b.tolist(), swapped.tolist())])

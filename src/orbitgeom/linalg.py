@@ -504,12 +504,15 @@ def complete_to_rotation(columns) -> np.ndarray:
     gram = c.T @ c
     if np.max(np.abs(gram - np.eye(k))) > tolerances.matrix_residual:
         raise ValueError("supplied columns are not orthonormal")
-    if k == n:
-        if np.linalg.det(c) < 0:
-            raise ValueError("full column set has determinant -1; no free column to fix")
-        return c.copy()
-    q = np.linalg.qr(c, mode="complete")[0]
-    q[:, :k] = c
-    if np.linalg.det(q) < 0:
-        q[:, -1] *= -1.0
+    if k == n and np.linalg.det(c) < 0:
+        raise ValueError("full column set has determinant -1; no free column to fix")
+    return _completions(c)
+
+
+def _completions(cols) -> np.ndarray:
+    """Unchecked ``complete_to_rotation`` of orthonormal columns (..., n, k), stacks too:
+    a complete QR, the columns put back, the last column negated where det < 0."""
+    q = np.linalg.qr(cols, mode="complete")[0]
+    q[..., :cols.shape[-1]] = cols
+    q[..., -1] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
     return q

@@ -342,6 +342,32 @@ class TestGamma:
             og.gamma_sample_factors(st, -3, np.random.default_rng(0))
         assert og.gamma_sample_factors(st, 0, np.random.default_rng(0)) == []
 
+    @pytest.mark.parametrize("factors, message", [
+        # swapped factors once built an element that fails gamma_verify
+        ((np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(1)), r"got shapes \[\(2, 2\), \(1, 1\)\]"),
+        # a short tuple once died in matmul
+        ((np.eye(1),), r"got shapes \[\(1, 1\)\]"),
+    ], ids=["swapped", "short"])
+    def test_build_checks_factor_sizes(self, factors, message):
+        st = og.MaximizerStructure((1, 2), (2.0, 1.0), np.diag([3.0, 2.0, 1.0]))
+        message = r"block sizes \(1, 2\) .* sizes \(1, 2\), " + message
+        with pytest.raises(og.DimensionError, match=message):
+            og.gamma_build(st, factors)
+
+    def test_build_needs_the_zero_tail_factor(self):
+        # the last block's right factor once went missing as an IndexError
+        st = self._structure()
+        factors = og.gamma_sample_factors(st, 1, np.random.default_rng(0))[0]
+        with pytest.raises(og.DimensionError, match=r"sizes \(2, 1, 1, 1\), got shapes"):
+            og.gamma_build(st, factors[:-1])
+        assert og.gamma_verify(og.gamma_build(st, factors), st).passed
+
+    def test_build_needs_rotations(self):
+        # 2 I was once accepted as a factor
+        st = og.MaximizerStructure((1, 2), (2.0, 1.0), np.diag([3.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="factor 1 is not a rotation"):
+            og.gamma_build(st, (np.eye(1), 2.0 * np.eye(2)))
+
     def test_grouping(self):
         st = self._structure()
         assert st.block_sizes == (2, 1, 1)

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import re
 from itertools import combinations
 from math import lcm
 
@@ -152,53 +151,36 @@ class TestHomotopyRealize:
             og.homotopy_realize([np.eye(3)] * ell, [0.0] * ell, np.eye(3))
 
 
-class TestCertifyRowScaled:
+class TestScaledRowsStep:
+    @staticmethod
+    def _step(p, q, frames, eps, rows=(0, 1)):
+        """(witnesses, targets, residuals) of one planar step over the frames' lanes."""
+        witness, target, steps = certify._scaled_rows_step(
+            np.array([(p, q)] * len(frames)), np.array(frames), rows, np.full(len(frames), eps))
+        assert not [step for step in steps if isinstance(step, Exception)]
+        residual = [np.linalg.norm(apply_map([p, q], w) - y) for w, y in zip(witness, target)]
+        return witness, target, residual
+
     def test_inclusion_property(self):
         # the eps-row-scaled point always lands back in the image
         rng = np.random.default_rng(5)
         p, q = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
         for eps in (0.0, 0.3, 0.7, 1.0):
-            for _ in range(50):
-                u = og.haar_rotation(3, rng)
-                cert = og.certify_row_scaled(p, q, u, eps)
-                assert cert.residual <= 1e-8
+            frames = [og.haar_rotation(3, rng) for _ in range(50)]
+            assert max(self._step(p, q, frames, eps)[2]) <= 1e-8
 
     def test_arbitrary_row_pair(self):
         rng = np.random.default_rng(6)
         p, q = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
         u = og.haar_rotation(4, rng)
-        cert = og.certify_row_scaled(p, q, u, 0.4, rows=(1, 3))
+        _, target, residual = self._step(p, q, [u], 0.4, rows=(1, 3))
         scaled_p, scaled_q = p.copy(), q.copy()
         scaled_p[[1, 3], :] *= 0.4
         scaled_q[[1, 3], :] *= 0.4
         expected = apply_map([scaled_p, scaled_q], u)
-        assert np.max(np.abs(cert.target - expected)) < 1e-12
-        assert cert.residual <= 1e-8
+        assert np.max(np.abs(target[0] - expected)) < 1e-12
+        assert residual[0] <= 1e-8
 
-
-    @pytest.mark.parametrize("rows", [(0, 1, 2), (1, 1), (-1, 0), (0, 7)])
-    def test_rows_must_be_two_distinct_indices(self, rows):
-        rng = np.random.default_rng(14)
-        p, q = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-        u = og.haar_rotation(4, rng)
-        # (0, 1, 2) once scaled two rows, (1, 1) and (-1, 0) failed as a
-        # "start frame is not a rotation", (0, 7) as a bare IndexError
-        message = rf"two distinct indices in range\(4\), got {re.escape(str(rows))}"
-        with pytest.raises(ValueError, match=message):
-            og.certify_row_scaled(p, q, u, 0.5, rows=rows)
-
-
-    def test_sizes_must_agree(self):
-        rng = np.random.default_rng(16)
-        p3, q3 = rng.standard_normal((2, 3, 3))
-        p4 = rng.standard_normal((4, 4))
-        with pytest.raises(og.DimensionError):
-            og.certify_row_scaled(p3, q3, og.haar_rotation(4, rng), 0.5)
-        with pytest.raises(og.DimensionError):
-            og.certify_row_scaled(p3, p4, og.haar_rotation(3, rng), 0.5)
-
-
-class TestScaledRowsStep:
     def test_block_step_turns_leading_columns(self):
         # ell = 3 at n = 5: the block homotopy's witness W turns the four
         # leading columns of the permuted frame, i.e. the frame times W (+) I
@@ -583,6 +565,11 @@ class TestStarCheckPreconditions:
             og.star_check_joint([[p] for p in self.PS], JointOrbitSpec((np.eye(3),), kind),
                                 -2, [0.5], np.random.default_rng(0))
 
+    def test_empty_grid_still_checks_sizes(self):
+        # an empty alpha grid once skipped the size check and returned an empty report
+        with pytest.raises(og.DimensionError, match=r"P \(3, 3\), A \(4, 4\)"):
+            og.star_check(self.PS, OrbitSpec(np.eye(4)), 2, [], np.random.default_rng(0))
+
     def test_star_check_refuses_o_orbits(self):
         # its frames are drawn from SO(n) only; an O orbit was certified as SO
         with pytest.raises(og.PreconditionError, match="SO orbits only, got 'O'"):
@@ -615,11 +602,13 @@ class TestLockstepLanes:
 
     def _assert_lanes_alone(self, report, jobs):
         grid = report.config["alpha_grid"]
-        outcomes = certify._certify(jobs, grid)  # the lanes' certificates or exceptions
-        for result in report.results:
+        # the lanes' certificates or exceptions, target by target and alpha by alpha
+        outcomes = certify._certify([(certify._checked(job, grid), alpha)
+                                     for job in jobs for alpha in grid])
+        assert len(outcomes) == len(report.results)
+        for result, lane in zip(report.results, outcomes):
             ok, kind, message, iterations, residual = _single(jobs[result.index], result.alpha)
             assert (result.ok, result.error, result.iterations) == (ok, message, iterations)
-            lane = outcomes[result.index][grid.index(result.alpha)]
             assert (None if ok else type(lane)) == kind
             if ok:
                 assert abs(result.residual - residual) <= 1e-12
@@ -667,6 +656,24 @@ class TestLockstepLanes:
         assert [(r.ok, r.error, r.iterations, r.residual) for r in kept] == [
             (r.ok, r.error, r.iterations, r.residual) for r in alone.results]
         self._assert_lanes_alone(report, jobs)
+
+
+    @pytest.mark.parametrize("ell,n", [(2, 4), (3, 5)])
+    def test_lanes_in_any_order(self, ell, n):
+        # lanes need not form a jobs x grid product: each pairs its own job and alpha
+        rng = np.random.default_rng(60 + n)
+        mats = list(rng.standard_normal((ell, n, n)))
+        a = rng.standard_normal((n, n))
+        jobs = [(mats, a, u, v) for u, v in certify._frames(n, 3, rng)]
+        lanes = [(jobs[0], 0.3), (jobs[1], 0.9), (jobs[0], 1.0), (jobs[2], 0.0)]
+        outcomes = certify._certify([(certify._checked(job, [alpha]), alpha)
+                                     for job, alpha in lanes])
+        for (job, alpha), cert in zip(lanes, outcomes):
+            alone = og.certify_scaled_point(*job, alpha)
+            assert cert.trace == alone.trace and cert.residual == alone.residual
+            for x, y in zip((cert.target, cert.achieved, *cert.witness),
+                            (alone.target, alone.achieved, *alone.witness)):
+                assert x.tobytes() == y.tobytes()
 
 
 def test_planar_certificate_checks_only_its_inputs_as_rotations(monkeypatch):

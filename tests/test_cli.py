@@ -203,6 +203,21 @@ class TestCertifyCommand:
         assert payload["residual"] <= 1e-8
         assert {"target", "achieved", "witness", "iterations"} <= set(payload)
 
+    @pytest.mark.parametrize("alpha", [[0.5], {}, "0.5", True],
+                             ids=["list", "object", "string", "bool"])
+    def test_alpha_must_be_a_json_number(self, tmp_path, capsys, alpha):
+        # a list or an object once crashed with a TypeError traceback (exit 1),
+        # and a string or a bool was silently read as a number
+        path = _write(tmp_path, "cert.json", {
+            "A": _mat(np.eye(3)),
+            "map": {"P": [_mat(np.diag([1.0, 0, 0])), _mat(np.diag([0, 1.0, 0]))]},
+            "alpha": alpha,
+        })
+        out = tmp_path / "cert_out.json"
+        assert main(["certify", "--input", path, "--out", str(out), "--seed", "1"]) == 2
+        assert f"'alpha' must be a number, got {alpha!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("given, missing", [("U", "V"), ("V", "U")])
     @pytest.mark.parametrize("seed", [None, "3"])
     def test_a_lone_frame_is_an_input_error(self, tmp_path, capsys, given, missing, seed):

@@ -5,7 +5,7 @@ import scipy.stats
 from scipy.spatial.transform import Rotation
 
 import orbitgeom as og
-from orbitgeom.linalg import _haar_slabs, _log_rotation_schur
+from orbitgeom.linalg import _completions, _haar_slabs, _log_rotation_schur
 
 
 def _plane_turn(n, angles, rng):
@@ -479,6 +479,18 @@ class TestCompleteToRotation:
         with pytest.raises(ValueError):
             og.complete_to_rotation(cols)
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_stack_matches_each_matrix(self, k):
+        # a stack of completions, some of whose QR factors have determinant -1,
+        # is each matrix's own completion bit for bit
+        cols = og.haar_rotations(4, 12, np.random.default_rng(k))[..., :k]
+        stacked = _completions(cols)
+        for c, w in zip(cols, stacked):
+            alone = (_completions(c), og.complete_to_rotation(c.T))
+            assert all(w.tobytes() == x.tobytes() for x in alone)
+        assert np.max(og.rotation_defect(stacked)) < 1e-12
+        assert np.array_equal(stacked[..., :k], cols)
+
 
 _M3 = np.random.default_rng(3).standard_normal((3, 3))
 _M4 = np.random.default_rng(4).standard_normal((4, 4))
@@ -498,7 +510,6 @@ SIZE_MISMATCHES = {
     "degenerate_u0": lambda: og.degenerate_u0(_M3, _M4),
     "homotopy_realize-planar": lambda: og.homotopy_realize([_M3, _M3], [0.0, 0.0], _I4),
     "homotopy_realize-ell3": lambda: og.homotopy_realize([_M4] * 3, np.zeros(3), (_I4, _I3)),
-    "certify_row_scaled": lambda: og.certify_row_scaled(_M3, _M3, _I4, 0.5),
     "certify_scaled_point": lambda: og.certify_scaled_point([_M3, _M3], _M3, _I3, _I4, 0.5),
     "star_check": lambda: og.star_check([_M3, _M3], og.OrbitSpec(_M4), 1, [0.5], 0),
     "star_check_joint": lambda: og.star_check_joint(
@@ -518,3 +529,14 @@ def test_size_mismatch_names_every_shape(call):
     with pytest.raises(og.DimensionError) as info:
         call()
     assert "(3, 3)" in str(info.value) and "(4, 4)" in str(info.value)
+
+
+def test_all_is_the_public_imports():
+    # __all__ is derived from the package's imports: no submodule and no
+    # private name, and a star import binds exactly it
+    assert len(og.__all__) == len(set(og.__all__)) > 0
+    for name in og.__all__:
+        assert not name.startswith("_") and not isinstance(getattr(og, name), type(og))
+    scope = {}
+    exec("from orbitgeom import *", scope)
+    assert sorted(k for k in scope if k != "__builtins__") == sorted(og.__all__)
