@@ -17,17 +17,17 @@ cases the search's trial points are evaluated in coefficient form: the swept
 shape is a fixed linear combination of the paths' sines and cosines, so a
 trial builds no frame.
 
-There is one engine, and it works on lanes: a lane is one (map, A, U, V,
-alpha) certificate. ``_certify`` takes a flat list of lanes (a star check's
-are every target at every alpha) and runs cover step j for all live lanes
-together (``_scaled_rows_step`` and ``_homotopies``), each stage one stacked
-kernel call: classifications, degenerate frames, geodesics, coefficient
-blocks, witnesses and their checks. The root search advances the searching
-lanes in lockstep (``ellipsoids._lockstep``). A lane that fails records the
-exception and message its own call raises and leaves the batch; the others go
-on, and no lane's steps depend on the lanes beside it.
-``certify_scaled_point`` and ``homotopy_realize`` are batches of one that
-re-raise their lane's exception.
+There is one engine, and it works on lanes: a lane is one (matrices, A, U, V,
+alpha) certificate of arrays that its call checked once (``_checked``).
+``_certify`` takes a flat list of lanes (a star check's are every target at
+every alpha) and runs cover step j for all live lanes together
+(``_scaled_rows_step`` and ``_homotopies``), each stage one stacked kernel
+call: classifications, degenerate frames, geodesics, coefficient blocks,
+witnesses and their checks. The root search advances the searching lanes in
+lockstep (``ellipsoids._lockstep``). A lane that fails records the exception
+and message its own call raises and leaves the batch; the others go on, and no
+lane's steps depend on the lanes beside it. ``certify_scaled_point`` and
+``homotopy_realize`` are batches of one that re-raise their lane's exception.
 """
 
 from __future__ import annotations
@@ -460,62 +460,61 @@ def certify_scaled_point(lmap, a, u, v, alpha: float) -> Certificate:
     composed certificate's residual exceeds ``certificate_residual``. The
     certificate is a batch of one lane of ``_certify``.
     """
-    outcome = _certify([(_checked((lmap, a, u, v), [alpha]), alpha)])[0]
+    outcome = _certify([(_checked(lmap, a, [alpha], U=u, V=v), alpha)])[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _checked(job, alphas):
-    """The job's (map, A, U, V) checked as ``certify_scaled_point`` checks them.
-
-    Returns the checked job, or the PreconditionError of every lane with it.
-    One of the job's ``alphas`` outside [0, 1] or sizes that differ raise at
-    once, as the job's first lane with them would.
-    """
-    lmap, a, u, v = job
-    lmap = _as_map(lmap)
-    a = require_square(a, "A")
-    u = require_rotation(u, "U")
-    v = require_rotation(v, "V")
-    n, ell = a.shape[0], lmap.ell
+def _in_unit_interval(alphas):
+    """Raise ``ValueError`` at the first alpha outside [0, 1]; a NaN is outside."""
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    require_same_size(P=lmap.mats[0], A=a, U=u, V=v)
-    if ell < 2:
-        return PreconditionError("need at least two map coordinates")
-    if ell == 2 and n < 3:
-        return PreconditionError("planar certification needs n >= 3")
-    if ell >= 3 and n < 2 ** (ell - 1):
-        return PreconditionError(
-            f"certification with {ell} coordinates needs n >= {2 ** (ell - 1)}, got {n}")
-    return lmap, a, u, v
+
+
+def _checked(lmap, a, alphas, **frames) -> tuple:
+    """One certification call's inputs, checked once: (matrices, A, *frames).
+
+    Checks the map, A, the named frames as rotations, every alpha and the
+    sizes, in that order. Frames the package drew itself are not passed.
+    """
+    mats = _as_map(lmap).mats
+    a = require_square(a, "A")
+    frames = {name: require_rotation(f, name) for name, f in frames.items()}
+    _in_unit_interval(alphas)
+    require_same_size(P=mats[0], A=a, **frames)
+    return (mats, a, *frames.values())
 
 
 def _certify(lanes) -> list:
     """The certification engine: every lane in lockstep.
 
-    A lane is a (job, alpha) pair, where the job is a (map, A, U, V) checked
-    by ``_checked``; all jobs have one size n and one ell. Returns, per lane,
-    the Certificate of ``certify_scaled_point`` or the exception that lane
-    failed with. Every lane with alpha < 1 walks the same cover, and step j
-    runs for every lane still live at once (``_scaled_rows_step``), so the
-    homotopies of a whole star check share each stacked kernel call. A lane
-    that fails leaves; the others go on, and each lane's certificate, or
-    failure, is the one its own call gives. The witnesses are then composed
-    and gated lane by lane.
+    A lane is a (job, alpha) pair, the job a (matrices, A, U, V) of arrays
+    that its call checked; all jobs have one size n and one ell, which alone
+    decide a PreconditionError for every lane. Returns, per lane, the
+    Certificate of ``certify_scaled_point`` or the exception that lane failed
+    with. Every lane with alpha < 1 walks the same cover, and step j runs for
+    every lane still live at once (``_scaled_rows_step``), so the homotopies
+    of a whole star check share each stacked kernel call. A lane that fails
+    leaves; the others go on, and each lane's certificate, or failure, is the
+    one its own call gives. The witnesses are then composed and gated.
     """
-    # n and ell alone decide a PreconditionError, so one lane's is every lane's
-    if not lanes or isinstance(lanes[0][0], PreconditionError):
-        return [job for job, _ in lanes]
+    if not lanes:
+        return []
     jobs, alphas = zip(*lanes)
-    lmaps, aa, uu, vv = zip(*jobs)
-    n, ell = aa[0].shape[0], lmaps[0].ell
-    subsets, exponent = _row_cover(n, 2 if ell == 2 else 2 ** (ell - 1))
+    coeffs = np.array([mats for mats, _, _, _ in jobs])
+    _, ell, n, _ = coeffs.shape
+    block = 2 ** (ell - 1)  # the cover's subset size; a planar map needs one row more
+    if ell < 2 or n < block + (ell == 2):
+        reason = ("need at least two map coordinates" if ell < 2 else
+                  "planar certification needs n >= 3" if ell == 2 else
+                  f"certification with {ell} coordinates needs n >= {block}, got {n}")
+        return [PreconditionError(reason) for _ in lanes]
+    _, aa, uu, vv = zip(*jobs)
+    subsets, exponent = _row_cover(n, block)
     alphas = [float(x) for x in alphas]
     eps = [x ** (1.0 / exponent) if x > 0.0 else 0.0 for x in alphas]
-    coeffs = np.array([lmap.mats for lmap in lmaps])
     ua = np.array([u @ a for u, a in zip(uu, aa)])
     mats = (coeffs @ np.array(uu)[:, None]) @ np.array(aa)[:, None]
 
@@ -551,11 +550,9 @@ def _certify(lanes) -> list:
     miss = achieved - target
     residual = np.sqrt(_dots(miss, miss)).tolist()
     gate = tolerances.certificate_residual
-    for k in range(len(outcome)):
-        if outcome[k] is not None:
-            pass
+    for k in [k for k, failed in enumerate(outcome) if failed is None]:
         # each step passed the gate, but their errors add up in the composition
-        elif not residual[k] <= gate:
+        if not residual[k] <= gate:
             outcome[k] = NumericalError(
                 f"composed certificate residual {residual[k]:.3e} exceeds {gate:.1e}")
         else:
@@ -589,29 +586,22 @@ def _one_target(idx, alpha_grid, outcomes) -> list:
         else:
             residual = cert.residual
             iterations = sum(s.get("iterations", 0) for s in cert.trace)
-        out.append(StarTargetResult(
-            index=idx,
-            alpha=alpha,
-            residual=residual,
-            ok=error is None,
-            iterations=iterations,
-            error=error,
-        ))
+        out.append(StarTargetResult(index=idx, alpha=alpha, residual=residual,
+                                    ok=error is None, iterations=iterations, error=error))
     return out
 
 
 def _run_targets(jobs, alpha_grid, config) -> StarReport:
     """The batch driver: every target's job at every alpha, failures recorded.
 
-    ``jobs`` holds one (map, A, U, V) per target; each is checked once, and
-    all of them at every alpha run as the lanes of one ``_certify`` call. The
-    report's config is ``config`` plus the batch's size, grid and tolerances.
+    ``jobs`` holds one (matrices, A, U, V) per target and ``alpha_grid`` is a
+    list of floats, all checked by the caller; every job at every alpha runs
+    as the lanes of one ``_certify`` call. The report's config is ``config``
+    plus the batch's size, grid and tolerances.
     """
-    alpha_grid = [float(x) for x in alpha_grid]
     config = {**config, "num_targets": len(jobs), "alpha_grid": alpha_grid,
               "tolerances": tolerances.as_dict()}
-    checked = [_checked(job, alpha_grid) for job in jobs]
-    outcomes = _certify([(job, alpha) for job in checked for alpha in alpha_grid])
+    outcomes = _certify([(job, alpha) for job in jobs for alpha in alpha_grid])
     width = len(alpha_grid)
     results = [r for i in range(len(jobs))
                for r in _one_target(i, alpha_grid, outcomes[i * width:(i + 1) * width])]
@@ -621,14 +611,16 @@ def _run_targets(jobs, alpha_grid, config) -> StarReport:
 def star_check(lmap, orbit: OrbitSpec, num_targets: int, alpha_grid, rng) -> StarReport:
     """Certify alpha-scaled random image points of the orbit; failures are recorded.
 
-    The frames are drawn from SO(n); an orbit of another group raises
+    The inputs are checked once, whatever the number of targets. The frames
+    are drawn from SO(n); an orbit of another group raises
     ``PreconditionError``.
     """
     if orbit.group != "SO":
         raise PreconditionError(f"star_check certifies SO orbits only, got {orbit.group!r}")
-    lmap = _as_map(lmap)
-    jobs = [(lmap, orbit.a, u, v) for u, v in _frames(orbit.n, num_targets, ensure_rng(rng))]
-    config = {"kind": "single", "n": orbit.n, "ell": lmap.ell}
+    alpha_grid = [float(x) for x in alpha_grid]
+    mats, a = _checked(lmap, orbit.a, alpha_grid)
+    jobs = [(mats, a, u, v) for u, v in _frames(orbit.n, num_targets, ensure_rng(rng))]
+    config = {"kind": "single", "n": orbit.n, "ell": len(mats)}
     return _run_targets(jobs, alpha_grid, config)
 
 
@@ -642,22 +634,22 @@ def star_check_joint(
     reduced map on the orbit of I would. O3 freezes the left frame per
     target (coefficients sum_i P_i^(j) @ U @ A_i) and certifies the scaling
     on the right factor, with A = U = I. The frames are drawn from SO(n),
-    (U, V) per target, in both cases.
+    (U, V) per target, in both cases. The inputs are checked once.
     """
     rng = ensure_rng(rng)
+    alpha_grid = [float(x) for x in alpha_grid]
     n = joint.n
     identity = np.eye(n)
     if joint.kind in ("O1", "O2"):
-        reduced = reduce_joint(l_joint, joint.a_list, joint.kind)
-        ell = reduced.ell
-        jobs = [(reduced, identity, u, v) for u, v in _frames(n, num_targets, rng)]
-    else:
+        mats, a = _checked(reduce_joint(l_joint, joint.a_list, joint.kind), identity, alpha_grid)
+        ell = len(mats)
+        jobs = [(mats, a, u, v) for u, v in _frames(n, num_targets, rng)]
+    else:  # the frozen maps are built from the checked rows; only the grid is left
         rows = _joint_rows(l_joint, joint.a_list)
+        _in_unit_interval(alpha_grid)
         ell = len(rows)
-        jobs = [
-            (LinearMapSpec(tuple(sum((p @ u) @ a for p, a in zip(coeffs, joint.a_list))
-                                 for coeffs in rows)), identity, identity, v)
-            for u, v in _frames(n, num_targets, rng)
-        ]
+        jobs = [(tuple(sum((p @ u) @ a for p, a in zip(coeffs, joint.a_list)) for coeffs in rows),
+                 identity, identity, v)
+                for u, v in _frames(n, num_targets, rng)]
     config = {"kind": f"joint-{joint.kind}", "n": n, "m": joint.m, "ell": ell}
     return _run_targets(jobs, alpha_grid, config)

@@ -31,13 +31,16 @@ def _load_input(path):
     if path is None:
         raise InputError("this subcommand requires --input <json-file>")
     try:
-        return ser.load_json_file(path)
+        obj = ser.load_json_file(path)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: expected a JSON object at the top level")
+    return obj
 
 
 def _get_matrix(obj, key, path):
@@ -65,13 +68,22 @@ def _require_seed(args):
 
 
 def _parse_alpha(text):
+    """The --alpha list; the library checks the range of each value."""
     try:
         vals = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise InputError(f"cannot parse --alpha list: {text!r}")
-    if not vals or any(not 0.0 <= v <= 1.0 for v in vals):
-        raise InputError("--alpha values must lie in [0, 1]")
+    if not vals:
+        raise InputError("--alpha needs at least one value")
     return vals
+
+
+def _vector(obj, key, path):
+    """The list of numbers under ``key`` (empty when missing) as a float array."""
+    try:
+        return np.asarray(obj.get(key, ()), dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}: {key!r} must be a list of numbers") from None
 
 
 def _emit(args, text):
@@ -286,14 +298,14 @@ def _cmd_thompson(args):
     obj = _load_input(args.input)
     if "d" not in obj:
         raise InputError(f"{args.input}: missing key 'd' (diagonal vector)")
-    d = np.asarray(obj["d"], dtype=float)
+    d = _vector(obj, "d", args.input)
     if "A" in obj:
         a = _get_matrix(obj, "A", args.input)
         s = np.linalg.svd(a, compute_uv=False)
         det = float(np.linalg.det(a))
         det_sign = 0 if det == 0 else (1 if det > 0 else -1)
     else:
-        s = np.asarray(obj.get("s", []), dtype=float)
+        s = _vector(obj, "s", args.input)
         det_sign = obj.get("det_sign", 1)
     result = bd.thompson_membership(bd.DiagonalHullQuery(d=d, s=s, det_sign=det_sign))
     payload = {"member": result.member}
@@ -325,7 +337,9 @@ def _cmd_convexity(args):
 
 def _cmd_joint(args):
     obj = _load_input(args.input)
-    if "A_list" not in obj or "maps" not in obj:
+    maps = obj.get("maps")
+    if not (isinstance(obj.get("A_list"), list) and isinstance(maps, list)
+            and all(isinstance(row, list) for row in maps)):
         raise InputError(
             f"{args.input}: joint input needs 'A_list' (matrices) and 'maps' "
             f"(list over coordinates of lists over orbit matrices)"
@@ -333,7 +347,7 @@ def _cmd_joint(args):
     a_list = [ser.matrix_from_json(m, f"A_list[{i}]") for i, m in enumerate(obj["A_list"])]
     rows = [
         [ser.matrix_from_json(p, f"maps[{j}][{i}]") for i, p in enumerate(row)]
-        for j, row in enumerate(obj["maps"])
+        for j, row in enumerate(maps)
     ]
     kind = obj.get("kind", "O3")
     joint = JointOrbitSpec(tuple(a_list), kind)

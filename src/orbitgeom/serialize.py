@@ -25,8 +25,13 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise ValueError(f"{name}: expected an object with rows, cols, data")
-    data = np.asarray(obj["data"], dtype=float)
-    expected = (int(obj["rows"]), int(obj["cols"]))
+    expected = (obj["rows"], obj["cols"])
+    if not all(type(x) is int for x in expected):  # a JSON true is no size
+        raise ValueError(f"{name}: rows and cols must be integers, got {expected}")
+    try:
+        data = np.asarray(obj["data"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: data must be a list of rows of numbers") from None
     if data.shape != expected:
         raise DimensionError(
             f"{name}: data has shape {data.shape} but header says {expected}"
@@ -41,7 +46,7 @@ def map_to_json(lmap: LinearMapSpec) -> dict:
 
 
 def map_from_json(obj, name: str = "map") -> LinearMapSpec:
-    if not isinstance(obj, dict) or "P" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("P"), list):
         raise ValueError(f"{name}: expected an object with a 'P' list")
     mats = [matrix_from_json(m, f"{name}.P[{i}]") for i, m in enumerate(obj["P"])]
     return LinearMapSpec(tuple(mats))

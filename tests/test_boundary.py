@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -1252,3 +1253,68 @@ class TestConvexityCheck:
     def test_no_samples_is_rejected(self, count):
         with pytest.raises(ValueError, match="samples"):
             og.convexity_check(np.eye(3), np.eye(3), np.eye(3), samples=count)
+
+
+def _off_block_orbit_element():
+    """diag(3, 2, 1) turned by 1e-5 in the plane of rows 0 and 1: its leading
+    entry misses 3 by ~1e-10, inside the value gate, while its off-block
+    entries (~1e-5) break the block structure."""
+    c, s = np.cos(1e-5), np.sin(1e-5)
+    r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return r @ np.diag([3.0, 2.0, 1.0]) @ r.T
+
+
+_A3 = np.diag([3.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("call,cls,message", [
+    pytest.param(lambda: og.diagonal_sum(np.eye(3), 5), ValueError,
+                 "k must be in [0, 3], got 5", id="diagonal-sum-k"),
+    pytest.param(lambda: og.MaximizerStructure((3,), (1.0,), np.ones((3, 3))),
+                 og.PreconditionError, "A must be diagonal (signed-diagonal form)",
+                 id="not-diagonal"),
+    pytest.param(lambda: og.MaximizerStructure((3,), (1.0,), np.diag([-3.0, 2.0, 1.0])),
+                 og.PreconditionError, "A must carry its sign on the last entry only",
+                 id="sign-not-last"),
+    pytest.param(lambda: og.MaximizerStructure((1, 2), (1.0,), _A3), ValueError,
+                 "block sizes and values must align and be nonempty", id="unaligned-blocks"),
+    pytest.param(lambda: og.MaximizerStructure((3, 0), (1.0, 0.5), _A3), ValueError,
+                 "block sizes must be positive", id="empty-block"),
+    pytest.param(lambda: og.MaximizerStructure((1, 1), (1.0, 0.5), _A3), og.DimensionError,
+                 "block sizes sum to 2 but A is 3x3", id="block-sum"),
+    pytest.param(lambda: og.MaximizerStructure((1, 2), (1.0, -0.5), _A3), ValueError,
+                 "group values must be nonnegative", id="negative-value"),
+    pytest.param(lambda: og.MaximizerStructure((1, 2), (1.0, 2.0), _A3), ValueError,
+                 "group values must be strictly decreasing", id="rising-values"),
+    pytest.param(lambda: og.MaximizerStructure.from_diagonal_p(np.ones((3, 3)), _A3),
+                 og.PreconditionError, "P must be diagonal with grouped descending values",
+                 id="p-not-diagonal"),
+    pytest.param(lambda: og.block_decompose(_A3, _A3, 0), ValueError,
+                 "k must be in [1, 2], got 0", id="block-decompose-k"),
+    pytest.param(lambda: og.block_decompose(np.diag([3.0, 5.0, 1.0]), _A3, 1),
+                 og.PreconditionError, "B is not in the orbit of A (sv gap 2.000e+00)",
+                 id="not-in-orbit"),
+    pytest.param(lambda: og.block_decompose(_off_block_orbit_element(), _A3, 1),
+                 og.NumericalError, "input violates the forced block structure",
+                 id="off-block"),
+    pytest.param(lambda: og.DiagonalHullQuery(d=[1.0, 2.0], s=[3.0, 2.0, 1.0], det_sign=1),
+                 og.DimensionError, "d has size 2, s has size 3", id="hull-sizes"),
+    pytest.param(lambda: og.DiagonalHullQuery(d=[1.0, 2.0, 3.0], s=[1.0, 2.0, 3.0],
+                                              det_sign=1),
+                 ValueError, "singular values must be sorted descending and nonnegative",
+                 id="unsorted-s"),
+    pytest.param(lambda: og.nonconvex_planar_map(1, 3), og.PreconditionError,
+                 "need n >= 2 and ell >= 3, got n=1, ell=3", id="planar-instance"),
+    pytest.param(lambda: og.nonconvex_joint_instance(2, 2), og.PreconditionError,
+                 "need n >= 3 and m >= 2, got n=2, m=2", id="joint-instance"),
+    pytest.param(lambda: og.counterexample_report("joint", ell=1), og.PreconditionError,
+                 "need ell >= 2, got 1", id="joint-report-ell"),
+    pytest.param(lambda: og.convexity_check(np.eye(2), np.eye(2), np.eye(2), samples=10,
+                                            rng=0),
+                 og.PreconditionError, "convexity holds for n >= 3 only", id="convexity-n"),
+])
+def test_input_checks(call, cls, message):
+    """Each check raises its class with its message (checks no other test reaches)."""
+    with pytest.raises(cls, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is cls

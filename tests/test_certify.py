@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from itertools import combinations
 from math import lcm
 
@@ -570,6 +571,49 @@ class TestStarCheckPreconditions:
         with pytest.raises(og.DimensionError, match=r"P \(3, 3\), A \(4, 4\)"):
             og.star_check(self.PS, OrbitSpec(np.eye(4)), 2, [], np.random.default_rng(0))
 
+    @staticmethod
+    def _star(kind, mats, a, alphas, num_targets=0):
+        rng = np.random.default_rng(0)
+        if kind == "single":
+            return og.star_check(mats, OrbitSpec(a), num_targets, alphas, rng)
+        return og.star_check_joint([[p] for p in mats], JointOrbitSpec((a,), kind),
+                                   num_targets, alphas, rng)
+
+    @pytest.mark.parametrize("kind", ["single", "O1", "O3"])
+    @pytest.mark.parametrize("alpha", [2.0, float("nan")])
+    def test_zero_targets_still_check_alpha(self, kind, alpha):
+        # the inputs are checked once per call, not once per target: a check
+        # with no targets used to return a report with the bad alpha in it
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got (2\.0|nan)"):
+            self._star(kind, self.PS, np.eye(3), [0.5, alpha])
+
+    @pytest.mark.parametrize("kind", ["single", "O1", "O3"])
+    def test_zero_targets_still_check_sizes(self, kind):
+        with pytest.raises(og.DimensionError, match="sizes differ") as info:
+            self._star(kind, self.PS, np.eye(4), [0.5])
+        assert "(3, 3)" in str(info.value) and "(4, 4)" in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["single", "O1", "O3"])
+    def test_checks_come_before_the_target_count(self, kind):
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got -0\.5"):
+            self._star(kind, self.PS, np.eye(3), [-0.5], num_targets=-2)
+
+    @pytest.mark.parametrize("kind", ["single", "O1", "O3"])
+    def test_any_iterable_grid(self, kind):
+        grid = [0, 0.5, 1]
+        ref = self._star(kind, self.PS, np.eye(3), grid, num_targets=3)
+        rep = self._star(kind, self.PS, np.eye(3), (x for x in grid), num_targets=3)
+        assert rep.config["alpha_grid"] == [0.0, 0.5, 1.0]
+        assert repr(rep) == repr(ref) and len(rep.results) == 9
+
+    @pytest.mark.parametrize("kind", ["single", "O1", "O3"])
+    def test_drawn_frames_are_not_rechecked(self, rotation_checks, kind):
+        # the Haar frames the package draws are rotations by construction;
+        # every target's U and V went through require_rotation before
+        rep = self._star(kind, self.PS, np.eye(3), [0.0, 0.5], num_targets=5)
+        assert len(rep.results) == 10 and not rep.failures
+        assert rotation_checks == []
+
     def test_star_check_refuses_o_orbits(self):
         # its frames are drawn from SO(n) only; an O orbit was certified as SO
         with pytest.raises(og.PreconditionError, match="SO orbits only, got 'O'"):
@@ -603,8 +647,7 @@ class TestLockstepLanes:
     def _assert_lanes_alone(self, report, jobs):
         grid = report.config["alpha_grid"]
         # the lanes' certificates or exceptions, target by target and alpha by alpha
-        outcomes = certify._certify([(certify._checked(job, grid), alpha)
-                                     for job in jobs for alpha in grid])
+        outcomes = certify._certify([(job, alpha) for job in jobs for alpha in grid])
         assert len(outcomes) == len(report.results)
         for result, lane in zip(report.results, outcomes):
             ok, kind, message, iterations, residual = _single(jobs[result.index], result.alpha)
@@ -666,14 +709,29 @@ class TestLockstepLanes:
         a = rng.standard_normal((n, n))
         jobs = [(mats, a, u, v) for u, v in certify._frames(n, 3, rng)]
         lanes = [(jobs[0], 0.3), (jobs[1], 0.9), (jobs[0], 1.0), (jobs[2], 0.0)]
-        outcomes = certify._certify([(certify._checked(job, [alpha]), alpha)
-                                     for job, alpha in lanes])
+        outcomes = certify._certify(lanes)
         for (job, alpha), cert in zip(lanes, outcomes):
             alone = og.certify_scaled_point(*job, alpha)
             assert cert.trace == alone.trace and cert.residual == alone.residual
             for x, y in zip((cert.target, cert.achieved, *cert.witness),
                             (alone.target, alone.achieved, *alone.witness)):
                 assert x.tobytes() == y.tobytes()
+
+
+@pytest.fixture
+def rotation_checks(monkeypatch):
+    """The names of every ``require_rotation`` call made while the test runs."""
+    calls = []
+    check = og.linalg.require_rotation
+
+    def counting(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs.get("name"))
+        return check(*args, **kwargs)
+
+    for module in (og.linalg, certify, og.ellipsoids, og.orbits, og):
+        if getattr(module, "require_rotation", None) is check:
+            monkeypatch.setattr(module, "require_rotation", counting)
+    return calls
 
 
 def test_planar_certificate_checks_only_its_inputs_as_rotations(monkeypatch):
@@ -746,3 +804,18 @@ class TestStructuredTargets:
         for _ in range(2):  # the second rank-two draw of test_support_touches_certify[2-5]
             mats, a, u, v = _support_touch_case("rank-two", 2, 5, rng)
         og.certify_scaled_point(mats, a, u, v, 1e-16)
+
+
+@pytest.mark.parametrize("call,cls,message", [
+    pytest.param(lambda: og.homotopy_realize([np.eye(3)] * 2, [1.0, 2.0, 3.0], np.eye(3)),
+                 og.DimensionError, "target has dimension 3, map has 2", id="target-size"),
+    pytest.param(lambda: og.certify_scaled_point([np.eye(3)] * 2, *[np.eye(3)] * 3, 1.5),
+                 ValueError, "alpha must be in [0, 1], got 1.5", id="alpha"),
+    pytest.param(lambda: og.certify_scaled_point([np.eye(3)], *[np.eye(3)] * 3, 0.5),
+                 og.PreconditionError, "need at least two map coordinates", id="one-coordinate"),
+])
+def test_input_checks(call, cls, message):
+    """Each check raises its class with its message (checks no other test reaches)."""
+    with pytest.raises(cls, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is cls

@@ -698,3 +698,105 @@ class TestSurface:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err or "invalid choice" in err
         assert not out.exists()
+
+
+_STAR = {"A": _mat(np.eye(3)), "map": {"P": [_mat(np.diag([1.0, 0, 0])),
+                                          _mat(np.diag([0, 1.0, 0]))]}}
+_PLANAR = {"A": _mat(np.eye(3)), "P": _mat(np.eye(3)), "Q": _mat(np.eye(3))}
+_JOINT = {"A_list": [_mat(np.eye(3))], "kind": "O3",
+          "maps": [[_mat(np.diag([1.0, 0, 0]))], [_mat(np.diag([0, 1.0, 0]))]]}
+# the flags a subcommand needs besides --input and --out
+_NEEDS = {"joint": ["--seed", "1"], "certify": ["--seed", "1", "--alpha", "0.5"]}
+
+
+def _refused(tmp_path, capsys, argv, payload, message):
+    """Run argv on the input file holding payload: exit 2, one error line, no output."""
+    path = _write(tmp_path, "in.json", payload if isinstance(payload, dict)
+                  else json.dumps(payload))
+    out = tmp_path / "out"
+    rc = main([argv[0], "--input", path, *argv[1:], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv,payload,message", [
+    *[pytest.param([sub, *_NEEDS.get(sub, [])], top, "expected a JSON object at the top level",
+                   id=f"{sub}-top-{kind}")
+      for sub in ("maxtrace", "boundary", "joint", "certify")
+      for top, kind in ((5, "number"), (None, "null"), ("ABC", "string"))],
+    pytest.param(["maxtrace"], {**_PLANAR, "P": {"rows": None, "cols": 3, "data": []}},
+                 "P: rows and cols must be integers, got (None, 3)", id="rows-null"),
+    pytest.param(["maxtrace"], {**_PLANAR, "P": {"rows": 1, "cols": 1, "data": {}}},
+                 "P: data must be a list of rows of numbers", id="data-object"),
+    pytest.param(["star-check", "--seed", "1"], {**_STAR, "map": {"P": 5}},
+                 "map: expected an object with a 'P' list", id="map-p-number"),
+    pytest.param(["thompson"], {"d": {"x": 1}, "s": [1.0]}, "'d' must be a list of numbers",
+                 id="thompson-d-object"),
+    pytest.param(["thompson"], {"d": [1.0], "s": [{}]}, "'s' must be a list of numbers",
+                 id="thompson-s-object"),
+    pytest.param(["joint", "--seed", "1"], {**_JOINT, "A_list": 5},
+                 "joint input needs 'A_list' (matrices) and 'maps'", id="joint-a-list-number"),
+    pytest.param(["joint", "--seed", "1"], {**_JOINT, "maps": [5, 6]},
+                 "joint input needs 'A_list' (matrices) and 'maps'", id="joint-maps-numbers"),
+])
+def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, argv, payload, message):
+    # each of these once crashed with a TypeError traceback and exit 1, which
+    # is reserved for reports that record failures
+    _refused(tmp_path, capsys, argv, payload, message)
+
+
+@pytest.mark.parametrize("argv,payload,message", [
+    pytest.param(["star-check", "--seed", "1"], {"A": _mat(np.eye(3))},
+                 "missing key 'map'", id="no-map"),
+    pytest.param(["star-check", "--seed", "1", "--alpha", "a,b"], _STAR,
+                 "cannot parse --alpha list: 'a,b'", id="alpha-text"),
+    pytest.param(["star-check", "--seed", "1", "--alpha", ","], _STAR,
+                 "--alpha needs at least one value", id="alpha-empty"),
+    pytest.param(["star-check", "--seed", "1", "--alpha", "2"], _STAR,
+                 "alpha must be in [0, 1], got 2.0", id="star-alpha-range"),
+    pytest.param(["joint", "--seed", "1", "--alpha", "nan"], _JOINT,
+                 "alpha must be in [0, 1], got nan", id="joint-alpha-range"),
+    pytest.param(["certify", "--seed", "1", "--alpha", "2"], _STAR,
+                 "alpha must be in [0, 1], got 2.0", id="certify-alpha-range"),
+    pytest.param(["certify", "--seed", "1", "--alpha", "0.1,0.2"], _STAR,
+                 "certify takes a single --alpha value", id="certify-two-alphas"),
+    pytest.param(["certify", "--seed", "1"], _STAR,
+                 "certify needs 'alpha' in the input or --alpha", id="certify-no-alpha"),
+    pytest.param(["ellipse", "--format", "svg"],
+                 {"map": {"P": [_mat(np.eye(4))] * 3}, "U": _mat(np.eye(4)),
+                  "V": _mat(np.eye(4))},
+                 "svg rendering of curves is planar only", id="ellipsoid-svg"),
+    pytest.param(["thompson"], {"s": [1.0]}, "missing key 'd' (diagonal vector)",
+                 id="thompson-no-d"),
+    pytest.param(["joint", "--seed", "1"], {"maps": _JOINT["maps"]},
+                 "joint input needs 'A_list' (matrices) and 'maps'", id="joint-no-a-list"),
+])
+def test_input_checks(tmp_path, capsys, argv, payload, message):
+    """Each input check exits 2 with its message (checks no other test reaches)."""
+    _refused(tmp_path, capsys, argv, payload, message)
+
+
+def test_missing_input_flag(capsys):
+    assert main(["maxtrace"]) == 2
+    assert "this subcommand requires --input <json-file>" in capsys.readouterr().err
+
+
+def test_certify_failure_is_a_report(tmp_path):
+    # a one-coordinate map has no certificate: a report with ok false, exit 1
+    path = _write(tmp_path, "line.json", {"A": _mat(np.eye(3)),
+                                          "map": {"P": [_mat(np.eye(3))]}, "alpha": 0.5})
+    out = tmp_path / "out.json"
+    assert main(["certify", "--input", path, "--seed", "1", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert {k: payload[k] for k in ("ok", "alpha", "error", "seed")} == {
+        "ok": False, "alpha": 0.5, "error": "need at least two map coordinates", "seed": 1}
+
+
+def test_output_goes_to_stdout_without_out(tmp_path, capsys):
+    path = _write(tmp_path, "planar.json", _PLANAR)
+    out = tmp_path / "out.json"
+    assert main(["maxtrace", "--input", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["maxtrace", "--input", path]) == 0
+    assert capsys.readouterr().out == out.read_text()

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+import re
 
 import numpy as np
 import pytest
@@ -560,3 +561,23 @@ class TestDegenerateUV:
     def test_rejects_planar(self):
         with pytest.raises(og.DimensionError):
             og.degenerate_uv(np.eye(2))
+
+
+@pytest.mark.parametrize("call,cls,message", [
+    pytest.param(lambda: og.angles_from_unit([1.0]), og.DimensionError,
+                 "need at least a 2-vector to recover angles", id="angles-of-a-scalar"),
+    pytest.param(lambda: og.ellipsoid_euv([np.eye(2)], np.eye(2), np.eye(2)),
+                 og.DimensionError, "need at least two coefficient matrices", id="euv-one-map"),
+    pytest.param(lambda: og.ellipsoid_euv([np.eye(3)] * 3, np.eye(3), np.eye(3)),
+                 og.DimensionError, "ell=3 needs size 4, got 3", id="euv-size"),
+    pytest.param(lambda: og.ellipse_eu(np.eye(1), np.eye(1), np.eye(1)), og.DimensionError,
+                 "the planar ellipse needs size >= 2", id="eu-size"),
+    pytest.param(lambda: og.membership(og.ellipse_eu(np.eye(3), np.eye(3), np.eye(3)),
+                                       [1.0, 2.0, 3.0]),
+                 og.DimensionError, "query has dimension 3, curve 2", id="query-dimension"),
+])
+def test_input_checks(call, cls, message):
+    """Each check raises its class with its message (checks no other test reaches)."""
+    with pytest.raises(cls, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is cls

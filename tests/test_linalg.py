@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -540,3 +542,24 @@ def test_all_is_the_public_imports():
     scope = {}
     exec("from orbitgeom import *", scope)
     assert sorted(k for k in scope if k != "__builtins__") == sorted(og.__all__)
+
+
+@pytest.mark.parametrize("call,cls,message", [
+    pytest.param(lambda: og.require_rotation([[np.nan]], "U"), ValueError,
+                 "U contains non-finite entries", id="non-finite"),
+    pytest.param(lambda: og.haar_rotation(0, 0), ValueError, "n must be positive, got 0",
+                 id="haar-size"),
+    pytest.param(lambda: og.haar_rotations(3, -1, 0), ValueError,
+                 "count must be nonnegative, got -1", id="haar-count"),
+    pytest.param(lambda: og.geodesic(np.eye(3), np.eye(3))(1.5), ValueError,
+                 "path parameter must be in [0, 1], got 1.5", id="path-parameter"),
+    pytest.param(lambda: og.complete_to_rotation([]), ValueError,
+                 "at least one column is required", id="no-columns"),
+    pytest.param(lambda: og.complete_to_rotation(np.eye(3, 2)), og.DimensionError,
+                 "cannot place 3 columns in dimension 2", id="too-many-columns"),
+])
+def test_input_checks(call, cls, message):
+    """Each check raises its class with its message (checks no other test reaches)."""
+    with pytest.raises(cls, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is cls

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,29 @@ class TestReduceJoint:
     def test_o3_unsupported(self):
         with pytest.raises(ValueError):
             og.reduce_joint([[np.eye(2)]], [np.eye(2)], "O3")
+
+
+@pytest.mark.parametrize("call,cls,message", [
+    pytest.param(lambda: og.LinearMapSpec(()), ValueError,
+                 "a linear map needs at least one coefficient matrix", id="empty-map"),
+    pytest.param(lambda: og.OrbitSpec(np.eye(2), "U"), ValueError,
+                 "group must be 'SO' or 'O', got 'U'", id="group"),
+    pytest.param(lambda: og.JointOrbitSpec((), "O1"), ValueError,
+                 "a joint orbit needs at least one matrix", id="empty-joint"),
+    pytest.param(lambda: og.JointOrbitSpec((np.eye(2),), "O4"), ValueError,
+                 "kind must be one of O1, O2, O3, got 'O4'", id="joint-kind"),
+    pytest.param(lambda: og.PointCloud(np.zeros(3)), og.DimensionError,
+                 "points must be (count, ell), got shape (3,)", id="cloud-shape"),
+    pytest.param(lambda: og.PointCloud([[np.nan]]), ValueError,
+                 "point cloud contains non-finite entries", id="cloud-non-finite"),
+    pytest.param(lambda: og.reduce_joint([[np.eye(2)]], [np.eye(2)] * 2, "O1"),
+                 og.DimensionError, "map row 0 has 1 coefficients for 2 orbit matrices",
+                 id="joint-row-length"),
+    pytest.param(lambda: og.reduce_joint([[np.eye(2)]], [np.eye(2)], "O4"), ValueError,
+                 "kind must be O1 or O2, got 'O4'", id="reduce-kind"),
+])
+def test_input_checks(call, cls, message):
+    """Each check raises its class with its message (checks no other test reaches)."""
+    with pytest.raises(cls, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is cls

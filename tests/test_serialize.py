@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,26 @@ class TestDumpJSON:
         payload = {"b": 1.5, "a": [1, 2], "nested": {"y": 0.1, "x": None}}
         assert ser.dump_json(payload) == ser.dump_json(dict(reversed(payload.items())))
         assert ser.dump_json(payload).endswith("\n")
+
+
+@pytest.mark.parametrize("call,cls,message", [
+    pytest.param(lambda: ser.map_from_json({"Q": []}), ValueError,
+                 "map: expected an object with a 'P' list", id="no-p"),
+    pytest.param(lambda: ser.map_from_json({"P": 5}), ValueError,
+                 "map: expected an object with a 'P' list", id="p-not-a-list"),
+    pytest.param(lambda: ser.matrix_from_json({"rows": None, "cols": 1, "data": [[1.0]]}),
+                 ValueError, "matrix: rows and cols must be integers, got (None, 1)",
+                 id="rows-not-an-integer"),
+    pytest.param(lambda: ser.matrix_from_json({"rows": True, "cols": 1, "data": [[1.0]]}),
+                 ValueError, "matrix: rows and cols must be integers, got (True, 1)",
+                 id="rows-a-boolean"),
+    pytest.param(lambda: ser.matrix_from_json({"rows": 1, "cols": 1, "data": [{}]}),
+                 ValueError, "matrix: data must be a list of rows of numbers",
+                 id="data-not-numbers"),
+    pytest.param(lambda: ser.cloud_from_csv(""), ValueError, "empty CSV", id="empty-csv"),
+])
+def test_input_checks(call, cls, message):
+    """Each check raises its class with its message (checks no other test reaches)."""
+    with pytest.raises(cls, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is cls
