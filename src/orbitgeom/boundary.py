@@ -7,7 +7,8 @@ Sweeping directions in the plane turns this into exact support values whose
 half-plane intersection reconstructs the convex boundary. The set of orbit
 elements attaining the maximum for a grouped diagonal P is block-structured,
 which this module samples, verifies, and decomposes. Hull membership of orbit
-diagonals and the two stock non-convexity instances are checked numerically.
+diagonals is decided by Thompson's inequalities. One multistart Givens search
+checks the closed-form maximum and the two stock non-convexity instances.
 """
 
 from __future__ import annotations
@@ -106,66 +107,20 @@ def _aligned_frames(p, a) -> tuple:
     return value, fp.v @ np.swapaxes(fa.u, -1, -2), fa.v @ np.swapaxes(fp.u, -1, -2)
 
 
-def _turn(x, i, j, c, s):
-    """Givens turn of slabs i, j of x in place: x_i, x_j <- c x_i - s x_j, s x_i + c x_j.
-
-    ``x`` is a slab stack, start index last, so ``x[i]`` is a contiguous
-    (..., starts) block and ``c``, ``s`` (one angle per start) broadcast
-    along it. Rows of an (n, n, ..., starts) stack turn with x itself,
-    columns with the view ``np.swapaxes(x, 0, 1)``.
-    """
-    xi, xj = x[i], x[j]
-    t = s * xi
-    xi *= c
-    xi -= s * xj
-    xj *= c
-    xj += t
-
-
 def max_trace_bruteforce(p, a, starts: int = 2000, rng=None) -> float:
     """Monte Carlo oracle for max_trace: Haar multistarts + coordinate ascent.
 
-    Each Givens angle update is exact (the objective is a sinusoid in one
-    angle), alternating sweeps over the left and right factor. All starts are
-    advanced together: W = U A V is kept as a slab stack (n, n, starts) and
-    turned in place, rows on left sweeps and columns on right sweeps, so the
-    factors U and V themselves are never formed again. The ascent stops once
-    no start improves by more than ``MAX_TRACE_SWEEP_TOL`` in a full sweep,
-    or after ``MAX_TRACE_MAX_SWEEPS`` sweeps.
+    ``_multistart`` on the one-coordinate map tr(P U A V), in which every
+    Givens angle update is exact (a sinusoid in one angle). The ascent stops
+    once no start improves by ``MAX_TRACE_SWEEP_TOL`` in a full sweep, or
+    after ``MAX_TRACE_MAX_SWEEPS`` sweeps.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
     p, a = require_square(p, "P"), require_square(a, "A")
-    n = require_same_size(P=p, A=a)
-    rng = ensure_rng(rng)
-    u = _haar_slabs(n, starts, rng)
-    v = _haar_slabs(n, starts, rng)
-    w = _orbit_slabs(u, a, v)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    vals = None
-    for _ in range(MAX_TRACE_MAX_SWEEPS):
-        # a left turn moves rows of W and of K = W P; a right turn moves
-        # columns of W and of K = P W, one product on the (n, n * starts) slab
-        for right in (False, True):
-            if right:
-                k = (p @ w.reshape(n, -1)).reshape(w.shape)
-                turned = (np.swapaxes(k, 0, 1), np.swapaxes(w, 0, 1))
-            else:
-                k = np.matmul(p.T, w)
-                turned = (k, w)
-            for i, j in pairs:
-                theta = np.arctan2(k[i, j] - k[j, i], k[i, i] + k[j, j])
-                c = np.cos(theta)
-                s = -np.sin(theta) if right else np.sin(theta)
-                for x in turned:
-                    _turn(x, i, j, c, s)
-        new_vals = np.trace(k)
-        if vals is not None and np.max(new_vals - vals) < MAX_TRACE_SWEEP_TOL:
-            vals = new_vals
-            break
-        vals = new_vals
-    return float(np.max(vals))
+    require_same_size(P=p, A=a)
+    return float(-np.min(_multistart([[p]], [a], None, starts, ensure_rng(rng), True,
+                                     MAX_TRACE_SWEEP_TOL, MAX_TRACE_MAX_SWEEPS)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +256,7 @@ def _check_signed_diagonal(a, name="A"):
     off = a - np.diag(np.diag(a))
     if np.max(np.abs(off)) > tolerances.matrix_residual * scale:
         raise PreconditionError(f"{name} must be diagonal (signed-diagonal form)")
-    d = np.diag(a).copy()
+    d = np.diag(a)
     mags = np.abs(d)
     if n > 1 and np.any(d[:-1] < 0):
         raise PreconditionError(
@@ -313,7 +268,7 @@ def _check_signed_diagonal(a, name="A"):
             f"{name} has tied or unordered singular values (min gap "
             f"{np.min(gaps):.3e}); the maximizer structure is undefined there"
         )
-    return a, d
+    return a
 
 
 @dataclass(frozen=True)
@@ -329,7 +284,7 @@ class MaximizerStructure:
     a: np.ndarray
 
     def __post_init__(self):
-        a, _ = _check_signed_diagonal(self.a)
+        a = _check_signed_diagonal(self.a)
         object.__setattr__(self, "a", a)
         sizes = tuple(int(s) for s in self.block_sizes)
         vals = tuple(float(v) for v in self.values)
@@ -521,7 +476,7 @@ def block_decompose(b, a, k: int) -> BlockDecomposition:
     its signed SVD. A reconstruction failure flags a structural violation.
     """
     b = require_square(b, "B")
-    a, d = _check_signed_diagonal(a)
+    a = _check_signed_diagonal(a)
     n = require_same_size(B=b, A=a)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
@@ -764,7 +719,7 @@ def thompson_membership(query: DiagonalHullQuery) -> ThompsonResult:
 
 
 # ---------------------------------------------------------------------------
-# multistart closest-point oracle and the stock counterexamples
+# multistart Givens search and the stock counterexamples
 # ---------------------------------------------------------------------------
 
 
@@ -838,44 +793,55 @@ def _affine_theta_argmin(x):
     return np.where(better, at[:3], _THETA_TABLE[:, grid])
 
 
-def _descent_sweep(coord_terms, u, v, y, right: bool) -> tuple:
-    """One coordinate-descent pass over every Givens pair of U, or of V.
+def _turn(x, i, j, c, s):
+    """Givens turn of slabs i, j of x in place: x_i, x_j <- c x_i - s x_j, s x_i + c x_j.
 
-    U and V are slab stacks (n, n, starts), start index last; V is None for
-    the identity of a one-sided descent, which only turns U. Left turns move
-    rows of U and right turns columns of V, both in place. K is a slab stack
-    (n, n, ell, starts) whose slice K[:, :, m] puts the turned factor first:
-    coordinate m's U A V P on the left, P U A V on the right, so its trace is
-    the coordinate and each turn moves K's rows or columns with the factor.
-    K is built once; returns it as the pass leaves it, and the coordinates
-    (ell, starts) the pass started from.
+    ``x`` is a slab stack, start index last, so ``x[i]`` is a contiguous
+    (..., starts) block and ``c``, ``s`` (one angle per start) broadcast
+    along it. Rows of an (n, n, ..., starts) stack turn with x itself,
+    columns with the view ``np.swapaxes(x, 0, 1)``.
     """
-    n, starts = u.shape[0], u.shape[-1]
-    k = np.zeros((n, n, len(coord_terms), starts))
-    for m, terms in enumerate(coord_terms):
-        for coef, pm, am in terms:
-            if right:
-                # ((P U) A) V
-                pua = np.matmul(am.T, (pm @ u.reshape(n, -1)).reshape(u.shape))
-                k[:, :, m] += coef * np.einsum("ils,ljs->ijs", pua, v)
-            else:
-                # U ((A V) P), and U (A P) when V is the identity
-                if v is None:
-                    avp = np.broadcast_to((am @ pm)[:, :, None], u.shape)
-                else:
-                    avp = np.matmul(pm.T, (am @ v.reshape(n, -1)).reshape(v.shape))
-                k[:, :, m] += coef * np.einsum("ils,ljs->ijs", u, avp)
-    turned = (np.swapaxes(k, 0, 1), np.swapaxes(v, 0, 1)) if right else (k, u)
+    xi, xj = x[i], x[j]
+    t = s * xi
+    xi *= c
+    xi -= s * xj
+    xj *= c
+    xj += t
+
+
+def _sweep(rows, w, y, right: bool) -> tuple:
+    """One pass over every Givens pair of U, or of V, turning ``w`` in place.
+
+    Coordinate j of the map is sum_i tr(P_ji U A_i V), ``rows[j][i]`` = P_ji,
+    and ``w`` stacks W_i = U A_i V as slabs (n, n, m, starts), start index
+    last. K (n, n, ell, starts) is built once, one product per P_ji: K_j =
+    sum_i W_i P_ji on the left, sum_i P_ji W_i on the right, so tr K_j is
+    coordinate j, and each turn moves rows (left) or columns (right) of K and
+    W together. With ``y`` None the angle maximizes the one coordinate, else
+    it minimizes the squared distance to ``y`` (``_affine_theta_argmin``).
+    Returns K as the pass leaves it, and the coordinates it started from.
+    """
+    n, starts = w.shape[0], w.shape[-1]
+    k = np.zeros((n, n, len(rows), starts))
+    for j, row in enumerate(rows):
+        for i, p in enumerate(row):
+            x = w[:, :, i]
+            k[:, :, j] += (p @ x.reshape(n, -1)).reshape(x.shape) if right else np.matmul(p.T, x)
+    turned = (np.swapaxes(k, 0, 1), np.swapaxes(w, 0, 1)) if right else (k, w)
     before = np.trace(k)
-    affine = np.empty((3, len(coord_terms), starts))
+    affine = np.empty((3, len(rows), starts))
     alpha, bcos, bsin = affine
     for i in range(n):
         for j in range(i + 1, n):
             np.add(k[i, i], k[j, j], out=bcos)
             np.subtract(k[i, j], k[j, i], out=bsin)
-            np.subtract(np.trace(k), bcos, out=alpha)
-            alpha -= y[:, None]
-            _, c, s = _affine_theta_argmin(affine)
+            if y is None:  # the coordinate moves by bcos (cos t - 1) + bsin sin t
+                theta = np.arctan2(bsin, bcos)
+                c, s = np.cos(theta), np.sin(theta)
+            else:
+                np.subtract(np.trace(k), bcos, out=alpha)
+                alpha -= y[:, None]
+                _, c, s = _affine_theta_argmin(affine)
             if right:
                 s = -s
             for x in turned:
@@ -883,38 +849,50 @@ def _descent_sweep(coord_terms, u, v, y, right: bool) -> tuple:
     return k, before
 
 
-def _closest_image_distance(coord_terms, n, y, starts, rng, two_sided):
-    """Multistart coordinate-descent estimate of dist(y, image of the term map).
+def _multistart(rows, a_list, y, starts, rng, two_sided, tol, max_sweeps):
+    """Multistart Givens search of the map of ``_sweep``, over U, V when two-sided.
 
-    ``coord_terms[m]`` lists (coef, P, A) triples with coordinate m evaluating
-    to sum coef * tr(P U A V) (V fixed to identity when one-sided). Since each
-    coordinate is affine in the sine and cosine of any single Givens angle,
-    every coordinate update is a two-harmonic minimization. The coordinates
-    are read as the traces of the K stack that each sweep turns in place.
-    The descent stops at ``CLOSEST_IMAGE_SWEEP_TOL`` and
-    ``CLOSEST_IMAGE_MAX_SWEEPS`` as ``max_trace_bruteforce`` does at its own.
+    Draws U, then V (V = I when one-sided), as ``starts`` Haar slabs and
+    sweeps them together, U's pairs before V's, until no start's objective
+    falls by ``tol`` in a full sweep, or for ``max_sweeps`` sweeps. Returns
+    the objective per start: minus the one coordinate when ``y`` is None
+    (the maximum is sought), else the squared distance to ``y``.
     """
-    rng = ensure_rng(rng)
-    y = np.asarray(y, dtype=float)
-    u = _haar_slabs(n, starts, rng)
-    v = _haar_slabs(n, starts, rng) if two_sided else None
+    u = _haar_slabs(a_list[0].shape[0], starts, rng)
+    if two_sided:
+        v = _haar_slabs(u.shape[0], starts, rng)
+        w = np.stack([_orbit_slabs(u.copy(), a, v) for a in a_list], axis=2)
+    else:  # U A in slab layout
+        w = np.stack([np.matmul(a.T, u) for a in a_list], axis=2)
 
     def objective(coords):
+        if y is None:
+            return -coords[0]
         diff = coords - y[:, None]
         return np.sum(diff * diff, axis=0)
 
     prev = None
-    for _ in range(CLOSEST_IMAGE_MAX_SWEEPS):
+    for _ in range(max_sweeps):
         for right in (False, True) if two_sided else (False,):
-            k, before = _descent_sweep(coord_terms, u, v, y, right)
+            k, before = _sweep(rows, w, y, right)
             if prev is None:
                 prev = objective(before)
-        cur = objective(np.trace(k))
-        if np.max(prev - cur) < CLOSEST_IMAGE_SWEEP_TOL:
-            prev = cur
+        prev, last = objective(np.trace(k)), prev
+        if np.max(last - prev) < tol:
             break
-        prev = cur
-    return float(np.sqrt(np.min(prev)))
+    return prev
+
+
+def _closest_image_distance(rows, a_list, y, starts, rng, two_sided):
+    """Multistart estimate of dist(y, image of the map sum_i tr(P_ji U A_i V)).
+
+    ``_multistart`` at the ``CLOSEST_IMAGE_*`` stop rule; each coordinate is
+    affine in the cosine and sine of one angle, so each update minimizes a
+    two-harmonic polynomial.
+    """
+    sq = _multistart(rows, a_list, np.asarray(y, dtype=float), starts, rng, two_sided,
+                     CLOSEST_IMAGE_SWEEP_TOL, CLOSEST_IMAGE_MAX_SWEEPS)
+    return float(np.sqrt(np.min(sq)))
 
 
 def nonconvex_planar_map(n: int, ell: int) -> LinearMapSpec:
@@ -956,13 +934,14 @@ def counterexample_report(
 ) -> dict:
     """Verify a stock non-convexity instance numerically.
 
-    Each instance is one term map: coordinate m is sum coef * tr(P U A V)
-    over its (coef, P, A) terms, zero beyond them up to ``ell``. The two
-    endpoints evaluate it at the instance's closed-form frame pairs, from 0
-    up, so they equal the expected integers exactly. The distance from their
-    midpoint to the image is estimated by multistart local minimization of
-    the same term map (``_closest_image_distance``; one-sided for ell3, whose
-    A is the identity); the midpoint must stay at least
+    Each instance is a map of orbit matrices A_i: coordinate j is
+    sum_i tr(P_ji U A_i V) over its coefficient rows (ell3: the one A = I,
+    one-sided; joint: ``nonconvex_joint_instance(n, m)``), zero beyond them
+    up to ``ell``. The two endpoints evaluate it at the instance's
+    closed-form frame pairs, from 0 up, so they equal the expected integers
+    exactly. The distance from their midpoint to the image is estimated by
+    multistart local minimization of the same map
+    (``_closest_image_distance``); the midpoint must stay at least
     ``COUNTEREXAMPLE_DISTANCE_THRESHOLD`` away for the instance to count as
     verified. The report records the threshold as ``distance_threshold``.
     Only the joint instance has an ``m`` (2 when None); the ell3 instance
@@ -979,36 +958,32 @@ def counterexample_report(
         lmap = nonconvex_planar_map(n, ell)
         x2 = np.eye(n)
         x2[n - 2 :, n - 2 :] = np.array([[0.0, -1.0], [1.0, 0.0]])
-        terms = [[(1.0, p, eye)] for p in lmap.mats]
+        rows, a_list = [[p] for p in lmap.mats], [eye]
         frames = ((eye, eye), (x2, eye))
         expected[:, :3] = (n - 2, n - 1, n - 2), (n - 2, n - 2, n - 1)
     elif kind == "joint":
         if ell < 2:
             raise PreconditionError(f"need ell >= 2, got {ell}")
         m = 2 if m is None else m
-        (a1, a2, *_), _ = nonconvex_joint_instance(n, m)
+        a_list, rows = nonconvex_joint_instance(n, m)
         u2 = np.eye(n)
         u2[:3, :3] = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         v2 = np.eye(n)
         v2[:3, :3] = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        terms = [
-            [(1.0, a1, a1), (1.0, a2, a2)],
-            [(1.0, a2, a1), (-1.0, a1, a2)],
-        ]
         frames = ((eye, eye), (u2, v2))
         expected[0, 0] = expected[1, 1] = 2.0
     else:
         raise ValueError(f"kind must be 'ell3' or 'joint', got {kind!r}")
 
-    # each endpoint is the term map at its frame pair, zero beyond the terms
+    # each endpoint is the map at its frame pair, zero beyond the rows
     ends = np.zeros((2, ell))
     for end, (u, v) in zip(ends, frames):
-        for coord, coord_terms in enumerate(terms):
-            for coef, p, a in coord_terms:
-                end[coord] += coef * np.einsum("ij,ji->", p, u @ a @ v)
+        for coord, row in enumerate(rows):
+            for p, a in zip(row, a_list):
+                end[coord] += np.einsum("ij,ji->", p, u @ a @ v)
     midpoint = 0.5 * (ends[0] + ends[1])
     distance = _closest_image_distance(
-        terms, n, midpoint[: len(terms)], starts, rng, two_sided=kind == "joint"
+        rows, a_list, midpoint[: len(rows)], starts, rng, two_sided=kind == "joint"
     )
     endpoints_exact = bool(np.array_equal(ends, expected))
     return {

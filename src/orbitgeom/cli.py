@@ -80,10 +80,14 @@ def _parse_alpha(text):
 
 def _vector(obj, key, path):
     """The list of numbers under ``key`` (empty when missing) as a float array."""
-    try:
-        return np.asarray(obj.get(key, ()), dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{path}: {key!r} must be a list of numbers") from None
+    return ser._numbers(obj.get(key, []), f"{path}: {key!r} must be a list of numbers")
+
+
+def _number(value, key, path):
+    """``value``, read under ``key``, if it is a JSON number."""
+    if not ser._is_number(value):
+        raise InputError(f"{path}: {key!r} must be a number, got {value!r}")
+    return value
 
 
 def _emit(args, text):
@@ -169,8 +173,7 @@ def _cmd_certify(args):
         alpha = vals[0]
     if alpha is None:
         raise InputError("certify needs 'alpha' in the input or --alpha")
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise InputError(f"{args.input}: 'alpha' must be a number, got {alpha!r}")
+    alpha = _number(alpha, "alpha", args.input)
     if "U" in obj or "V" in obj:  # both or neither: a lone frame is a missing key
         u = _get_matrix(obj, "U", args.input)
         v = _get_matrix(obj, "V", args.input)
@@ -306,7 +309,7 @@ def _cmd_thompson(args):
         det_sign = 0 if det == 0 else (1 if det > 0 else -1)
     else:
         s = _vector(obj, "s", args.input)
-        det_sign = obj.get("det_sign", 1)
+        det_sign = _number(obj.get("det_sign", 1), "det_sign", args.input)
     result = bd.thompson_membership(bd.DiagonalHullQuery(d=d, s=s, det_sign=det_sign))
     payload = {"member": result.member}
     if result.member:

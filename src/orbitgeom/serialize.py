@@ -22,16 +22,33 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": m.tolist()}
 
 
+def _is_number(x) -> bool:
+    """The JSON-number rule: an int or a float, never a bool (an int) or a string."""
+    return type(x) in (int, float)
+
+
+def _numbers(obj, message: str) -> np.ndarray:
+    """A number or nested lists of numbers as a float array, else ValueError(message)."""
+    todo = [obj]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, list):
+            todo.extend(x)
+        elif not _is_number(x):
+            raise ValueError(message)
+    try:
+        return np.asarray(obj, dtype=float)
+    except (ValueError, OverflowError):  # ragged rows, or an int beyond any float
+        raise ValueError(message) from None
+
+
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise ValueError(f"{name}: expected an object with rows, cols, data")
     expected = (obj["rows"], obj["cols"])
     if not all(type(x) is int for x in expected):  # a JSON true is no size
         raise ValueError(f"{name}: rows and cols must be integers, got {expected}")
-    try:
-        data = np.asarray(obj["data"], dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name}: data must be a list of rows of numbers") from None
+    data = _numbers(obj["data"], f"{name}: data must be a list of rows of numbers")
     if data.shape != expected:
         raise DimensionError(
             f"{name}: data has shape {data.shape} but header says {expected}"

@@ -55,10 +55,19 @@ def _counterexample():
     return og.counterexample_report("joint", rng=np.random.default_rng(32), starts=8)
 
 
+def _max_trace_bruteforce():
+    rng = np.random.default_rng(33)
+    return og.max_trace_bruteforce(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)),
+                                   starts=8, rng=rng)
+
+
 @pytest.mark.parametrize("call, layers", [
     (_star_check, {"certify.pool.run": 1, "certify.pool.target": 2}),
     (_joint_o1, {"certify.pool.run": 1, "certify.pool.target": 2}),
     (_counterexample, {"boundary._closest_image_distance": 1}),
+    # the max oracle shares the distance oracle's search, not its layer
+    (_max_trace_bruteforce, {"boundary.max_trace_bruteforce": 1,
+                             "boundary._closest_image_distance": 0}),
 ])
 def test_traced_calls_reach_their_layers(tracer, call, layers):
     before = tracer.patched_attributes()

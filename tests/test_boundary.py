@@ -792,43 +792,63 @@ class TestOracleKernels:
             gt = np.swapaxes(g, -1, -2)
             assert np.max(np.abs(np.moveaxis(cols, -1, 0) - stack @ gt)) <= 1e-15
 
-    def test_in_place_k_matches_rebuilt(self):
-        rng = np.random.default_rng(41)
-        n, starts = 4, 16
-        coord_terms = [
-            [(1.0, rng.standard_normal((n, n)), rng.standard_normal((n, n))),
-             (-0.5, rng.standard_normal((n, n)), rng.standard_normal((n, n)))],
-            [(2.0, rng.standard_normal((n, n)), rng.standard_normal((n, n)))],
-        ]
-        y = rng.standard_normal(2)
-        u = _haar_slabs(n, starts, rng)
-        v = _haar_slabs(n, starts, rng)
+    @staticmethod
+    def _search(rng, n, starts, ell, m, two_sided):
+        """Random rows P_ji (ell x m), orbit matrices A_i, U, V and W_i = U A_i V in slabs."""
+        rows = [[rng.standard_normal((n, n)) for _ in range(m)] for _ in range(ell)]
+        a_list = [rng.standard_normal((n, n)) + 3.0 * np.eye(n) for _ in range(m)]
+        u = np.moveaxis(_haar_slabs(n, starts, rng), -1, 0)
+        v = np.moveaxis(_haar_slabs(n, starts, rng), -1, 0) if two_sided else np.eye(n)
+        w = np.stack([np.moveaxis(u @ a @ v, 0, -1) for a in a_list], axis=2)
+        return rows, a_list, v, w
 
-        def rebuilt(order):
-            # K[:, :, m] from the turned factors, back in slab layout
-            us, vs = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
-            return np.stack([
-                np.moveaxis(sum(coef * order(us, pm, am, vs) for coef, pm, am in terms), 0, -1)
-                for terms in coord_terms
-            ], axis=2)
+    @staticmethod
+    def _rebuilt(rows, w, right):
+        """K_j = sum_i W_i P_ji (left) or sum_i P_ji W_i (right), from the stack form."""
+        ws = np.moveaxis(w, -1, 0)  # (starts, n, n, m)
+        return np.stack([
+            np.moveaxis(sum((p @ ws[..., i] if right else ws[..., i] @ p)
+                            for i, p in enumerate(row)), 0, -1)
+            for row in rows
+        ], axis=2)
 
-        def left(us, pm, am, vs):
-            return us @ am @ vs @ pm
-
-        def right(us, pm, am, vs):
-            return pm @ us @ am @ vs
-
-        def coords(k):
-            return np.einsum("iims->ms", k)
-
-        # each pass also reports the coordinates it started from
-        start = coords(rebuilt(left))
-        k_left, before = bd._descent_sweep(coord_terms, u, v, y, right=False)
+    def _assert_pass(self, rows, a_list, w, y, right, other):
+        """One _sweep pass: K as turned in place, the coordinates it started from, and
+        one turned factor for every W_i. That factor is U = W_i V^T A_i^-1 after a
+        left pass and V = A_i^-1 U^T W_i after a right one, given the other factor;
+        it is returned."""
+        start = np.einsum("iijs->js", self._rebuilt(rows, w, right))
+        k, before = bd._sweep(rows, w, y, right)
         assert np.max(np.abs(before - start)) <= 1e-12
-        assert np.max(np.abs(k_left - rebuilt(left))) <= 1e-12
-        k_right, before = bd._descent_sweep(coord_terms, u, v, y, right=True)
-        assert np.max(np.abs(before - coords(k_left))) <= 1e-12
-        assert np.max(np.abs(k_right - rebuilt(right))) <= 1e-12
+        assert np.max(np.abs(k - self._rebuilt(rows, w, right))) <= 1e-12
+        ws, ot = np.moveaxis(w, -1, 0), np.swapaxes(other, -1, -2)
+        frames = [np.linalg.inv(a) @ ot @ ws[..., i] if right
+                  else ws[..., i] @ ot @ np.linalg.inv(a) for i, a in enumerate(a_list)]
+        for f in frames:
+            assert np.max(np.abs(f - frames[0])) <= 1e-12
+        gram = np.swapaxes(frames[0], -1, -2) @ frames[0]
+        assert np.max(np.abs(gram - np.eye(w.shape[0]))) <= 1e-12
+        return frames[0]
+
+    def test_in_place_k_matches_rebuilt(self):
+        # two orbit matrices, two coordinates of two coefficient matrices each
+        rng = np.random.default_rng(41)
+        rows, a_list, v, w = self._search(rng, 4, 16, 2, 2, two_sided=True)
+        y = rng.standard_normal(2)
+        u = self._assert_pass(rows, a_list, w, y, False, v)
+        self._assert_pass(rows, a_list, w, y, True, u)
+
+    def test_in_place_k_matches_rebuilt_one_sided(self):
+        rng = np.random.default_rng(43)
+        rows, a_list, v, w = self._search(rng, 3, 16, 3, 1, two_sided=False)
+        self._assert_pass(rows, a_list, w, rng.standard_normal(3), False, v)
+
+    def test_max_rule_never_lowers_a_start(self):
+        rng = np.random.default_rng(44)
+        rows, _, _, w = self._search(rng, 4, 64, 1, 1, two_sided=True)
+        for right in (False, True, False, True):
+            k, before = bd._sweep(rows, w, None, right)
+            assert np.min(np.einsum("iijs->js", k) - before) >= -1e-12
 
 
 def _reference_closest_image_distance(coord_terms, n, y, starts, rng, two_sided,
@@ -900,12 +920,17 @@ def _reference_closest_image_distance(coord_terms, n, y, starts, rng, two_sided,
 class TestCounterexamples:
     @pytest.mark.parametrize("kind, n", [("ell3", 2), ("ell3", 3), ("ell3", 4), ("joint", 3)])
     def test_distance_matches_stack_reference(self, kind, n, monkeypatch):
-        # the slab-layout descent moves the seeded distances only at roundoff
+        # the slab-layout search moves the seeded distances only at roundoff
+        def reference(rows, a_list, y, starts, rng, two_sided):
+            # the rows as (1.0, P_ji, A_i) terms of the loop-form reference
+            terms = [[(1.0, p, a) for p, a in zip(row, a_list)] for row in rows]
+            return _reference_closest_image_distance(terms, len(a_list[0]), y, starts, rng,
+                                                     two_sided)
+
         for seed in (0, 1, 2):
             rep = og.counterexample_report(kind, n=n, ell=3 if kind == "ell3" else 2,
                                            rng=np.random.default_rng(seed), starts=128)
-            monkeypatch.setattr(bd, "_closest_image_distance",
-                                _reference_closest_image_distance)
+            monkeypatch.setattr(bd, "_closest_image_distance", reference)
             ref = og.counterexample_report(kind, n=n, ell=3 if kind == "ell3" else 2,
                                            rng=np.random.default_rng(seed), starts=128)
             monkeypatch.undo()
@@ -945,6 +970,15 @@ class TestCounterexamples:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             og.counterexample_report("nope", rng=np.random.default_rng(0))
+
+    def test_zero_orbit_matrices_add_nothing(self):
+        # the joint instance's A_i beyond the second are zero, as are their rows
+        reps = [og.counterexample_report("joint", n=3, m=m, rng=np.random.default_rng(20),
+                                         starts=64) for m in (2, 3)]
+        assert reps[1]["endpoints"] == reps[0]["endpoints"]
+        assert reps[1]["endpoints_exact"] and reps[1]["passed"]
+        assert abs(reps[1]["midpoint_distance_estimate"]
+                   - reps[0]["midpoint_distance_estimate"]) <= 1e-12
 
     def test_only_the_joint_instance_has_an_m(self):
         rng = np.random.default_rng(19)

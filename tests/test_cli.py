@@ -705,6 +705,7 @@ _STAR = {"A": _mat(np.eye(3)), "map": {"P": [_mat(np.diag([1.0, 0, 0])),
 _PLANAR = {"A": _mat(np.eye(3)), "P": _mat(np.eye(3)), "Q": _mat(np.eye(3))}
 _JOINT = {"A_list": [_mat(np.eye(3))], "kind": "O3",
           "maps": [[_mat(np.diag([1.0, 0, 0]))], [_mat(np.diag([0, 1.0, 0]))]]}
+_STRINGS = {"rows": 2, "cols": 2, "data": [["1", "0"], ["0", "1"]]}
 # the flags a subcommand needs besides --input and --out
 _NEEDS = {"joint": ["--seed", "1"], "certify": ["--seed", "1", "--alpha", "0.5"]}
 
@@ -739,10 +740,27 @@ def _refused(tmp_path, capsys, argv, payload, message):
                  "joint input needs 'A_list' (matrices) and 'maps'", id="joint-a-list-number"),
     pytest.param(["joint", "--seed", "1"], {**_JOINT, "maps": [5, 6]},
                  "joint input needs 'A_list' (matrices) and 'maps'", id="joint-maps-numbers"),
+    # a number is a JSON int or float, never a bool or a numeric string
+    pytest.param(["thompson"], {"d": [1.0, 0.5], "s": [2.0, 1.0], "det_sign": True},
+                 "'det_sign' must be a number, got True", id="thompson-det-sign-true"),
+    pytest.param(["thompson"], {"d": [1.0, 0.5], "s": [2.0, 1.0], "det_sign": "1"},
+                 "'det_sign' must be a number, got '1'", id="thompson-det-sign-string"),
+    pytest.param(["maxtrace"], {"P": _STRINGS, "A": _STRINGS},
+                 "P: data must be a list of rows of numbers", id="maxtrace-data-strings"),
+    pytest.param(["maxtrace"], {"P": _mat(np.eye(2)),
+                                "A": {"rows": 2, "cols": 2, "data": [[1.0, True], [0, 1]]}},
+                 "A: data must be a list of rows of numbers", id="maxtrace-data-bool"),
+    pytest.param(["thompson"], {"d": ["1.0", 0.5], "s": [2.0, 1.0]},
+                 "'d' must be a list of numbers", id="thompson-d-string"),
+    pytest.param(["thompson"], {"d": [1.0, 0.5], "s": [2.0, False]},
+                 "'s' must be a list of numbers", id="thompson-s-bool"),
+    pytest.param(["thompson"], {"d": [1.0, 10 ** 400], "s": [2.0, 1.0]},
+                 "'d' must be a list of numbers", id="thompson-d-int-beyond-float"),
 ])
 def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, argv, payload, message):
     # each of these once crashed with a TypeError traceback and exit 1, which
-    # is reserved for reports that record failures
+    # is reserved for reports that record failures, or (a bool or a numeric
+    # string read as a number) exited 0: det_sign true answered member: true
     _refused(tmp_path, capsys, argv, payload, message)
 
 
