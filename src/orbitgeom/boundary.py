@@ -57,12 +57,6 @@ WOLFE_GAP_TOL = 1e-14
 # region's diameter.
 CONVEXITY_VIOLATION_TOL = 1e-8
 CONVEXITY_GAP_SHARE = 0.01
-# Margin of the extreme-point filter before the hull, relative to the cloud's
-# largest coordinate: a point is dropped only this far inside the polygon of
-# the cloud's extremes. That is far above the roundoff of the filter's own
-# test and of the hull's turn test (a few 1e-16), and small enough that a
-# cloud of relative width 1e-9 (a nearly collinear image) is still filtered.
-HULL_FILTER_MARGIN = 1e-12
 
 
 def max_trace(p, a):
@@ -1056,66 +1050,23 @@ class ConvexityReport:
         return {**asdict(self), "passed": self.passed, "tolerances": tolerances.as_dict()}
 
 
-def _hull_candidates(pts) -> np.ndarray:
-    """Indices of the cloud points that are not well inside its convex hull.
-
-    The cloud's extremes along 16 directions are hull vertices in
-    counterclockwise order; the points strictly inside their polygon by
-    ``HULL_FILTER_MARGIN`` times the largest coordinate are dropped (Akl and
-    Toussaint, "A fast convex hull algorithm", Inf. Process. Lett. 7(5),
-    1978). The directions are a 22.5 degree turn apart once the cloud is
-    scaled to unit extent along its principal axes, so that a thin cloud has
-    extremes on its long sides too. A dropped point lies that far inside the
-    hull, so the survivors hold every hull vertex, every point within
-    roundoff of a hull edge, and every point where a linear function of the
-    cloud is largest. A flat cloud, or extremes that span no polygon, drop
-    no point; a flat cloud then lies on ``_convex_hull``'s chord, which that
-    routine finds in one linear pass without sorting a point.
-    """
-    x, y = np.ascontiguousarray(pts.T)
-    dx, dy = x - x.mean(), y - y.mean()
-    phi = 0.5 * np.arctan2(2.0 * (dx * dy).sum(), (dx * dx).sum() - (dy * dy).sum())
-    axes = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
-
-    def along(d):  # x d[0] + y d[1] of every point, written over dx
-        np.multiply(x, d[0], out=dx)
-        return np.add(dx, d[1] * y, out=dx)
-
-    extent = [np.ptp(along(d)) for d in axes]
-    if not min(extent) > 0.0:
-        return np.arange(len(x))
-    top, bottom = [], []
-    for t in np.pi * np.arange(8) / 8:
-        values = along(np.cos(t) / extent[0] * axes[0] + np.sin(t) / extent[1] * axes[1])
-        top.append(values.argmax())
-        bottom.append(values.argmin())
-    ring = top + bottom
-    ring = [i for k, i in enumerate(ring) if i != ring[k - 1]]
-    if len(ring) < 3:
-        return np.arange(len(x))
-    ex, ey = x[ring], y[ring]
-    # outward normals of the edges from each extreme to the next
-    nx, ny = np.roll(ey, -1) - ey, ex - np.roll(ex, -1)
-    margin = HULL_FILTER_MARGIN * max(np.abs(ex).max(), np.abs(ey).max())
-    bound = nx * ex + ny * ey - margin * np.hypot(nx, ny)
-    keep = np.zeros(len(x), dtype=bool)
-    for normal, c in zip(zip(nx, ny), bound):
-        keep |= along(normal) >= c
-    return np.flatnonzero(keep)
-
-
 def _convex_hull(points) -> np.ndarray:
     """Vertices of the convex hull of a 2-D cloud, counterclockwise.
 
-    Andrew's monotone chain ("Another efficient algorithm for convex hulls in
-    two dimensions", Inf. Process. Lett. 9(5), 1979). The chord between the
-    lexicographically first and last points splits the cloud. A point on the
-    chord is inside the hull or on one of its edges, so only the points
-    strictly below it (the lower chain, walked from the first point) and
-    strictly above it (the upper chain, walked back) are sorted and walked.
-    Points on a hull edge are dropped: a collinear cloud gives its two end
-    points, and a cloud of one distinct point gives that point.
+    Quickhull (Eddy, "A new convex hull algorithm for planar sets", ACM TOMS
+    3(4), 1977), driven by an explicit stack. The chord between the
+    lexicographically first and last points splits the cloud, and its cross
+    products serve both halves. A segment a->b keeps the points strictly
+    right of it, ``(b - a) x (p - a) < 0``, and splits at the farthest of
+    them (the one nearest a among exact ties), which is a hull vertex; a
+    segment that keeps no point is a hull edge. Points on a hull edge are
+    dropped: a collinear cloud gives its two end points, and a cloud of one
+    distinct point gives that point. The output starts at the first point.
     """
+
+    def cross(a, b, x, y):  # (b - a) x (p - a) of each point p = (x, y)
+        return (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
+
     x, y = points.T
     tied = np.flatnonzero(x == x.min())
     first = tied[np.argmin(y[tied])]
@@ -1123,22 +1074,21 @@ def _convex_hull(points) -> np.ndarray:
     last = tied[np.argmax(y[tied])]
     if first == last:
         return points[[first]]
-    side = _cross(points[first], points[last], (x, y))
-    hull = [points[first].tolist()]
-    for half, end in ((side < 0.0, last), (side > 0.0, first)):
-        start = len(hull)  # the chain never pops its first point, hull[start - 1]
-        walk = points[half]
-        walk = walk[np.lexsort(walk.T[::-1])].tolist()
-        for point in [*(walk if end == last else walk[::-1]), points[end].tolist()]:
-            while len(hull) > start and _cross(hull[-2], hull[-1], point) <= 0.0:
-                hull.pop()
-            hull.append(point)
-    return np.array(hull[:-1])
-
-
-def _cross(o, a, b):
-    """(a - o) x (b - o), positive where o, a, b turn counterclockwise."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    first, last = points[first], points[last]
+    side = cross(first, last, x, y)
+    hull, stack = [], [(last, first, x, y, -side), (first, last, x, y, side)]
+    while stack:
+        a, b, x, y, side = stack.pop()
+        keep = np.flatnonzero(side < 0.0)
+        if not len(keep):
+            hull.append(a)
+            continue
+        x, y, side = x[keep], y[keep], side[keep]
+        far = np.flatnonzero(side == side.min())
+        k = far[np.argmin((b[0] - a[0]) * x[far] + (b[1] - a[1]) * y[far])]
+        c = np.array([x[k], y[k]])
+        stack += [(c, b, x, y, cross(c, b, x, y)), (a, c, x, y, cross(a, c, x, y))]
+    return np.array(hull)
 
 
 def convexity_check(
@@ -1147,15 +1097,14 @@ def convexity_check(
     """Compare the exact support region with the hull of a sampled image.
 
     Reports the worst support violation of the samples and both one-sided
-    gaps between the sampled hull and the region polygon. The points well
-    inside the polygon of the cloud's extremes along 16 directions are
-    dropped first (``_hull_candidates``), which leaves a few dozen to a few
-    hundred of 1e5 samples. The survivors hold every hull vertex, so their
-    hull (``_convex_hull``) is the cloud's, and every point where a linear
-    functional is largest over the cloud: the violation is taken over them
-    and equals the maximum over the whole cloud. A flat (collinear) image
-    keeps every sample, and its hull is the segment between its end points;
-    the hull of one or two samples is the samples themselves. When the base
+    gaps between the sampled hull and the region polygon. One quickhull of
+    every sample (``_convex_hull``) gives a few dozen to a few hundred
+    vertices of 1e5 samples. A linear functional is largest over the cloud
+    at a hull vertex, so one violation pass over the vertices gives the
+    support violation of the whole cloud, and its positive part is the
+    hull-to-region gap. A flat (collinear) image has the segment between its
+    end points for hull; the hull of one or two samples is the samples
+    themselves. When the base
     matrix has tied singular values, a small perturbation to distinct values
     probes the image drift (stability of the convexity statement under
     perturbation): the largest norm in a small ``sample_image`` of the
@@ -1172,10 +1121,8 @@ def convexity_check(
     region = support_boundary(p, q, a, grid)
     lmap = LinearMapSpec((p, q))
     pts = sample_image(lmap, OrbitSpec(a), samples, rng).points
-    extreme = pts[_hull_candidates(pts)]
-    hull_poly = _convex_hull(extreme)
-    violation = region.violation(extreme)
-    gap_hull_to_region = max(0.0, region.violation(hull_poly))
+    hull_poly = _convex_hull(pts)
+    violation = region.violation(hull_poly)
     gap_region_to_hull = _point_polygon_distance(region.vertices, hull_poly)
 
     sv = np.linalg.svd(a, compute_uv=False)
@@ -1194,7 +1141,7 @@ def convexity_check(
         tie_probe = {"delta": delta, "drift": drift, "bound": float(bound)}
     return ConvexityReport(
         support_violation=violation,
-        gap_hull_to_region=gap_hull_to_region,
+        gap_hull_to_region=max(0.0, violation),
         gap_region_to_hull=gap_region_to_hull,
         diameter=region.diameter(),
         samples=samples,

@@ -18,7 +18,7 @@ from . import certify as cf
 from . import ellipsoids as el
 from . import serialize as ser
 from .config import tolerances
-from .linalg import DimensionError, PreconditionError, haar_rotation
+from .linalg import DimensionError, PreconditionError, haar_rotation, require_square
 from .orbits import JointOrbitSpec, OrbitSpec, reduce_joint, sample_image
 from .svgplot import render_svg
 
@@ -84,9 +84,11 @@ def _vector(obj, key, path):
 
 
 def _number(value, key, path):
-    """``value``, read under ``key``, if it is a JSON number."""
+    """``value``, read under ``key``, if it is a JSON number that a float can hold."""
     if not ser._is_number(value):
         raise InputError(f"{path}: {key!r} must be a number, got {value!r}")
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise InputError(f"{path}: {key!r} is an integer beyond the float range")
     return value
 
 
@@ -303,7 +305,7 @@ def _cmd_thompson(args):
         raise InputError(f"{args.input}: missing key 'd' (diagonal vector)")
     d = _vector(obj, "d", args.input)
     if "A" in obj:
-        a = _get_matrix(obj, "A", args.input)
+        a = require_square(_get_matrix(obj, "A", args.input), "A")
         s = np.linalg.svd(a, compute_uv=False)
         det = float(np.linalg.det(a))
         det_sign = 0 if det == 0 else (1 if det > 0 else -1)

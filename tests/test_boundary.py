@@ -14,7 +14,6 @@ from orbitgeom import serialize
 from orbitgeom.boundary import (
     _block_diag,
     _convex_hull,
-    _hull_candidates,
     _point_polygon_distance,
 )
 from orbitgeom.linalg import _haar_slabs
@@ -1043,8 +1042,8 @@ class TestHullReducedViolation:
     @pytest.mark.parametrize("group", ["SO", "O"])
     def test_hull_points_carry_the_cloud_maximum(self, n, group):
         # the support violation over hull vertices and Qc-coplanar points, and
-        # over the filter's candidates, is the brute-force maximum over every
-        # sample, bit for bit
+        # over the vertices of _convex_hull, is the brute-force maximum over
+        # every sample, bit for bit
         for seed, count in ((0, 10000), (1, 50000)):
             rng = np.random.default_rng(80 + 10 * n + seed)
             p, q, a = (rng.standard_normal((n, n)) for _ in range(3))
@@ -1055,7 +1054,27 @@ class TestHullReducedViolation:
             hull = scipy.spatial.ConvexHull(pts)
             extreme = np.union1d(hull.vertices, hull.coplanar[:, 0])
             assert region.violation(pts[extreme]) == region.violation(pts)
-            assert region.violation(pts[_hull_candidates(pts)]) == region.violation(pts)
+            assert region.violation(_convex_hull(pts)) == region.violation(pts)
+
+    @pytest.mark.parametrize("shape", ["generic", "Q=2P", "Q=0"])
+    def test_one_violation_pass_over_the_hull(self, monkeypatch, shape):
+        # one violation pass per report, over the hull vertices only: a flat
+        # image's hull is two points, not its whole cloud
+        p, q, a, _ = _cloud(3, "SO", shape, 0, 85)
+        sizes = []
+        violation = bd.SupportRegion.violation
+
+        def recording(region, points):
+            sizes.append(len(points))
+            return violation(region, points)
+
+        monkeypatch.setattr(bd.SupportRegion, "violation", recording)
+        og.convexity_check(p, q, a, samples=20000, rng=np.random.default_rng(86), grid=360)
+        pts = og.sample_image(og.LinearMapSpec((p, q)), og.OrbitSpec(a), 20000,
+                              np.random.default_rng(86)).points
+        assert len(sizes) == 1 and sizes[0] <= len(_convex_hull(pts))
+        if shape != "generic":
+            assert sizes == [2]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_report_equals_brute_force_over_the_cloud(self, n):
@@ -1135,13 +1154,7 @@ class TestHullCandidates:
                                          (5, "SO"), (5, "O")])
     def test_candidates_keep_the_hull(self, n, group, count):
         _, _, _, pts = _cloud(n, group, "generic", count, 40 + 10 * n + count)
-        cand = _hull_candidates(pts)
-        hull = scipy.spatial.ConvexHull(pts)
-        assert set(cand[scipy.spatial.ConvexHull(pts[cand]).vertices]) == set(hull.vertices)
-        assert set(hull.coplanar[:, 0]) <= set(cand)
-        _assert_same_hull(_convex_hull(pts[cand]), pts[hull.vertices])
-        if count > 1000:
-            assert len(cand) < count // 20
+        _assert_same_hull(_convex_hull(pts), pts[scipy.spatial.ConvexHull(pts).vertices])
 
     def test_chain_drops_edge_points_and_repeats(self):
         # a unit square's corners, repeated, with its edge midpoints, centre
@@ -1151,19 +1164,31 @@ class TestHullCandidates:
         pts = np.random.default_rng(41).permutation(np.array(corners * 2 + others))
         assert np.array_equal(_convex_hull(pts), corners)
 
+    def test_exact_ties_split_nearest_the_segment_start(self):
+        # three points tie as farthest below the chord (0, 0)-(4, 0); the
+        # middle one lies on the hull edge between the other two, in any order
+        for order in itertools.permutations([[1.0, -1.0], [2.0, -1.0], [3.0, -1.0]]):
+            pts = np.array([[4.0, 0.0], *order, [0.0, 0.0], [2.0, -0.5]])
+            assert _convex_hull(pts).tolist() == [[0.0, 0.0], [1.0, -1.0], [3.0, -1.0],
+                                                  [4.0, 0.0]]
+
     @pytest.mark.parametrize("shape", ["Q=2P", "Q=0", "near-collinear"])
     def test_flat_and_near_flat_clouds(self, shape):
         _, _, _, pts = _cloud(3, "SO", shape, 20000, 50)
-        cand = _hull_candidates(pts)
         if shape == "near-collinear":
-            # a thin cloud is filtered too: its extremes are taken in its own
-            # principal frame, where it has extremes on its long sides
-            hull = scipy.spatial.ConvexHull(pts)
-            assert set(cand[scipy.spatial.ConvexHull(pts[cand]).vertices]) == set(hull.vertices)
-            assert len(cand) < len(pts) // 20
+            # a thin cloud is a 2-D hull: qhull's vertices in qhull's order,
+            # and any other vertex (the turn tests keep one that qhull merges
+            # into an edge) within roundoff of qhull's polygon
+            hull = _convex_hull(pts)
+            qhull_poly = pts[scipy.spatial.ConvexHull(pts).vertices]
+            on_qhull = np.array([(qhull_poly == v).all(axis=1).any() for v in hull])
+            _assert_same_hull(hull[on_qhull], qhull_poly)
+            off = _point_polygon_distance(hull[~on_qhull], qhull_poly)
+            assert off <= 1e-14 * np.abs(pts).max()
         else:
-            # no polygon to filter by: every point goes on to the hull
-            assert np.array_equal(cand, np.arange(len(pts)))
+            # a segment: its lexicographically first and last points
+            ends = pts[np.lexsort(pts.T[::-1])[[0, -1]]]
+            assert np.array_equal(_convex_hull(pts), ends)
 
     @pytest.mark.parametrize("count", [4, 15, 20000])
     @pytest.mark.parametrize("shape", ["n=3", "n=4", "n=5", "Q=2P", "Q=0", "near-collinear",
@@ -1180,7 +1205,7 @@ class TestHullCandidates:
         if shape == "ultra-thin":
             # a cloud of relative width 1e-13 is within roundoff of flat:
             # where qhull finds no 2-D hull the reference takes the segment
-            # along the spread and the chain keeps a sliver, which moves a
+            # along the spread and quickhull keeps a sliver, which moves a
             # gap by far less than 1e-15 of the diameter
             assert np.allclose(gaps, _unfiltered_gaps(region, pts), rtol=0.0,
                                atol=1e-15 * rep.diameter)
@@ -1264,9 +1289,7 @@ class TestConvexityCheck:
     def test_near_collinear_image_is_filtered_and_keeps_its_hull(self):
         # a cloud of relative width 1e-9 is a thin 2-D hull, not a segment
         _, _, _, pts = _cloud(3, "SO", "near-collinear", 5000, 26)
-        cand = _hull_candidates(pts)
-        assert len(cand) < len(pts) // 20
-        _assert_same_hull(_convex_hull(pts[cand]), pts[scipy.spatial.ConvexHull(pts).vertices])
+        _assert_same_hull(_convex_hull(pts), pts[scipy.spatial.ConvexHull(pts).vertices])
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_one_or_two_samples_are_their_own_hull(self, count):

@@ -756,6 +756,8 @@ def _refused(tmp_path, capsys, argv, payload, message):
                  "'s' must be a list of numbers", id="thompson-s-bool"),
     pytest.param(["thompson"], {"d": [1.0, 10 ** 400], "s": [2.0, 1.0]},
                  "'d' must be a list of numbers", id="thompson-d-int-beyond-float"),
+    pytest.param(["certify", "--seed", "1"], {**_STAR, "alpha": 10 ** 400},
+                 "'alpha' is an integer beyond the float range", id="certify-alpha-beyond-float"),
 ])
 def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, argv, payload, message):
     # each of these once crashed with a TypeError traceback and exit 1, which
@@ -787,6 +789,10 @@ def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, argv, payload,
                  "svg rendering of curves is planar only", id="ellipsoid-svg"),
     pytest.param(["thompson"], {"s": [1.0]}, "missing key 'd' (diagonal vector)",
                  id="thompson-no-d"),
+    # a non-square A once stopped with numpy's message, which names no key
+    pytest.param(["thompson"], {"d": [1.0, 0.5], "A": {"rows": 2, "cols": 3,
+                                                       "data": [[1.0, 0, 0], [0, 1.0, 0]]}},
+                 "A must be square", id="thompson-a-not-square"),
     pytest.param(["joint", "--seed", "1"], {"maps": _JOINT["maps"]},
                  "joint input needs 'A_list' (matrices) and 'maps'", id="joint-no-a-list"),
 ])
