@@ -13,7 +13,6 @@ from .linalg import (
     PreconditionError,
     RotationPath,
     SignedSVD,
-    complete_to_rotation,
     geodesic,
     haar_rotation,
     haar_rotations,
@@ -24,10 +23,8 @@ from .linalg import (
 from .orbits import (
     JointOrbitSpec,
     LinearMapSpec,
-    OrbitSpec,
     PointCloud,
     apply_map,
-    orbit_point,
     reduce_joint,
     sample_image,
 )

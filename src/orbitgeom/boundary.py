@@ -33,7 +33,7 @@ from .linalg import (
     require_square_stack,
     signed_svd,
 )
-from .orbits import LinearMapSpec, OrbitSpec, _orbit_slabs, sample_image
+from .orbits import LinearMapSpec, _orbit_slabs, sample_image
 
 # Bands of the maximizer-set checks, relative to the scale max|A| + 1:
 # singular-value, determinant-sign and trace agreement, and the block
@@ -1120,7 +1120,7 @@ def convexity_check(
     rng = ensure_rng(rng)
     region = support_boundary(p, q, a, grid)
     lmap = LinearMapSpec((p, q))
-    pts = sample_image(lmap, OrbitSpec(a), samples, rng).points
+    pts = sample_image(lmap, a, samples, rng).points
     hull_poly = _convex_hull(pts)
     violation = region.violation(hull_poly)
     gap_region_to_hull = _point_polygon_distance(region.vertices, hull_poly)
@@ -1135,7 +1135,7 @@ def convexity_check(
         s_new = f.s + np.sign(f.s + (f.s == 0)) * bump
         a_delta = (f.u * s_new) @ f.v.T
         probes = min(200, max(1, samples // 100))
-        diff = sample_image(lmap, OrbitSpec(a - a_delta), probes, rng).points
+        diff = sample_image(lmap, a - a_delta, probes, rng).points
         drift = float(np.max(np.hypot(diff[:, 0], diff[:, 1])))
         bound = 10.0 * delta * (np.linalg.norm(p) + np.linalg.norm(q))
         tie_probe = {"delta": delta, "drift": drift, "bound": float(bound)}

@@ -65,7 +65,7 @@ from .linalg import (
     require_square,
     rotation_defect,
 )
-from .orbits import JointOrbitSpec, LinearMapSpec, OrbitSpec, _as_map, _joint_rows, reduce_joint
+from .orbits import JointOrbitSpec, LinearMapSpec, _as_map, _joint_rows, reduce_joint
 
 
 @dataclass(frozen=True)
@@ -608,19 +608,17 @@ def _run_targets(jobs, alpha_grid, config) -> StarReport:
     return StarReport(results=results, config=config)
 
 
-def star_check(lmap, orbit: OrbitSpec, num_targets: int, alpha_grid, rng) -> StarReport:
-    """Certify alpha-scaled random image points of the orbit; failures are recorded.
+def star_check(lmap, a, num_targets: int, alpha_grid, rng) -> StarReport:
+    """Certify alpha-scaled random image points of A's orbit; failures are recorded.
 
     The inputs are checked once, whatever the number of targets. The frames
-    are drawn from SO(n); an orbit of another group raises
-    ``PreconditionError``.
+    are drawn from SO(n), (U, V) per target.
     """
-    if orbit.group != "SO":
-        raise PreconditionError(f"star_check certifies SO orbits only, got {orbit.group!r}")
     alpha_grid = [float(x) for x in alpha_grid]
-    mats, a = _checked(lmap, orbit.a, alpha_grid)
-    jobs = [(mats, a, u, v) for u, v in _frames(orbit.n, num_targets, ensure_rng(rng))]
-    config = {"kind": "single", "n": orbit.n, "ell": len(mats)}
+    mats, a = _checked(lmap, a, alpha_grid)
+    n = a.shape[0]
+    jobs = [(mats, a, u, v) for u, v in _frames(n, num_targets, ensure_rng(rng))]
+    config = {"kind": "single", "n": n, "ell": len(mats)}
     return _run_targets(jobs, alpha_grid, config)
 
 

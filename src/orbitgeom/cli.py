@@ -19,7 +19,7 @@ from . import ellipsoids as el
 from . import serialize as ser
 from .config import tolerances
 from .linalg import DimensionError, PreconditionError, haar_rotation, require_square
-from .orbits import JointOrbitSpec, OrbitSpec, reduce_joint, sample_image
+from .orbits import JointOrbitSpec, reduce_joint, sample_image
 from .svgplot import render_svg
 
 
@@ -112,11 +112,10 @@ def _cmd_sample(args):
     obj = _load_input(args.input)
     a = _get_matrix(obj, "A", args.input)
     lmap = _get_map(obj, args.input)
-    group = obj.get("group", "SO")
     rng = _require_seed(args)
     if args.format == "svg" and lmap.ell < 2:
         raise InputError("svg rendering of samples needs at least two map coordinates")
-    cloud = sample_image(lmap, OrbitSpec(a, group), args.samples, rng)
+    cloud = sample_image(lmap, a, args.samples, rng)
     if args.format == "csv":
         _emit(args, ser.cloud_to_csv(cloud))
         print(f"seed={args.seed} samples={len(cloud)}", file=sys.stderr)
@@ -158,7 +157,7 @@ def _cmd_star_check(args):
     lmap = _get_map(obj, args.input)
     rng = _require_seed(args)
     alphas = _parse_alpha(args.alpha)
-    report = cf.star_check(lmap, OrbitSpec(a), args.samples, alphas, rng)
+    report = cf.star_check(lmap, a, args.samples, alphas, rng)
     _json_out(args, report.to_json(), seed_used=args.seed)
     return 0 if not report.failures else 1
 
@@ -305,6 +304,8 @@ def _cmd_thompson(args):
         raise InputError(f"{args.input}: missing key 'd' (diagonal vector)")
     d = _vector(obj, "d", args.input)
     if "A" in obj:
+        if "s" in obj or "det_sign" in obj:
+            raise InputError(f"{args.input}: give either 'A' or 's' and 'det_sign', not both")
         a = require_square(_get_matrix(obj, "A", args.input), "A")
         s = np.linalg.svd(a, compute_uv=False)
         det = float(np.linalg.det(a))

@@ -6,7 +6,8 @@ helpers enforce this at API boundaries instead of wrapping arrays in a class.
 
 Provides the signed SVD (both factors forced into the rotation group, the
 determinant sign absorbed into the last diagonal entry), Haar sampling,
-one-segment geodesic paths, and orthonormal completion to a full rotation.
+one-segment geodesic paths, and, for the package's own frames, orthonormal
+completion to a full rotation (``_completions``).
 Everything here is numpy: a geodesic's logarithm comes from one Hermitian
 eigendecomposition, so no path of the package loads scipy.
 """
@@ -487,31 +488,11 @@ def _geodesic(u_start, u_end) -> RotationPath:
     return RotationPath(u_start @ z, np.swapaxes(z, -1, -2), theta)
 
 
-def complete_to_rotation(columns) -> np.ndarray:
-    """Rotation whose leading columns are the given orthonormal vectors.
-
-    The remaining columns come from an orthonormal completion; the determinant
-    is fixed to +1 by negating the last free column. Requires at least one
-    free column when the completion would otherwise have determinant -1.
-    """
-    cols = [np.asarray(c, dtype=float).reshape(-1) for c in columns]
-    if not cols:
-        raise ValueError("at least one column is required")
-    c = np.column_stack(cols)
-    n, k = c.shape
-    if k > n:
-        raise DimensionError(f"cannot place {k} columns in dimension {n}")
-    gram = c.T @ c
-    if np.max(np.abs(gram - np.eye(k))) > tolerances.matrix_residual:
-        raise ValueError("supplied columns are not orthonormal")
-    if k == n and np.linalg.det(c) < 0:
-        raise ValueError("full column set has determinant -1; no free column to fix")
-    return _completions(c)
-
-
 def _completions(cols) -> np.ndarray:
-    """Unchecked ``complete_to_rotation`` of orthonormal columns (..., n, k), stacks too:
-    a complete QR, the columns put back, the last column negated where det < 0."""
+    """The rotation whose leading columns are the given orthonormal columns
+    (..., n, k), stacks too: a complete QR, the columns put back, the last
+    column negated where det < 0. Unchecked; the columns must leave at least
+    one free column or already have determinant +1."""
     q = np.linalg.qr(cols, mode="complete")[0]
     q[..., :cols.shape[-1]] = cols
     q[..., -1] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]

@@ -1,7 +1,10 @@
 """Orbits of a matrix under two-sided rotation, linear trace maps, and sampling.
 
 The orbit of A collects all products U @ A @ V with U, V rotations; every
-element shares A's singular values and determinant sign. Linear maps into
+element shares A's singular values and determinant sign. An orbit is passed
+as A itself. Orthogonal factors with det U = det V = -1 give no other set:
+with D = diag(1, ..., 1, -1) and A = X S Y its signed SVD, (U D) A (V D) is
+(U D X D X^T) A (Y^T D Y V D), both factors rotations. Linear maps into
 R^ell are carried by coefficient matrices P_1, ..., P_ell acting through
 traces, ``x -> (tr(P_1 x), ..., tr(P_ell x))``.
 """
@@ -17,7 +20,7 @@ from .linalg import (
     _haar_finish,
     _haar_normals,
     ensure_rng,
-    require_rotation,
+    require_rotation,  # unused; bench/selftest.py expects the tracer to wrap it here
     require_same_size,
     require_square,
 )
@@ -48,23 +51,6 @@ class LinearMapSpec:
     @property
     def n(self) -> int:
         return self.mats[0].shape[0]
-
-
-@dataclass(frozen=True)
-class OrbitSpec:
-    """Two-sided orbit of a square matrix under the chosen group (SO or O)."""
-
-    a: np.ndarray
-    group: str = "SO"
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", require_square(self.a, "A"))
-        if self.group not in ("SO", "O"):
-            raise ValueError(f"group must be 'SO' or 'O', got {self.group!r}")
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -144,32 +130,20 @@ def apply_map(lmap, x) -> np.ndarray:
     return np.array([np.einsum("ij,ji->", p, x) for p in mats])
 
 
-def orbit_point(a, u, v) -> np.ndarray:
-    """One orbit element U @ A @ V; preserves singular values and det sign."""
-    a = require_square(a, "A")
-    u = require_rotation(u, "U")
-    v = require_rotation(v, "V")
-    require_same_size(A=a, U=u, V=v)
-    return u @ a @ v
-
-
 def _orbit_slabs(u, a, v) -> np.ndarray:
     """U A V for slab stacks U, V of shape (n, n, count), written over U's buffer."""
     return np.einsum("ibk,bjk->ijk", np.matmul(a.T, u), v, out=u)
 
 
-def sample_image(lmap, orbit: OrbitSpec, count: int, rng) -> PointCloud:
-    """Monte Carlo sample of the orbit image under the map.
+def sample_image(lmap, a, count: int, rng) -> PointCloud:
+    """Monte Carlo sample of the image of A's orbit under the map.
 
     The factors U and V are Haar rotations in slab layout (``_haar_normals``
     and ``_haar_finish``: closed-form angles for n = 2, uniform unit
     quaternions for n = 3, Shoemake, "Uniform random rotations", Graphics
-    Gems III, 1992; QR of Gaussian matrices otherwise). For the full
-    orthogonal group they are drawn Haar on O_n with matching determinant
-    signs: the last column of both is flipped with probability 1/2, which
-    keeps each factor Haar on O_n. All of U's normals are drawn first, then
-    all of V's, then the flips. The samples are then finished in blocks of
-    about 4096: the block's rotations, X = U A V slab by slab in two
+    Gems III, 1992; QR of Gaussian matrices otherwise). All of U's normals
+    are drawn first, then all of V's. The samples are then finished in
+    blocks of about 4096: the block's rotations, X = U A V slab by slab in two
     products, and the points as one (block, n^2) by (n^2, ell) product
     against the matrix whose column m is P_m^T flattened, since
     tr(P X) = sum_ij X_ij (P^T)_ij. Each sample's point is the same, bit for
@@ -178,23 +152,20 @@ def sample_image(lmap, orbit: OrbitSpec, count: int, rng) -> PointCloud:
     path, which rounds differently.
     """
     mats = _as_map(lmap).mats
-    n = require_same_size(P=mats[0], A=orbit.a)
+    a = require_square(a, "A")
+    n = require_same_size(P=mats[0], A=a)
     rng = ensure_rng(rng)
     if count == 0:
         return PointCloud(points=np.empty((0, len(mats))))
     gu = _haar_normals(n, count, rng)
     gv = _haar_normals(n, count, rng)
-    flip = rng.random(count) < 0.5 if orbit.group == "O" else None
     pt = np.stack([p.T.ravel() for p in mats], axis=1)
     pts = np.empty((count, len(mats)))
     edges = [*range(0, max(count - 1, 1), _SAMPLE_BLOCK), count]
     for lo, hi in zip(edges, edges[1:]):
         u = _haar_finish(n, gu[..., lo:hi])
         v = _haar_finish(n, gv[..., lo:hi])
-        if flip is not None:
-            u[:, -1, flip[lo:hi]] *= -1.0
-            v[:, -1, flip[lo:hi]] *= -1.0
-        x = _orbit_slabs(u, orbit.a, v)
+        x = _orbit_slabs(u, a, v)
         pts[lo:hi] = x.reshape(n * n, hi - lo).T @ pt
     return PointCloud(points=pts)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import orbitgeom as og
-from orbitgeom.orbits import JointOrbitSpec, OrbitSpec
+from orbitgeom.orbits import JointOrbitSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -41,7 +41,7 @@ def test_every_layer_exists(tracer):
 def _star_check():
     rng = np.random.default_rng(30)
     mats = [rng.standard_normal((4, 4)) for _ in range(3)]
-    return og.star_check(mats, OrbitSpec(rng.standard_normal((4, 4))), 2, [0.5, 1.0], rng)
+    return og.star_check(mats, rng.standard_normal((4, 4)), 2, [0.5, 1.0], rng)
 
 
 def _joint_o1():

@@ -11,7 +11,7 @@ import scipy.linalg
 import orbitgeom as og
 from orbitgeom import certify, serialize
 from orbitgeom.cli import main
-from orbitgeom.orbits import JointOrbitSpec, OrbitSpec, apply_map
+from orbitgeom.orbits import JointOrbitSpec, apply_map
 
 
 class TestHomotopyRealize:
@@ -448,7 +448,7 @@ class TestStarCheck:
     def test_identity_orbit(self):
         rep = og.star_check(
             [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])],
-            OrbitSpec(np.eye(3)),
+            np.eye(3),
             10,
             [0.0, 0.25, 0.5, 0.75, 1.0],
             np.random.default_rng(14),
@@ -461,7 +461,7 @@ class TestStarCheck:
         a = rng.standard_normal((3, 3))
         rep = og.star_check(
             [rng.standard_normal((3, 3)) for _ in range(2)],
-            OrbitSpec(a), 10, [1.0], rng,
+            a, 10, [1.0], rng,
         )
         assert rep.max_residual <= 1e-12
 
@@ -470,7 +470,7 @@ class TestStarCheck:
         a = rng.standard_normal((4, 4))
         rep = og.star_check(
             [rng.standard_normal((4, 4)) for _ in range(3)],
-            OrbitSpec(a), 5, [0.0, 0.5, 1.0], rng,
+            a, 5, [0.0, 0.5, 1.0], rng,
         )
         assert not rep.failures
         assert rep.max_residual <= 1e-8
@@ -482,7 +482,7 @@ class TestStarCheckJoint:
         rng2 = np.random.default_rng(17)
         a = np.diag([3.0, 2.0, 1.0])
         ps = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])]
-        rep_single = og.star_check(ps, OrbitSpec(a), 5, [0.25, 0.75], rng1)
+        rep_single = og.star_check(ps, a, 5, [0.25, 0.75], rng1)
         rep_joint = og.star_check_joint(
             [[p] for p in ps], JointOrbitSpec((a,), "O3"), 5, [0.25, 0.75], rng2
         )
@@ -522,7 +522,7 @@ class TestStarCheckJoint:
         alphas = [0.0, 0.4, 1.0]
         rep = og.star_check_joint(rows, JointOrbitSpec(a_list, kind), 4, alphas,
                                   np.random.default_rng(27))
-        ref = og.star_check(og.reduce_joint(rows, a_list, kind), OrbitSpec(np.eye(3)), 4,
+        ref = og.star_check(og.reduce_joint(rows, a_list, kind), np.eye(3), 4,
                             alphas, np.random.default_rng(27))
         assert repr(rep.results) == repr(ref.results)
         assert {**rep.config, "kind": "single"} == {**ref.config, "m": 2}
@@ -535,7 +535,7 @@ class TestStarCheckJoint:
                             dataclasses.replace(og.tolerances, certificate_residual=1e-30))
         rep = og.star_check(
             [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])],
-            OrbitSpec(np.eye(3)), 2, [0.5], np.random.default_rng(22),
+            np.eye(3), 2, [0.5], np.random.default_rng(22),
         )
         assert len(rep.failures) == 2
         assert all(r.error for r in rep.failures)
@@ -544,7 +544,7 @@ class TestStarCheckJoint:
         rng = np.random.default_rng(21)
         rep = og.star_check(
             [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])],
-            OrbitSpec(np.eye(3)), 2, [0.5], rng,
+            np.eye(3), 2, [0.5], rng,
         )
         payload = rep.to_json()
         assert set(payload) == {"config", "max_residual", "num_failures", "results"}
@@ -558,7 +558,7 @@ class TestStarCheckPreconditions:
 
     def test_star_check_rejects_a_negative_count(self):
         with pytest.raises(ValueError, match="num_targets must be at least 0, got -2"):
-            og.star_check(self.PS, OrbitSpec(np.eye(3)), -2, [0.5], np.random.default_rng(0))
+            og.star_check(self.PS, np.eye(3), -2, [0.5], np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", ["O1", "O3"])
     def test_star_check_joint_rejects_a_negative_count(self, kind):
@@ -569,13 +569,13 @@ class TestStarCheckPreconditions:
     def test_empty_grid_still_checks_sizes(self):
         # an empty alpha grid once skipped the size check and returned an empty report
         with pytest.raises(og.DimensionError, match=r"P \(3, 3\), A \(4, 4\)"):
-            og.star_check(self.PS, OrbitSpec(np.eye(4)), 2, [], np.random.default_rng(0))
+            og.star_check(self.PS, np.eye(4), 2, [], np.random.default_rng(0))
 
     @staticmethod
     def _star(kind, mats, a, alphas, num_targets=0):
         rng = np.random.default_rng(0)
         if kind == "single":
-            return og.star_check(mats, OrbitSpec(a), num_targets, alphas, rng)
+            return og.star_check(mats, a, num_targets, alphas, rng)
         return og.star_check_joint([[p] for p in mats], JointOrbitSpec((a,), kind),
                                    num_targets, alphas, rng)
 
@@ -613,12 +613,6 @@ class TestStarCheckPreconditions:
         rep = self._star(kind, self.PS, np.eye(3), [0.0, 0.5], num_targets=5)
         assert len(rep.results) == 10 and not rep.failures
         assert rotation_checks == []
-
-    def test_star_check_refuses_o_orbits(self):
-        # its frames are drawn from SO(n) only; an O orbit was certified as SO
-        with pytest.raises(og.PreconditionError, match="SO orbits only, got 'O'"):
-            og.star_check(self.PS, OrbitSpec(np.eye(3), "O"), 2, [0.5],
-                          np.random.default_rng(0))
 
 
 def test_tolerances_are_read_only():
@@ -661,7 +655,7 @@ class TestLockstepLanes:
         rng = np.random.default_rng(40 + n)
         mats = list(rng.standard_normal((3, n, n)))
         a = rng.standard_normal((n, n))
-        report = og.star_check(mats, OrbitSpec(a), 8, self.ALPHAS, np.random.default_rng(n))
+        report = og.star_check(mats, a, 8, self.ALPHAS, np.random.default_rng(n))
         jobs = [(mats, a, u, v) for u, v in certify._frames(n, 8, np.random.default_rng(n))]
         assert not report.failures
         self._assert_lanes_alone(report, jobs)
@@ -813,6 +807,15 @@ class TestStructuredTargets:
                  ValueError, "alpha must be in [0, 1], got 1.5", id="alpha"),
     pytest.param(lambda: og.certify_scaled_point([np.eye(3)], *[np.eye(3)] * 3, 0.5),
                  og.PreconditionError, "need at least two map coordinates", id="one-coordinate"),
+    # star_check checks A itself, with the class and message of require_square
+    pytest.param(lambda: og.star_check([np.eye(3)] * 2, np.ones((3, 2)), 1, [0.5], 0),
+                 og.DimensionError,
+                 "A must be square or a stack of square matrices, got shape (3, 2)",
+                 id="star-a-not-square"),
+    pytest.param(lambda: og.star_check([np.eye(3)] * 2, np.full((3, 3), np.inf), 1, [0.5], 0),
+                 ValueError, "A contains non-finite entries", id="star-a-non-finite"),
+    pytest.param(lambda: og.star_check([np.eye(3)] * 2, np.eye(4), 1, [0.5], 0),
+                 og.DimensionError, "sizes differ: P (3, 3), A (4, 4)", id="star-a-size"),
 ])
 def test_input_checks(call, cls, message):
     """Each check raises its class with its message (checks no other test reaches)."""

@@ -60,9 +60,24 @@ class TestSample:
         payload = json.loads(out.read_text())
         assert (payload["count"], payload["seed"]) == (100, 1)
         assert payload["tolerances"] == orbitgeom.tolerances.as_dict()
-        cloud = orbitgeom.sample_image([_e(0, 0), _e(1, 0)], orbitgeom.OrbitSpec(np.eye(2)),
-                                       100, np.random.default_rng(1))
+        cloud = orbitgeom.sample_image([_e(0, 0), _e(1, 0)], np.eye(2), 100,
+                                       np.random.default_rng(1))
         assert np.array_equal(payload["points"], cloud.points)
+
+    def test_group_key_is_ignored(self, tmp_path):
+        # sample reads no "group" key: the orbit under det-matched orthogonal
+        # factors is the rotation orbit, so the key is ignored like any other
+        # key the command does not read
+        payload = {"A": _mat([[2.0, 1.0], [0.0, -1.0]]),
+                   "map": {"P": [_mat(_e(0, 0)), _mat(_e(1, 0))]}}
+        texts = []
+        for name, extra in (("plain.json", {}), ("group.json", {"group": "O"})):
+            path = _write(tmp_path, name, {**payload, **extra})
+            out = tmp_path / "out.json"
+            assert main(["sample", "--input", path, "--seed", "4", "--samples", "50",
+                         "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
     def test_svg_draws_every_point(self, tmp_path, circle_input):
         out = tmp_path / "cloud.svg"
@@ -447,6 +462,19 @@ class TestMoreGeometryCommands:
         assert payload["member"] is False
         assert payload["margin"] > 0
 
+    @pytest.mark.parametrize("d", [[3.0, 2.0, -1.0], [6.5, 0.0, 0.0]])
+    def test_thompson_a_alone_is_its_s_and_det_sign(self, tmp_path, d):
+        # A and the s + det_sign it gives write the same bytes, member or not
+        a = np.array([[0.0, 3.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        texts = []
+        for name, keys in (("a.json", {"A": _mat(a)}),
+                           ("s.json", {"s": [3.0, 2.0, 1.0], "det_sign": -1})):
+            out = tmp_path / f"{name}.out"
+            path = _write(tmp_path, name, {"d": d, **keys})
+            assert main(["thompson", "--input", path, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
     def test_thompson_refuses_fractional_det_sign(self, tmp_path, capsys):
         # 0.5 is no determinant sign; it used to be truncated to 0
         path = _write(tmp_path, "th3.json", {"d": [1, 2, 3], "s": [3, 2, 1], "det_sign": 0.5})
@@ -516,8 +544,7 @@ for n in (3, 4, 5):
     u, v = og.haar_rotation(n, rng), og.haar_rotation(n, rng)
     assert og.certify_scaled_point([p, q], np.diag(np.arange(n, 0, -1.0)), u, v,
                                    0.5).residual <= 1e-8
-rep = og.star_check(list(rng.standard_normal((3, 4, 4))), og.OrbitSpec(np.eye(4)), 2,
-                    [0.5, 1.0], rng)
+rep = og.star_check(list(rng.standard_normal((3, 4, 4))), np.eye(4), 2, [0.5, 1.0], rng)
 assert rep.results and not rep.failures
 p, q = rng.standard_normal((2, 3, 3))
 og.convexity_check(p, q, np.diag([3.0, 2.0, 1.0]), samples=2000, rng=rng, grid=90)
@@ -795,6 +822,11 @@ def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, argv, payload,
                  "A must be square", id="thompson-a-not-square"),
     pytest.param(["joint", "--seed", "1"], {"maps": _JOINT["maps"]},
                  "joint input needs 'A_list' (matrices) and 'maps'", id="joint-no-a-list"),
+    # A gives s and det_sign itself; either key beside it was once ignored
+    pytest.param(["thompson"], {"d": [1.0, 0.5], "A": _mat(np.eye(2)), "det_sign": 5},
+                 "give either 'A' or 's' and 'det_sign', not both", id="thompson-a-and-det-sign"),
+    pytest.param(["thompson"], {"d": [1.0, 0.5], "A": _mat(np.eye(2)), "s": [1.0, 1.0]},
+                 "give either 'A' or 's' and 'det_sign', not both", id="thompson-a-and-s"),
 ])
 def test_input_checks(tmp_path, capsys, argv, payload, message):
     """Each input check exits 2 with its message (checks no other test reaches)."""

@@ -17,6 +17,7 @@ from orbitgeom.ellipsoids import (
     _radial_2x2,
     surface_projection,
 )
+from orbitgeom.linalg import _completions
 
 
 def _e(i, j, n=2):
@@ -369,9 +370,9 @@ def _pair_before_completion(p):
     if np.linalg.norm(resid) > 1e-13:
         q2 = resid / np.linalg.norm(resid)
         q2 = q2 - (q2 @ p1) * p1
-        frame = og.complete_to_rotation([p1, q2 / np.linalg.norm(q2)])
+        frame = _completions(np.column_stack([p1, q2 / np.linalg.norm(q2)]))
     else:
-        frame = og.complete_to_rotation([p1])
+        frame = _completions(p1[:, None])
     a, b = p2 @ frame[:, 0], p2 @ frame[:, 1]
     if abs(a) <= 1e-13 or b <= 1e-13:
         u1, u2 = np.array([-b, 0.0, np.sqrt(max(0.0, 1.0 - b * b))]), np.array([0.0, 1.0, 0.0])
@@ -452,7 +453,7 @@ class TestDegenerateU0:
             assert np.max(np.abs(u0[:, :2] - np.column_stack((u1, u2)))) <= 1e-14
             assert og.rotation_defect(u0) <= 1e-13
             if n == 3:
-                assert np.max(np.abs(u0 - og.complete_to_rotation([u1, u2]))) <= 1e-14
+                assert np.max(np.abs(u0 - _completions(np.column_stack([u1, u2])))) <= 1e-14
             row = _ellipse_eu(p, q, u0).shape[0]
             assert np.max(np.abs(row)) <= 1e-13 * np.linalg.norm(p)
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -8,10 +9,8 @@ from orbitgeom.linalg import _haar_slabs
 from orbitgeom.orbits import (
     _SAMPLE_BLOCK,
     LinearMapSpec,
-    OrbitSpec,
     _orbit_slabs,
     apply_map,
-    orbit_point,
 )
 
 
@@ -41,34 +40,14 @@ class TestApplyMap:
             apply_map([np.eye(2)], np.eye(3))
 
 
-class TestOrbitPoint:
-    def test_identity_frames(self):
-        a = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(orbit_point(a, np.eye(3), np.eye(3)), a)
-
-    def test_singular_values_preserved(self):
-        r = og.recursive_rotation([np.pi / 2])
-        b = orbit_point(np.diag([2.0, 1.0]), r, r.T)
-        assert np.allclose(np.linalg.svd(b, compute_uv=False), [2.0, 1.0])
-
-    def test_det_sign_preserved(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = rng.standard_normal((3, 3))
-            u = og.haar_rotation(3, rng)
-            v = og.haar_rotation(3, rng)
-            b = orbit_point(a, u, v)
-            assert np.sign(np.linalg.det(b)) == np.sign(np.linalg.det(a))
-
-
 class TestSampleImage:
     def test_empty(self):
-        cloud = og.sample_image([_e(0, 0)], OrbitSpec(np.eye(2)), 0, np.random.default_rng(0))
+        cloud = og.sample_image([_e(0, 0)], np.eye(2), 0, np.random.default_rng(0))
         assert len(cloud) == 0
 
     def test_unit_circle(self):
         lmap = LinearMapSpec((_e(0, 0), _e(1, 0)))
-        cloud = og.sample_image(lmap, OrbitSpec(np.eye(2)), 10000, np.random.default_rng(2))
+        cloud = og.sample_image(lmap, np.eye(2), 10000, np.random.default_rng(2))
         radii = np.linalg.norm(cloud.points, axis=1)
         assert np.max(np.abs(radii - 1.0)) < 1e-9
 
@@ -76,54 +55,44 @@ class TestSampleImage:
         rng = np.random.default_rng(3)
         mats = [rng.standard_normal((3, 3)) for _ in range(2)]
         a = rng.standard_normal((3, 3))
-        cloud = og.sample_image(LinearMapSpec(tuple(mats)), OrbitSpec(a), 2000, rng)
+        cloud = og.sample_image(LinearMapSpec(tuple(mats)), a, 2000, rng)
         bound = sum(np.linalg.norm(m) for m in mats) * np.linalg.norm(a)
         assert np.max(np.linalg.norm(cloud.points, axis=1)) <= bound + 1e-9
 
-    @pytest.mark.parametrize("group", ["SO", "O"])
-    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    # the ids name the sampled orbit's group, SO(n)
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4], ids=lambda ell: f"{ell}-SO")
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_points_are_the_trace_map_of_the_sampled_frames(self, n, ell, group):
+    def test_points_are_the_trace_map_of_the_sampled_frames(self, n, ell):
         rng = np.random.default_rng(100 * n + 10 * ell)
         a = 3.0 * rng.standard_normal((n, n))
         mats = [rng.standard_normal((n, n)) for _ in range(ell)]
         count = 300
-        pts = og.sample_image(LinearMapSpec(tuple(mats)), OrbitSpec(a, group), count,
+        pts = og.sample_image(LinearMapSpec(tuple(mats)), a, count,
                               np.random.default_rng(7)).points
         rng = np.random.default_rng(7)
         u = og.haar_rotations(n, count, rng)
         v = og.haar_rotations(n, count, rng)
-        if group == "O":
-            flip = rng.random(count) < 0.5
-            u[flip, :, -1] *= -1.0
-            v[flip, :, -1] *= -1.0
         x = u @ a @ v
         ref = np.stack([np.einsum("ij,sji->s", p, x) for p in mats], axis=1)
         assert pts.shape == (count, ell)
         assert np.max(np.abs(pts - ref)) <= 1e-12 * (np.max(np.abs(ref)) + 1.0)
 
-    def test_full_group_flips_both_factors(self):
-        # det U = det V always; both signs must occur
-        rng = np.random.default_rng(4)
-        n, count = 3, 400
-        u = og.haar_rotations(n, count, rng)
-        v = og.haar_rotations(n, count, rng)
-        flip = rng.random(count) < 0.5
-        u[flip, :, -1] *= -1.0
-        v[flip, :, -1] *= -1.0
-        du, dv = np.linalg.det(u), np.linalg.det(v)
-        assert np.allclose(du, dv, atol=1e-9)
-        assert (du < 0).any() and (du > 0).any()
-
-    def test_full_group_sampling_stays_in_orbit_image(self):
-        # det-matched full-group pairs keep the signed normal form, so the
-        # sampled points never leave the rotation-orbit support region
-        a = np.array([[2.0, 1.0], [0.0, 1.0]])
-        lmap = LinearMapSpec((_e(0, 0), _e(1, 0)))
-        region = og.support_boundary(*lmap.mats, a, 180)
-        cloud = og.sample_image(lmap, OrbitSpec(a, group="O"), 4000,
-                                np.random.default_rng(30))
-        assert region.violation(cloud.points) <= 1e-8
+    def test_det_matched_reflections_stay_in_the_rotation_orbit(self):
+        # with D = diag(1, ..., 1, -1) and A = X S Y its signed SVD,
+        # (U D) A (V D) = U' A V' for the rotations U' = U D X D X^T and
+        # V' = Y^T D Y V D: orthogonal factors with det U = det V = -1 add no
+        # orbit element, so the rotation orbit is the only one to sample
+        for n, seed in itertools.product([2, 3, 4, 5], range(4)):
+            d = np.diag([1.0] * (n - 1) + [-1.0])
+            rng = np.random.default_rng(10 * n + seed)
+            a = rng.standard_normal((n, n))
+            u, v = og.haar_rotation(n, rng), og.haar_rotation(n, rng)
+            f = og.signed_svd(a)
+            u2 = u @ d @ f.u @ d @ f.u.T
+            v2 = f.v @ d @ f.v.T @ v @ d
+            assert max(og.rotation_defect(u2), og.rotation_defect(v2)) <= 1e-12
+            diff = (u @ d) @ a @ (v @ d) - u2 @ a @ v2
+            assert np.max(np.abs(diff)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
 
     def test_orbit_invariance_witnesses(self):
         # moving every input by rotations is absorbed into explicit witnesses
@@ -146,33 +115,29 @@ class TestSampleImage:
         x = og.haar_rotation(n, rng)
         y = og.haar_rotation(n, rng)
         lmap = LinearMapSpec(tuple(rng.standard_normal((n, n)) for _ in range(2)))
-        c1 = og.sample_image(lmap, OrbitSpec(a), count, rng).points
-        c2 = og.sample_image(lmap, OrbitSpec(x @ a @ y), count, rng).points
+        c1 = og.sample_image(lmap, a, count, rng).points
+        c2 = og.sample_image(lmap, x @ a @ y, count, rng).points
         d1 = np.max(cKDTree(c2).query(c1)[0])
         d2 = np.max(cKDTree(c1).query(c2)[0])
         diameter = np.max(np.linalg.norm(c1 - c1.mean(axis=0), axis=1)) * 2
         assert max(d1, d2) <= 0.05 * diameter
 
 
-def _whole_slab_sample(mats, a, group, count, rng):
-    # every sample in one pass: both Haar stacks, the flips, one orbit product
-    # and one projection
+def _whole_slab_sample(mats, a, count, rng):
+    # every sample in one pass: both Haar stacks, one orbit product and one
+    # projection
     n = a.shape[0]
     u = _haar_slabs(n, count, rng)
     v = _haar_slabs(n, count, rng)
-    if group == "O":
-        flip = rng.random(count) < 0.5
-        u[:, -1, flip] *= -1.0
-        v[:, -1, flip] *= -1.0
     x = _orbit_slabs(u, a, v)
     pt = np.stack([p.T.ravel() for p in mats], axis=1)
     return x.reshape(n * n, count).T @ pt
 
 
 class TestBlockedSampling:
-    @pytest.mark.parametrize("group", ["SO", "O"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_blocks_equal_the_whole_slab_sample(self, n, group):
+    # the ids name the sampled orbit's group, SO(n)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6], ids=lambda n: f"{n}-SO")
+    def test_blocks_equal_the_whole_slab_sample(self, n):
         # the draws, the points and the generator's state after the call are
         # those of one pass over all samples, bit for bit; B + 1 and 2B + 1
         # leave a one-sample tail, which must not be a block of its own.
@@ -185,9 +150,8 @@ class TestBlockedSampling:
         for k, count in enumerate(counts):
             mats = maps[k % 2]
             blocked, whole = np.random.default_rng(count), np.random.default_rng(count)
-            pts = og.sample_image(LinearMapSpec(mats), OrbitSpec(a, group), count,
-                                  blocked).points
-            ref = _whole_slab_sample(mats, a, group, count, whole)
+            pts = og.sample_image(LinearMapSpec(mats), a, count, blocked).points
+            ref = _whole_slab_sample(mats, a, count, whole)
             assert pts.shape == (count, len(mats))
             assert np.array_equal(pts, ref), count
             assert blocked.random() == whole.random()
@@ -232,8 +196,15 @@ class TestReduceJoint:
 @pytest.mark.parametrize("call,cls,message", [
     pytest.param(lambda: og.LinearMapSpec(()), ValueError,
                  "a linear map needs at least one coefficient matrix", id="empty-map"),
-    pytest.param(lambda: og.OrbitSpec(np.eye(2), "U"), ValueError,
-                 "group must be 'SO' or 'O', got 'U'", id="group"),
+    # sample_image checks A itself, with the class and message of require_square
+    pytest.param(lambda: og.sample_image([np.eye(3)], np.ones((3, 2)), 1, 0),
+                 og.DimensionError,
+                 "A must be square or a stack of square matrices, got shape (3, 2)",
+                 id="sample-a-not-square"),
+    pytest.param(lambda: og.sample_image([np.eye(3)], np.full((3, 3), np.nan), 1, 0),
+                 ValueError, "A contains non-finite entries", id="sample-a-non-finite"),
+    pytest.param(lambda: og.sample_image([np.eye(3)], np.eye(4), 1, 0),
+                 og.DimensionError, "sizes differ: P (3, 3), A (4, 4)", id="sample-a-size"),
     pytest.param(lambda: og.JointOrbitSpec((), "O1"), ValueError,
                  "a joint orbit needs at least one matrix", id="empty-joint"),
     pytest.param(lambda: og.JointOrbitSpec((np.eye(2),), "O4"), ValueError,
