@@ -32,7 +32,7 @@ lane's steps depend on the lanes beside it. ``certify_scaled_point`` and
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import isfinite, lcm
 
 import numpy as np
@@ -58,8 +58,9 @@ from .linalg import (
     RotationPath,
     _dots,
     _geodesic,
+    _haar_finish,
+    _haar_normals,
     ensure_rng,
-    haar_rotation,
     require_rotation,
     require_same_size,
     require_square,
@@ -129,7 +130,7 @@ class StarReport:
             "config": self.config,
             "max_residual": _finite_or_none(self.max_residual),
             "num_failures": len(self.failures),
-            "results": [{**asdict(r), "residual": _finite_or_none(r.residual)}
+            "results": [{**vars(r), "residual": _finite_or_none(r.residual)}
                         for r in self.results],
         }
 
@@ -563,10 +564,19 @@ def _certify(lanes) -> list:
 
 def _frames(n: int, num_targets: int, rng) -> list:
     """The targets' Haar frame pairs (U, V), U then V drawn per target; a
-    negative count raises ``ValueError``."""
+    negative count raises ``ValueError``. All 2T frames come from one draw and
+    one ``_haar_finish``. The normals are drawn sample-major, as 2T successive
+    ``haar_rotation`` calls read the stream, so the frames are those calls'
+    up to the last bits of a one-sample finish."""
     if num_targets < 0:
         raise ValueError(f"num_targets must be at least 0, got {num_targets}")
-    return [(haar_rotation(n, rng), haar_rotation(n, rng)) for _ in range(num_targets)]
+    count = 2 * num_targets
+    if n in (2, 3):  # a 2-vector or quaternion per sample; _haar_normals draws these entry-major
+        g = rng.standard_normal((count, 2 * n - 2)).T
+    else:
+        g = _haar_normals(n, count, rng)
+    r = np.ascontiguousarray(np.moveaxis(_haar_finish(n, g), -1, 0))
+    return list(zip(r[0::2], r[1::2]))
 
 
 def _one_target(idx, alpha_grid, outcomes) -> list:

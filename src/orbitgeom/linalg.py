@@ -174,12 +174,16 @@ def _haar_finish(n: int, g) -> np.ndarray:
     """Haar rotations (n, n, count) from a slice of ``_haar_normals``; overwrites g.
 
     Every operation acts sample by sample, so a sample's rotation does not
-    depend on which other samples share the slice. For n = 2 a Gaussian
-    2-vector normalized to (c, s) is uniform on the circle, which gives
-    ``[[c, -s], [s, c]]``. For n = 3 a Gaussian 4-vector normalized to a unit
-    quaternion is uniform on S^3, and the double cover S^3 -> SO(3) carries it
-    to Haar measure (Shoemake, "Uniform random rotations", Graphics Gems III,
-    1992); the rotation is written out from products of its components.
+    depend on which other samples share a slice of 2 or more. A one-sample
+    slice (``haar_rotation``) can differ in the last bits at n >= 3: there
+    ``np.einsum`` reduces along a contiguous axis and adds in another order.
+
+    For n = 2 a Gaussian 2-vector normalized to (c, s) is uniform on the
+    circle, which gives ``[[c, -s], [s, c]]``. For n = 3 a Gaussian 4-vector
+    normalized to a unit quaternion is uniform on S^3, and the double cover
+    S^3 -> SO(3) carries it to Haar measure (Shoemake, "Uniform random
+    rotations", Graphics Gems III, 1992); the rotation is written out from
+    products of its components.
 
     For n = 1 and n >= 4 a Gaussian matrix G is orthogonalized by classical
     Gram-Schmidt with every column projected out twice ("twice is enough":

@@ -16,10 +16,6 @@ _MARGIN = 40
 _MAX_POINTS = 4000
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
-
-
 def render_svg(points=None, polygon=None, curve=None) -> str:
     """Render up to three layers: sampled points, a closed polygon, a polyline."""
     layers = []
@@ -42,10 +38,12 @@ def render_svg(points=None, polygon=None, curve=None) -> str:
     scale = (_SIZE - 2 * _MARGIN) / float(np.max(span))
     center = 0.5 * (lo + hi)
 
-    def to_px(xy):
-        x = _SIZE / 2 + (xy[0] - center[0]) * scale
-        y = _SIZE / 2 - (xy[1] - center[1]) * scale
-        return x, y
+    def to_px(g):
+        """The layer's pixel coordinates as Python floats, y pointing down."""
+        return (_SIZE / 2 + (g - center) * np.array([scale, -scale])).tolist()
+
+    def coords(g):
+        return " ".join(f"{x:.4f},{y:.4f}" for x, y in to_px(g))
 
     meta = {
         "viewBox": [0, 0, _SIZE, _SIZE],
@@ -55,22 +53,19 @@ def render_svg(points=None, polygon=None, curve=None) -> str:
     layers.append(f"<metadata>{json.dumps(meta, sort_keys=True)}</metadata>")
     pts, poly, crv = geoms
     if poly is not None and poly.size:
-        coords = " ".join(",".join(map(_fmt, to_px(v))) for v in poly)
         layers.append(
-            f'<polygon points="{coords}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
+            f'<polygon points="{coords(poly)}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
         )
     if crv is not None and crv.size:
-        coords = " ".join(",".join(map(_fmt, to_px(v))) for v in crv)
         layers.append(
-            f'<polyline points="{coords}" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
+            f'<polyline points="{coords(crv)}" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
         )
     if pts is not None and pts.size:
         step = max(1, len(pts) // _MAX_POINTS)
-        for v in pts[::step]:
-            x, y = to_px(v)
-            layers.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.2" fill="#d62728" fill-opacity="0.5"/>'
-            )
+        layers.extend(
+            f'<circle cx="{x:.4f}" cy="{y:.4f}" r="1.2" fill="#d62728" fill-opacity="0.5"/>'
+            for x, y in to_px(pts[::step])
+        )
     body = "\n".join(layers)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SIZE} {_SIZE}">\n'

@@ -552,6 +552,22 @@ class TestStarCheckJoint:
             payload["results"][0]
         )
 
+    @pytest.mark.parametrize("case", ["passing", "failed", "empty"])
+    def test_report_rows_are_the_dataclass_fields(self, case, monkeypatch):
+        # the rows are built field by field; dataclasses.asdict is the reference
+        if case == "failed":  # every residual is NaN
+            monkeypatch.setattr(certify, "tolerances",
+                                dataclasses.replace(og.tolerances, certificate_residual=1e-30))
+        rep = og.star_check([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])], np.eye(3),
+                            0 if case == "empty" else 3, [0.25, 0.5], np.random.default_rng(23))
+        payload = rep.to_json()
+        expected = [{**dataclasses.asdict(r), "residual": certify._finite_or_none(r.residual)}
+                    for r in rep.results]
+        assert payload["results"] == expected
+        assert [list(row) for row in payload["results"]] == [list(row) for row in expected]
+        assert payload["num_failures"] == {"passing": 0, "failed": 6, "empty": 0}[case]
+        assert (payload["max_residual"] is None) == (case != "passing")
+
 
 class TestStarCheckPreconditions:
     PS = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])]
@@ -674,8 +690,8 @@ class TestLockstepLanes:
 
     def test_failing_lane_leaves_the_others_unchanged(self):
         # a near-collinear map (Q = 2P + 1e-9 noise), whose homotopy witnesses
-        # miss the gate at alpha = 0.5 (residuals 2.1 and 1.1e-7), batched
-        # with a generic map's lanes
+        # miss the gate (residuals 5.3e-8 and 2.7e-8 at alpha = 0, 2.1 and
+        # 8.6e-8 at alpha = 0.5), batched with a generic map's lanes
         rng = np.random.default_rng(54)
         p = rng.standard_normal((4, 4))
         near = [p, 2.0 * p + 1e-9 * rng.standard_normal((4, 4))]
@@ -687,7 +703,7 @@ class TestLockstepLanes:
         report = certify._run_targets(jobs, [0.0, 0.5], {})
         alone = certify._run_targets(jobs[::2], [0.0, 0.5], {})
         failed = [r for r in report.results if not r.ok]
-        assert [(r.index, r.alpha) for r in failed] == [(1, 0.5), (3, 0.5)]
+        assert [(r.index, r.alpha) for r in failed] == [(1, 0.0), (1, 0.5), (3, 0.0), (3, 0.5)]
         assert all(r.error.startswith("homotopy witness residual") for r in failed)
         kept = [r for r in report.results if r.index in (0, 2)]
         assert [(r.ok, r.error, r.iterations, r.residual) for r in kept] == [

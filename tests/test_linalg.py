@@ -7,7 +7,14 @@ import scipy.stats
 from scipy.spatial.transform import Rotation
 
 import orbitgeom as og
-from orbitgeom.linalg import _completions, _haar_slabs, _log_rotation_schur
+from orbitgeom.certify import _frames
+from orbitgeom.linalg import (
+    _completions,
+    _haar_finish,
+    _haar_normals,
+    _haar_slabs,
+    _log_rotation_schur,
+)
 
 
 def _plane_turn(n, angles, rng):
@@ -154,6 +161,35 @@ class TestHaar:
         expected = _slab_haar_reference(n, count, ref)
         assert u.flags.c_contiguous and u.shape == (count, n, n)
         assert np.array_equal(u, expected)
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_a_slice_finishes_as_in_the_whole_draw(self, n):
+        # slices of 2 or more samples round as in the whole draw; a lone
+        # sample's einsum sums add in another order, so it agrees to roundoff
+        g = _haar_normals(n, 64, np.random.default_rng(30 + n))
+        whole = _haar_finish(n, g.copy())
+        for width in (1, 2, 3, 7):
+            for lo in range(0, 64 - width + 1, 9):
+                part = _haar_finish(n, np.ascontiguousarray(g[..., lo:lo + width]))
+                if width > 1 or n == 2:
+                    assert np.array_equal(part, whole[..., lo:lo + width])
+                else:
+                    assert np.allclose(part, whole[..., lo:lo + width], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_star_check_frames_are_successive_single_draws(self, n):
+        # one draw and one finish read the stream as 2T haar_rotation calls do;
+        # the frames agree with those calls to roundoff, and exactly at n = 2
+        rng, ref = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
+        assert _frames(n, 0, rng) == []
+        frames = _frames(n, 20, rng)
+        assert len(frames) == 20
+        for pair in frames:
+            for frame in pair:
+                single = og.haar_rotation(n, ref)
+                assert np.allclose(frame, single, rtol=0, atol=1e-14)
+                assert np.array_equal(frame, single) or n > 2
         assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
