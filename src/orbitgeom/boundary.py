@@ -24,6 +24,8 @@ from .linalg import (
     DimensionError,
     NumericalError,
     PreconditionError,
+    _haar_finish,
+    _haar_normals,
     _haar_slabs,
     ensure_rng,
     haar_rotations,
@@ -852,11 +854,12 @@ def _multistart(rows, a_list, y, starts, rng, two_sided, tol, max_sweeps):
     the objective per start: minus the one coordinate when ``y`` is None
     (the maximum is sought), else the squared distance to ``y``.
     """
-    u = _haar_slabs(a_list[0].shape[0], starts, rng)
-    if two_sided:
-        v = _haar_slabs(u.shape[0], starts, rng)
+    n = a_list[0].shape[0]
+    if two_sided:  # U's normals, then V's, in one draw
+        u, v = (_haar_finish(n, g) for g in _haar_normals(n, starts, rng, factors=(2,)))
         w = np.stack([_orbit_slabs(u.copy(), a, v) for a in a_list], axis=2)
     else:  # U A in slab layout
+        u = _haar_slabs(n, starts, rng)
         w = np.stack([np.matmul(a.T, u) for a in a_list], axis=2)
 
     def objective(coords):
@@ -1005,20 +1008,19 @@ def _point_polygon_distance(points, poly) -> float:
     """Largest distance from any query point to the boundary of a convex polygon.
 
     For points outside the polygon, as the region vertices are for a sampled
-    hull, this is the distance to the polygon as a set.
+    hull, this is the distance to the polygon as a set. Each coordinate is a
+    (point, edge) array, and every sum of two products is written out as
+    ``np.sum`` and ``np.linalg.norm`` form it over a length-2 axis.
     """
-    points = np.asarray(points, dtype=float)
-    poly = np.asarray(poly, dtype=float)
-    seg_a = poly
-    seg_b = np.roll(poly, -1, axis=0)
-    ab = seg_b - seg_a
-    denom = np.sum(ab * ab, axis=1)
+    px, py = np.asarray(points, dtype=float).T[:, :, None]
+    ax, ay = np.asarray(poly, dtype=float).T
+    abx, aby = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+    denom = abx * abx + aby * aby
     denom[denom == 0] = 1.0
-    # axes: (point, edge, coordinate)
-    rel = points[:, None, :] - seg_a
-    t = np.clip(np.sum(rel * ab, axis=2) / denom, 0.0, 1.0)
-    proj = seg_a + t[:, :, None] * ab
-    dist = np.min(np.linalg.norm(proj - points[:, None, :], axis=2), axis=1)
+    # axes: (point, edge)
+    t = np.clip(((px - ax) * abx + (py - ay) * aby) / denom, 0.0, 1.0)
+    dx, dy = ax + t * abx - px, ay + t * aby - py
+    dist = np.min(np.sqrt(dx * dx + dy * dy), axis=1)
     return float(np.max(dist, initial=0.0))
 
 

@@ -150,13 +150,22 @@ def _haar_slabs(n: int, count: int, rng) -> np.ndarray:
     return _haar_finish(n, _haar_normals(n, count, rng))
 
 
-def _haar_normals(n: int, count: int, rng) -> np.ndarray:
+def _haar_normals(n: int, count: int, rng, factors: tuple = ()) -> np.ndarray:
     """The Gaussian draw behind ``count`` Haar rotations, sample index last.
 
     Shape (2, count) for n = 2, (4, count) for n = 3, and for other n the
     (count, n, n) draw of one Gaussian matrix per sample seen as (n, n, count).
     Any slice ``g[..., lo:hi]`` finishes into the rotations of those samples
     alone, so the rotations can be finished in blocks after one draw.
+
+    ``factors`` puts leading axes in front, one draw of that many rotation
+    stacks: ``factors=(2,)`` gives U's normals in ``g[0]`` and V's in ``g[1]``.
+    The generator fills the array in C order, so these are the stream and the
+    normals of two successive calls, bit for bit, in the same layout per
+    factor. It is one allocation instead of two: 6.4 MB for 1e5 samples at
+    n = 3, past the 4 MiB from which numpy advises huge pages. Measured
+    under glibc, the convexity check faulted two 3.2 MB arrays in anew,
+    4 KiB at a time, on every call, and reuses the one array without faults.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -164,10 +173,10 @@ def _haar_normals(n: int, count: int, rng) -> np.ndarray:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = ensure_rng(rng)
     if n == 2:
-        return rng.standard_normal((2, count))
+        return rng.standard_normal((*factors, 2, count))
     if n == 3:
-        return rng.standard_normal((4, count))
-    return rng.standard_normal((count, n, n)).transpose(1, 2, 0)
+        return rng.standard_normal((*factors, 4, count))
+    return np.moveaxis(rng.standard_normal((*factors, count, n, n)), -3, -1)
 
 
 def _haar_finish(n: int, g) -> np.ndarray:

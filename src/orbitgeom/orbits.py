@@ -142,11 +142,13 @@ def sample_image(lmap, a, count: int, rng) -> PointCloud:
     and ``_haar_finish``: closed-form angles for n = 2, uniform unit
     quaternions for n = 3, Shoemake, "Uniform random rotations", Graphics
     Gems III, 1992; QR of Gaussian matrices otherwise). All of U's normals
-    are drawn first, then all of V's. The samples are then finished in
-    blocks of about 4096: the block's rotations, X = U A V slab by slab in two
-    products, and the points as one (block, n^2) by (n^2, ell) product
-    against the matrix whose column m is P_m^T flattened, since
-    tr(P X) = sum_ij X_ij (P^T)_ij. Each sample's point is the same, bit for
+    are drawn first, then all of V's, in one call with a leading factor axis:
+    the stream of two calls in one allocation, which is reused from call to
+    call where two arrays were faulted in anew (see ``_haar_normals``). The
+    samples are then finished in blocks of about 4096: the block's
+    rotations, X = U A V slab by slab in two products, and the points as one
+    (block, n^2) by (n^2, ell) product against the matrix whose column m is
+    P_m^T flattened, since tr(P X) = sum_ij X_ij (P^T)_ij. Each sample's point is the same, bit for
     bit, as from one pass over all samples: a one-sample tail is folded into
     the block before it, since one column would take BLAS's matrix-vector
     path, which rounds differently.
@@ -157,8 +159,7 @@ def sample_image(lmap, a, count: int, rng) -> PointCloud:
     rng = ensure_rng(rng)
     if count == 0:
         return PointCloud(points=np.empty((0, len(mats))))
-    gu = _haar_normals(n, count, rng)
-    gv = _haar_normals(n, count, rng)
+    gu, gv = _haar_normals(n, count, rng, factors=(2,))
     pt = np.stack([p.T.ravel() for p in mats], axis=1)
     pts = np.empty((count, len(mats)))
     edges = [*range(0, max(count - 1, 1), _SAMPLE_BLOCK), count]

@@ -916,6 +916,66 @@ def _reference_closest_image_distance(coord_terms, n, y, starts, rng, two_sided,
     return float(np.sqrt(np.min(prev)))
 
 
+def _two_draw_multistart(rows, a_list, y, starts, rng, two_sided, tol, max_sweeps):
+    """The two-sided ``_multistart`` with U's and V's starts drawn by two
+    ``_haar_slabs`` calls, and the same sweeps and stop rule."""
+    assert two_sided
+    n = a_list[0].shape[0]
+    u = _haar_slabs(n, starts, rng)
+    v = _haar_slabs(n, starts, rng)
+    w = np.stack([bd._orbit_slabs(u.copy(), a, v) for a in a_list], axis=2)
+
+    def objective(coords):
+        if y is None:
+            return -coords[0]
+        diff = coords - y[:, None]
+        return np.sum(diff * diff, axis=0)
+
+    prev = None
+    for _ in range(max_sweeps):
+        for right in (False, True):
+            k, before = bd._sweep(rows, w, y, right)
+            if prev is None:
+                prev = objective(before)
+        prev, last = objective(np.trace(k)), prev
+        if np.max(last - prev) < tol:
+            break
+    return prev
+
+
+class TestOneDrawStarts:
+    # the two-sided search draws U's and V's normals in one call; its starts,
+    # and so the oracles' results and the generator's state after them, are
+    # those of two successive draws, bit for bit
+    @staticmethod
+    def _both(monkeypatch, call, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = call(rng)
+        with monkeypatch.context() as m:
+            m.setattr(bd, "_multistart", _two_draw_multistart)
+            ref = call(ref_rng)
+        assert rng.random() == ref_rng.random()
+        return out, ref
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_max_trace_bruteforce(self, monkeypatch, n):
+        p, a = np.random.default_rng(60 + n).standard_normal((2, n, n))
+        for starts in (1, 7, 500):
+            out, ref = self._both(
+                monkeypatch, lambda rng: og.max_trace_bruteforce(p, a, starts=starts, rng=rng),
+                starts)
+            assert out == ref
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (4, 2)])
+    def test_joint_counterexample(self, monkeypatch, n, m):
+        for seed in (0, 1):
+            out, ref = self._both(
+                monkeypatch,
+                lambda rng: og.counterexample_report("joint", n=n, m=m, rng=rng, starts=65),
+                seed)
+            assert json.dumps(out) == json.dumps(ref)
+
+
 class TestCounterexamples:
     @pytest.mark.parametrize("kind, n", [("ell3", 2), ("ell3", 3), ("ell3", 4), ("joint", 3)])
     def test_distance_matches_stack_reference(self, kind, n, monkeypatch):
@@ -1030,6 +1090,27 @@ class TestPointPolygonDistance:
             assert _point_polygon_distance(queries, poly) == _point_polygon_distance_loop(
                 queries, poly
             )
+
+    @pytest.mark.parametrize("poly", [
+        pytest.param([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                     id="repeated-vertex"),
+        pytest.param([[0.5, -0.25]], id="one-vertex"),
+        pytest.param([[0.0, 0.0], [1.0, 0.5]], id="two-vertex"),
+        pytest.param([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [2.0, 0.0]], id="doubled-segment"),
+    ])
+    def test_degenerate_polygons_equal_loop_form(self, poly):
+        # a zero-length edge (denominator 0) projects every query onto its vertex
+        poly = np.array(poly)
+        rng = np.random.default_rng(25)
+        inside = [[0.5, 0.5], [0.25, 0.75]]
+        on_edge = [[0.5, 0.0], [1.0, 0.3], [0.5, 0.25]]
+        at_vertex = list(poly)
+        outside = 3.0 * rng.standard_normal((50, 2))
+        for queries in (inside, on_edge, at_vertex, outside):
+            queries = np.array(queries)
+            got = _point_polygon_distance(queries, poly)
+            assert got == _point_polygon_distance_loop(queries, poly)
+        assert _point_polygon_distance(poly, poly) == 0.0
 
     def test_distance_to_the_polygon_boundary(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

@@ -177,6 +177,20 @@ class TestHaar:
                 else:
                     assert np.allclose(part, whole[..., lo:lo + width], rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_one_draw_of_two_factors_is_two_draws(self, n):
+        # a leading factor axis reads the stream as successive calls, and each
+        # factor has the layout, and so finishes into the rotations, of its call
+        for count in (0, 1, 7, 300):
+            rng, ref = np.random.default_rng(60 + count), np.random.default_rng(60 + count)
+            both = _haar_normals(n, count, rng, factors=(2,))
+            for g in both:
+                single = _haar_normals(n, count, ref)
+                assert g.shape == single.shape and g.strides == single.strides
+                assert np.array_equal(g, single)
+                assert np.array_equal(_haar_finish(n, g), _haar_finish(n, single))
+            assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_star_check_frames_are_successive_single_draws(self, n):
         # one draw and one finish read the stream as 2T haar_rotation calls do;
