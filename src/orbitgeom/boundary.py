@@ -38,7 +38,7 @@ from .linalg import (
 from .orbits import LinearMapSpec, _orbit_slabs, sample_image
 
 # Bands of the maximizer-set checks, relative to the scale max|A| + 1:
-# singular-value, determinant-sign and trace agreement, and the block
+# singular-value, last-signed-value and trace agreement, and the block
 # structure (off-diagonal blocks and the reconstruction of block factors).
 MAXIMIZER_VALUE_TOL = 1e-8
 MAXIMIZER_BLOCK_TOL = 1e-6
@@ -64,21 +64,15 @@ CONVEXITY_GAP_SHARE = 0.01
 def max_trace(p, a):
     """Exact maximum of tr(P U A V) over rotation pairs.
 
-    Sum of aligned singular-value products, with the last product signed by
-    det(AP). When either determinant vanishes the last singular value is zero
-    and the sign is immaterial (taken as +1). P and A may be stacks
-    (..., n, n) that broadcast against each other; two matrices give a float,
-    stacks an array of maxima, each equal to its single-matrix value.
+    tr(Sp Sa) of the signed SVDs, as in ``argmax_frames``: aligned
+    singular-value products whose last values carry the sign of det(AP), so
+    no determinant is formed. P and A may be stacks (..., n, n) that
+    broadcast against each other; two matrices give a float, stacks an array
+    of maxima, each equal to its single-matrix value.
     """
     p, a = require_square_stack(p, "P"), require_square_stack(a, "A")
     require_same_size(P=p, A=a)
-    sp = np.linalg.svd(p, compute_uv=False)
-    sa = np.linalg.svd(a, compute_uv=False)
-    sgn = np.where(np.linalg.det(a) * np.linalg.det(p) < 0, -1.0, 1.0)
-    # a (1, n-1) @ (n-1, 1) product per matrix sums in the order of a 1-D dot;
-    # one (g, n-1) @ (n-1,) product would not
-    dot = (sp[..., None, :-1] @ sa[..., :-1, None])[..., 0, 0]
-    value = dot + sgn * sp[..., -1] * sa[..., -1]
+    value = _aligned_frames(p, a)[0]
     return float(value) if value.ndim == 0 else value
 
 
@@ -86,9 +80,8 @@ def argmax_frames(p, a) -> tuple:
     """Rotation pair (U, V) attaining max_trace(P, A).
 
     With signed SVDs P = Up Sp Vp^T and A = Ua Sa Va^T, the pair
-    U = Vp Ua^T, V = Va Up^T collapses the trace to tr(Sp Sa), which equals
-    the closed form because both sign conventions put the determinant sign on
-    the last diagonal entry. Stacks (..., n, n) broadcast as in max_trace.
+    U = Vp Ua^T, V = Va Up^T collapses the trace to tr(Sp Sa), which is
+    ``max_trace``'s value. Stacks (..., n, n) broadcast as in max_trace.
     """
     p, a = require_square_stack(p, "P"), require_square_stack(a, "A")
     require_same_size(P=p, A=a)
@@ -418,22 +411,27 @@ class GammaVerifyReport:
         return self.in_orbit and self.det_sign_ok and self.trace_ok and self.blocks_ok
 
 
-def _sv_gap(b, a) -> float:
-    """Largest difference of the singular values of B and A."""
-    return float(np.max(np.abs(np.linalg.svd(b, compute_uv=False)
-                               - np.linalg.svd(a, compute_uv=False))))
+def _sv_gap(sb, sa) -> float:
+    """Largest difference of the singular values, given as signed values (``signed_svd``)."""
+    return float(np.max(np.abs(np.abs(sb) - np.abs(sa))))
 
 
 def gamma_verify(b, structure: MaximizerStructure) -> GammaVerifyReport:
-    """Check membership in the maximizing set: orbit, trace value, block shape."""
+    """Check membership in the maximizing set: orbit, trace value, block shape.
+
+    The signed SVDs' magnitudes give ``sv_error``; their last values carry
+    the determinant signs, which may differ only where the smaller last value
+    is within the singular-value band.
+    """
     b = require_square(b, "B")
     a = structure.a
     require_same_size(B=b, A=a)
     scale = float(np.max(np.abs(a))) + 1.0
-    sv_error = _sv_gap(b, a)
+    sb, sa = signed_svd(b).s, signed_svd(a).s
+    sv_error = _sv_gap(sb, sa)
     in_orbit = sv_error <= MAXIMIZER_VALUE_TOL * scale
-    det_a, det_b = np.linalg.det(a), np.linalg.det(b)
-    det_sign_ok = bool(det_a * det_b >= -((MAXIMIZER_VALUE_TOL * scale) ** b.shape[0]))
+    det_sign_ok = bool((sb[-1] < 0) == (sa[-1] < 0)
+                       or min(abs(sb[-1]), abs(sa[-1])) <= MAXIMIZER_VALUE_TOL * scale)
     trace_gap = float(abs(np.einsum("ij,ji->", structure.p_matrix, b) - gamma_value(structure)))
     offs = structure.offsets
     max_off = 0.0
@@ -483,7 +481,7 @@ def block_decompose(b, a, k: int) -> BlockDecomposition:
             f"leading diagonal sums differ by {tk_gap:.3e}; the block structure "
             f"is only forced at equality"
         )
-    sv_gap = _sv_gap(b, a)
+    sv_gap = _sv_gap(signed_svd(b).s, signed_svd(a).s)
     if sv_gap > MAXIMIZER_VALUE_TOL * scale:
         raise PreconditionError(f"B is not in the orbit of A (sv gap {sv_gap:.3e})")
     b11 = 0.5 * (b[:k, :k] + b[:k, :k].T)

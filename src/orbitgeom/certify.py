@@ -45,6 +45,7 @@ from .ellipsoids import (
     _ellipse_radial_along,
     _ellipsoid_euv,
     _ellipsoid_radial_along,
+    _illinois,
     _lockstep,
     _projections,
     _witnesses,
@@ -135,8 +136,14 @@ class StarReport:
         }
 
 
-def _step_out(s: float, gs: float, g0: float, g1: float):
-    """One lane of ``_tight_bracket``: a generator of points, returning the bracket."""
+def _step_out(s: float, gs: float, g0: float, g1: float, ftol: float):
+    """One lane of the curve re-search: a generator of points, returning (x, iterations).
+
+    The lane steps away from s toward the side where the sign changes, from
+    2^-30 and growing sixteenfold, and stops at the ends 0 and 1 of the
+    homotopy, whose values g0 < 0 and g1 >= 0 are known; from that bracket
+    it runs ``_illinois`` to ``ftol``. Every evaluation counts as an iteration.
+    """
     step, evaluations = 2.0 ** -30, 0
     while True:
         x = min(1.0, s + step) if gs < 0.0 else max(0.0, s - step)
@@ -146,21 +153,9 @@ def _step_out(s: float, gs: float, g0: float, g1: float):
             gx, evaluations = (yield x), evaluations + 1
         if (gx < 0.0) != (gs < 0.0):
             lo, hi = sorted(((s, gs), (x, gx)))
-            return lo[0], hi[0], lo[1], hi[1], evaluations
+            root, iterations = yield from _illinois(lo[0], hi[0], lo[1], hi[1], ftol)
+            return root, evaluations + iterations
         s, gs, step = x, gx, 16.0 * step
-
-
-def _tight_bracket(g, s, gs, g0, g1):
-    """Sign-change brackets (lo, hi, g(lo), g(hi), evaluations) of g next to s, lane by lane.
-
-    Each lane steps away from its s toward the side where the sign changes,
-    from 2^-30 and growing sixteenfold, and stops at the ends 0 and 1 of the
-    homotopy, whose values g0 < 0 and g1 >= 0 are known. ``g(x, live)``
-    evaluates the lanes ``live`` (indices) at their points x; the lanes step
-    in lockstep (``_lockstep``).
-    """
-    results, _ = _lockstep(_step_out, g, s, gs, g0, g1)
-    return tuple(np.array(v) for v in zip(*results))
 
 
 def _traces(mats, x):
@@ -203,7 +198,7 @@ def _homotopies(mats, y, start):
        misses ``bisection_gtol`` there (a trial evaluator that agrees with
        the curve only up to roundoff can stop short on a nearly flat
        ellipse) searches on with the curves' own radial, from a tight
-       bracket around its s (``_tight_bracket``);
+       bracket around its s (``_step_out``);
     5. the witnesses from the crossing curves' frames and angles, their
        rotation defects in one stacked check, and the residual gate.
 
@@ -325,9 +320,10 @@ def _crossings(trial, ftol, project, paths, g0, g1):
             at = tuple(_lanes(path, live)._at(t) for path in redone)
             return project(redo[live], at)[0] - 1.0
 
-        lo, hi, glo, ghi, more = _tight_bracket(exact, x[redo], gap[redo], g0[redo], g1[redo])
-        x[redo], most, late = _bracket_root(exact, lo, hi, glo, ghi, gtol)
-        its[redo] += more + most
+        roots, late = _lockstep(lambda *lane: _step_out(*lane, gtol),
+                                exact, x[redo], gap[redo], g0[redo], g1[redo])
+        x[redo] = [root[0] if root else np.nan for root in roots]
+        its[redo] += [root[1] if root else 0 for root in roots]
         errors.update((int(redo[k]), exc) for k, exc in late.items())
         frames = tuple(path._at(x[redo]) for path in redone)
         for frame, new in zip(at, frames):

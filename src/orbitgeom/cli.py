@@ -308,8 +308,8 @@ def _cmd_thompson(args):
             raise InputError(f"{args.input}: give either 'A' or 's' and 'det_sign', not both")
         a = require_square(_get_matrix(obj, "A", args.input), "A")
         s = np.linalg.svd(a, compute_uv=False)
-        det = float(np.linalg.det(a))
-        det_sign = 0 if det == 0 else (1 if det > 0 else -1)
+        # slogdet's sign never underflows; it is 0 where LU meets a zero pivot
+        det_sign = int(np.linalg.slogdet(a)[0])
     else:
         s = _vector(obj, "s", args.input)
         det_sign = _number(obj.get("det_sign", 1), "det_sign", args.input)

@@ -78,15 +78,46 @@ class TestMaxTrace:
         u, v = og.argmax_frames(p, a)
         sa = np.linalg.svd(a, compute_uv=False)
         for k in range(len(p)):
-            # the closed form as a 1-D dot plus the signed last product
+            # the signed SVDs' values as a 1-D dot, bit for bit
+            assert values[k] == float(og.signed_svd(p[k]).s @ og.signed_svd(a).s)
+            # and the determinant form of the closed form, at unit scale
             sp = np.linalg.svd(p[k], compute_uv=False)
             sgn = -1.0 if np.linalg.det(a) * np.linalg.det(p[k]) < 0 else 1.0
-            assert values[k] == float(sp[:-1] @ sa[:-1] + sgn * sp[-1] * sa[-1])
+            det_form = float(sp[:-1] @ sa[:-1] + sgn * sp[-1] * sa[-1])
+            assert abs(values[k] - det_form) <= 1e-14 * max(abs(det_form), 1.0)
             assert values[k] == og.max_trace(p[k], a)
             uk, vk = og.argmax_frames(p[k], a)
             assert np.array_equal(u[k], uk)
             assert np.array_equal(v[k], vk)
         assert isinstance(og.max_trace(p[1], a), float)
+
+    @staticmethod
+    def _signed_pair(seed, n, det_sign):
+        rng = np.random.default_rng(seed)
+        p, a = rng.standard_normal((2, n, n))
+        if np.linalg.det(p) * np.linalg.det(a) * det_sign < 0:
+            a[0] *= -1.0
+        return p, a
+
+    @pytest.mark.parametrize("det_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_power_of_two_scaling_is_exact(self, n, det_sign):
+        # the signed SVD of 2^k A is 2^k times that of A, bit for bit
+        p, a = self._signed_pair(60 + n, n, det_sign)
+        value = og.max_trace(p, a)
+        for k in (20, -20, 100, -100, 400, -400):
+            assert og.max_trace(p, 2.0 ** k * a) == 2.0 ** k * value
+            assert og.max_trace(2.0 ** k * p, a) == 2.0 ** k * value
+
+    @pytest.mark.parametrize("det_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("c", [1e-300, 1e-120, 1e-110, 1e150, 1e300])
+    def test_scaling_far_from_unit(self, c, n, det_sign):
+        # det(c A) underflows or overflows at these c; the signed SVD's last
+        # values keep the sign, and no warning is raised (warnings are errors)
+        p, a = self._signed_pair(70 + n, n, det_sign)
+        expected = c * og.max_trace(p, a)
+        assert abs(og.max_trace(p, c * a) - expected) <= 1e-14 * abs(expected)
 
     def test_upper_bound_property(self):
         rng = np.random.default_rng(3)
@@ -231,9 +262,7 @@ class TestSupportBoundary:
         a = og.haar_rotation(n, rng) @ a @ og.haar_rotation(n, rng)
         region = og.support_boundary(p, q, a, 360)
         coeff = region.directions[:, 0, None, None] * p + region.directions[:, 1, None, None] * q
-        expected = og.max_trace(coeff, a)
-        scale = np.max(np.abs(region.values)) + 1.0
-        assert np.max(np.abs(region.values - expected)) <= 1e-12 * scale
+        assert np.array_equal(region.values, og.max_trace(coeff, a))
 
     def test_diameter_is_largest_vertex_distance(self):
         # convex polygons in counterclockwise order, as region vertices are:
@@ -428,6 +457,21 @@ class TestGamma:
     def test_tied_base_rejected(self):
         with pytest.raises(og.PreconditionError):
             og.MaximizerStructure.from_diagonal_p(np.diag([2.0, 1.0]), np.eye(2))
+
+    @pytest.mark.parametrize("last", [1.0, -1.0])
+    @pytest.mark.parametrize("scale", [1e100, 1e120, 1e150])
+    def test_verify_far_from_unit_scale(self, scale, last):
+        # det(A) overflows at these scales; the signs come from the signed
+        # SVDs' last values. Negating B's last column flips its determinant
+        # sign and nothing else the report reads
+        st = og.MaximizerStructure.from_diagonal_p(
+            np.diag([3.0, 3.0, 1.0, 0.0]), scale * np.diag([4.0, 3.0, 2.0, last]))
+        for b in og.gamma_sample(st, 5, np.random.default_rng(16)):
+            assert og.gamma_verify(b, st).passed
+            b[:, -1] *= -1.0
+            rep = og.gamma_verify(b, st)
+            assert rep.in_orbit and rep.trace_ok and rep.blocks_ok
+            assert not rep.det_sign_ok
 
     def test_transport_identity(self):
         # moving the coefficient by frames transports the maximizer set exactly

@@ -86,9 +86,9 @@ class TestHomotopyRealize:
         # trial radial and the checked curve's radial disagree beyond
         # bisection_gtol, so the search goes on on the checked curves
         polished = []
-        tight_bracket = certify._tight_bracket
-        monkeypatch.setattr(certify, "_tight_bracket",
-                            lambda *a: polished.append(1) or tight_bracket(*a))
+        step_out = certify._step_out
+        monkeypatch.setattr(certify, "_step_out",
+                            lambda *a: polished.append(1) or step_out(*a))
         rng = np.random.default_rng(1)
         p = rng.standard_normal((3, 3))
         q = 2.0 * p + 1e-9 * rng.standard_normal((3, 3))

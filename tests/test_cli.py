@@ -357,6 +357,14 @@ class TestGeometryCommands:
         assert main(["gamma", "--input", path, "--seed", "3", "--samples", "0"]) == 2
         assert "samples must be at least 1, got 0" in capsys.readouterr().err
 
+    def test_gamma_far_from_unit_scale(self, tmp_path):
+        # det(A) and its band once overflowed here and the command crashed
+        path = _write(tmp_path, "gamma.json", {"P": _mat(np.diag([2.0, 1.0, 0.0])),
+                                               "A": _mat(1e120 * np.diag([3.0, 2.0, -1.0]))})
+        out = tmp_path / "gamma_out.json"
+        assert main(["gamma", "--input", path, "--seed", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["all_verified"] is True
+
     def test_boundary_csv(self, tmp_path):
         path = _write(
             tmp_path,
@@ -482,6 +490,41 @@ class TestMoreGeometryCommands:
         assert main(["thompson", "--input", path, "--out", str(out)]) == 2
         assert "det_sign must be -1, 0, or +1, got 0.5" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_thompson_a_keeps_its_sign_at_small_scale(self, tmp_path):
+        # det(1e-9 A) underflows to -0.0 at n = 40, which once dropped the
+        # parity inequality and called the wrong-parity vertex d = s a member
+        a = np.random.default_rng(40).standard_normal((40, 40))
+        if np.linalg.det(a) > 0:
+            a[0] *= -1.0
+        margins = []
+        for c in (1.0, 1e-9):
+            s = np.linalg.svd(c * a, compute_uv=False)
+            path = _write(tmp_path, "th40.json", {"A": _mat(c * a), "d": s.tolist()})
+            out = tmp_path / "th40_out.json"
+            assert main(["thompson", "--input", path, "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert payload["member"] is False
+            margins.append(payload["margin"])
+        assert margins[1] == pytest.approx(1e-9 * margins[0], rel=1e-12)
+
+    def test_thompson_a_with_zero_pivot_spans_both_parities(self, tmp_path):
+        # LU meets a zero pivot, so det_sign is 0 and the vertices of both
+        # parities count, though the last signed singular value is 3.3e-16
+        a = np.arange(1.0, 10.0).reshape(3, 3)
+        s = np.linalg.svd(a, compute_uv=False)
+        texts = []
+        for name, keys in (("a.json", {"A": _mat(a)}),
+                           ("s.json", {"s": s.tolist(), "det_sign": 0})):
+            out = tmp_path / f"{name}.out"
+            path = _write(tmp_path, name, {"d": [1.0, 1.0, 0.0], **keys})
+            assert main(["thompson", "--input", path, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        weights = np.array(json.loads(texts[0])["weights"])
+        parity = np.sum(orbitgeom.thompson_vertices(s, 0) < 0, axis=1) % 2
+        assert len(weights) == 48
+        assert set(parity[weights > 0]) == {0, 1}
 
 
 class TestCounterexampleCommand:
