@@ -37,9 +37,11 @@ from .linalg import (
 )
 from .orbits import LinearMapSpec, _orbit_slabs, sample_image
 
-# Bands of the maximizer-set checks, relative to the scale max|A| + 1:
-# singular-value, last-signed-value and trace agreement, and the block
-# structure (off-diagonal blocks and the reconstruction of block factors).
+# Every band here is a tolerance times the scale of its own inputs, max|.|
+# (sum(s) for Thompson's hull), so a zero input gets band 0. The bands of the
+# maximizer-set checks: singular-value, last-signed-value and trace agreement,
+# and the block structure (off-diagonal blocks and the reconstruction of block
+# factors).
 MAXIMIZER_VALUE_TOL = 1e-8
 MAXIMIZER_BLOCK_TOL = 1e-6
 # Stop rules of the multistart sweeps, and the distance the counterexample
@@ -51,8 +53,8 @@ CLOSEST_IMAGE_MAX_SWEEPS = 200
 COUNTEREXAMPLE_DISTANCE_THRESHOLD = 1e-3
 # Stop rule of Wolfe's minimum-norm point (a member's Thompson weights): the
 # residual is within this of the distance from d to the hull, relative to
-# 1 + sum(s). It sits a few times above the roundoff of one Wolfe step, and
-# far below the membership band ``matrix_residual * (1 + sum(s))``.
+# sum(s). It sits a few times above the roundoff of one Wolfe step, and far
+# below the membership band ``matrix_residual * sum(s)``.
 WOLFE_GAP_TOL = 1e-14
 # The two gates of ``ConvexityReport.passed``: the largest support violation
 # of a sample (absolute), and the region-to-hull gap as a share of the
@@ -210,7 +212,7 @@ def support_boundary(p, q, a, grid_size: int = 720) -> SupportRegion:
     touches = np.stack(
         (np.einsum("ij,gji->g", p, w), np.einsum("ij,gji->g", q, w)), axis=1
     )
-    scale = float(np.max(np.abs(values))) + 1.0
+    scale = float(np.max(np.abs(values)))
     mats = np.stack((dirs, np.roll(dirs, -1, axis=0)), axis=1)
     rhs = np.stack((values, np.roll(values, -1)), axis=1)
     cand = np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
@@ -241,7 +243,7 @@ def _check_signed_diagonal(a, name="A"):
     """Validate the signed-diagonal normal form with strictly separated values."""
     a = require_square(a, name)
     n = a.shape[0]
-    scale = float(np.max(np.abs(a))) + 1.0
+    scale = float(np.max(np.abs(a)))
     off = a - np.diag(np.diag(a))
     if np.max(np.abs(off)) > tolerances.matrix_residual * scale:
         raise PreconditionError(f"{name} must be diagonal (signed-diagonal form)")
@@ -319,7 +321,7 @@ class MaximizerStructure:
     def from_diagonal_p(cls, p, a) -> "MaximizerStructure":
         p = require_square(p, "P")
         off = p - np.diag(np.diag(p))
-        if np.max(np.abs(off)) > tolerances.matrix_residual * (np.max(np.abs(p)) + 1.0):
+        if np.max(np.abs(off)) > tolerances.matrix_residual * np.max(np.abs(p)):
             raise PreconditionError("P must be diagonal with grouped descending values")
         d = np.diag(p)
         sizes, vals = [], []
@@ -426,7 +428,7 @@ def gamma_verify(b, structure: MaximizerStructure) -> GammaVerifyReport:
     b = require_square(b, "B")
     a = structure.a
     require_same_size(B=b, A=a)
-    scale = float(np.max(np.abs(a))) + 1.0
+    scale = float(np.max(np.abs(a)))
     sb, sa = signed_svd(b).s, signed_svd(a).s
     sv_error = _sv_gap(sb, sa)
     in_orbit = sv_error <= MAXIMIZER_VALUE_TOL * scale
@@ -474,7 +476,7 @@ def block_decompose(b, a, k: int) -> BlockDecomposition:
     n = require_same_size(B=b, A=a)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    scale = float(np.max(np.abs(a))) + 1.0
+    scale = float(np.max(np.abs(a)))
     tk_gap = abs(diagonal_sum(b, k) - diagonal_sum(a, k))
     if tk_gap > MAXIMIZER_VALUE_TOL * scale:
         raise PreconditionError(
@@ -543,7 +545,7 @@ class ThompsonResult:
     come from Wolfe's minimum-norm point of the hull minus d
     (``_min_norm_point``): at most n + 1 of them are nonzero and they sum to
     1. A member lies within the membership band ``matrix_residual *
-    (1 + sum(s))`` of the hull, and weights whose ``weights @ vertices``
+    sum(s)`` of the hull, and weights whose ``weights @ vertices``
     misses d by more than that raise ``NumericalError``. Any other convex
     combination would do as well; this one is sparse and needs no LP.
     """
@@ -567,7 +569,7 @@ class ThompsonResult:
         for row, weight in zip(support, lam):
             w[np.all(verts == row, axis=1)] = weight
         residual = float(np.max(np.abs(w @ verts - self.query.d)))
-        if residual > tolerances.matrix_residual * (1.0 + self.query.s.sum()):
+        if residual > tolerances.matrix_residual * self.query.s.sum():
             raise NumericalError(
                 f"minimum-norm point misses a member query by {residual:.3g}"
             )
@@ -603,13 +605,13 @@ def _min_norm_point(query: DiagonalHullQuery) -> tuple:
     (k+1) x (k+1) solve) and step back to the support's hull, dropping
     vertices, while that point leaves it. The support stays affinely
     independent, so it never holds more than n + 1 vertices. The cycle stops
-    when ``|x|`` is within ``WOLFE_GAP_TOL * (1 + sum(s))`` of the distance
+    when ``|x|`` is within ``WOLFE_GAP_TOL * sum(s)`` of the distance
     to the hull (``|x|**2 - min_q x.(q - d)`` bounds their difference times
     ``|x|``), or when a full simplex holds d, or at roundoff: the oracle
     offers a support vertex again, or ``|x|`` stops falling.
     """
     d, s, det_sign = query.d, query.s, query.det_sign
-    tol = WOLFE_GAP_TOL * (1.0 + s.sum())
+    tol = WOLFE_GAP_TOL * s.sum()
     support = _argmax_vertex(s, det_sign, d)[None, :]
     lam = np.ones(1)
     x = support[0] - d
@@ -685,14 +687,14 @@ def thompson_membership(query: DiagonalHullQuery) -> ThompsonResult:
     (a.sum(), less 2 a[-1] when no such e matches d's signs, zeros counting
     either way) is at most ``s[:-1].sum() - s[-1]``. With ``det_sign = 0``
     both parities are vertices and only the majorization remains. Each
-    inequality holds to a band of ``matrix_residual * (1 + s.sum())``. A
+    inequality holds to a band of ``matrix_residual * s.sum()``. A
     violated one gives the separating functional and its exact margin. No
     vertex is listed here, so any size is answered; the result lists the
     ``vertices`` and finds a member's ``weights`` on first access.
     """
     d, s = query.d, query.s
     n = d.size
-    band = tolerances.matrix_residual * (1.0 + s.sum())
+    band = tolerances.matrix_residual * s.sum()
     order = np.argsort(-np.abs(d), kind="stable")
     excess = np.cumsum(np.abs(d)[order]) - np.cumsum(s)
     k = int(np.argmax(excess))
@@ -930,17 +932,18 @@ def counterexample_report(
     """Verify a stock non-convexity instance numerically.
 
     Each instance is a map of orbit matrices A_i: coordinate j is
-    sum_i tr(P_ji U A_i V) over its coefficient rows (ell3: the one A = I,
-    one-sided; joint: ``nonconvex_joint_instance(n, m)``), zero beyond them
-    up to ``ell``. The two endpoints evaluate it at the instance's
-    closed-form frame pairs, from 0 up, so they equal the expected integers
-    exactly. The distance from their midpoint to the image is estimated by
-    multistart local minimization of the same map
-    (``_closest_image_distance``); the midpoint must stay at least
-    ``COUNTEREXAMPLE_DISTANCE_THRESHOLD`` away for the instance to count as
-    verified. The report records the threshold as ``distance_threshold``.
-    Only the joint instance has an ``m`` (2 when None); the ell3 instance
-    refuses one.
+    sum_i tr(P_ji U A_i V) over its coefficient rows (ell3:
+    ``nonconvex_planar_map(n, 3)``, one-sided on the one A = I; joint:
+    ``nonconvex_joint_instance(n, 2)``). Zero coordinates up to ``ell`` and
+    zero orbit matrices up to ``m`` add nothing, so ``ell`` only pads the
+    endpoints. The two endpoints evaluate it at the instance's closed-form
+    frame pairs, from 0 up, so they equal the expected integers exactly. The
+    distance from their midpoint to the image is estimated by multistart
+    local minimization of the same map (``_closest_image_distance``); the
+    midpoint must stay at least ``COUNTEREXAMPLE_DISTANCE_THRESHOLD`` away
+    for the instance to count as verified. The report records the threshold
+    as ``distance_threshold``. Only the joint instance has an ``m`` (2 when
+    None); the ell3 instance refuses one.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
@@ -950,7 +953,7 @@ def counterexample_report(
     if kind == "ell3":
         if m is not None:
             raise ValueError(f"the ell3 instance has no m, got m={m}")
-        lmap = nonconvex_planar_map(n, ell)
+        lmap = nonconvex_planar_map(n, min(ell, 3))  # which refuses ell < 3
         x2 = np.eye(n)
         x2[n - 2 :, n - 2 :] = np.array([[0.0, -1.0], [1.0, 0.0]])
         rows, a_list = [[p] for p in lmap.mats], [eye]
@@ -960,7 +963,7 @@ def counterexample_report(
         if ell < 2:
             raise PreconditionError(f"need ell >= 2, got {ell}")
         m = 2 if m is None else m
-        a_list, rows = nonconvex_joint_instance(n, m)
+        a_list, rows = nonconvex_joint_instance(n, min(m, 2))  # which refuses m < 2
         u2 = np.eye(n)
         u2[:3, :3] = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         v2 = np.eye(n)
@@ -1126,7 +1129,7 @@ def convexity_check(
     gap_region_to_hull = _point_polygon_distance(region.vertices, hull_poly)
 
     sv = np.linalg.svd(a, compute_uv=False)
-    scale = sv[0] + 1.0
+    scale = sv[0]
     tie_probe = None
     if a.shape[0] > 1 and np.min(sv[:-1] - sv[1:]) <= tolerances.tie_gap * scale:
         delta = 1e-6

@@ -320,10 +320,9 @@ def _crossings(trial, ftol, project, paths, g0, g1):
             at = tuple(_lanes(path, live)._at(t) for path in redone)
             return project(redo[live], at)[0] - 1.0
 
-        roots, late = _lockstep(lambda *lane: _step_out(*lane, gtol),
-                                exact, x[redo], gap[redo], g0[redo], g1[redo])
-        x[redo] = [root[0] if root else np.nan for root in roots]
-        its[redo] += [root[1] if root else 0 for root in roots]
+        x[redo], late_its, late = _lockstep(lambda *lane: _step_out(*lane, gtol),
+                                            exact, x[redo], gap[redo], g0[redo], g1[redo])
+        its[redo] += late_its
         errors.update((int(redo[k]), exc) for k, exc in late.items())
         frames = tuple(path._at(x[redo]) for path in redone)
         for frame, new in zip(at, frames):

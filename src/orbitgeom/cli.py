@@ -2,7 +2,8 @@
 
 Every stochastic subcommand requires an explicit --seed (no wall-clock
 entropy); identical config plus seed yields byte-identical artifacts. Exit
-status: 0 on success, 1 when a report records failures, 2 on input errors.
+status: 0 on success, 1 when a report records failures or a NumericalError
+stops the run (one ``error:`` line, no output), 2 on input errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import certify as cf
 from . import ellipsoids as el
 from . import serialize as ser
 from .config import tolerances
-from .linalg import DimensionError, PreconditionError, haar_rotation, require_square
+from .linalg import NumericalError, PreconditionError, haar_rotation, require_square
 from .orbits import JointOrbitSpec, reduce_joint, sample_image
 from .svgplot import render_svg
 
@@ -184,7 +185,7 @@ def _cmd_certify(args):
         v = haar_rotation(a.shape[0], rng)
     try:
         cert = cf.certify_scaled_point(lmap, a, u, v, float(alpha))
-    except (cf.NumericalError, PreconditionError) as exc:
+    except (NumericalError, PreconditionError) as exc:
         _json_out(args, {"ok": False, "alpha": float(alpha), "error": str(exc)},
                   seed_used=args.seed)
         return 1
@@ -440,9 +441,9 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: --m {args.m} (only counterexample joint reads it)")
     try:
         return args.handler(args)
-    except (InputError, DimensionError, ValueError) as exc:
+    except (InputError, ValueError, NumericalError) as exc:  # DimensionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ threshold, fixed at import: no routine or flag overrides it. Matrix-valued
 residuals default to 1e-10 absolute. The eight fields are:
 
 - ``matrix_residual``: reconstruction and rotation-group defects (max-norm),
-  and, scaled by ``1 + sum(s)``, the band of the Thompson hull inequalities
+  and, scaled by ``sum(s)`` (each band in ``boundary`` is a tolerance times
+  the scale of its own inputs), the band of the Thompson hull inequalities
   that decide ``thompson_membership``;
 - ``boundary_band``: the |radial - 1| band counting as "on the curve";
 - ``certificate_residual``: the largest accepted certificate mismatch;

@@ -338,8 +338,6 @@ def _span_radial(sv, d, floor=1e-300):
     rest = d * ~keep
     off = np.sqrt(_dots(rest, rest))
     far = off > tolerances.off_span_tol
-    if np.count_nonzero(far) == far.size:  # every query off its shape's span
-        return np.full(far.shape, np.inf), off, keep, np.zeros_like(d)
     pre = d / np.where(keep, sv, np.inf)
     radial = np.sqrt(_dots(pre, pre))
     return np.where(far, np.inf, radial), off, keep, pre
@@ -459,26 +457,28 @@ def membership(curve: EllipsoidCurve, y) -> MembershipResult:
 
 
 def _lockstep(search, f, *columns):
-    """Run one search per lane in lockstep: (results, errors).
+    """Run one search per lane in lockstep: (x, iterations, errors).
 
     Lane k runs the generator ``search(*row)`` on the floats of row k of the
     ``columns``: it yields its next point, is sent the value there, and
-    returns its result. Each round evaluates the points of every lane still
-    searching in one call ``f(x, live)`` (``live``: the lanes' indices, the
-    same array object while no lane leaves), so the lanes share each stacked
-    evaluation, while a lane's steps depend on its own values alone. A lane
-    whose search returns leaves with its result; one that raises
-    NumericalError leaves with the error, in ``errors`` (lane -> error).
+    returns (x, iterations). Each round evaluates the points of every lane
+    still searching in one call ``f(x, live)`` (``live``: the lanes' indices,
+    the same array object while no lane leaves), so the lanes share each
+    stacked evaluation, while a lane's steps depend on its own values alone.
+    A lane whose search returns leaves with its x and iterations; one that
+    raises NumericalError leaves with the error, in ``errors`` (lane ->
+    error), and reads NaN and 0.
     """
     rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
     searches = [search(*row) for row in rows]
-    results, errors, order, points = [None] * len(searches), {}, [], []
+    x, iterations = np.full(len(searches), np.nan), np.zeros(len(searches), dtype=int)
+    errors, order, points = {}, [], []
     for k, lane in enumerate(searches):
         try:
             points.append(next(lane))
             order.append(k)
         except StopIteration as done:
-            results[k] = done.value
+            x[k], iterations[k] = done.value
     live = np.array(order, dtype=int)
     while order:
         values = f(np.array(points), live)
@@ -490,12 +490,12 @@ def _lockstep(search, f, *columns):
                 points.append(searches[k].send(value))
                 kept.append(k)
             except StopIteration as done:
-                results[k] = done.value
+                x[k], iterations[k] = done.value
             except NumericalError as exc:
                 errors[k] = exc
         if len(kept) < len(order):
             order, live = kept, np.array(kept, dtype=int)
-    return results, errors
+    return x, iterations, errors
 
 
 def _illinois(lo: float, hi: float, flo: float, fhi: float, ftol: float):
@@ -560,9 +560,7 @@ def _bracket_root(f, lo, hi, flo, fhi, ftol: float):
     searching lane at once, and each lane's bookkeeping is its own scalar
     arithmetic, so it takes exactly the steps it would take alone.
     """
-    results, errors = _lockstep(lambda *lane: _illinois(*lane, ftol), f, lo, hi, flo, fhi)
-    x = np.array([r[0] if r else np.nan for r in results])
-    return x, np.array([r[1] if r else 0 for r in results], dtype=int), errors
+    return _lockstep(lambda *lane: _illinois(*lane, ftol), f, lo, hi, flo, fhi)
 
 
 def degenerate_u0(p, q) -> np.ndarray:

@@ -8,7 +8,6 @@ are dumped with sorted keys so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -69,33 +68,19 @@ def map_from_json(obj, name: str = "map") -> LinearMapSpec:
     return LinearMapSpec(tuple(mats))
 
 
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row, each value as ``repr`` of its float."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def cloud_to_csv(cloud: PointCloud) -> str:
-    buf = io.StringIO()
-    header = ",".join(f"x{i + 1}" for i in range(cloud.ell))
-    buf.write(header + "\n")
-    for row in cloud.points:
-        buf.write(",".join(repr(float(x)) for x in row) + "\n")
-    return buf.getvalue()
-
-
-def cloud_from_csv(text: str) -> PointCloud:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        raise ValueError("empty CSV")
-    pts = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-    ell = len(lines[0].split(","))
-    arr = np.array(pts, dtype=float) if pts else np.empty((0, ell))
-    return PointCloud(points=arr)
+    return _csv([f"x{i + 1}" for i in range(cloud.ell)], cloud.points)
 
 
 def support_samples_to_csv(region) -> str:
-    buf = io.StringIO()
-    buf.write("theta,r,touch_x,touch_y\n")
-    for t, r, touch in zip(region.thetas, region.values, region.touches):
-        buf.write(
-            f"{float(t)!r},{float(r)!r},{float(touch[0])!r},{float(touch[1])!r}\n"
-        )
-    return buf.getvalue()
+    return _csv(("theta", "r", "touch_x", "touch_y"),
+                np.column_stack((region.thetas, region.values, region.touches)))
 
 
 def dump_json(obj) -> str:

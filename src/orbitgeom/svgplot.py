@@ -18,15 +18,10 @@ _MAX_POINTS = 4000
 
 def render_svg(points=None, polygon=None, curve=None) -> str:
     """Render up to three layers: sampled points, a closed polygon, a polyline."""
-    layers = []
-    geoms = []
-    for g in (points, polygon, curve):
-        if g is not None:
-            g = np.asarray(g, dtype=float).reshape(-1, 2)
-            geoms.append(g)
-        else:
-            geoms.append(None)
-    stacked = [g for g in geoms if g is not None and g.size]
+    # a missing layer is an empty one
+    pts, poly, crv = (np.asarray([] if g is None else g, dtype=float).reshape(-1, 2)
+                      for g in (points, polygon, curve))
+    stacked = [g for g in (pts, poly, crv) if g.size]
     if stacked:
         allpts = np.vstack(stacked)
         lo = allpts.min(axis=0)
@@ -50,17 +45,13 @@ def render_svg(points=None, polygon=None, curve=None) -> str:
         "center": [float(center[0]), float(center[1])],
         "scale": float(scale),
     }
-    layers.append(f"<metadata>{json.dumps(meta, sort_keys=True)}</metadata>")
-    pts, poly, crv = geoms
-    if poly is not None and poly.size:
-        layers.append(
-            f'<polygon points="{coords(poly)}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
-        )
-    if crv is not None and crv.size:
-        layers.append(
-            f'<polyline points="{coords(crv)}" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
-        )
-    if pts is not None and pts.size:
+    layers = [f"<metadata>{json.dumps(meta, sort_keys=True)}</metadata>"]
+    for tag, g, color in (("polygon", poly, "#1f77b4"), ("polyline", crv, "#2ca02c")):
+        if g.size:
+            layers.append(
+                f'<{tag} points="{coords(g)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            )
+    if pts.size:
         step = max(1, len(pts) // _MAX_POINTS)
         layers.extend(
             f'<circle cx="{x:.4f}" cy="{y:.4f}" r="1.2" fill="#d62728" fill-opacity="0.5"/>'

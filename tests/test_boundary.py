@@ -164,7 +164,7 @@ def _support_boundary_per_direction(p, q, a, grid_size):
         u, v = og.argmax_frames(coeff, a)
         w = u @ a @ v
         touches[k] = (np.einsum("ij,ji->", p, w), np.einsum("ij,ji->", q, w))
-    scale = float(np.max(np.abs(values))) + 1.0
+    scale = float(np.max(np.abs(values)))
     verts = []
     for k in range(grid_size):
         k2 = (k + 1) % grid_size
@@ -1083,6 +1083,21 @@ class TestCounterexamples:
         assert abs(reps[1]["midpoint_distance_estimate"]
                    - reps[0]["midpoint_distance_estimate"]) <= 1e-12
 
+    def test_m_only_names_the_joint_report(self):
+        # the search runs on the instance's own two orbit matrices
+        reps = [og.counterexample_report("joint", n=3, m=m, rng=np.random.default_rng(21),
+                                         starts=64) for m in (2, 4)]
+        assert reps[1]["m"] == 4
+        assert {**reps[1], "m": 2} == reps[0]
+
+    def test_ell_only_pads_the_planar_endpoints(self):
+        # the search runs on the instance's own three coordinates
+        reps = [og.counterexample_report("ell3", n=3, ell=ell, rng=np.random.default_rng(22),
+                                         starts=64) for ell in (3, 5)]
+        assert reps[1]["endpoints"] == [row + [0.0, 0.0] for row in reps[0]["endpoints"]]
+        assert (reps[1]["midpoint_distance_estimate"]
+                == reps[0]["midpoint_distance_estimate"])
+
     def test_only_the_joint_instance_has_an_m(self):
         rng = np.random.default_rng(19)
         assert og.counterexample_report("joint", rng=rng, starts=4)["m"] == 2
@@ -1433,6 +1448,73 @@ class TestConvexityCheck:
     def test_no_samples_is_rejected(self, count):
         with pytest.raises(ValueError, match="samples"):
             og.convexity_check(np.eye(3), np.eye(3), np.eye(3), samples=count)
+
+
+
+class TestScaleRule:
+    """Every band is a tolerance times the scale of its own inputs, with no floor."""
+
+    @pytest.mark.parametrize("c", [1e-11, 1e-12, 1e-300])
+    def test_small_non_member_keeps_its_margin(self, c):
+        # |d_1| = 5c exceeds s_1 = 3c by 2c, the margin at every scale
+        res = og.thompson_membership(og.DiagonalHullQuery(
+            d=c * np.array([5.0, 0.0, 0.0]), s=c * np.array([3.0, 2.0, 1.0]), det_sign=1))
+        assert not res.member
+        assert abs(res.margin - 2.0 * c) <= 1e-14 * 2.0 * c
+
+    def test_tiny_member_weights_raise(self):
+        # |x|^2 underflows in Wolfe's loop at s ~ 1e-160: the weights miss d,
+        # and reading them raises instead of returning them
+        c = 1e-160
+        res = og.thompson_membership(og.DiagonalHullQuery(
+            d=c * np.array([1.0, 0.5, 0.2]), s=c * np.array([3.0, 2.0, 1.0]), det_sign=1))
+        assert res.member
+        with pytest.raises(og.NumericalError, match="minimum-norm point misses"):
+            res.weights
+
+    @pytest.mark.parametrize("k", [-40, 40, -100, 100, -400, 400])
+    def test_support_boundary_is_power_of_two_equivariant(self, k):
+        p, q, a = np.random.default_rng(7919).standard_normal((3, 3, 3))
+        unit = og.support_boundary(p, q, a, 720)
+        region = og.support_boundary(p, q, a * 2.0 ** k, 720)
+        assert len(region.vertices) == len(unit.vertices) == 720
+        assert np.array_equal(region.values, unit.values * 2.0 ** k)
+        assert np.array_equal(region.touches, unit.touches * 2.0 ** k)
+        assert np.array_equal(region.vertices, unit.vertices * 2.0 ** k)
+        assert region.diameter() == unit.diameter() * 2.0 ** k
+
+    @pytest.mark.parametrize("k", [-40, 40, -100, 100, -400, 400])
+    def test_thompson_margins_are_power_of_two_equivariant(self, k):
+        s = np.array([3.0, 2.0, 1.0])
+        rng = np.random.default_rng(41)
+        queries = [([5.0, 0.0, 0.0], 1), ([3.0, 2.0, -1.0], 1), ([3.0, 2.0, 1.0], -1),
+                   ([2.0, 2.0, 1.0], 1)]
+        queries += [(rng.uniform(-4.0, 4.0, 3), sign) for sign in (-1, 0, 1) for _ in range(5)]
+        for d, sign in queries:
+            unit = og.thompson_membership(og.DiagonalHullQuery(d=d, s=s, det_sign=sign))
+            res = og.thompson_membership(og.DiagonalHullQuery(
+                d=np.asarray(d) * 2.0 ** k, s=s * 2.0 ** k, det_sign=sign))
+            assert res.member == unit.member
+            if not unit.member:
+                assert res.margin == unit.margin * 2.0 ** k
+                assert np.array_equal(res.functional, unit.functional)
+
+    def test_grouped_p_over_a_small_base(self):
+        # singular values 1e-9 apart are separated at a scale of 4e-9
+        structure = og.MaximizerStructure.from_diagonal_p(
+            np.diag([3.0, 3.0, 1.0, 0.0]), 1e-9 * np.diag([4.0, 3.0, 2.0, 1.0]))
+        assert structure.block_sizes == (2, 1, 1)
+
+    def test_small_maximizer_with_flipped_sign_fails(self):
+        # negating a column flips the determinant's sign, and the last signed
+        # values (about 3e-9) are far outside the band 1e-8 max|A| = 1.2e-16
+        structure = og.MaximizerStructure.from_diagonal_p(
+            np.diag([3.0, 3.0, 1.0, 0.0]), 3e-9 * np.diag([4.0, 3.0, 2.0, 1.0]))
+        b = og.gamma_sample(structure, 1, 5)[0]
+        assert og.gamma_verify(b, structure).passed
+        b[:, -1] *= -1.0
+        report = og.gamma_verify(b, structure)
+        assert not report.det_sign_ok and not report.passed
 
 
 def _off_block_orbit_element():

@@ -527,6 +527,24 @@ class TestMoreGeometryCommands:
         assert set(parity[weights > 0]) == {0, 1}
 
 
+    @pytest.mark.parametrize("keys", [
+        # Wolfe's squared norms overflow on the way, which numpy warns of
+        pytest.param({"A": _mat(np.diag([1e308, 2.0, 1.0])), "d": [1.0, 0.0, 0.0]},
+                     id="huge-a", marks=pytest.mark.filterwarnings(
+                         "ignore:overflow encountered:RuntimeWarning")),
+        pytest.param({"s": [3e-160, 2e-160, 1e-160], "det_sign": 1,
+                      "d": [1e-160, 5e-161, 2e-161]}, id="tiny-member"),
+    ])
+    def test_thompson_numerical_error_is_one_line(self, tmp_path, capsys, keys):
+        # a member whose weights miss d is a recorded failure: exit 1, no output
+        path = _write(tmp_path, "th.json", keys)
+        out = tmp_path / "th_out.json"
+        assert main(["thompson", "--input", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: minimum-norm point misses a member query by ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 class TestCounterexampleCommand:
     def test_ell3(self, tmp_path):
         out = tmp_path / "ce.json"

@@ -14,6 +14,7 @@ from orbitgeom.ellipsoids import (
     _ellipse_radial_along,
     _ellipsoid_euv,
     _ellipsoid_radial_along,
+    _lockstep,
     _radial_2x2,
     surface_projection,
 )
@@ -524,6 +525,18 @@ class TestBracketRoot:
                     assert sum(k in live for live in seen) == alone[1]
             assert errors
 
+
+    def test_a_lane_that_raised_reads_nan_and_zero(self):
+        def search(fail):
+            value = yield 0.25
+            if fail:
+                raise og.NumericalError("lane failed")
+            return value, 1
+
+        x, iterations, errors = _lockstep(search, lambda x, live: 2.0 * x, [0.0, 1.0, 0.0])
+        assert np.array_equal(x, [0.5, np.nan, 0.5], equal_nan=True)
+        assert iterations.tolist() == [1, 0, 1]
+        assert list(errors) == [1] and str(errors[1]) == "lane failed"
 
 class TestDegenerateUV:
     def test_identity_input(self):
